@@ -13,6 +13,7 @@ from .errors import (
     BudgetExceeded,
     DecompositionUnavailable,
     DisconnectedGraph,
+    ExactnessError,
     GraphError,
     InvalidParams,
     IrrationalSpectrum,

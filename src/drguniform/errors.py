@@ -49,6 +49,14 @@ class NegativeKrein(GraphError):
     """A Krein parameter came out negative; this signals an upstream bug."""
 
 
+class ExactnessError(GraphError):
+    """An exact identity that a computation relies on did not hold.
+
+    Raised where a result is checked after it is computed; it signals a
+    bug, not bad input.
+    """
+
+
 class NotThin(GraphError):
     pass
 

@@ -10,6 +10,8 @@ actions are vectorized, not for large-scale numerics.
 from fractions import Fraction
 from math import gcd
 
+from .errors import ExactnessError
+
 
 def rref(rows):
     """Row-reduce a copy of ``rows`` in place-free fashion.
@@ -109,10 +111,6 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -133,12 +131,18 @@ def ivec_normalize(v):
     return [x // g for x in v]
 
 
-def fvec_to_ivec(v):
-    """Clear denominators of a Fraction vector, then gcd-normalize."""
+def clear_denominators(v):
+    """(den * v, den) for the least positive integer den that makes the
+    rational vector ``v`` integral."""
     den = 1
     for x in v:
         den = den * x.denominator // gcd(den, x.denominator)
-    return ivec_normalize([int(x * den) for x in v])
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def fvec_to_ivec(v):
+    """Clear denominators of a Fraction vector, then gcd-normalize."""
+    return ivec_normalize(clear_denominators(v)[0])
 
 
 class IntRowBasis:
@@ -188,6 +192,41 @@ class IntRowBasis:
 
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows)]
+
+
+def express(rows, target):
+    """Coefficients of ``target`` in the span of ``rows``, or None when it
+    lies outside.
+
+    ``rows`` are integer vectors whose leading entries sit in strictly
+    increasing columns, as ``IntRowBasis.basis`` returns them, so the
+    coefficients come out by forward substitution.  The substitution is
+    fraction-free, like ``IntRowBasis.reduce``: the residual is an integer
+    vector over a common denominator, both are rescaled instead of
+    divided, and a Fraction is built only for each returned coefficient.
+    """
+    v = list(target)
+    den = 1
+    coeffs = []
+    for row in rows:
+        p = next(i for i, x in enumerate(row) if x)
+        a = v[p]
+        if not a:
+            coeffs.append(Fraction(0))
+            continue
+        b = row[p]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        # v/den - a/(b den) row = (b v - a row) / (b den)
+        if b == 1:
+            v = [x - a * y for x, y in zip(v, row)]
+        else:
+            v = [b * x - a * y for x, y in zip(v, row)]
+        den *= b
+        coeffs.append(Fraction(a, den))
+    if any(v):
+        return None
+    return coeffs
 
 
 def _poly_eval(coeffs, r):
@@ -292,11 +331,9 @@ def _deflate(coeffs, root):
     for k in range(d - 1, -1, -1):
         out[k] = acc
         acc = c[k] + acc * root
-    assert acc == 0
-    den = 1
-    for x in out:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in out]
+    if acc != 0:
+        raise ExactnessError(f"{root} is not a root of the polynomial {coeffs}")
+    return clear_denominators(out)[0]
 
 
 def minimal_polynomial(mat):
@@ -322,10 +359,7 @@ def minimal_polynomial(mat):
             rows.append([powers[k][i][j] for k in range(deg)])
             rhs.append(powers[deg][i][j])
     sol = solve_affine(rows, rhs)
-    assert sol is not None
+    if sol is None:
+        raise ExactnessError("a matrix power left the span of the lower powers")
     part, _ = sol
-    coeffs = [-x for x in part] + [Fraction(1)]
-    den = 1
-    for x in coeffs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in coeffs]
+    return clear_denominators([-x for x in part] + [Fraction(1)])[0]

@@ -383,18 +383,6 @@ def classical_parameters(ia):
     return min(cands, key=lambda cp: (abs(cp.q), -cp.q))
 
 
-def intersection_matrix(ia):
-    """Tridiagonal (D+1)x(D+1) matrix with rows (c_i, a_i, b_i)."""
-    D = ia.D
-    B = [[0] * (D + 1) for _ in range(D + 1)]
-    for i in range(D + 1):
-        B[i][i] = ia.a_at(i)
-        if i < D:
-            B[i][i + 1] = ia.b_at(i)
-            B[i + 1][i] = ia.c_at(i + 1)
-    return B
-
-
 def charpoly_tridiagonal(ia):
     """Integer coefficients [c0..c_{D+1}] of det(xI - B) via the three-term
     recurrence p_{k+1} = (x - a_k) p_k - b_{k-1} c_k p_{k-1}."""

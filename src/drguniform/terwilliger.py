@@ -11,10 +11,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .config import DEFAULT
 from .errors import BudgetExceeded
 from .graph_core import Graph, bfs_layers
+
+
+_INT64_MAX = 2**63 - 1
 
 
 class LFRSplit:
@@ -25,6 +29,11 @@ class LFRSplit:
     mapping layer i to layer i-1.  ``frows[i][z]`` lists the same-layer
     neighbors of the z-th vertex of layer i.  R is the transpose of L by
     definition and is never stored.
+
+    ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector.  A
+    list of Python ints whose product cannot leave int64 goes through a
+    cached sparse int64 block; anything else (Fractions, big integers)
+    takes the exact pure-Python loop.
     """
 
     def __init__(self, g, dp):
@@ -54,6 +63,7 @@ class LFRSplit:
                     )
                 self.lrows[i] = tuple(lrows)
         self._lblocks = {}
+        self._blocks = {}
 
     @property
     def eccentricity(self):
@@ -73,16 +83,48 @@ class LFRSplit:
             self._lblocks[i] = blk
         return self._lblocks[i]
 
-    def f_block(self, i):
-        rows = self.frows[i]
-        blk = np.zeros((len(rows), len(rows)), dtype=np.int64)
-        for z, nbrs in enumerate(rows):
-            for y in nbrs:
-                blk[z, y] = 1
-        return blk
+    def _block(self, gen, i):
+        """Sparse int64 block of ``gen`` acting on layer i, and the largest
+        |entry| an input may have for the int64 product to stay exact."""
+        key = (gen, i)
+        if key not in self._blocks:
+            if gen == "R":  # the transpose of L from layer i+1
+                rows, width = self.lrows[i + 1], len(self.dp.layers[i + 1])
+            else:
+                rows = self.frows[i] if gen == "F" else self.lrows[i]
+                width = len(self.dp.layers[i])
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(nbrs) for nbrs in rows], out=indptr[1:])
+            indices = np.fromiter(
+                (y for nbrs in rows for y in nbrs), dtype=np.int64, count=indptr[-1]
+            )
+            blk = csr_matrix(
+                (np.ones(len(indices), dtype=np.int64), indices, indptr),
+                shape=(len(rows), width),
+            )
+            if gen == "R":
+                blk = blk.T.tocsr()
+            count = max(int(np.diff(blk.indptr).max(initial=0)), 1)
+            self._blocks[key] = (blk, _INT64_MAX // count)
+        return self._blocks[key]
+
+    def _int64_product(self, gen, i, vec):
+        """The block product on ``vec`` when it is exact in int64, else None.
+
+        Eligibility is read off the values: every entry a Python int and
+        max|v| times the largest row count of the block below 2^63."""
+        if not all(type(x) is int for x in vec):
+            return None
+        blk, limit = self._block(gen, i)
+        if max(vec) > limit or min(vec) < -limit:
+            return None
+        return (blk @ np.array(vec, dtype=np.int64)).tolist()
 
     def apply_L(self, i, vec):
         """Apply L to an exact vector supported on layer i."""
+        out = self._int64_product("L", i, vec)
+        if out is not None:
+            return out
         return [sum(vec[y] for y in nbrs) for nbrs in self.lrows[i]]
 
     def apply_R(self, i, vec):
@@ -90,6 +132,9 @@ class LFRSplit:
         so this scatters through the L block one layer up."""
         if i + 1 > self.eccentricity:
             return []
+        out = self._int64_product("R", i, vec)
+        if out is not None:
+            return out
         out = [0] * len(self.dp.layers[i + 1])
         for z, nbrs in enumerate(self.lrows[i + 1]):
             if vec[z]:
@@ -98,6 +143,9 @@ class LFRSplit:
         return out
 
     def apply_F(self, i, vec):
+        out = self._int64_product("F", i, vec)
+        if out is not None:
+            return out
         return [sum(vec[y] for y in nbrs) for nbrs in self.frows[i]]
 
     def dense(self):

@@ -22,9 +22,10 @@ from math import gcd
 import numpy as np
 
 from .config import DEFAULT
-from .errors import NotALadder, NotThin
+from .errors import ExactnessError, NotALadder, NotThin
 from .exactla import (
     IntRowBasis,
+    clear_denominators,
     fvec_to_ivec,
     int_poly_rational_roots,
     ivec_normalize,
@@ -33,6 +34,7 @@ from .exactla import (
     nullspace,
     solve_affine,
 )
+from .exactla import express as _express  # the name bench/spans.py times
 from .graph_core import bfs_layers
 from .terwilliger import lfr_split
 
@@ -158,36 +160,44 @@ def _refine_seed(split, r, seed):
         deg = len(krylov)
         if deg <= 1:
             continue
-        target = _layer_word_apply(split, r, k, krylov[-1])
-        rows = [[Fraction(v[i]) for v in krylov] for i in range(len(seed))]
-        sol = solve_affine(rows, [Fraction(x) for x in target])
-        assert sol is not None
-        part, _ = sol
-        # minpoly of the word on the Krylov space: t^deg - sum c_i t^i
-        coeffs = [-x for x in part] + [Fraction(1)]
-        den = 1
-        for x in coeffs:
-            den = den * x.denominator // gcd(den, x.denominator)
-        int_coeffs = [int(x * den) for x in coeffs]
-        roots, residual = int_poly_rational_roots(int_coeffs)
+        # minpoly of the word W on the Krylov space, t^deg - sum c_i t^i
+        # with nxt = W^deg seed = sum c_i W^i seed.  The Krylov vectors are
+        # independent on the pivot columns of their echelon, so a deg x deg
+        # system there fixes the c_i; the relation is then checked on every
+        # coordinate.
+        pivots = sorted(basis.rows)
+        sol = solve_affine(
+            [[v[p] for v in krylov] for p in pivots], [nxt[p] for p in pivots]
+        )
+        if sol is None:
+            raise ExactnessError("Krylov vectors are dependent on their pivot columns")
+        coeffs, _ = clear_denominators([-x for x in sol[0]] + [1])
+        check = [0] * len(seed)
+        for c, v in zip(coeffs, krylov + [nxt]):
+            if c:
+                check = [a + c * b for a, b in zip(check, v)]
+        if any(check):
+            raise ExactnessError("the Krylov relation fails off the pivot columns")
+        roots, residual = int_poly_rational_roots(coeffs)
         distinct = sorted(set(roots))
         if len(distinct) + (1 if len(residual) > 1 else 0) < 2:
             continue
         lam = distinct[0]
-        # divide the minimal polynomial by (t - lam) and evaluate at the word
+        # divide the minimal polynomial by (t - lam) and evaluate at the
+        # word on the seed, whose powers are the Krylov vectors; clearing
+        # the quotient's denominators scales the result by a positive
+        # factor, which the normalization removes
         quot = []
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(coeffs):
             acc = acc * lam + c
             quot.append(acc)
-        quot = quot[:-1][::-1]  # drop the remainder, lowest degree first
-        out = [Fraction(0)] * len(seed)
-        power = [Fraction(x) for x in seed]
-        for c in quot:
+        quot, _ = clear_denominators(quot[:-1][::-1])  # lowest degree first
+        out = [0] * len(seed)
+        for c, power in zip(quot, krylov):
             if c:
                 out = [a + c * b for a, b in zip(out, power)]
-            power = _layer_word_apply(split, r, k, power)
-        refined = fvec_to_ivec(out)
+        refined = ivec_normalize(out)
         if refined is not None:
             seed = refined
     return seed
@@ -197,7 +207,8 @@ def _closure(split, algebra, r, seed):
     """Span of the module generated by a layer-r vector, per-layer bases."""
     slices = {r: IntRowBasis(len(seed))}
     first = slices[r].add(seed)
-    assert first is not None
+    if first is None:
+        raise ExactnessError("closure seeded with the zero vector")
     work = [(r, first)]
     gens = _generators(algebra)
     sizes = split.layer_sizes()
@@ -211,29 +222,13 @@ def _closure(split, algebra, r, seed):
             if all(x == 0 for x in img):
                 continue
             if new_layer < r:
-                raise AssertionError("closure escaped below its endpoint")
+                raise ExactnessError("closure escaped below its endpoint")
             if new_layer not in slices:
                 slices[new_layer] = IntRowBasis(sizes[new_layer])
             added = slices[new_layer].add(img)
             if added is not None:
                 work.append((new_layer, added))
     return {i: basis.basis() for i, basis in slices.items()}
-
-
-def _express(basis_rows, target):
-    """Coefficients of ``target`` in an echelon basis (distinct pivots),
-    or None when the vector is outside the span."""
-    coeffs = [Fraction(0)] * len(basis_rows)
-    residual = [Fraction(x) for x in target]
-    for idx, row in enumerate(basis_rows):
-        pivot = next(i for i, x in enumerate(row) if x)
-        if residual[pivot] != 0:
-            c = residual[pivot] / row[pivot]
-            coeffs[idx] = c
-            residual = [a - c * b for a, b in zip(residual, row)]
-    if any(x != 0 for x in residual):
-        return None
-    return coeffs
 
 
 def _action_matrices(split, algebra, slices):
@@ -261,10 +256,10 @@ def _action_matrices(split, algebra, slices):
                     continue
                 target_rows = slices.get(new_layer)
                 if target_rows is None:
-                    raise AssertionError("module basis is not invariant")
+                    raise ExactnessError("module basis is not invariant")
                 coeffs = _express(target_rows, img)
                 if coeffs is None:
-                    raise AssertionError("module basis is not invariant")
+                    raise ExactnessError("module basis is not invariant")
                 res_layer = new_layer
                 cols.append(coeffs)
             if res_layer is None:
@@ -474,7 +469,8 @@ def _project_off(vec, rows):
     gram = [[Fraction(sum(a * b for a, b in zip(r1, r2))) for r2 in rows] for r1 in rows]
     rhs = [Fraction(sum(a * b for a, b in zip(r, vec))) for r in rows]
     sol = solve_affine(gram, rhs)
-    assert sol is not None
+    if sol is None:
+        raise ExactnessError("singular Gram matrix of a module slice")
     coeffs, _ = sol
     out = [Fraction(x) for x in vec]
     for c, r in zip(coeffs, rows):
@@ -515,7 +511,8 @@ def _orthogonal_seed(constraints, width):
         if steps % 8 == 0:
             v = ivec_normalize(v)
     result = ivec_normalize(v)
-    assert result is not None
+    if result is None:
+        raise ExactnessError("back-substitution produced the zero vector")
     return result
 
 
@@ -568,8 +565,10 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                 found.append(piece)
                 layers = sorted(piece)
                 endpoint = layers[0]
-                assert endpoint == r
-                assert layers == list(range(endpoint, layers[-1] + 1))
+                if endpoint != r or layers != list(range(endpoint, layers[-1] + 1)):
+                    raise ExactnessError(
+                        f"module at endpoint {r} occupies layers {layers}"
+                    )
                 thin = all(len(v) <= 1 for v in piece.values())
                 descriptors.append(
                     ModuleDescriptor(
@@ -590,7 +589,8 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                     constraints.add(vec)
     if max_endpoint is None:
         total = sum(d.dim for d in descriptors)
-        assert total == g.n, (total, g.n)
+        if total != g.n:
+            raise ExactnessError(f"module dimensions sum to {total}, not {g.n}")
     return descriptors
 
 
@@ -598,55 +598,36 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
 # standard bases, ladder scalars, isomorphism classes
 
 
-def _distance_apply(g, h, full_vec):
-    """A_h v for an exact full-length vector, via the distance matrix."""
-    dist = g.distance_matrix()
-    n = g.n
-    mask = dist == h
-    out = []
-    for z in range(n):
-        row = mask[z]
-        out.append(sum(full_vec[y] for y in np.nonzero(row)[0]))
-    return out
+def _idempotent_images(mod, row, layer):
+    """Columns M w for the layer-``layer`` slice basis w of ``mod``, where
+    M = sum_h row[h] A_h for an integer coefficient row.
 
-
-def _module_full_vectors(mod):
-    """Module basis as full-length integer vectors."""
-    dp = mod.split.dp
-    out = []
-    for layer in mod.layers():
-        verts = dp.layers[layer]
-        for vec in mod.slices[layer]:
-            full = [0] * mod.split.g.n
-            for j, v in enumerate(verts):
-                full[v] = vec[j]
-            out.append(full)
-    return out
+    Exact: the product runs in int64 when no sum can leave that range,
+    and over Python ints otherwise."""
+    split = mod.split
+    vectors = mod.slices[layer]
+    cols = split.g.distance_matrix()[:, split.dp.layers[layer]]
+    bound = (
+        max(abs(c) for c in row)
+        * cols.shape[1]
+        * max(abs(x) for vec in vectors for x in vec)
+    )
+    dtype = np.int64 if bound < 2**63 else object
+    return np.array(row, dtype=dtype)[cols] @ np.array(vectors, dtype=dtype).T
 
 
 def dual_endpoint(mod, spec):
     """Smallest i with E_i W nonzero, computed exactly."""
     if mod.dual_endpoint is not None:
         return mod.dual_endpoint
-    g = mod.split.g
-    coeffs = spec.idempotent_coefficients()
-    vectors = _module_full_vectors(mod)
-    ah = {}
-    for t in range(spec.D + 1):
-        for vec in vectors:
-            key = id(vec)
-            if key not in ah:
-                ah[key] = [
-                    _distance_apply(g, h, vec) for h in range(spec.D + 1)
-                ]
-            img = [
-                sum(coeffs[t][h] * ah[key][h][z] for h in range(spec.D + 1))
-                for z in range(g.n)
-            ]
-            if any(x != 0 for x in img):
+    for t, coeffs in enumerate(spec.idempotent_coefficients()):
+        # E_t scaled to integers: the nonzero test does not see the scale
+        row, _ = clear_denominators(coeffs)
+        for layer in mod.layers():
+            if np.count_nonzero(_idempotent_images(mod, row, layer)):
                 mod.dual_endpoint = t
                 return t
-    raise AssertionError("module vanished under every primitive idempotent")
+    raise ExactnessError("module vanished under every primitive idempotent")
 
 
 def standard_basis(mod, spec):
@@ -657,26 +638,27 @@ def standard_basis(mod, spec):
     """
     if not mod.thin:
         raise NotThin("standard bases are defined for thin modules")
-    g = mod.split.g
     dp = mod.split.dp
     t = dual_endpoint(mod, spec)
-    coeffs = spec.idempotent_coefficients()[t]
-    for vec in _module_full_vectors(mod):
-        ah = [_distance_apply(g, h, vec) for h in range(spec.D + 1)]
-        v = [
-            sum(coeffs[h] * ah[h][z] for h in range(spec.D + 1))
-            for z in range(g.n)
-        ]
-        if any(x != 0 for x in v):
-            break
-    else:
-        raise AssertionError("no nonzero projection onto E_t")
+    row, den = clear_denominators(spec.idempotent_coefficients()[t])
+    # E_t v for the first basis vector v, in layer order, it does not kill
+    v = next(
+        (
+            [Fraction(int(x), den) for x in col]
+            for layer in mod.layers()
+            for col in _idempotent_images(mod, row, layer).T
+            if np.count_nonzero(col)
+        ),
+        None,
+    )
+    if v is None:
+        raise ExactnessError("no nonzero projection onto E_t")
     basis = []
     for layer in range(mod.endpoint, mod.endpoint + mod.diameter + 1):
         verts = dp.layers[layer]
         comp = [v[u] for u in verts]
         if all(x == 0 for x in comp):
-            raise AssertionError("standard basis vector vanished inside the support")
+            raise ExactnessError("standard basis vector vanished inside the support")
         basis.append((layer, comp))
     return basis
 

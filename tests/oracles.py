@@ -93,3 +93,19 @@ def numpy_spectrum(g):
             continue
         out.append(x)
     return out
+
+
+def fraction_express(rows, target):
+    """Coefficients of ``target`` in an echelon basis by plain Fraction
+    forward substitution, or None when it lies outside the span."""
+    coeffs = [Fraction(0)] * len(rows)
+    residual = [Fraction(x) for x in target]
+    for idx, row in enumerate(rows):
+        pivot = next(i for i, x in enumerate(row) if x)
+        if residual[pivot] != 0:
+            c = residual[pivot] / row[pivot]
+            coeffs[idx] = c
+            residual = [a - c * b for a, b in zip(residual, row)]
+    if any(x != 0 for x in residual):
+        return None
+    return coeffs

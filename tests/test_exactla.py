@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drguniform.errors import ExactnessError
 from drguniform.exactla import (
     IntRowBasis,
+    _deflate,
     det,
+    express,
     int_poly_rational_roots,
     minimal_polynomial,
     nullspace,
@@ -13,7 +17,7 @@ from drguniform.exactla import (
     solve_affine,
 )
 
-from oracles import dense_det
+from oracles import dense_det, fraction_express
 
 fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -92,3 +96,38 @@ def test_int_row_basis():
     assert basis.add([0, 0, 5]) == [0, 0, 1]
     assert basis.reduce([3, 6, 14]) is None  # 3*(1,2,3) + 5*(0,0,1)
     assert len(basis) == 2
+
+
+@st.composite
+def spans(draw):
+    """Integer vectors, a combination of them, and one more vector."""
+    width = draw(st.integers(min_value=1, max_value=24))
+    vec = st.lists(st.integers(min_value=-9, max_value=9), min_size=width, max_size=width)
+    vectors = draw(st.lists(vec, min_size=1, max_size=24))
+    combo = draw(st.lists(st.integers(-9, 9), min_size=len(vectors), max_size=len(vectors)))
+    return width, vectors, combo, draw(vec)
+
+
+@given(spans())
+@settings(max_examples=150)
+def test_express_matches_fraction_oracle(case):
+    width, vectors, combo, extra = case
+    basis = IntRowBasis(width)
+    for v in vectors:
+        basis.add(v)
+    rows = basis.basis()
+    inside = [sum(c * v[j] for c, v in zip(combo, vectors)) for j in range(width)]
+    coeffs = express(rows, inside)
+    assert coeffs is not None
+    assert coeffs == fraction_express(rows, inside)
+    assert [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)] == inside
+    if basis.reduce(extra) is not None:
+        outside = [a + b for a, b in zip(inside, extra)]
+        assert express(rows, outside) is None
+        assert fraction_express(rows, outside) is None
+
+
+def test_deflate_rejects_a_non_root():
+    assert _deflate([-2, 1], Fraction(2)) == [1]
+    with pytest.raises(ExactnessError):
+        _deflate([1, 0, 1], Fraction(1))  # t^2 + 1 has no root at 1

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +64,53 @@ def test_apply_matches_blocks(h33):
     vec = [rng.randint(-5, 5) for _ in split.dp.layers[1]]
     blk = split.l_block(2)
     assert split.apply_R(1, vec) == list(blk.T @ np.array(vec))
+
+
+def _loop_apply(split, gen, i, vec):
+    """The exact pure-Python L/F/R products, as reference."""
+    if gen == "L":
+        return [sum(vec[y] for y in nbrs) for nbrs in split.lrows[i]]
+    if gen == "F":
+        return [sum(vec[y] for y in nbrs) for nbrs in split.frows[i]]
+    out = [0] * len(split.dp.layers[i + 1])
+    for z, nbrs in enumerate(split.lrows[i + 1]):
+        for y in nbrs:
+            out[y] += vec[z]
+    return out
+
+
+def _products(split, i, vec):
+    yield "F", split.apply_F(i, vec)
+    if i >= 1:
+        yield "L", split.apply_L(i, vec)
+    if i < split.eccentricity:
+        yield "R", split.apply_R(i, vec)
+
+
+def test_int64_fast_path_matches_loop(j63):
+    # small ints; magnitudes at and around 2^62, 2^63 and (2^63 - 1) // k
+    # for every row count k the blocks have, all one sign (the largest
+    # sums) or mixed with negatives; Fractions, alone and mixed with ints
+    split = lfr_split(j63, x=0)
+    rng = random.Random(11)
+    edges = [2**62, 2**63 - 1, 2**63, 2**64]
+    edges += [(2**63 - 1) // k for k in range(1, 10)]
+    magnitudes = sorted({m + d for m in edges for d in (-1, 0, 1)})
+    for i, layer in enumerate(split.dp.layers):
+        w = len(layer)
+        vecs = [[rng.randint(-5, 5) for _ in range(w)]]
+        for m in magnitudes:
+            vecs.append([m] * w)
+            vecs.append([-m] * w)
+            vecs.append([rng.choice((m, -m, -(2**63), 1)) for _ in range(w)])
+        vecs.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(w)])
+        vecs.append([Fraction(1, 2)] * w)
+        vecs.append([1] * (w - 1) + [Fraction(1, 3)])
+        for vec in vecs:
+            for gen, out in _products(split, i, vec):
+                assert out == _loop_apply(split, gen, i, vec), (gen, i, vec[:3])
+                if all(type(x) is int for x in vec):
+                    assert all(type(x) is int for x in out)
 
 
 def test_flatten_bipartite_fixed_point():

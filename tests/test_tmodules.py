@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +22,7 @@ from drguniform import (
     theta_tilde,
     tightness,
 )
+from drguniform.graph_core import Graph
 from drguniform.tmodules import INFINITY, group_modules
 
 
@@ -172,6 +177,40 @@ def test_uniform_graphs_have_thin_flattened_modules(halved7, doob11):
         assert all(m.thin for m in mods)
 
 
+def _dual_endpoint_reference(mod, spec):
+    """Smallest t with E_t w nonzero for a basis vector w, by Fraction sums
+    over the distance matrix."""
+    dist = mod.split.g.distance_matrix()
+    e = spec.idempotent_coefficients()
+    for t in range(spec.D + 1):
+        for layer in mod.layers():
+            verts = mod.split.dp.layers[layer]
+            for vec in mod.slices[layer]:
+                for z in range(mod.split.g.n):
+                    if sum(e[t][dist[z, v]] * x for v, x in zip(verts, vec)):
+                        return t
+    return None
+
+
+def test_dual_endpoint_and_standard_basis_exact_beyond_int64(h33, j63):
+    # scaling a module basis by 2^70 leaves the dual endpoint alone and
+    # scales the standard basis; the scaled products no longer fit int64
+    for g in (h33, j63):
+        spec = spectrum(intersection_array(g))
+        for mod in decompose(g, 0, "T"):
+            for scale in (1, 2**70):
+                slices = {
+                    i: [[scale * x for x in v] for v in rows]
+                    for i, rows in mod.slices.items()
+                }
+                scaled = dataclasses.replace(mod, slices=slices, dual_endpoint=None)
+                assert dual_endpoint(scaled, spec) == _dual_endpoint_reference(mod, spec)
+                assert standard_basis(scaled, spec) == [
+                    (layer, [scale * x for x in comp])
+                    for layer, comp in standard_basis(mod, spec)
+                ]
+
+
 def test_tf_isomorphic_self_and_tight(j63):
     spec = spectrum(intersection_array(j63))
     mods = decompose(j63, 0, "T")
@@ -274,3 +313,58 @@ def test_doob_symbolic_lrl_coefficient():
 def test_doob_symbolic_bound():
     with pytest.raises(ValueError):
         doob_symbolic_check(20, 0)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _slice_digest(mods):
+    doc = [
+        [
+            m.endpoint,
+            m.diameter,
+            m.thin,
+            m.exact,
+            sorted(m.slices.items()),
+            str(m.local_eigenvalue),
+        ]
+        for m in mods
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# SHA-256 of every descriptor's (endpoint, diameter, thin, exact, sorted
+# slices, local eigenvalue), in decomposition order, recorded from the
+# Fraction-arithmetic kernel.  Labelling 0 is the constructor's order;
+# 2305 is random.Random(2305).shuffle of it.  Doob D(1,1) is here because
+# its T and Tf decompositions differ.
+GOLDEN_SLICES = {
+    ("h33", "T", 0): "857969f1b4283dec8770461d59e5d7a62faf692f59f98b32a14365a56aba3836",
+    ("h33", "T", 2305): "0d63f53f95bcfb75e9e11e7799c0ba28ce52d13866518843434522e6b5e7c132",
+    ("h33", "Tf", 0): "857969f1b4283dec8770461d59e5d7a62faf692f59f98b32a14365a56aba3836",
+    ("h33", "Tf", 2305): "0d63f53f95bcfb75e9e11e7799c0ba28ce52d13866518843434522e6b5e7c132",
+    ("j63", "T", 0): "6fd05283762fe95ec46fd6bea31431289426bbc3a977328ca192277e873111a9",
+    ("j63", "T", 2305): "7af9a420b2dee58640806b2f87047bb902eff039b78057d37702560451f89eb1",
+    ("j63", "Tf", 0): "6fd05283762fe95ec46fd6bea31431289426bbc3a977328ca192277e873111a9",
+    ("j63", "Tf", 2305): "7af9a420b2dee58640806b2f87047bb902eff039b78057d37702560451f89eb1",
+    ("her22", "T", 0): "be6f8c2d62112079ea4f59849e2aea561d14fb0fa3ee538a7ea0abef037a0dec",
+    ("her22", "T", 2305): "43efacedfb09e5a8c074f051462001786658e03ed9273b58de0317c4ae1ed53b",
+    ("her22", "Tf", 0): "be6f8c2d62112079ea4f59849e2aea561d14fb0fa3ee538a7ea0abef037a0dec",
+    ("her22", "Tf", 2305): "43efacedfb09e5a8c074f051462001786658e03ed9273b58de0317c4ae1ed53b",
+    ("doob11", "T", 0): "d7440a0bd29b789ba5149f80c4485eb7d5de62454fadc15fa7733606297ab373",
+    ("doob11", "T", 2305): "cc59c516e7d86a881133d77e977a4d29aa834a8e84612005f173003d5830ed3b",
+    ("doob11", "Tf", 0): "befe256c2c1388dbc2bbb420ba4f593c6158b29ee8f68d2fd4c7b920707117fd",
+    ("doob11", "Tf", 2305): "e2e5a079444a931ca26cb9e713e950cb98512f6b704e566b37d590705361ae97",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SLICES))
+def test_golden_module_slices(request, key):
+    name, algebra, labelling = key
+    g = request.getfixturevalue(name)
+    if labelling:
+        g = _relabelled(g, labelling)
+    assert _slice_digest(decompose(g, 0, algebra)) == GOLDEN_SLICES[key]
