@@ -1,10 +1,20 @@
 """Command-line interface.
 
 Subcommands: family, analyze, flatten, certify-uniform, decompose,
-verify-theorem.  Exit codes: 0 success, 2 parse error, 3 budget exceeded,
-4 expectation mismatch in a reproduction suite, 1 anything else.  All
-outputs are deterministic given the configuration, which is embedded in
-every JSON document.
+verify-theorem.  Exit codes, each failure with a one-line message on
+standard error:
+
+- 0 success
+- 2 malformed input or configuration: a graph file that cannot be read
+  or parsed, a graph with no vertices, a base vertex outside the graph,
+  or a configuration file or value that is unreadable, not a JSON
+  object, names an unknown field or fails validation
+- 3 budget exceeded
+- 4 expectation mismatch in a reproduction suite
+- 1 any other library error
+
+All outputs are deterministic given the configuration, which is embedded
+in every JSON document.
 """
 
 import argparse
@@ -42,14 +52,25 @@ EXIT_MISMATCH = 4
 def _load_config(args):
     base = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-    cfg = dataclasses.replace(Config(**base))
-    if getattr(args, "budget", None) is not None:
-        cfg = dataclasses.replace(cfg, vertex_budget=args.budget)
-    if getattr(args, "tol", None) is not None:
-        cfg = dataclasses.replace(cfg, numeric_tolerance=args.tol)
-    return cfg.validate()
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"configuration file: {exc}") from exc
+        if not isinstance(base, dict):
+            raise ParseError("configuration file: expected a JSON object")
+        unknown = sorted(set(base) - {f.name for f in dataclasses.fields(Config)})
+        if unknown:
+            raise ParseError(f"configuration file: unknown fields {unknown}")
+    overrides = {
+        "vertex_budget": getattr(args, "budget", None),
+        "numeric_tolerance": getattr(args, "tol", None),
+    }
+    base.update({k: v for k, v in overrides.items() if v is not None})
+    try:
+        return Config(**base).validate()
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"invalid configuration: {exc}") from exc
 
 
 def _read_graph(path):
@@ -58,6 +79,11 @@ def _read_graph(path):
             return read_edge_list(fh.read())
     except OSError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _check_base(g, base):
+    if not 0 <= base < g.n:
+        raise ParseError(f"base vertex {base} is not a vertex of the {g.n}-vertex graph")
 
 
 def _emit(payload, output):
@@ -107,6 +133,7 @@ def cmd_analyze(args):
 def cmd_flatten(args):
     cfg = _load_config(args)
     g = _read_graph(args.graph)
+    _check_base(g, args.base)
     fl = flatten(g, args.base)
     out = args.out or (args.graph + ".flat")
     with open(out, "w") as fh:
@@ -137,6 +164,7 @@ def cmd_certify(args):
             "config": cfg.as_dict(),
         }
     else:
+        _check_base(g, args.base)
         payload = certificate_dict(certify_uniform(g, args.base, config=cfg), cfg)
     _emit(payload, args.output)
     return EXIT_OK
@@ -145,6 +173,7 @@ def cmd_certify(args):
 def cmd_decompose(args):
     cfg = _load_config(args)
     g = _read_graph(args.graph)
+    _check_base(g, args.base)
     mods = decompose(g, args.base, args.algebra, config=cfg)
     spec = None
     try:

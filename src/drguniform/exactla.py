@@ -1,14 +1,21 @@
 """Small exact linear-algebra toolkit over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries (or plain ints,
-which Fraction arithmetic absorbs) and produces zero-residual results.
-Matrices are lists of lists; vectors are lists.  The routines are meant
-for the small dense systems that show up when layer blocks and module
-actions are vectorized, not for large-scale numerics.
+Every result is exact.  The dense solvers (``rref``, ``nullspace``,
+``solve_affine``, ``det``) work with ``fractions.Fraction`` entries (or
+plain ints, which Fraction arithmetic absorbs); matrices are lists of
+lists and vectors are lists.  The echelon kernels for integer vectors
+avoid fractions: ``IntRowBasis`` and ``express`` eliminate fraction-free
+over Python ints, and ``ModularComplement`` eliminates modulo a few
+primes below 2^26 in numpy and certifies what it returns exactly.  The
+routines are meant for the small dense systems that show up when layer
+blocks and module actions are vectorized, not for large-scale numerics.
 """
 
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, isqrt, prod
+
+import numpy as np
 
 from .errors import ExactnessError
 
@@ -192,6 +199,264 @@ class IntRowBasis:
 
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows)]
+
+
+_PRIME_BITS = 26  # the moduli are the largest primes below 2^26
+_CHUNK = 1024  # int64 partial sums of 1024 products below 2^52 stay below 2^62
+
+
+@cache
+def _large_primes(count):
+    """The ``count`` largest primes below 2^26, in descending order."""
+    out = []
+    c = 2**_PRIME_BITS - 1
+    while len(out) < count:
+        if all(c % d for d in range(3, isqrt(c) + 1, 2)):
+            out.append(c)
+        c -= 2
+    return tuple(out)
+
+
+def _primes_for(bits):
+    """How many of those primes a modulus of at least ``bits`` bits takes
+    (each is above 2^25)."""
+    return max(1, -(-bits // (_PRIME_BITS - 1)))
+
+
+def _matmul_mod(a, b, p):
+    """(a[k] @ b[k]) mod p[k] for every prime k: a is (K, r), b (K, r, m),
+    p (K, 1); exact in int64 for entries below 2^26."""
+    out = np.zeros((b.shape[0], b.shape[2]), dtype=np.int64)
+    for s in range(0, a.shape[1], _CHUNK):
+        out += np.matmul(a[:, None, s : s + _CHUNK], b[:, s : s + _CHUNK])[:, 0]
+        out %= p
+    return out
+
+
+def _crt(residues, primes):
+    """The integers in [0, prod(primes)) with the residues residues[k]
+    modulo primes[k]: Garner's mixed-radix digits in int64, then Horner
+    in Python ints."""
+    digits = [residues[0]]
+    for k in range(1, len(primes)):
+        p = primes[k]
+        acc = digits[-1] % p  # the digits so far, as an integer mod p
+        for i in range(k - 2, -1, -1):
+            acc = (acc * (primes[i] % p) + digits[i]) % p
+        inv = pow(prod(primes[:k]) % p, -1, p)
+        digits.append((residues[k] - acc) % p * inv % p)
+    values = digits[-1].tolist()
+    for i in range(len(primes) - 2, -1, -1):
+        values = [v * primes[i] + d for v, d in zip(values, digits[i].tolist())]
+    return values
+
+
+def _denominator(a, modulus, bound):
+    """The denominator b <= bound of the fraction c/b with |c| <= bound
+    and c = a b mod ``modulus`` (Wang's rational reconstruction), or None."""
+    r0, r1, t0, t1 = modulus, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return abs(t1)
+
+
+def _rational_vector(values, modulus):
+    """Integers proportional to the rationals that ``values`` stand for
+    modulo ``modulus``, over one common denominator, or None when no
+    reconstruction within sqrt(modulus / 2) fits them all."""
+    bound = isqrt(modulus // 2)
+    den = 1
+    for v in values:
+        a = v * den % modulus
+        if min(a, modulus - a) > bound:  # not yet an integer over den
+            b = _denominator(a, modulus, bound)
+            if b is None:
+                return None
+            den *= b
+            if den > bound:
+                return None
+    out = []
+    for v in values:
+        a = v * den % modulus
+        if a > modulus // 2:
+            a -= modulus
+        if abs(a) > bound:
+            return None
+        out.append(a)
+    return out
+
+
+class ModularComplement:
+    """The orthogonal complement of a growing set of integer vectors, and
+    its first vector in canonical column order.
+
+    Modulo each of K primes below 2^26 the added vectors are kept in
+    reduced echelon form [I | N].  Only N, the entries in the non-pivot
+    columns, is stored: one (rank x (width - rank)) int64 block per
+    prime.  ``add`` reduces a vector against every block with one matvec
+    and, when it is independent, adds it with a rank-1 update of N.  The
+    primes must agree on every pivot; a prime that finds less rank than
+    another divides a minor of the vectors (it is unlucky) and is
+    replaced.  K comes from the bit size of the vectors: enough primes for
+    a modulus of 2 log2(max ||row||_1) + 2 bits.  It at least doubles
+    whenever larger vectors ask for more or a certificate fails, and only
+    the new primes then reduce the vectors already added.
+
+    ``seed`` reads its answer off the first non-pivot column f, combines
+    the primes by CRT and rational reconstruction (from a prefix of the
+    primes first, since most seeds are small), and certifies the
+    integer vector w it gets: w[f] is nonzero and w vanishes past f; w is
+    in the kernel of the echelon modulo every prime, so M w = 0 modulo
+    their product P for the matrix M of added vectors; P > 2 max ||row||_1
+    ||w||_inf then forces M w = 0 over the integers.  Columns [0, f) are
+    pivots modulo a prime, so they are independent over the rationals,
+    and w is, up to scale, the only vector orthogonal to M supported on
+    [0, f].
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self._rows = []  # every added vector, to rebuild the blocks from
+        self._l1 = 0  # the largest l1 norm of an added vector
+        self._bad = set()  # primes found unlucky
+        self._reset(self._choose(1))
+
+    def _choose(self, count):
+        """The ``count`` largest primes below 2^26 not found unlucky."""
+        pool = _large_primes(count + len(self._bad))
+        return [p for p in pool if p not in self._bad][:count]
+
+    def _reset(self, primes):
+        """An empty echelon under ``primes``."""
+        self.primes = primes
+        self._p = np.array(primes, dtype=np.int64)[:, None]
+        self._pivots = []  # pivot columns, one per row of N
+        self._free = np.arange(self.width)  # non-pivot columns, ascending
+        self._n = np.zeros((len(primes), 0, self.width), dtype=np.int64)
+
+    def _rebuild(self, count):
+        """Reduce every vector afresh under ``count`` primes."""
+        while True:
+            self._reset(self._choose(count))
+            if all(self._insert(vec) for vec in self._rows):
+                return
+
+    def _extend(self, count):
+        """Use ``count`` primes, reducing the vectors under the new ones
+        only; a full rebuild when the new primes disagree with the old."""
+        primes, n, pivots = self.primes, self._n, self._pivots
+        self._reset(self._choose(count)[len(primes) :])
+        if all(self._insert(vec) for vec in self._rows) and self._pivots == pivots:
+            self.primes = primes + self.primes
+            self._p = np.array(self.primes, dtype=np.int64)[:, None]
+            self._n = np.concatenate([n, self._n])
+        else:
+            self._rebuild(count)
+
+    def add(self, vec):
+        """Add an integer vector to the set."""
+        self._rows.append(vec)
+        self._l1 = max(self._l1, sum(map(abs, vec)))
+        count = len(self.primes)
+        wanted = _primes_for(2 * self._l1.bit_length() + 2)
+        if wanted > count:
+            count = max(wanted, 2 * count)
+        if not self._insert(vec):
+            self._rebuild(count)
+        elif count > len(self.primes):
+            self._extend(count)
+
+    def _residues(self, vec):
+        """(K, width) int64 residues of an integer vector."""
+        if -(2**63) <= min(vec) and max(vec) < 2**63:
+            return np.array(vec, dtype=np.int64) % self._p
+        obj = np.array(vec, dtype=object)
+        return np.array([(obj % p).astype(np.int64) for p in self.primes])
+
+    def _insert(self, vec):
+        """Reduce ``vec`` under every prime and add it when independent.
+        Returns False, after marking the unlucky primes, when the primes
+        disagree on its pivot."""
+        if not len(self._free):
+            return True  # full rank: every vector is dependent
+        res = self._residues(vec)
+        red = res[:, self._free]
+        if self._pivots:
+            red -= _matmul_mod(res[:, self._pivots], self._n, self._p)
+            red %= self._p
+        nonzero = red != 0
+        m = len(self._free)
+        lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m)
+        j = int(lead.min())
+        if (lead != j).any():
+            self._bad.update(p for p, c in zip(self.primes, lead) if c != j)
+            return False
+        if j == m:
+            return True  # dependent under every prime
+        inv = np.array([[pow(int(x), -1, p)] for x, p in zip(red[:, j], self.primes)])
+        row = red * inv % self._p
+        r = len(self._pivots)
+        n = np.empty((len(self.primes), r + 1, m - 1), dtype=np.int64)
+        for k, p in enumerate(self.primes):
+            # clear column j from the stored rows, then drop it
+            blk = self._n[k] - np.outer(self._n[k, :, j], row[k])
+            blk %= p
+            n[k, :r, :j] = blk[:, :j]
+            n[k, :r, j:] = blk[:, j + 1 :]
+        n[:, r, :j] = row[:, :j]
+        n[:, r, j:] = row[:, j + 1 :]
+        self._n = n
+        self._pivots.append(int(self._free[j]))
+        self._free = np.delete(self._free, j)
+        return True
+
+    def seed(self):
+        """The first nonzero integer vector, in canonical column order,
+        orthogonal to every added vector: gcd-normalized, its first
+        nonzero entry positive, supported on the columns up to the first
+        non-pivot.  None when the vectors span the whole space."""
+        while len(self._free):
+            # lift from the first t primes, doubling t; every candidate
+            # is certified under all of them
+            t = 1
+            while True:
+                w = self._candidate(t)
+                if w is not None and self._certified(w):
+                    return w
+                if t == len(self.primes):
+                    break
+                t = min(2 * t, len(self.primes))
+            self._extend(2 * len(self.primes))
+        return None  # full rank modulo a prime, hence over the rationals
+
+    def _candidate(self, t):
+        """w with w[f] = 1 and w[pivot_i] = -N[i, f] under the first t
+        primes, lifted to the integers; None when reconstruction fails."""
+        f = int(self._free[0])
+        residues = -self._n[:t, :, 0] % self._p[:t]
+        values = _crt(residues, self.primes[:t]) + [1]
+        lifted = _rational_vector(values, prod(self.primes[:t]))
+        if lifted is None:
+            return None
+        w = [0] * self.width
+        for c, x in zip(self._pivots + [f], lifted):
+            w[c] = x
+        return ivec_normalize(w)
+
+    def _certified(self, w):
+        f = int(self._free[0])
+        if not w[f] or any(w[f + 1 :]):
+            return False
+        if prod(self.primes) <= 2 * self._l1 * max(map(abs, w)):
+            return False
+        res = self._residues(w)
+        # row i of [I | N] against w; w vanishes on every free column but f
+        check = res[:, self._pivots] + self._n[:, :, 0] * res[:, f : f + 1]
+        return not (check % self._p).any()
 
 
 def express(rows, target):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .config import DEFAULT
-from .errors import BudgetExceeded, InvalidParams
+from .errors import BudgetExceeded, ExactnessError, InvalidParams
 from .fields import FiniteField, hermitian_inner, rref_gf, vec_add, vec_scale
 from .graph_core import Graph
 
@@ -209,7 +209,8 @@ def dual_polar_generator_bases(r, D, budget=None):
             dfs(rows + [w], cand & orth[idx] & zero_at[pivot[idx]] & pivot_after[pivot[idx]])
 
     dfs([], full_mask)
-    assert len(subspaces) == expected, (len(subspaces), expected)
+    if len(subspaces) != expected:
+        raise ExactnessError(f"found {len(subspaces)} maximal isotropic subspaces, not {expected}")
     return field, points, sorted(subspaces)
 
 
@@ -281,7 +282,8 @@ def hermitian_forms(r, D, budget=None):
                 yield tuple(tuple(row) for row in mat)
 
     labels = sorted(matrices())
-    assert len(labels) == r ** (D * D)
+    if len(labels) != r ** (D * D):
+        raise ExactnessError(f"{len(labels)} Hermitian matrices, not {r ** (D * D)}")
     index = {m: i for i, m in enumerate(labels)}
 
     rank_one = []

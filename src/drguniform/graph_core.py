@@ -19,6 +19,8 @@ from scipy.sparse.csgraph import shortest_path
 from . import exactla
 from .errors import (
     DisconnectedGraph,
+    ExactnessError,
+    InvalidParams,
     IrrationalSpectrum,
     NegativeKrein,
     NotDistanceRegular,
@@ -130,6 +132,8 @@ def read_edge_list(text):
     except ValueError as exc:
         raise ParseError(f"non-integer token: {exc}") from exc
     n, m = nums[0], nums[1]
+    if n < 1:
+        raise ParseError(f"a graph needs at least one vertex, not {n}")
     if len(nums) != 2 + 2 * m:
         raise ParseError(f"expected {2 * m} endpoints, found {len(nums) - 2}")
     edges = []
@@ -473,7 +477,8 @@ def spectrum(ia):
         eigs = tuple(eigs)
     else:
         eigs = tuple(sorted(roots, reverse=True))
-    assert len(eigs) == D + 1
+    if len(eigs) != D + 1:
+        raise ExactnessError(f"{len(eigs)} eigenvalues for diameter {D}")
     n = ia.n
     mults = []
     for th in eigs:
@@ -481,13 +486,15 @@ def spectrum(ia):
         denom = sum(v * v / k for v, k in zip(vals, ia.layer_sizes()))
         m = n / denom
         if not numeric:
-            assert m.denominator == 1, "multiplicity must be a positive integer"
+            if m.denominator != 1:
+                raise InvalidParams(f"the array gives the non-integral multiplicity {m}")
             m = int(m)
         else:
             m = float(m)
         mults.append(m)
     if not numeric:
-        assert sum(mults) == n
+        if sum(mults) != n:
+            raise ExactnessError(f"multiplicities sum to {sum(mults)}, not {n}")
     return SpectralData(
         ia=ia, eigenvalues=eigs, multiplicities=tuple(mults), numeric=numeric
     )
@@ -544,7 +551,8 @@ def p_numbers(ia):
         for gidx in range(D + 1):
             for l in range(D + 1):
                 val = w[l]
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise InvalidParams(f"the array gives the intersection number {val}")
                 p[l][gidx][h] = int(val)
             if gidx == D:
                 break

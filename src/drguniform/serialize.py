@@ -8,11 +8,6 @@ def frac_str(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s):
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
 def eigenvalue_str(x, numeric):
     if numeric:
         return repr(float(x))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .config import DEFAULT
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ExactnessError
 from .graph_core import Graph, bfs_layers
 
 
@@ -31,9 +31,9 @@ class LFRSplit:
     definition and is never stored.
 
     ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector.  A
-    list of Python ints whose product cannot leave int64 goes through a
-    cached sparse int64 block; anything else (Fractions, big integers)
-    takes the exact pure-Python loop.
+    list of Python ints goes through a cached sparse int64 block, split
+    into limbs when its entries are too large for one int64 product;
+    Fractions take the exact pure-Python loop.
     """
 
     def __init__(self, g, dp):
@@ -109,16 +109,29 @@ class LFRSplit:
         return self._blocks[key]
 
     def _int64_product(self, gen, i, vec):
-        """The block product on ``vec`` when it is exact in int64, else None.
+        """The block product on an integer vector, exact through int64, or
+        None when ``vec`` holds a non-int.
 
-        Eligibility is read off the values: every entry a Python int and
-        max|v| times the largest row count of the block below 2^63."""
-        if not all(type(x) is int for x in vec):
+        Entries up to the block's limit go in as they are.  Larger ones
+        are split into limbs of at most ``limit`` in magnitude, one int64
+        product per limb, recombined by shifts in Python ints."""
+        if set(map(type, vec)) != {int}:
             return None
         blk, limit = self._block(gen, i)
-        if max(vec) > limit or min(vec) < -limit:
-            return None
-        return (blk @ np.array(vec, dtype=np.int64)).tolist()
+        hi, lo = max(vec), min(vec)
+        if hi <= limit and lo >= -limit:
+            return (blk @ np.array(vec, dtype=np.int64)).tolist()
+        bits = limit.bit_length() - 1  # 2^bits <= limit
+        mask = (1 << bits) - 1
+        obj = np.array(vec, dtype=object)
+        neg = obj < 0
+        mag = np.where(neg, -obj, obj)
+        sign = np.where(neg, -1, 1)
+        out = np.zeros(blk.shape[0], dtype=object)
+        for shift in range(0, max(hi, -lo).bit_length(), bits):
+            limb = ((mag >> shift) & mask).astype(np.int64) * sign
+            out += (blk @ limb).astype(object) << shift
+        return out.tolist()
 
     def apply_L(self, i, vec):
         """Apply L to an exact vector supported on layer i."""
@@ -299,7 +312,8 @@ def graph_isomorphic(g, h, vertex_bound=None):
 
     if not extend(0):
         return None
-    for u, v in g.edges():
-        assert h.adjacent(mapping[u], mapping[v])
-    assert len(set(mapping.values())) == g.n
+    if len(set(mapping.values())) != g.n or not all(
+        h.adjacent(mapping[u], mapping[v]) for u, v in g.edges()
+    ):
+        raise ExactnessError("the isomorphism search returned a map that is not one")
     return dict(mapping)

@@ -17,7 +17,6 @@ Doob family.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .config import DEFAULT
 from .errors import ExactnessError, NotALadder, NotThin
 from .exactla import (
     IntRowBasis,
+    ModularComplement,
     clear_denominators,
     fvec_to_ivec,
     int_poly_rational_roots,
@@ -479,41 +479,11 @@ def _project_off(vec, rows):
     return out
 
 
-def _orthogonal_seed(constraints, width):
-    """One nonzero integer vector orthogonal to the span of an echelon row
-    basis, or None when the rows already span the whole space.
-
-    The free coordinate is the smallest non-pivot index (canonical vertex
-    order); pivot coordinates are back-solved in descending order, which
-    works because every stored row starts at its pivot.  The substitution
-    is fraction-free: instead of dividing by a pivot the whole vector is
-    rescaled, and the accumulated content is stripped periodically so the
-    entries stay small.
-    """
-    pivots = sorted(constraints.rows)
-    taken = set(pivots)
-    free = next((c for c in range(width) if c not in taken), None)
-    if free is None:
-        return None
-    v = [0] * width
-    v[free] = 1
-    for steps, p in enumerate(reversed(pivots), start=1):
-        row = constraints.rows[p]
-        acc = sum(row[j] * v[j] for j in range(p + 1, width) if v[j])
-        if acc == 0:
-            continue
-        piv = row[p]
-        g = gcd(acc, piv)
-        scale = piv // g
-        if scale != 1:
-            v = [x * scale for x in v]
-        v[p] = -(acc // g)
-        if steps % 8 == 0:
-            v = ivec_normalize(v)
-    result = ivec_normalize(v)
-    if result is None:
-        raise ExactnessError("back-substitution produced the zero vector")
-    return result
+def _orthogonal_seed(complement):
+    """The next seed: the first vector, in canonical vertex order, of the
+    orthogonal complement of the modules found in a layer, or None when
+    they fill the layer."""
+    return complement.seed()
 
 
 def _local_eigenvalue(split, slices, endpoint):
@@ -545,12 +515,12 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     descriptors = []
     last = eps if max_endpoint is None else min(max_endpoint, eps)
     for r in range(last + 1):
-        constraints = IntRowBasis(sizes[r])
+        complement = ModularComplement(sizes[r])
         for mod in found:
             for vec in mod.get(r, []):
-                constraints.add(vec)
+                complement.add(vec)
         while True:
-            seed = _orthogonal_seed(constraints, sizes[r])
+            seed = _orthogonal_seed(complement)
             if seed is None:
                 break
             seed = _refine_seed(split, r, seed)
@@ -586,7 +556,7 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                     )
                 )
                 for vec in piece.get(r, []):
-                    constraints.add(vec)
+                    complement.add(vec)
     if max_endpoint is None:
         total = sum(d.dim for d in descriptors)
         if total != g.n:

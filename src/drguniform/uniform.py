@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT
-from .errors import DecompositionUnavailable
+from .errors import DecompositionUnavailable, ExactnessError
 from .exactla import IntRowBasis, solve_affine
 from .graph_core import bfs_layers
 from .terwilliger import lfr_split
@@ -33,7 +33,8 @@ _FLOAT_SAFE = 2**52
 def _imatmul(a, b):
     """Exact product of small-entry integer matrices through float BLAS."""
     c = a.astype(np.float64) @ b.astype(np.float64)
-    assert np.abs(c).max(initial=0.0) < _FLOAT_SAFE
+    if np.abs(c).max(initial=0.0) >= _FLOAT_SAFE:
+        raise ExactnessError("a float product left the range of exact integers")
     return np.rint(c).astype(np.int64)
 
 
@@ -382,7 +383,8 @@ def certify_uniform(g, x=0, config=DEFAULT):
             "def_ii": report["family_minus"] or report["family_plus"],
             "def_iii": not report["violations"],
         }
-        assert all(checks.values())
+        if not all(checks.values()):
+            raise ExactnessError(f"a structure found by the search fails its checks: {checks}")
         return UniformCertificate(
             verdict=verdict,
             epsilon=eps,

@@ -135,3 +135,33 @@ def test_all_bases(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["per_base"]) == 4
     assert {p["verdict"] for p in payload["per_base"]} == {"StronglyUniform"}
+
+
+C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+CONFIGURED = ["analyze", "g.edges", "--config", "c.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["analyze", "g.edges"], {"g.edges": "0 0\n"}),
+        (["decompose", "g.edges"], {"g.edges": "0 0\n"}),
+        (["certify-uniform", "g.edges", "--base", "9"], {"g.edges": C5}),
+        (["decompose", "g.edges", "--base", "9"], {"g.edges": C5}),
+        (["flatten", "g.edges", "--base", "-1"], {"g.edges": C5}),
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"bogus": 1}'}),
+        (CONFIGURED, {"g.edges": C5, "c.json": "[1]"}),
+        (CONFIGURED, {"g.edges": C5, "c.json": "{"}),
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"retry_count": "x"}'}),
+        (["analyze", "g.edges", "--config", "missing.json"], {"g.edges": C5}),
+        (["analyze", "g.edges", "--budget", "0"], {"g.edges": C5}),
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from drguniform.errors import ExactnessError
 from drguniform.exactla import (
     IntRowBasis,
+    ModularComplement,
     _deflate,
+    _large_primes,
     det,
     express,
     int_poly_rational_roots,
@@ -17,7 +20,7 @@ from drguniform.exactla import (
     solve_affine,
 )
 
-from oracles import dense_det, fraction_express
+from oracles import dense_det, echelon_orthogonal_seed, fraction_express
 
 fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -131,3 +134,97 @@ def test_deflate_rejects_a_non_root():
     assert _deflate([-2, 1], Fraction(2)) == [1]
     with pytest.raises(ExactnessError):
         _deflate([1, 0, 1], Fraction(1))  # t^2 + 1 has no root at 1
+
+
+@st.composite
+def row_sets(draw):
+    """Integer row sets with generic pivots, zero leading columns, gaps
+    (dependent rows, so the first free column comes before the rank),
+    and entries up to 2^300."""
+    width = draw(st.integers(min_value=1, max_value=10))
+    bits = draw(st.sampled_from([3, 40, 100, 300]))
+    entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+    zero_lead = draw(st.integers(min_value=0, max_value=width - 1))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=width + 2))):
+        kind = draw(st.sampled_from(["generic", "sparse", "combo"]))
+        if kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.integers(-3, 3))
+            rows.append([x + c * y for x, y in zip(a, b)])
+            continue
+        row = [0] * zero_lead + [draw(entry) for _ in range(width - zero_lead)]
+        if kind == "sparse":
+            row = [x if draw(st.booleans()) else 0 for x in row]
+        rows.append(row)
+    return width, rows
+
+
+@given(row_sets())
+@settings(max_examples=200, deadline=None)
+def test_modular_complement_seed_matches_oracle(case):
+    width, rows = case
+    complement = ModularComplement(width)
+    assert complement.seed() == echelon_orthogonal_seed([], width)
+    for i, row in enumerate(rows):
+        complement.add(row)
+        assert complement.seed() == echelon_orthogonal_seed(rows[: i + 1], width)
+
+
+def test_modular_complement_full_rank_is_none():
+    complement = ModularComplement(3)
+    for row in ([2, 1, 0], [0, 3, 1], [5, 0, 2**200]):
+        complement.add(row)
+    assert complement.seed() is None
+
+
+def test_modular_complement_replaces_a_prime_that_loses_rank():
+    # modulo p0 the row is (0, 1, 0, 0): its pivot moves to column 1
+    p0 = _large_primes(1)[0]
+    rows = [[p0, 1, 0, 0]]
+    complement = ModularComplement(4)
+    complement.add(rows[0])
+    assert p0 not in complement.primes
+    assert complement.seed() == echelon_orthogonal_seed(rows, 4) == [1, -p0, 0, 0]
+
+
+def test_modular_complement_grows_when_every_prime_is_unlucky():
+    # tridiagonal rows with small entries whose leading block has
+    # determinant p0 (a continuant of the continued fraction of p0/q):
+    # the bit size of the rows asks for one prime, p0, under which the
+    # block is singular, so the first certificate must fail
+    p0 = _large_primes(1)[0]
+    quotients = []
+    a, b = p0, p0 * 618 // 1000
+    while b:
+        quotients.append(a // b)
+        a, b = b, a % b
+    f = len(quotients)
+    rows = []
+    for i, q in enumerate(quotients):
+        row = [0] * (f + 1)
+        if i:
+            row[i - 1] = -1
+        row[i] = q
+        row[i + 1] = 1
+        rows.append(row)
+    assert dense_det([r[:f] for r in rows]) == p0
+    complement = ModularComplement(f + 1)
+    for row in rows:
+        complement.add(row)
+    assert complement.primes == [p0]
+    assert complement.seed() == echelon_orthogonal_seed(rows, f + 1)
+    assert p0 not in complement.primes and len(complement.primes) >= 2
+
+
+def test_modular_complement_certificate():
+    complement = ModularComplement(3)
+    complement.add([1, 2, 0])
+    P = prod(complement.primes)
+    assert complement.seed() == [2, -1, 0]
+    assert complement._certified([2, -1, 0])
+    assert not complement._certified([2, -1, 1])  # nonzero past f
+    assert not complement._certified([3, -1, 0])  # outside the kernel
+    # in the kernel modulo every prime, not over the integers: only the
+    # bound P > 2 max ||row||_1 ||w||_inf rejects it
+    assert not complement._certified([2 + P, -1, 0])

@@ -89,11 +89,12 @@ def _products(split, i, vec):
 
 def test_int64_fast_path_matches_loop(j63):
     # small ints; magnitudes at and around 2^62, 2^63 and (2^63 - 1) // k
-    # for every row count k the blocks have, all one sign (the largest
-    # sums) or mixed with negatives; Fractions, alone and mixed with ints
+    # for every row count k the blocks have, and 2^100 and 2^300 (split
+    # into limbs), all one sign (the largest sums) or mixed with
+    # negatives; Fractions, alone and mixed with ints
     split = lfr_split(j63, x=0)
     rng = random.Random(11)
-    edges = [2**62, 2**63 - 1, 2**63, 2**64]
+    edges = [2**62, 2**63 - 1, 2**63, 2**64, 2**100, 2**300]
     edges += [(2**63 - 1) // k for k in range(1, 10)]
     magnitudes = sorted({m + d for m in edges for d in (-1, 0, 1)})
     for i, layer in enumerate(split.dp.layers):
