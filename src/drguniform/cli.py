@@ -7,8 +7,9 @@ standard error:
 - 0 success
 - 2 malformed input or configuration: a graph file that cannot be read
   or parsed, a graph with no vertices, a base vertex outside the graph,
-  or a configuration file or value that is unreadable, not a JSON
-  object, names an unknown field or fails validation
+  a family tag given the wrong number of parameters, or a configuration
+  file or value that is unreadable, not a JSON object, names an unknown
+  field or fails validation
 - 3 budget exceeded
 - 4 expectation mismatch in a reproduction suite
 - 1 any other library error

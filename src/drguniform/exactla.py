@@ -1,116 +1,34 @@
 """Small exact linear-algebra toolkit over the rationals.
 
-Every result is exact.  The dense solvers (``rref``, ``nullspace``,
-``solve_affine``, ``det``) work with ``fractions.Fraction`` entries (or
-plain ints, which Fraction arithmetic absorbs); matrices are lists of
-lists and vectors are lists.  The echelon kernels for integer vectors
-avoid fractions: ``IntRowBasis`` and ``express`` eliminate fraction-free
-over Python ints, and ``ModularComplement`` eliminates modulo a few
-primes below 2^26 in numpy and certifies what it returns exactly.  The
-routines are meant for the small dense systems that show up when layer
-blocks and module actions are vectorized, not for large-scale numerics.
+Every result is exact; matrices are lists of lists and vectors are
+lists.  All rational elimination goes through one integer echelon
+kernel, ``IntRowBasis``, which keeps gcd-normalized integer rows and
+eliminates fraction-free, rescaling rows instead of dividing them.  On
+top of it:
+
+- ``nullspace`` and ``solve_affine`` take rows of ints or Fractions,
+  clear their denominators, back-eliminate the basis to the unique
+  reduced echelon form and read the answer off as Fractions;
+- ``express`` writes a vector in an echelon basis by forward
+  substitution;
+- ``krylov_relation`` finds the first linear relation of a Krylov
+  sequence of integer vectors, and ``minimal_polynomial`` applies it to
+  the flattened powers of a matrix.
+
+``ModularComplement`` eliminates modulo a few primes below 2^26 in numpy
+and certifies what it returns exactly.  The routines are meant for the
+small dense systems that show up when layer blocks and module actions
+are vectorized, not for large-scale numerics.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
+from operator import mul
 
 import numpy as np
 
 from .errors import ExactnessError
-
-
-def rref(rows):
-    """Row-reduce a copy of ``rows`` in place-free fashion.
-
-    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
-
-
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix ``rows`` (ncols columns)."""
-    red, pivots = rref(rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
-def solve_affine(rows, rhs):
-    """Solve ``rows @ x = rhs`` exactly.
-
-    Returns (particular, homogeneous_basis) or None when inconsistent.
-    The homogeneous basis spans the full solution set offset.
-    """
-    if not rows:
-        raise ValueError("empty system needs an explicit column count")
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
-    particular = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        particular[pc] = row[ncols]
-    hom = nullspace([row[:ncols] for row in red], ncols)
-    return particular, hom
-
-
-def det(matrix):
-    """Dense determinant by fraction-free style Gaussian elimination."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pick = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            return Fraction(0)
-        if pick != c:
-            m[c], m[pick] = m[pick], m[c]
-            sign = -sign
-        piv = m[c][c]
-        result *= piv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
 
 
 def mat_mul(a, b):
@@ -199,6 +117,71 @@ class IntRowBasis:
 
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows)]
+
+    def reduced(self):
+        """The rows in reduced echelon form, kept fraction-free: pivot ->
+        row, each row zero in every other row's pivot column and
+        gcd-normalized with a positive pivot entry.  Divided by their pivot
+        entries, they are the unique reduced row echelon form of the span.
+        """
+        out = {}
+        for p in sorted(self.rows, reverse=True):
+            v = self.rows[p]
+            for q, row in out.items():
+                if v[q]:
+                    g = gcd(v[q], row[q])
+                    ma, mb = row[q] // g, v[q] // g
+                    v = [ma * x - mb * y for x, y in zip(v, row)]
+            out[p] = ivec_normalize(v)
+        return dict(sorted(out.items()))
+
+
+def _reduced_echelon(rows, width):
+    """``IntRowBasis.reduced`` of rows of ints or Fractions."""
+    basis = IntRowBasis(width)
+    for row in rows:
+        basis.add(clear_denominators(row)[0])
+    return basis.reduced()
+
+
+def _kernel(reduced, ncols):
+    """Kernel basis of a reduced echelon form on its first ``ncols``
+    columns: for each non-pivot column c, the vector that is 1 at c and 0
+    at the other non-pivot columns."""
+    basis = []
+    for c in range(ncols):
+        if c not in reduced:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for p, row in reduced.items():
+                v[p] = Fraction(-row[c], row[p])
+            basis.append(v)
+    return basis
+
+
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of the matrix ``rows`` (ints or
+    Fractions, ``ncols`` columns), read off its reduced echelon form."""
+    return _kernel(_reduced_echelon(rows, ncols), ncols)
+
+
+def solve_affine(rows, rhs):
+    """Solve ``rows @ x = rhs`` exactly.
+
+    Returns (particular, homogeneous_basis) or None when inconsistent.
+    The particular solution is zero on the non-pivot columns, and the
+    homogeneous basis is ``nullspace(rows)``.
+    """
+    if not rows:
+        raise ValueError("empty system needs an explicit column count")
+    ncols = len(rows[0])
+    reduced = _reduced_echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in reduced:
+        return None
+    particular = [Fraction(0)] * ncols
+    for p, row in reduced.items():
+        particular[p] = Fraction(row[ncols], row[p])
+    return particular, _kernel(reduced, ncols)
 
 
 _PRIME_BITS = 26  # the moduli are the largest primes below 2^26
@@ -503,8 +486,6 @@ def _poly_eval(coeffs, r):
 
 def _numeric_root_candidates(coeffs):
     """Rational candidates near the numeric roots; callers verify exactly."""
-    import numpy as np
-
     scale = max(abs(c) for c in coeffs)
     arr = np.array([c / scale for c in reversed(coeffs)], dtype=np.float64)
     cands = []
@@ -601,30 +582,53 @@ def _deflate(coeffs, root):
     return clear_denominators(out)[0]
 
 
-def minimal_polynomial(mat):
-    """Minimal polynomial of a square Fraction matrix via a Krylov sequence
-    on vectorized powers.  Returns integer coefficients [c0..cd] of a
-    primitive (content 1) polynomial with positive leading coefficient."""
-    n = len(mat)
-    basis = IntRowBasis(n * n)
-    powers = [identity(n)]
+def krylov_relation(start, step):
+    """The first linear relation in the Krylov sequence of ``start``.
+
+    ``start`` is a nonzero integer vector and ``step`` an integer linear
+    map.  Returns (coeffs, krylov): ``krylov`` holds start, step(start),
+    ... up to the last vector independent of those before it, and
+    ``coeffs`` = [c0..cd] are the primitive integers, cd > 0, with
+    sum c_i step^i(start) = 0.  The Krylov vectors are independent on the
+    pivot columns of their echelon, so a d x d system there fixes the
+    c_i; the relation is then checked on every coordinate.
+    """
+    basis = IntRowBasis(len(start))
+    basis.add(start)
+    krylov = [start]
     while True:
-        flat = [x for row in powers[-1] for x in row]
-        iv = fvec_to_ivec(flat)
-        if iv is None or basis.reduce(iv) is None:
+        nxt = step(krylov[-1])
+        if basis.add(nxt) is None:
             break
-        basis.add(iv)
-        powers.append(mat_mul(powers[-1], mat))
-    # express the last power in terms of the previous ones
-    deg = len(powers) - 1
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([powers[k][i][j] for k in range(deg)])
-            rhs.append(powers[deg][i][j])
-    sol = solve_affine(rows, rhs)
+        krylov.append(nxt)
+    pivots = sorted(basis.rows)
+    sol = solve_affine([[v[p] for v in krylov] for p in pivots], [nxt[p] for p in pivots])
     if sol is None:
-        raise ExactnessError("a matrix power left the span of the lower powers")
-    part, _ = sol
-    return clear_denominators([-x for x in part] + [Fraction(1)])[0]
+        raise ExactnessError("Krylov vectors are dependent on their pivot columns")
+    coeffs, _ = clear_denominators([-x for x in sol[0]] + [1])
+    check = [0] * len(start)
+    for c, v in zip(coeffs, krylov + [nxt]):
+        if c:
+            check = [a + c * b for a, b in zip(check, v)]
+    if any(check):
+        raise ExactnessError("the Krylov relation fails off the pivot columns")
+    return coeffs, krylov
+
+
+def minimal_polynomial(mat):
+    """Minimal polynomial of a square rational matrix M, from the Krylov
+    relation of the flattened powers of the integer matrix N = den M.
+    Returns integer coefficients [c0..cd] of a primitive (content 1)
+    polynomial with positive leading coefficient."""
+    n = len(mat)
+    flat, den = clear_denominators([x for row in mat for x in row])
+    cols = [flat[j::n] for j in range(n)]
+
+    def times_n(v):  # the flattened product V N
+        return [sum(map(mul, v[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
+
+    coeffs, _ = krylov_relation([int(i == j) for i in range(n) for j in range(n)], times_n)
+    # p(N) = 0 for N = den M gives sum c_i den^i M^i = 0
+    coeffs = [c * den**i for i, c in enumerate(coeffs)]
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs]

@@ -10,20 +10,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .config import DEFAULT
-from .errors import BudgetExceeded, ExactnessError, InvalidParams
+from .errors import BudgetExceeded, ExactnessError, InvalidParams, ParseError
 from .fields import FiniteField, hermitian_inner, rref_gf, vec_add, vec_scale
 from .graph_core import Graph
-
-FAMILY_TAGS = (
-    "hamming",
-    "johnson",
-    "halved_cube",
-    "shrikhande",
-    "doob",
-    "gosset",
-    "dual_polar_2a",
-    "hermitian_forms",
-)
 
 
 @dataclass(frozen=True)
@@ -310,23 +299,30 @@ def hermitian_forms(r, D, budget=None):
     return Graph(len(labels), sorted(edges))
 
 
+# tag -> (constructor, names of its parameters); constructors with
+# parameters also take the vertex budget
+_CONSTRUCTORS = {
+    "hamming": (hamming, ("D", "n")),
+    "johnson": (johnson, ("n", "D")),
+    "halved_cube": (halved_cube, ("n",)),
+    "shrikhande": (shrikhande, ()),
+    "doob": (doob, ("n", "m")),
+    "gosset": (gosset, ()),
+    "dual_polar_2a": (dual_polar_2a, ("r", "D")),
+    "hermitian_forms": (hermitian_forms, ("r", "D")),
+}
+FAMILY_TAGS = tuple(_CONSTRUCTORS)
+
+
 def build_family(spec, budget=None):
-    """Construct a graph from a FamilySpec."""
-    tag, params = spec.tag, spec.params
-    if tag == "hamming":
-        return hamming(*params, budget=budget)
-    if tag == "johnson":
-        return johnson(*params, budget=budget)
-    if tag == "halved_cube":
-        return halved_cube(*params, budget=budget)
-    if tag == "shrikhande":
-        return shrikhande()
-    if tag == "doob":
-        return doob(*params, budget=budget)
-    if tag == "gosset":
-        return gosset()
-    if tag == "dual_polar_2a":
-        return dual_polar_2a(*params, budget=budget)
-    if tag == "hermitian_forms":
-        return hermitian_forms(*params, budget=budget)
-    raise InvalidParams(f"unknown family tag {tag!r}")
+    """Construct a graph from a FamilySpec.  A wrong number of parameters
+    is malformed input (ParseError)."""
+    if spec.tag not in _CONSTRUCTORS:
+        raise InvalidParams(f"unknown family tag {spec.tag!r}")
+    make, names = _CONSTRUCTORS[spec.tag]
+    if len(spec.params) != len(names):
+        raise ParseError(
+            f"family {spec.tag} takes {len(names)} parameters ({' '.join(names) or 'none'}),"
+            f" got {len(spec.params)}"
+        )
+    return make(*spec.params, budget=budget) if names else make()

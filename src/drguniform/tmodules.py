@@ -17,6 +17,7 @@ Doob family.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from .exactla import (
     ModularComplement,
     clear_denominators,
     fvec_to_ivec,
+    identity,
     int_poly_rational_roots,
     ivec_normalize,
+    krylov_relation,
     mat_mul,
     minimal_polynomial,
     nullspace,
@@ -149,35 +152,10 @@ def _refine_seed(split, r, seed):
     lambda-eigenspace.  Irrational eigencomponents are left alone.
     """
     for k in (1, 2):
-        krylov = [seed]
-        basis = IntRowBasis(len(seed))
-        basis.add(seed)
-        while True:
-            nxt = _layer_word_apply(split, r, k, krylov[-1])
-            if basis.add(nxt) is None:
-                break
-            krylov.append(nxt)
-        deg = len(krylov)
-        if deg <= 1:
+        # the minimal polynomial of the word on the Krylov space of the seed
+        coeffs, krylov = krylov_relation(seed, partial(_layer_word_apply, split, r, k))
+        if len(krylov) <= 1:
             continue
-        # minpoly of the word W on the Krylov space, t^deg - sum c_i t^i
-        # with nxt = W^deg seed = sum c_i W^i seed.  The Krylov vectors are
-        # independent on the pivot columns of their echelon, so a deg x deg
-        # system there fixes the c_i; the relation is then checked on every
-        # coordinate.
-        pivots = sorted(basis.rows)
-        sol = solve_affine(
-            [[v[p] for v in krylov] for p in pivots], [nxt[p] for p in pivots]
-        )
-        if sol is None:
-            raise ExactnessError("Krylov vectors are dependent on their pivot columns")
-        coeffs, _ = clear_denominators([-x for x in sol[0]] + [1])
-        check = [0] * len(seed)
-        for c, v in zip(coeffs, krylov + [nxt]):
-            if c:
-                check = [a + c * b for a, b in zip(check, v)]
-        if any(check):
-            raise ExactnessError("the Krylov relation fails off the pivot columns")
         roots, residual = int_poly_rational_roots(coeffs)
         distinct = sorted(set(roots))
         if len(distinct) + (1 if len(residual) > 1 else 0) < 2:
@@ -294,7 +272,7 @@ def _commutant(slices, actions):
             dsrc, ddst = dims[src], dims[dst]
             for a in range(ddst):
                 for b in range(dsrc):
-                    row = [Fraction(0)] * total
+                    row = [0] * total
                     # (X_dst M - M X_src)[a, b] = 0
                     for t in range(ddst):
                         row[var(dst, a, t)] += mat[t][b]
@@ -302,7 +280,7 @@ def _commutant(slices, actions):
                         row[var(src, t, b)] -= mat[a][t]
                     if any(x != 0 for x in row):
                         rows.append(row)
-    basis = nullspace(rows, total) if rows else nullspace([], total)
+    basis = nullspace(rows, total)
     mats = []
     for flat in basis:
         mats.append(
@@ -358,7 +336,7 @@ def _module_coords_to_slices(slices, vectors):
 def _poly_eval_matrix(coeffs, mat):
     n = len(mat)
     out = [[Fraction(0)] * n for _ in range(n)]
-    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    power = identity(n)
     for c in coeffs:
         if c:
             for i in range(n):
@@ -466,8 +444,8 @@ def _orthogonalize(slices, siblings):
 
 def _project_off(vec, rows):
     """vec minus its orthogonal projection onto span(rows), exact."""
-    gram = [[Fraction(sum(a * b for a, b in zip(r1, r2))) for r2 in rows] for r1 in rows]
-    rhs = [Fraction(sum(a * b for a, b in zip(r, vec))) for r in rows]
+    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
+    rhs = [sum(a * b for a, b in zip(r, vec)) for r in rows]
     sol = solve_affine(gram, rhs)
     if sol is None:
         raise ExactnessError("singular Gram matrix of a module slice")

@@ -108,8 +108,8 @@ def solve_layer(split, i):
     rhs = []
     for em, ep, fc, y in rows.tolist():
         coeffs = {0: em, 1: ep, 2: -fc}
-        system.append([Fraction(coeffs[a]) for a in active])
-        rhs.append(Fraction(-y))
+        system.append([coeffs[a] for a in active])
+        rhs.append(-y)
     sol = solve_affine(system, rhs)
     witness = tuple((int(r[0]), int(r[1]), int(r[2]), int(r[3])) for r in rows.tolist())
     if sol is None:

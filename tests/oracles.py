@@ -1,13 +1,14 @@
 """Independent oracle implementations used only by the tests.
 
-These deliberately avoid the library's own code paths: determinants by
-cofactor-free dense elimination written here, intersection numbers by
-direct set counting on the distance matrix, and spectra through numpy on
-the actual adjacency matrix.
+These deliberately avoid the library's own code paths: determinants,
+reduced row echelon forms, kernels, affine solutions and minimal
+polynomials by plain Fraction elimination written here, intersection
+numbers by direct set counting on the distance matrix, and spectra
+through numpy on the actual adjacency matrix.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -36,6 +37,83 @@ def dense_det(matrix):
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+def rref(rows):
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination.
+
+    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def fraction_nullspace(rows, ncols):
+    """Kernel basis read off ``rref``: for each non-pivot column c, the
+    vector that is 1 at c and 0 at the other non-pivot columns."""
+    red, pivots = rref(rows)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[c]
+            basis.append(v)
+    return basis
+
+
+def fraction_solve_affine(rows, rhs):
+    """(particular, kernel basis) of rows @ x = rhs through ``rref`` of
+    the augmented matrix, or None when it is inconsistent."""
+    ncols = len(rows[0])
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    particular = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        particular[p] = row[ncols]
+    return particular, fraction_nullspace([row[:ncols] for row in red], ncols)
+
+
+def fraction_minimal_polynomial(mat):
+    """Minimal polynomial of a square rational matrix: Fraction powers
+    until the flattened power depends on the lower ones, then the
+    n^2 x deg system expressing it in them.  Returns the primitive integer
+    coefficients [c0..cd], cd > 0."""
+    n = len(mat)
+    powers = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    while True:
+        flats = [[x for row in p for x in row] for p in powers]
+        if len(rref(flats)[0]) < len(flats):
+            break
+        last = powers[-1]
+        powers.append(
+            [[sum(last[i][k] * mat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        )
+    deg = len(powers) - 1
+    sol = fraction_solve_affine(
+        [[powers[k][i][j] for k in range(deg)] for i in range(n) for j in range(n)],
+        [powers[deg][i][j] for i in range(n) for j in range(n)],
+    )
+    monic = [-x for x in sol[0]] + [Fraction(1)]
+    den = lcm(*(x.denominator for x in monic))
+    return [int(x * den) for x in monic]
 
 
 def brute_layer_sizes(g, x):

@@ -155,6 +155,8 @@ CONFIGURED = ["analyze", "g.edges", "--config", "c.json"]
         (CONFIGURED, {"g.edges": C5, "c.json": '{"retry_count": "x"}'}),
         (["analyze", "g.edges", "--config", "missing.json"], {"g.edges": C5}),
         (["analyze", "g.edges", "--budget", "0"], {"g.edges": C5}),
+        (["family", "hamming"], {}),
+        (["family", "gosset", "3"], {}),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, files):

@@ -11,16 +11,23 @@ from drguniform.exactla import (
     ModularComplement,
     _deflate,
     _large_primes,
-    det,
+    _reduced_echelon,
     express,
     int_poly_rational_roots,
     minimal_polynomial,
     nullspace,
-    rref,
     solve_affine,
 )
 
-from oracles import dense_det, echelon_orthogonal_seed, fraction_express
+from oracles import (
+    dense_det,
+    echelon_orthogonal_seed,
+    fraction_express,
+    fraction_minimal_polynomial,
+    fraction_nullspace,
+    fraction_solve_affine,
+    rref,
+)
 
 fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -29,9 +36,11 @@ fracs = st.fractions(
 
 @given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=1, max_size=5))
 def test_rref_idempotent(rows):
+    reduced = _reduced_echelon(rows, 3)
+    assert _reduced_echelon(list(reduced.values()), 3) == reduced
     red, pivots = rref(rows)
-    red2, pivots2 = rref(red) if red else ([], [])
-    assert red == red2 and pivots == pivots2
+    assert list(reduced) == pivots
+    assert [[Fraction(x, row[p]) for x in row] for p, row in reduced.items()] == red
 
 
 @given(st.lists(st.lists(fracs, min_size=4, max_size=4), min_size=2, max_size=4))
@@ -60,10 +69,61 @@ def test_solve_affine_inconsistent():
     assert solve_affine([[1, 1], [1, 1]], [1, 2]) is None
 
 
-@given(st.lists(st.lists(fracs, min_size=4, max_size=4), min_size=4, max_size=4))
-@settings(max_examples=50)
-def test_det_matches_oracle(m):
-    assert det(m) == dense_det(m)
+@st.composite
+def rational_systems(draw):
+    """Rows of ints and Fractions with entries up to 2^100, zero rows and
+    rows that combine earlier ones, and a right-hand side that is either
+    consistent, arbitrary, or made inconsistent on a repeated row."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    bits = draw(st.sampled_from([2, 30, 100]))
+    num = st.integers(min_value=-(2**bits), max_value=2**bits)
+    entry = st.one_of(num, st.builds(Fraction, num, st.integers(1, 2**bits)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        kind = draw(st.sampled_from(["generic", "zero", "combo"]))
+        if kind == "zero":
+            zero = st.sampled_from([0, Fraction(0)])
+            rows.append(draw(st.lists(zero, min_size=width, max_size=width)))
+        elif kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entry)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    x = draw(st.lists(entry, min_size=width, max_size=width))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    rhs_kind = draw(st.sampled_from(["consistent", "arbitrary", "inconsistent"]))
+    if rhs_kind == "arbitrary":
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    elif rhs_kind == "inconsistent":
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows.append(rows[i])
+        rhs.append(rhs[i] + 1)
+    return width, rows, rhs, rhs_kind
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@given(rational_systems())
+@settings(max_examples=300, deadline=None)
+def test_nullspace_and_solve_affine_match_fraction_oracle(case):
+    width, rows, rhs, rhs_kind = case
+    kernel = nullspace(rows, width)
+    assert kernel == fraction_nullspace(rows, width) and _all_fractions(kernel)
+    sol = solve_affine(rows, rhs)
+    assert sol == fraction_solve_affine(rows, rhs)
+    if rhs_kind == "consistent":
+        assert sol is not None
+    if rhs_kind == "inconsistent":
+        assert sol is None
+    if sol is not None:
+        assert sol[1] == kernel and _all_fractions([sol[0]])
+
+
+def test_nullspace_of_no_rows_is_the_standard_basis():
+    assert nullspace([], 2) == [[1, 0], [0, 1]] == fraction_nullspace([], 2)
 
 
 def test_rational_roots():
@@ -90,6 +150,36 @@ def test_minimal_polynomial_diagonalizable():
 def test_minimal_polynomial_nilpotent():
     m = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
     assert minimal_polynomial(m) == [0, 0, 1]  # t^2
+
+
+@st.composite
+def small_matrices(draw):
+    """Small rational matrices: generic, low rank, nilpotent (strictly
+    upper triangular), scalar, and diagonal with repeated entries."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["generic", "low_rank", "nilpotent", "scalar", "diagonal"]))
+    if kind == "scalar":
+        c = draw(fracs)
+        return [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        values = st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(3)])
+        diag = draw(st.lists(values, min_size=n, max_size=n))
+        return [[diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    m = [draw(st.lists(fracs, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "nilpotent":
+        return [[x if j > i else Fraction(0) for j, x in enumerate(row)]
+                for i, row in enumerate(m)]
+    if kind == "low_rank":
+        return [[m[0][i] * m[1 % n][j] for j in range(n)] for i in range(n)]
+    return m
+
+
+@given(small_matrices())
+@settings(max_examples=200, deadline=None)
+def test_minimal_polynomial_matches_fraction_oracle(m):
+    coeffs = minimal_polynomial(m)
+    assert coeffs == fraction_minimal_polynomial(m)
+    assert coeffs[-1] > 0 and all(type(c) is int for c in coeffs)
 
 
 def test_int_row_basis():

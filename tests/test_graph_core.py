@@ -24,9 +24,8 @@ from drguniform import (
     write_edge_list,
 )
 from drguniform.graph_core import p_numbers
-from drguniform.exactla import rref
 
-from oracles import brute_intersection_numbers, brute_layer_sizes, numpy_spectrum
+from oracles import brute_intersection_numbers, brute_layer_sizes, numpy_spectrum, rref
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
