@@ -264,7 +264,6 @@ def build_parser():
 
     p = sub.add_parser("verify-theorem", help="run a reproduction suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    common(p, output=False)
     p.set_defaults(func=cmd_verify_theorem)
 
     return parser

@@ -83,9 +83,6 @@ class FiniteField:
             acc = self.mul[acc][x]
         return acc
 
-    def sub(self, x, y):
-        return self.add[x][self.neg[y]]
-
     def elements(self):
         return range(self.order)
 

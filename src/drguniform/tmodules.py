@@ -78,9 +78,9 @@ class ModuleDescriptor:
     """One irreducible module of the standard module, layer-graded.
 
     ``slices`` maps a layer index to a list of exact integer basis vectors
-    in layer-local coordinates.  ``end_dim`` is the dimension of the
-    commutant computed for the final irreducibility certificate (1 means
-    certified irreducible over the rationals).
+    in layer-local coordinates.  ``exact`` is True when every piece split
+    from the module's closure has a one-dimensional commutant, which
+    certifies the module irreducible over the rationals.
     """
 
     algebra: str  # "T" or "Tf"
@@ -90,7 +90,6 @@ class ModuleDescriptor:
     slices: dict
     split: object = field(repr=False)
     local_eigenvalue: object = None  # Fraction, or None when undefined
-    end_dim: int = 1
     exact: bool = True
     dual_endpoint: object = None  # filled lazily
 
@@ -529,7 +528,6 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                         local_eigenvalue=(
                             _local_eigenvalue(split, piece, endpoint) if thin else None
                         ),
-                        end_dim=1 if certified else 0,
                         exact=certified,
                     )
                 )

@@ -9,14 +9,17 @@ operator to the blocks between consecutive layers.  The per-layer affine
 solution sets are then combined and searched for a point satisfying the
 parameter-matrix conditions: unit diagonal, one nowhere-zero off-diagonal
 family, and all tridiagonal principal minors nonsingular.  Everything is
-decided in exact rational arithmetic; when solution sets have free
-parameters, seeded rational sampling with exact verification is tried
-first and a symbolic analysis of the determinant polynomials settles
-existence if sampling keeps missing.
+decided in exact rational arithmetic.  When solution sets have free
+parameters, a few seeded rational samples are tried first.  If none is
+strongly uniform, each condition is tested for vanishing on the whole
+solution product at the finitely many corners that decide it, and unless
+that rules every structure out, the first passing point of an integer
+grid bounded by the number of conditions is taken.
 """
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -241,71 +244,6 @@ def verify_given(split, us):
     return True
 
 
-# ---------------------------------------------------------------------------
-# tiny multivariate polynomials over Q, used for the symbolic fallback
-
-
-class _Poly:
-    """Polynomial as {monomial: Fraction} with monomial = sorted var tuple."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c != 0:
-                    self.terms[mono] = c
-
-    @classmethod
-    def const(cls, c):
-        return cls({(): Fraction(c)}) if c else cls()
-
-    @classmethod
-    def var(cls, idx):
-        return cls({(idx,): Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-            if out[mono] == 0:
-                del out[mono]
-        return _Poly(out)
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, Fraction):
-            return _Poly({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return _Poly(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def eval(self, values):
-        acc = Fraction(0)
-        for mono, c in self.terms.items():
-            term = c
-            for v in mono:
-                term *= values[v]
-            acc += term
-        return acc
-
-
-def _affine_poly(const, coeffs):
-    p = _Poly.const(const)
-    for idx, c in coeffs:
-        p = p + _Poly.var(idx) * Fraction(c)
-    return p
-
-
 @dataclass(frozen=True)
 class UniformCertificate:
     verdict: str  # StronglyUniform | Uniform | NoUniform
@@ -315,9 +253,148 @@ class UniformCertificate:
     failure: dict  # None unless verdict == NoUniform
     checks: dict  # None unless a structure was chosen
 
-    @property
-    def supports_uniform(self):
-        return self.verdict != "NoUniform"
+
+def structure_at(layers, values):
+    """The structure at one point of the product of the layer solution sets.
+
+    ``layers`` are the solution sets of layers 1..eps in order; ``values``
+    holds one coordinate per basis vector, layer by layer.
+    """
+    eps = len(layers)
+    values = iter(values)
+    e_minus, e_plus, f = [], [], []
+    for sol in layers:
+        coords = list(sol.particular)
+        for h in sol.basis:
+            tval = next(values)
+            coords = [c + tval * hv for c, hv in zip(coords, h)]
+        i = sol.layer
+        if i >= 2:
+            e_minus.append(coords[0])
+        if i <= eps - 1:
+            e_plus.append(coords[1])
+        f.append(coords[2])
+    U = ParameterMatrix(epsilon=eps, e_minus=tuple(e_minus), e_plus=tuple(e_plus))
+    return UniformStructure(U=U, f=tuple(f))
+
+
+def vanishing_conditions(layers):
+    """The parameter conditions that vanish on the whole solution product.
+
+    Every e-entry is affine in the parameters of its own layer, and no term
+    of a principal minor's three-term expansion holds two entries of one
+    layer, so every condition is affine in each layer's parameters
+    separately.  Such a function vanishes identically exactly when it
+    vanishes at every corner: the point that takes, in each layer, the
+    particular solution or the particular solution plus one basis vector.
+
+    Returns (singular, zero_minus, zero_plus): the sets of principal minors
+    (s, t) and of indices i of e_i^- and e_i^+ that are zero at every corner.
+    """
+    eps = len(layers)
+    singular = {(s, t) for s in range(1, eps + 1) for t in range(s, eps + 1)}
+    zero_minus = set(range(2, eps + 1))
+    zero_plus = set(range(1, eps))
+    for corner in itertools.product(*(range(sol.dim + 1) for sol in layers)):
+        values = [
+            int(k == pick)
+            for sol, pick in zip(layers, corner)
+            for k in range(1, sol.dim + 1)
+        ]
+        U = structure_at(layers, values).U
+        singular &= set(check_parameter_conditions(U)["violations"])
+        zero_minus = {i for i in zero_minus if U.e_minus_at(i) == 0}
+        zero_plus = {i for i in zero_plus if U.e_plus_at(i) == 0}
+        if not (singular or zero_minus or zero_plus):
+            break
+    return singular, zero_minus, zero_plus
+
+
+def select_structure(layers, config=DEFAULT):
+    """Choose a point of the product of the layer solution sets that passes
+    the parameter conditions, strongly uniform whenever one is.
+
+    Returns (structure, None), or (None, failure) when no point passes.
+    """
+    nvars = sum(sol.dim for sol in layers)
+
+    # unique solution: decide directly
+    if nvars == 0:
+        us = structure_at(layers, [])
+        report = check_parameter_conditions(us.U)
+        if report["ok"]:
+            return us, None
+        return None, {
+            "layer": None,
+            "kind": "parameter_conditions",
+            "detail": _condition_failure_text(report),
+            "report": report,
+        }
+
+    # seeded sampling with exact verification
+    rng = random.Random(config.decomposition_seed)
+    for round_no in range(config.retry_count):
+        span = 3 + 2 * round_no
+        values = [
+            Fraction(rng.randint(-span, span), rng.randint(1, span))
+            for _ in range(nvars)
+        ]
+        us = structure_at(layers, values)
+        if check_parameter_conditions(us.U)["ok"] and is_strongly_uniform(us.U):
+            return us, None
+
+    singular, zero_minus, zero_plus = vanishing_conditions(layers)
+    if singular or (zero_minus and zero_plus):
+        if singular:
+            s, t = min(singular)
+            detail = (
+                f"principal submatrix ({s},{t}) is singular for every "
+                "solution of the layer equations"
+            )
+        else:
+            detail = (
+                "both off-diagonal families contain an identically zero entry "
+                "over the solution set"
+            )
+        return None, {"layer": None, "kind": "parameter_conditions", "detail": detail}
+    return grid_point(layers, zero_minus, zero_plus), None
+
+
+def grid_point(layers, zero_minus, zero_plus):
+    """The first point of {0..F}^k, in itertools.product order, that passes
+    the parameter conditions, and is strongly uniform when ``zero_minus``
+    and ``zero_plus`` (the identically zero e-entries) are both empty.
+
+    F is the number of conditions and k > 0 the number of free parameters.
+    When no minor and not both families vanish identically, the product of
+    the conditions such a point must pass is nonzero with degree at most F
+    in each parameter, so it has a non-root in the grid (Alon,
+    Combinatorial Nullstellensatz, 1999, Lemma 2.1).  The parameters are
+    fixed in order, each to the least value that leaves no required
+    condition vanishing on the parameters still free, as the corner test
+    decides: at most (F+1)k corner tests, where walking the grid could
+    take (F+1)^k points.
+    """
+    eps = len(layers)
+    bound = eps * (eps + 1) // 2 + 2 * (eps - 1)
+
+    def alive(trial):
+        singular, minus, plus = vanishing_conditions(trial)
+        return not singular and (zero_minus or not minus) and (zero_plus or not plus)
+
+    for at in range(eps):
+        while layers[at].dim:
+            sol = layers[at]
+            for value in range(bound + 1):
+                point = tuple(c + value * h for c, h in zip(sol.particular, sol.basis[0]))
+                fixed = replace(sol, particular=point, basis=sol.basis[1:])
+                trial = layers[:at] + (fixed,) + layers[at + 1 :]
+                if alive(trial):
+                    layers = trial
+                    break
+            else:
+                raise ExactnessError(f"no point of the grid {{0..{bound}}}^k passes the conditions")
+    return structure_at(layers, [])
 
 
 def certify_uniform(g, x=0, config=DEFAULT):
@@ -350,164 +427,32 @@ def certify_uniform(g, x=0, config=DEFAULT):
         layers.append(sol)
     layers = tuple(layers)
 
-    # free-parameter bookkeeping: variable index per (layer, basis vector)
-    var_of = {}
-    for sol in layers:
-        for k in range(sol.dim):
-            var_of[(sol.layer, k)] = len(var_of)
-    nvars = len(var_of)
-
-    def structure_at(values):
-        e_minus, e_plus, f = [], [], []
-        for sol in layers:
-            coords = list(sol.particular)
-            for k, h in enumerate(sol.basis):
-                tval = values[var_of[(sol.layer, k)]]
-                coords = [c + tval * hv for c, hv in zip(coords, h)]
-            i = sol.layer
-            if i >= 2:
-                e_minus.append(coords[0])
-            if i <= eps - 1:
-                e_plus.append(coords[1])
-            f.append(coords[2])
-        U = ParameterMatrix(
-            epsilon=eps, e_minus=tuple(e_minus), e_plus=tuple(e_plus)
-        )
-        return UniformStructure(U=U, f=tuple(f))
-
-    def finish(us, strongly):
-        verdict = "StronglyUniform" if strongly else "Uniform"
-        report = check_parameter_conditions(us.U)
-        checks = {
-            "verify_given": verify_given(split, us),
-            "def_ii": report["family_minus"] or report["family_plus"],
-            "def_iii": not report["violations"],
-        }
-        if not all(checks.values()):
-            raise ExactnessError(f"a structure found by the search fails its checks: {checks}")
-        return UniformCertificate(
-            verdict=verdict,
-            epsilon=eps,
-            layers=layers,
-            structure=us,
-            failure=None,
-            checks=checks,
-        )
-
-    def attempt(values):
-        us = structure_at(values)
-        report = check_parameter_conditions(us.U)
-        if report["ok"]:
-            return us
-        return None
-
-    # unique solution: decide directly
-    if nvars == 0:
-        us = structure_at([])
-        report = check_parameter_conditions(us.U)
-        if report["ok"]:
-            return finish(us, is_strongly_uniform(us.U))
+    us, failure = select_structure(layers, config)
+    if us is None:
         return UniformCertificate(
             verdict="NoUniform",
             epsilon=eps,
             layers=layers,
             structure=None,
-            failure={
-                "layer": None,
-                "kind": "parameter_conditions",
-                "detail": _condition_failure_text(report),
-                "report": report,
-            },
+            failure=failure,
             checks=None,
         )
-
-    # seeded sampling with exact verification
-    rng = random.Random(config.decomposition_seed)
-    for round_no in range(config.retry_count):
-        span = 3 + 2 * round_no
-        values = [
-            Fraction(rng.randint(-span, span), rng.randint(1, span))
-            for _ in range(nvars)
-        ]
-        us = attempt(values)
-        if us is not None and is_strongly_uniform(us.U):
-            return finish(us, True)
-
-    # symbolic analysis of the conditions over the affine solution product
-    e_minus_polys, e_plus_polys = {}, {}
-    f_polys = {}
-    for sol in layers:
-        i = sol.layer
-        for coord, store in ((0, e_minus_polys), (1, e_plus_polys), (2, f_polys)):
-            if coord == 0 and i < 2:
-                continue
-            if coord == 1 and i > eps - 1:
-                continue
-            store[i] = _affine_poly(
-                sol.particular[coord],
-                [
-                    (var_of[(i, k)], h[coord])
-                    for k, h in enumerate(sol.basis)
-                    if h[coord] != 0
-                ],
-            )
-
-    # determinant polynomials via the same three-term recurrence
-    det_polys = {}
-    one = _Poly.const(1)
-    for t in range(1, eps + 1):
-        d_after, d = one, one
-        det_polys[(t, t)] = d
-        for j in range(t - 1, 0, -1):
-            d, d_after = (
-                d - e_plus_polys[j] * e_minus_polys[j + 1] * d_after,
-                d,
-            )
-            det_polys[(j, t)] = d
-
-    dets_ok = all(not p.is_zero() for p in det_polys.values())
-    minus_ok = all(not p.is_zero() for p in e_minus_polys.values())
-    plus_ok = all(not p.is_zero() for p in e_plus_polys.values())
-    if not (dets_ok and (minus_ok or plus_ok)):
-        if not dets_ok:
-            bad = next(st for st, p in sorted(det_polys.items()) if p.is_zero())
-            detail = (
-                f"principal submatrix ({bad[0]},{bad[1]}) is singular for every "
-                "solution of the layer equations"
-            )
-        else:
-            detail = (
-                "both off-diagonal families contain an identically zero entry "
-                "over the solution set"
-            )
-        return UniformCertificate(
-            verdict="NoUniform",
-            epsilon=eps,
-            layers=layers,
-            structure=None,
-            failure={
-                "layer": None,
-                "kind": "parameter_conditions",
-                "detail": detail,
-            },
-            checks=None,
-        )
-
-    strongly_possible = dets_ok and minus_ok and plus_ok
-    # a verifying point exists; enlarge the sampling range until it shows up
-    for round_no in range(64):
-        span = 5 + 3 * round_no
-        values = [
-            Fraction(rng.randint(-span, span), rng.randint(1, span))
-            for _ in range(nvars)
-        ]
-        us = attempt(values)
-        if us is None:
-            continue
-        if strongly_possible and not is_strongly_uniform(us.U):
-            continue
-        return finish(us, is_strongly_uniform(us.U))
-    raise RuntimeError("sampling failed although a valid point exists")
+    report = check_parameter_conditions(us.U)
+    checks = {
+        "verify_given": verify_given(split, us),
+        "def_ii": report["family_minus"] or report["family_plus"],
+        "def_iii": not report["violations"],
+    }
+    if not all(checks.values()):
+        raise ExactnessError(f"a structure found by the search fails its checks: {checks}")
+    return UniformCertificate(
+        verdict="StronglyUniform" if is_strongly_uniform(us.U) else "Uniform",
+        epsilon=eps,
+        layers=layers,
+        structure=us,
+        failure=None,
+        checks=checks,
+    )
 
 
 def _condition_failure_text(report):

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: determinants,
 reduced row echelon forms, kernels, affine solutions and minimal
 polynomials by plain Fraction elimination written here, intersection
-numbers by direct set counting on the distance matrix, and spectra
-through numpy on the actual adjacency matrix.
+numbers by direct set counting on the distance matrix, spectra through
+numpy on the actual adjacency matrix, and the parameter conditions that
+vanish on a whole solution product by expanding them as polynomials.
 """
 
 from fractions import Fraction
@@ -236,3 +237,71 @@ def echelon_orthogonal_seed(rows, width):
             v = [x * (row[p] // g) for x in v]
             v[p] = -(acc // g)
     return normalize(v)
+
+
+class Poly:
+    """Polynomial over Q as {monomial: Fraction}, a monomial being the
+    sorted tuple of its variable indices."""
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def const(cls, c):
+        return cls({(): Fraction(c)})
+
+    @classmethod
+    def var(cls, idx):
+        return cls({(idx,): Fraction(1)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, Fraction(0)) + c
+        return Poly(out)
+
+    def __sub__(self, other):
+        return self + other * Fraction(-1)
+
+    def __mul__(self, other):
+        if isinstance(other, Fraction):
+            return Poly({m: c * other for m, c in self.terms.items()})
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+        return Poly(out)
+
+    def is_zero(self):
+        return not self.terms
+
+
+def polynomial_vanishing_conditions(layers):
+    """(singular, zero_minus, zero_plus) as ``uniform.vanishing_conditions``
+    returns them, by expanding e_i^-, e_i^+ and every principal minor as a
+    polynomial in one variable per basis vector of the layer solutions."""
+    eps = len(layers)
+    e_minus, e_plus = {}, {}
+    nvars = 0
+    for sol in layers:
+        i = sol.layer
+        em, ep = Poly.const(sol.particular[0]), Poly.const(sol.particular[1])
+        for h in sol.basis:
+            em = em + Poly.var(nvars) * Fraction(h[0])
+            ep = ep + Poly.var(nvars) * Fraction(h[1])
+            nvars += 1
+        if i >= 2:
+            e_minus[i] = em
+        if i <= eps - 1:
+            e_plus[i] = ep
+    singular = set()
+    for t in range(1, eps + 1):
+        d_after, d = Poly.const(1), Poly.const(1)
+        for s in range(t - 1, 0, -1):
+            d, d_after = d - e_plus[s] * e_minus[s + 1] * d_after, d
+            if d.is_zero():
+                singular.add((s, t))
+    zero_minus = {i for i, p in e_minus.items() if p.is_zero()}
+    zero_plus = {i for i, p in e_plus.items() if p.is_zero()}
+    return singular, zero_minus, zero_plus

@@ -167,3 +167,13 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, ar
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", [["--config", "missing.json"], ["--budget", "5"], ["--tol", "0.1"]])
+def test_verify_theorem_takes_no_configuration(capsys, option):
+    # no suite reads a configuration, so verify-theorem accepts none
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorem", "hamming", *option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drguniform import (
     DecompositionUnavailable,
@@ -22,9 +25,17 @@ from drguniform.suites import (
     halved_cube_structure,
     hamming_structure,
 )
-from drguniform.uniform import layer_operator_blocks
+from drguniform.uniform import (
+    LayerSolution,
+    grid_point,
+    is_strongly_uniform,
+    layer_operator_blocks,
+    select_structure,
+    structure_at,
+    vanishing_conditions,
+)
 
-from oracles import dense_det
+from oracles import dense_det, polynomial_vanishing_conditions
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -169,6 +180,78 @@ def test_certify_symbolic_failure(halved8):
     cert = certify_uniform(halved8)
     assert cert.verdict == "NoUniform"
     assert cert.failure["kind"] == "parameter_conditions"
+    assert cert.failure["detail"] == (
+        "principal submatrix (1,3) is singular for every solution of the layer equations"
+    )
+
+
+def _layer(i, eps, point, basis=()):
+    """A synthetic layer solution, e_1^- and e_eps^+ pinned to zero."""
+
+    def pin(vec):
+        em, ep, f = (Fraction(x) for x in vec)
+        return (em if i >= 2 else Fraction(0), ep if i <= eps - 1 else Fraction(0), f)
+
+    basis = tuple(pin(h) for h in basis)
+    return LayerSolution(layer=i, empty=False, particular=pin(point), basis=basis, system=())
+
+
+@st.composite
+def layer_sets(draw, max_eps=6):
+    eps = draw(st.integers(min_value=1, max_value=max_eps))
+    coord = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
+    vec = st.tuples(coord, coord, coord)
+    return tuple(
+        _layer(i, eps, draw(vec), draw(st.lists(vec, max_size=2)))
+        for i in range(1, eps + 1)
+    )
+
+
+@given(layer_sets())
+@settings(max_examples=300, deadline=None)
+def test_vanishing_conditions_match_polynomial_oracle(layers):
+    assert vanishing_conditions(layers) == polynomial_vanishing_conditions(layers)
+
+
+@given(layer_sets(max_eps=4))
+@settings(max_examples=200, deadline=None)
+def test_grid_point_is_the_first_in_product_order(layers):
+    singular, zero_minus, zero_plus = vanishing_conditions(layers)
+    nvars = sum(sol.dim for sol in layers)
+    assume(0 < nvars <= 3 and not singular and not (zero_minus and zero_plus))
+    strongly = not (zero_minus or zero_plus)
+    eps = len(layers)
+    bound = eps * (eps + 1) // 2 + 2 * (eps - 1)
+    first = next(
+        us
+        for us in (structure_at(layers, v) for v in itertools.product(range(bound + 1), repeat=nvars))
+        if check_parameter_conditions(us.U)["ok"] and (is_strongly_uniform(us.U) or not strongly)
+    )
+    assert grid_point(layers, zero_minus, zero_plus) == first
+
+
+def test_select_one_family_gives_uniform():
+    # e_1^+ = t and e_2^- = 0: only the raising family can be nowhere zero
+    layers = (_layer(1, 2, (0, 0, 1), [(0, 1, 0)]), _layer(2, 2, (0, 0, 1)))
+    assert vanishing_conditions(layers) == (set(), {2}, set())
+    us, failure = select_structure(layers)
+    assert failure is None
+    assert check_parameter_conditions(us.U)["ok"] and not is_strongly_uniform(us.U)
+    assert us.U.e_plus == (1,)
+
+
+def test_grid_search_passes_the_points_that_fail():
+    # e_1^+ = 0, so the lowering family must be nowhere zero; with
+    # e_2^- = t - 1, e_2^+ = t + 1 and e_3^- = 1, t = 0 makes the minor
+    # (2,3) singular and t = 1 zeroes e_2^-, so the first passing point is t = 2
+    layers = (
+        _layer(1, 3, (0, 0, 1)),
+        _layer(2, 3, (-1, 1, 1), [(1, 1, 0)]),
+        _layer(3, 3, (1, 0, 1)),
+    )
+    us, failure = select_structure(layers)
+    assert failure is None
+    assert us.U.e_minus == (1, 1) and us.U.e_plus == (0, 3)
 
 
 def test_layer_equation_restricts_to_modules(h33):
