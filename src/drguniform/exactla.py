@@ -13,7 +13,9 @@ top of it:
   substitution;
 - ``krylov_relation`` finds the first linear relation of a Krylov
   sequence of integer vectors, and ``minimal_polynomial`` applies it to
-  the flattened powers of a matrix.
+  the flattened powers of a matrix;
+- ``int_poly_rational_roots`` finds every rational root of an integer
+  polynomial by p-adic lifting, and ``deflate`` divides one out.
 
 ``ModularComplement`` eliminates modulo a few primes below 2^26 in numpy
 and certifies what it returns exactly.  The routines are meant for the
@@ -23,6 +25,7 @@ are vectorized, not for large-scale numerics.
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -484,92 +487,95 @@ def _poly_eval(coeffs, r):
     return val
 
 
-def _numeric_root_candidates(coeffs):
-    """Rational candidates near the numeric roots; callers verify exactly."""
-    scale = max(abs(c) for c in coeffs)
-    arr = np.array([c / scale for c in reversed(coeffs)], dtype=np.float64)
-    cands = []
-    for z in np.roots(arr):
-        if abs(z.imag) > 1e-7:
-            continue
-        x = float(z.real)
-        for cand in (
-            Fraction(round(x)),
-            Fraction(x).limit_denominator(10**4),
-            Fraction(x).limit_denominator(10**9),
-        ):
-            if cand not in cands:
-                cands.append(cand)
-    return cands
+def _primitive(f):
+    """An integer polynomial over its content, leading coefficient positive."""
+    g = gcd(*f)
+    return [x // (g if f[-1] > 0 else -g) for x in f]
 
 
-_DIVISOR_BOUND = 10**6
+def _pseudo_remainder(a, b):
+    """The remainder of lc(b)^k a divided by b, without trailing zeros."""
+    r = list(a)
+    while len(r) >= len(b):
+        lead, shift = r[-1], len(r) - len(b)
+        r = [b[-1] * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= lead * y
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _square_free_part(f):
+    """f / gcd(f, f'), primitive.  The gcd g ends the primitive remainder
+    sequence; it is primitive and divides f, so f / g is integral."""
+    g, b = f, [i * x for i, x in enumerate(f)][1:]
+    while b:
+        b = _primitive(b)
+        g, b = b, _pseudo_remainder(g, b)
+    q, r = [0] * (len(f) - len(g) + 1), list(f)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(g) - 1] // g[-1]
+        for i, y in enumerate(g):
+            r[k + i] -= q[k] * y
+    return _primitive(q)
+
+
+def _eval_mod(f, x, m):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def int_poly_rational_roots(coeffs):
-    """Rational roots (as Fractions, with multiplicity) of an integer
-    polynomial given by ``coeffs`` = [c0, c1, ..., cd] (c0 + c1 t + ...).
+    """Rational roots (as Fractions, with multiplicity, ascending) of an
+    integer polynomial ``coeffs`` = [c0, c1, ..., cd] (c0 + c1 t + ...),
+    and what is left after ``deflate`` divides them out, which has none.
 
-    Returns (roots, deflated_coeffs); the deflated polynomial keeps every
-    factor not recognized as a rational root.  Candidates come from the
-    numeric roots and are verified exactly before deflating, so accepted
-    roots are always true roots; when the outer coefficients are small a
-    complete divisor search backs the numeric pass, and root extraction
-    through huge coefficients stays cheap.
+    The roots are exact, by p-adic lifting (Loos 1983).  A nonzero root
+    a/b of the primitive square-free part g has |a|, |b| <= B =
+    max(|g(0)|, |lc(g)|) and is, modulo the first prime p not dividing
+    lc(g) at which every root of g is simple, one of those roots.
+    Newton's iteration lifts each to a root modulo p^k > 2 B^2, Wang's
+    reconstruction recovers a/b from it, and every candidate is tested
+    exactly.
     """
     c = list(coeffs)
     while len(c) > 1 and c[-1] == 0:
         c.pop()
-    roots = []
-    while len(c) > 1:
-        # split off t = 0 factors
-        if c[0] == 0:
-            roots.append(Fraction(0))
-            c = c[1:]
-            continue
-        found = None
-        for cand in _numeric_root_candidates(c):
-            if cand != 0 and _poly_eval(c, cand) == 0:
-                found = cand
+    if len(c) < 2:
+        return [], c
+    zeros = next(i for i, x in enumerate(c) if x)  # t^zeros divides c
+    roots, c = [Fraction(0)] * zeros, c[zeros:]
+    g = _square_free_part(c)
+    dg = [i * x for i, x in enumerate(g)][1:]
+    for p in count(2):  # only the primes dividing lc(g) disc(g) fail
+        if g[-1] % p and all(p % d for d in range(2, isqrt(p) + 1)):
+            lifted = [x for x in range(p) if not _eval_mod(g, x, p)]
+            if all(_eval_mod(dg, x, p) for x in lifted):
                 break
-        if found is None and abs(c[0]) <= _DIVISOR_BOUND and abs(c[-1]) <= _DIVISOR_BOUND:
-            for p in _divisors(abs(c[0])):
-                for q in _divisors(abs(c[-1])):
-                    if gcd(p, q) != 1:
-                        continue
-                    for num in (p, -p):
-                        r = Fraction(num, q)
-                        if _poly_eval(c, r) == 0:
-                            found = r
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            break
-        roots.append(found)
-        c = _deflate(c, found)
-    return roots, c
+    bound = max(abs(g[0]), g[-1])
+    for x in lifted:
+        m, inv = p, pow(_eval_mod(dg, x, p), -1, p)  # inv = 1 / g'(x) mod m
+        while m <= 2 * bound * bound:
+            m *= m
+            x = (x - _eval_mod(g, x, m) * inv) % m
+            inv = inv * (2 - _eval_mod(dg, x, m) * inv) % m
+        den = _denominator(x, m, bound)
+        if den is not None:
+            num = x * den % m
+            r = Fraction(num - m if num > m // 2 else num, den)
+            while _poly_eval(c, r) == 0:
+                roots.append(r)
+                c = deflate(c, r)
+    return sorted(roots), c
 
 
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _deflate(coeffs, root):
+def deflate(coeffs, root):
     """Synthetic division of an integer-coefficient polynomial by (t - root);
-    the quotient is rescaled back to integers."""
+    the quotient is rescaled back to integers.  Raises ExactnessError when
+    ``root`` is not a root."""
     c = [Fraction(x) for x in coeffs]
     d = len(c) - 1
     out = [Fraction(0)] * d

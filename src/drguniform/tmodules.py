@@ -27,6 +27,7 @@ from .exactla import (
     IntRowBasis,
     ModularComplement,
     clear_denominators,
+    deflate,
     fvec_to_ivec,
     identity,
     int_poly_rational_roots,
@@ -156,22 +157,13 @@ def _refine_seed(split, r, seed):
         if len(krylov) <= 1:
             continue
         roots, residual = int_poly_rational_roots(coeffs)
-        distinct = sorted(set(roots))
-        if len(distinct) + (1 if len(residual) > 1 else 0) < 2:
+        if len(set(roots)) + (len(residual) > 1) < 2:
             continue
-        lam = distinct[0]
-        # divide the minimal polynomial by (t - lam) and evaluate at the
-        # word on the seed, whose powers are the Krylov vectors; clearing
-        # the quotient's denominators scales the result by a positive
-        # factor, which the normalization removes
-        quot = []
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * lam + c
-            quot.append(acc)
-        quot, _ = clear_denominators(quot[:-1][::-1])  # lowest degree first
+        # map the seed into the eigenspace of the least root lam: evaluate
+        # minpoly / (t - lam), an integer polynomial, at the word on the
+        # seed, whose powers are the Krylov vectors
         out = [0] * len(seed)
-        for c, power in zip(quot, krylov):
+        for c, power in zip(deflate(coeffs, roots[0]), krylov):
             if c:
                 out = [a + c * b for a, b in zip(out, power)]
         refined = ivec_normalize(out)

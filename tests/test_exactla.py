@@ -1,7 +1,8 @@
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +10,9 @@ from drguniform.errors import ExactnessError
 from drguniform.exactla import (
     IntRowBasis,
     ModularComplement,
-    _deflate,
     _large_primes,
     _reduced_echelon,
+    deflate,
     express,
     int_poly_rational_roots,
     minimal_polynomial,
@@ -142,6 +143,94 @@ def test_rational_roots():
     assert roots == []
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_rational_roots(coeffs):
+    """The rational roots that sympy's factorization finds, with
+    multiplicity, ascending."""
+    found = sympy.Poly(coeffs[::-1], sympy.Symbol("t")).ground_roots()
+    return sorted(Fraction(int(r.p), int(r.q)) for r, k in found.items() for _ in range(k))
+
+
+def _irreducible_quadratic(q):
+    disc = q[1] ** 2 - 4 * q[0] * q[2]
+    return q[2] != 0 and (disc < 0 or isqrt(disc) ** 2 != disc)
+
+
+BIG = 2**2000
+
+
+@st.composite
+def products_of_linear_factors(draw):
+    """A constant times powers of t, of (b t - a) factors with coefficients
+    up to 2^2000 and multiplicities 1 to 3, and maybe of an irreducible
+    quadratic, multiplied out."""
+    coeffs = [draw(st.integers(-(2**64), 2**64).filter(bool))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG))
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = _poly_mul(coeffs, [-a, b])
+    coeffs = [0] * draw(st.integers(0, 2)) + coeffs
+    if draw(st.booleans()):
+        quadratic = st.lists(st.integers(-BIG, BIG), min_size=3, max_size=3)
+        coeffs = _poly_mul(coeffs, draw(quadratic.filter(_irreducible_quadratic)))
+    return coeffs
+
+
+@given(products_of_linear_factors())
+@settings(max_examples=40, deadline=None)
+def test_rational_roots_match_sympy(coeffs):
+    roots, residual = int_poly_rational_roots(coeffs)
+    assert sorted(roots) == _sympy_rational_roots(coeffs)
+    assert _sympy_rational_roots(residual) == []
+    # the residual is f / prod(t - a/b), so residual * prod(b t - a) is
+    # f * prod(b)
+    product, scale = residual, 1
+    for r in roots:
+        product = _poly_mul(product, [-r.numerator, r.denominator])
+        scale *= r.denominator
+    assert product == [scale * c for c in coeffs]
+
+
+# Minimal polynomials of splitting elements that decompose met on J(9,4)
+# relabelled by random.Random("2:0:johnson-9-4").shuffle, base 0, algebra
+# T: each has two rational roots, which a floating-point search missed,
+# so their modules were left unsplit.
+J94_QUADRATICS = [
+    [
+        -13887219656126133256015873597118566273518653945391146804354807395739304892871,
+        -435127377713704220555837317785078844251,
+        2,
+    ],
+    [
+        890783713361382748504882063024939383444738293443543737049123339269012310025263003038212800696739195930609516525671606972674937173676620486391213117931086079536552968877933195891055546631570823037502576982886717599206884657842876884796,
+        4777167899349299465750061110474730879572909522163733651056793864468275146988823557164173021990153062250444876979949777,
+        2,
+    ],
+    [
+        -43483063906247683073450923477166993849060488566204371111842456775615155904255038079377289137221611441370052785558985019907248903789249357537945143984673645452618661564842314065525924372856640853403395379854677600774883503823804153908920220825847516217646747520820822581264164620329548288601257405520220446053881832175573423329336834586849172560258051793009177199659950220194221783502674893378398967888849973283967080398419986588969539704593320543948100228976593578963473893063262239904798231283832290406065976026792046499177,
+        -337870897050192604216155152949323983863797852118757197156958099247744743992482234792916252711856679297029824173731958321718622121140848479999649443211292459291723299229954868579962547411695367384983124780448224215540777709303005188782625876232067944357260726589564403717427368187593172548208824769594494118744119974784732234171296673789836679487195028,
+        7234825946804261308813842167073864222599696392249778425378691446679217250380368703529522425507526640563222973533058481587083176956995517268981669047219517948918686497438473640605,
+    ],
+]
+
+
+@pytest.mark.parametrize("coeffs", J94_QUADRATICS)
+def test_rational_roots_of_large_quadratics(coeffs):
+    c, b, a = coeffs
+    d = isqrt(b * b - 4 * a * c)
+    assert d * d == b * b - 4 * a * c
+    roots, residual = int_poly_rational_roots(coeffs)
+    assert roots == sorted([Fraction(-b - d, 2 * a), Fraction(-b + d, 2 * a)])
+    assert len(residual) == 1
+
+
 def test_minimal_polynomial_diagonalizable():
     m = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
     assert minimal_polynomial(m) == [6, -5, 1]  # (t-2)(t-3)
@@ -221,9 +310,9 @@ def test_express_matches_fraction_oracle(case):
 
 
 def test_deflate_rejects_a_non_root():
-    assert _deflate([-2, 1], Fraction(2)) == [1]
+    assert deflate([-2, 1], Fraction(2)) == [1]
     with pytest.raises(ExactnessError):
-        _deflate([1, 0, 1], Fraction(1))  # t^2 + 1 has no root at 1
+        deflate([1, 0, 1], Fraction(1))  # t^2 + 1 has no root at 1
 
 
 @st.composite

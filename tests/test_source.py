@@ -30,3 +30,22 @@ def test_no_runtime_error():
         if isinstance(node, ast.Raise) and node.exc is not None and _raises_runtime_error(node)
     ]
     assert not found, f"RuntimeError raised in the package: {found}"
+
+
+def test_np_roots_only_in_spectrum():
+    # rational roots are found exactly; only the residual factor of
+    # graph_core.spectrum, which has no rational root and is flagged
+    # numeric, may be solved in floating point
+    allowed, found = set(), []
+    for path, node in _nodes():
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("graph_core.py", "spectrum"):
+            allowed.update((path.name, line) for line in range(node.lineno, node.end_lineno + 1))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "roots"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((path.name, node.lineno))
+    outside = [f"{name}:{line}" for name, line in found if (name, line) not in allowed]
+    assert allowed and not outside, f"np.roots outside graph_core.spectrum: {outside}"

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drguniform import (
@@ -318,7 +318,33 @@ def test_doob_symbolic_bound():
 def _relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
+    return _permuted(g, perm)
+
+
+def _permuted(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _module_types(mods):
+    return sorted((m.endpoint, m.diameter, m.dim) for m in mods)
+
+
+@pytest.mark.parametrize("algebra", ["T", "Tf"])
+@pytest.mark.parametrize("name", ["h33", "j63", "j94", "doob11"])
+def test_decompose_invariant_under_relabelling(request, name, algebra):
+    # the four graphs are vertex-transitive, so every labelling and every
+    # base vertex gives the modules of the canonical decomposition
+    g = request.getfixturevalue(name)
+    canonical = _module_types(decompose(g, 0, algebra))
+
+    @given(st.permutations(range(g.n)), st.integers(0, g.n - 1))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def check(perm, base):
+        mods = decompose(_permuted(g, perm), base, algebra)
+        assert all(m.exact for m in mods)
+        assert _module_types(mods) == canonical
+
+    check()
 
 
 def _slice_digest(mods):
