@@ -90,17 +90,40 @@ class LayerSolution:
         return solve_affine(rows, delta) is not None
 
 
+def distinct_rows(columns):
+    """The distinct nonzero rows of the integer matrix with these columns, in
+    lexicographic order.
+
+    Equal to ``np.unique(np.stack(columns, axis=1), axis=0)`` without its
+    zero row, but the zero rows are dropped first and the rest ordered by
+    ``np.lexsort``, so no stacked copy is made or sorted as a void view.
+    """
+    nonzero = columns[0] != 0
+    for col in columns[1:]:
+        nonzero |= col != 0
+    keys = [col[nonzero] for col in columns]
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for j, key in enumerate(keys):
+        keys[j] = key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    return np.stack([key[first] for key in keys], axis=1)
+
+
+def layer_rows(split, i):
+    """The distinct nonzero rows (X, Z, W, Y) of the layer-i blocks, each one
+    equation e_i^- X + e_i^+ Z - f_i W + Y = 0 in lexicographic order."""
+    X, Y, Z, W = layer_operator_blocks(split, i)
+    return distinct_rows([X.ravel(), Z.ravel(), W.ravel(), Y.ravel()]).tolist()
+
+
 def solve_layer(split, i):
     """Exact affine solution set of the layer equation on E*_i V."""
     eps = split.eccentricity
     if not 1 <= i <= eps:
         raise ValueError(f"layer {i} out of range 1..{eps}")
-    X, Y, Z, W = layer_operator_blocks(split, i)
-    stacked = np.stack(
-        [X.ravel(), Z.ravel(), W.ravel(), Y.ravel()], axis=1
-    )
-    rows = np.unique(stacked, axis=0)
-    rows = rows[np.abs(rows).sum(axis=1) > 0]
+    rows = layer_rows(split, i)
     active = []
     if i >= 2:
         active.append(0)  # e_minus
@@ -109,12 +132,12 @@ def solve_layer(split, i):
     active.append(2)  # f
     system = []
     rhs = []
-    for em, ep, fc, y in rows.tolist():
+    for em, ep, fc, y in rows:
         coeffs = {0: em, 1: ep, 2: -fc}
         system.append([coeffs[a] for a in active])
         rhs.append(-y)
     sol = solve_affine(system, rhs)
-    witness = tuple((int(r[0]), int(r[1]), int(r[2]), int(r[3])) for r in rows.tolist())
+    witness = tuple(map(tuple, rows))
     if sol is None:
         return LayerSolution(
             layer=i, empty=True, particular=(), basis=(), system=witness
@@ -220,26 +243,14 @@ def is_strongly_uniform(U):
 
 
 def verify_given(split, us):
-    """Exact check that the layer equation holds on every subconstituent."""
+    """Exact check that the layer equation holds on every subconstituent,
+    row by distinct row in rational arithmetic."""
     eps = split.eccentricity
     if us.epsilon != eps:
         return False
     for i in range(1, eps + 1):
-        X, Y, Z, W = layer_operator_blocks(split, i)
-        em = us.U.e_minus_at(i)
-        ep = us.U.e_plus_at(i)
-        fi = Fraction(us.f[i - 1])
-        den = np.lcm.reduce(
-            [em.denominator, ep.denominator, fi.denominator]
-        )
-        den = int(den)
-        lhs = (
-            int(em * den) * X
-            + den * Y
-            + int(ep * den) * Z
-            - int(fi * den) * W
-        )
-        if np.any(lhs):
+        em, ep, fi = (Fraction(v) for v in (us.U.e_minus_at(i), us.U.e_plus_at(i), us.f[i - 1]))
+        if any(em * x + ep * z - fi * w + y for x, z, w, y in layer_rows(split, i)):
             return False
     return True
 
@@ -287,6 +298,8 @@ def vanishing_conditions(layers):
     separately.  Such a function vanishes identically exactly when it
     vanishes at every corner: the point that takes, in each layer, the
     particular solution or the particular solution plus one basis vector.
+    A basis vector that moves only f changes no condition, so its corner
+    is skipped: the conditions there are those at the particular point.
 
     Returns (singular, zero_minus, zero_plus): the sets of principal minors
     (s, t) and of indices i of e_i^- and e_i^+ that are zero at every corner.
@@ -295,7 +308,8 @@ def vanishing_conditions(layers):
     singular = {(s, t) for s in range(1, eps + 1) for t in range(s, eps + 1)}
     zero_minus = set(range(2, eps + 1))
     zero_plus = set(range(1, eps))
-    for corner in itertools.product(*(range(sol.dim + 1) for sol in layers)):
+    picks = [[0] + [k for k, h in enumerate(sol.basis, 1) if h[0] or h[1]] for sol in layers]
+    for corner in itertools.product(*picks):
         values = [
             int(k == pick)
             for sol, pick in zip(layers, corner)

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: determinants,
 reduced row echelon forms, kernels, affine solutions and minimal
 polynomials by plain Fraction elimination written here, intersection
 numbers by direct set counting on the distance matrix, spectra through
-numpy on the actual adjacency matrix, and the parameter conditions that
-vanish on a whole solution product by expanding them as polynomials.
+numpy on the actual adjacency matrix, the parameter conditions that
+vanish on a whole solution product by expanding them as polynomials, and
+the distinct nonzero rows of a layer system by numpy's 2-D ``unique``.
 """
 
 from fractions import Fraction
@@ -305,3 +306,11 @@ def polynomial_vanishing_conditions(layers):
     zero_minus = {i for i, p in e_minus.items() if p.is_zero()}
     zero_plus = {i for i, p in e_plus.items() if p.is_zero()}
     return singular, zero_minus, zero_plus
+
+
+def unique_nonzero_rows(a):
+    """The distinct nonzero rows of ``a`` in lexicographic order, by
+    ``np.unique(a, axis=0)``, a sort of a void view of every row, and a
+    zero-row filter."""
+    rows = np.unique(a, axis=0)
+    return rows[np.abs(rows).sum(axis=1) > 0]

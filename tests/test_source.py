@@ -49,3 +49,16 @@ def test_np_roots_only_in_spectrum():
             found.append((path.name, node.lineno))
     outside = [f"{name}:{line}" for name, line in found if (name, line) not in allowed]
     assert allowed and not outside, f"np.roots outside graph_core.spectrum: {outside}"
+
+
+def test_no_two_dimensional_unique():
+    # unique(..., axis=...) sorts a void view of every row; integer rows are
+    # deduplicated by uniform.distinct_rows, a lexsort of the nonzero rows
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unique"
+        and (any(k.arg == "axis" for k in node.keywords) or len(node.args) >= 5)
+    ]
+    assert not found, f"unique over an axis in the package: {found}"

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drguniform import (
@@ -19,7 +21,10 @@ from drguniform import (
     principal_determinant,
     solve_layer,
     verify_given,
+    write_edge_list,
 )
+from drguniform import uniform
+from drguniform.cli import main
 from drguniform.suites import (
     dual_polar_structure,
     halved_cube_structure,
@@ -27,6 +32,7 @@ from drguniform.suites import (
 )
 from drguniform.uniform import (
     LayerSolution,
+    distinct_rows,
     grid_point,
     is_strongly_uniform,
     layer_operator_blocks,
@@ -35,7 +41,7 @@ from drguniform.uniform import (
     vanishing_conditions,
 )
 
-from oracles import dense_det, polynomial_vanishing_conditions
+from oracles import dense_det, polynomial_vanishing_conditions, unique_nonzero_rows
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -112,6 +118,23 @@ def test_verify_given_hamming(h34):
     assert verify_given(split, hamming_structure(3, 4))
     wrong = UniformStructure(U=hamming_structure(3, 4).U, f=(Fraction(2), Fraction(3), Fraction(5)))
     assert not verify_given(split, wrong)
+
+
+def _with_e2_minus(us, value):
+    U = ParameterMatrix(us.epsilon, (value,) + us.U.e_minus[1:], us.U.e_plus)
+    return UniformStructure(U=U, f=us.f)
+
+
+def test_verify_given_rejects_a_wrapping_combination(h33):
+    # e_2^- = (2^63 - 1)/2 scales to the largest int64 coefficient, and its
+    # int64 combination with the layer-2 blocks would wrap around to zero
+    split = lfr_split(h33, x=0)
+    assert not verify_given(split, _with_e2_minus(hamming_structure(3, 3), Fraction(2**63 - 1, 2)))
+
+
+def test_verify_given_rejects_a_coefficient_beyond_int64(h33):
+    split = lfr_split(h33, x=0)
+    assert not verify_given(split, _with_e2_minus(hamming_structure(3, 3), Fraction(2**64)))
 
 
 def test_verify_given_halved_cube(halved7):
@@ -197,20 +220,74 @@ def _layer(i, eps, point, basis=()):
 
 
 @st.composite
-def layer_sets(draw, max_eps=6):
+def layer_sets(draw, max_eps=6, f_only=False):
+    """Synthetic layer sets; with ``f_only`` every layer also has one or two
+    basis vectors that move only f, placed anywhere in its basis."""
     eps = draw(st.integers(min_value=1, max_value=max_eps))
     coord = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
     vec = st.tuples(coord, coord, coord)
-    return tuple(
-        _layer(i, eps, draw(vec), draw(st.lists(vec, max_size=2)))
-        for i in range(1, eps + 1)
-    )
+    out = []
+    for i in range(1, eps + 1):
+        point, basis = draw(vec), draw(st.lists(vec, max_size=2))
+        if f_only:
+            f_vec = st.tuples(st.just(0), st.just(0), coord.filter(bool))
+            basis = draw(st.permutations(basis + draw(st.lists(f_vec, min_size=1, max_size=2))))
+        out.append(_layer(i, eps, point, basis))
+    return tuple(out)
 
 
 @given(layer_sets())
 @settings(max_examples=300, deadline=None)
 def test_vanishing_conditions_match_polynomial_oracle(layers):
     assert vanishing_conditions(layers) == polynomial_vanishing_conditions(layers)
+
+
+@given(layer_sets(max_eps=5, f_only=True))
+@settings(max_examples=200, deadline=None)
+def test_vanishing_conditions_with_f_only_directions(layers):
+    assert vanishing_conditions(layers) == polynomial_vanishing_conditions(layers)
+
+
+def test_vanishing_conditions_skip_f_only_corners(monkeypatch):
+    # eight layers, each free only in f along two directions, with
+    # e^- = e^+ = 1, so the minor (1,2) is singular everywhere and the corner
+    # walk cannot stop early: the particular point is the only corner that
+    # decides anything, of the 3^8 in the full product
+    eps = 8
+    layers = tuple(_layer(i, eps, (1, 1, 1), [(0, 0, 1), (0, 0, 2)]) for i in range(1, eps + 1))
+    points = []
+
+    def counted(layers, values):
+        points.append(values)
+        return structure_at(layers, values)
+
+    monkeypatch.setattr(uniform, "structure_at", counted)
+    got = vanishing_conditions(layers)
+    assert len(points) == 1
+    assert got == polynomial_vanishing_conditions(layers)
+    assert (1, 2) in got[0]
+
+
+@st.composite
+def row_stacks(draw):
+    """Integer matrices drawn from a few distinct rows and the zero row."""
+    width = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6))
+    pool = draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=8)) + [(0,) * width]
+    rows = draw(st.lists(st.sampled_from(pool), max_size=200))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@given(row_stacks())
+@example(np.zeros((0, 4), dtype=np.int64))
+@example(np.zeros((7, 4), dtype=np.int64))
+@example(np.array([[0, 0, 0, 5]], dtype=np.int64))
+@example(np.array([[1, -2, 3, 10**6]] * 50 + [[1, -2, 3, -(10**6)]] * 50, dtype=np.int64))
+@settings(max_examples=300, deadline=None)
+def test_distinct_rows_match_unique_oracle(a):
+    got, want = distinct_rows(list(a.T)), unique_nonzero_rows(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @given(layer_sets(max_eps=4))
@@ -320,3 +397,39 @@ def test_condition_family_disjunction():
 def test_non_thin_diagnostic_requires_modules(h33):
     with pytest.raises(DecompositionUnavailable):
         non_thin_diagnostic(h33, 0, [])
+
+
+# SHA-256 of `certify-uniform`'s JSON at base 0, recorded while solve_layer
+# deduplicated its rows with a 2-D np.unique.  Labelling 0 is the
+# constructor's order; 2305 is random.Random(2305).shuffle of it.  Every
+# graph here is vertex-transitive, so both labellings give the same bytes.
+# The halved 8-cube fails at the corner test, and Hermitian forms (2,3) at
+# an inconsistent layer system.
+GOLDEN_CERTIFICATES = {
+    ("h33", 0): "2aa0c42a469d6f5f5420305cef81e7e13858b8336e142f1e50899e6dfbfbfbfe",
+    ("h33", 2305): "2aa0c42a469d6f5f5420305cef81e7e13858b8336e142f1e50899e6dfbfbfbfe",
+    ("j63", 0): "a2dc517faa06ae22114850b83e1423cc5d319b549d3eb0f7876017eadbe0dc52",
+    ("j63", 2305): "a2dc517faa06ae22114850b83e1423cc5d319b549d3eb0f7876017eadbe0dc52",
+    ("halved7", 0): "db0d0a5282b918de9c784a53fc3da53ec7966fc5d1cb707c4f1b4974d543fb44",
+    ("halved7", 2305): "db0d0a5282b918de9c784a53fc3da53ec7966fc5d1cb707c4f1b4974d543fb44",
+    ("doob11", 0): "ebc4edabe5d0accd51315e429c15ef5365823304192c8351268682ff398e1f0f",
+    ("doob11", 2305): "ebc4edabe5d0accd51315e429c15ef5365823304192c8351268682ff398e1f0f",
+    ("halved8", 0): "cf90f19cf6c7b3cc274818281edd67081e18bca6e2a1a5558d61d48bdd087ec1",
+    ("halved8", 2305): "cf90f19cf6c7b3cc274818281edd67081e18bca6e2a1a5558d61d48bdd087ec1",
+    ("her23", 0): "a2c31cd12bf21cc0c2473c35bc4f7fb2d441c5fe72e13843ec8e106b379500b7",
+    ("her23", 2305): "a2c31cd12bf21cc0c2473c35bc4f7fb2d441c5fe72e13843ec8e106b379500b7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CERTIFICATES))
+def test_golden_certificates(request, tmp_path, key):
+    name, labelling = key
+    g = request.getfixturevalue(name)
+    if labelling:
+        perm = list(range(g.n))
+        random.Random(labelling).shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    graph, out = tmp_path / "graph.edges", tmp_path / "certificate.json"
+    graph.write_text(write_edge_list(g))
+    assert main(["certify-uniform", str(graph), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CERTIFICATES[key]
