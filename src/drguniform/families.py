@@ -9,9 +9,11 @@ enumeration starts.
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from .config import DEFAULT
 from .errors import BudgetExceeded, ExactnessError, InvalidParams, ParseError
-from .fields import FiniteField, hermitian_inner, rref_gf, vec_add, vec_scale
+from .fields import FiniteField, hermitian_inner
 from .graph_core import Graph
 
 
@@ -30,15 +32,22 @@ def _check_budget(count, budget):
         raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
 
 
-def _graph_from_labels(labels, adjacent):
-    labels = sorted(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for i, u in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            if adjacent(u, labels[j]):
-                edges.append((i, index[labels[j]]))
-    return Graph(len(labels), edges)
+def _johnson_edges(n, D):
+    """Edges of J(n, D) on the D-subsets numbered in lexicographic order.
+
+    A neighbour swaps one element a of the subset for an element b > a
+    outside it, so every edge is listed once, from its smaller side.
+    """
+    masks = [sum(1 << e for e in s) for s in combinations(range(n), D)]
+    index = {m: i for i, m in enumerate(masks)}
+    return [
+        (i, index[m ^ (1 << a) ^ (1 << b)])
+        for i, m in enumerate(masks)
+        for a in range(n)
+        if m >> a & 1
+        for b in range(a + 1, n)
+        if not m >> b & 1
+    ]
 
 
 def hamming(D, n, budget=None):
@@ -67,10 +76,7 @@ def johnson(n, D, budget=None):
     for t in range(D):
         count = count * (n - t) // (t + 1)
     _check_budget(count, budget)
-    return _graph_from_labels(
-        combinations(range(n), D),
-        lambda u, v: len(set(u) & set(v)) == D - 1,
-    )
+    return Graph(count, _johnson_edges(n, D))
 
 
 def halved_cube(n, budget=None):
@@ -124,83 +130,78 @@ def doob(n, m, budget=None):
 def gosset():
     """Two copies of the pairs from an 8-set; within a copy pairs meeting in
     one point are adjacent, across copies disjoint pairs are adjacent."""
-    labels = [(side, pair) for side in (0, 1) for pair in combinations(range(8), 2)]
+    pairs = list(combinations(range(8), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    half = len(pairs)
+    edges = [(i + side, j + side) for i, j in _johnson_edges(8, 2) for side in (0, half)]
+    for i, p in enumerate(pairs):
+        outside = [x for x in range(8) if x not in p]
+        edges.extend((i, half + index[q]) for q in combinations(outside, 2))
+    return Graph(2 * half, edges)
 
-    def adjacent(u, v):
-        (s1, p1), (s2, p2) = u, v
-        shared = len(set(p1) & set(p2))
-        return shared == 1 if s1 == s2 else shared == 0
 
-    return _graph_from_labels(labels, adjacent)
-
-
-def _normalized_isotropic_points(field, dim, form_inner):
-    """All projective points (first nonzero coordinate 1) with zero norm."""
-    points = []
-    for vec in product(field.elements(), repeat=dim):
-        lead = next((x for x in vec if x), None)
-        if lead != 1:
-            continue
-        if form_inner(vec, vec) == 0:
-            points.append(vec)
-    return points
+def _isotropic_points(field, dim):
+    """The projective points of GF(r^2)^dim (first nonzero coordinate 1)
+    with zero norm, as rows of an array in lexicographic order, and their
+    orthogonality matrix."""
+    vecs = np.indices((field.order,) * dim).reshape(dim, -1).T
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    points = vecs[(lead == 1) & (hermitian_inner(field, vecs, vecs) == 0)]
+    orth = hermitian_inner(field, points[:, None, :], points[None, :, :]) == 0
+    return points, orth
 
 
 def dual_polar_generator_bases(r, D, budget=None):
-    """Reduced-echelon bases of all maximal totally isotropic D-subspaces
-    of the Hermitian form sum x_i conj(y_i) on GF(r^2)^(2D), sorted."""
+    """The maximal totally isotropic D-subspaces of the Hermitian form
+    sum x_i conj(y_i) on GF(r^2)^(2D), in lexicographic order of their
+    reduced-echelon bases.
+
+    Returns (points, rows, masks): the isotropic points as in
+    _isotropic_points, the point index of each basis row (one row of
+    ``rows`` per subspace) and the subspaces' point sets as a boolean
+    subspace x point matrix.
+    """
     if D < 2:
         raise InvalidParams("dual_polar_2a needs D >= 2")
     expected = 1
     for i in range(1, D + 1):
         expected *= r ** (2 * i - 1) + 1
     _check_budget(expected, budget)
-    field = FiniteField(r, 2)
-    dim = 2 * D
+    points, orth = _isotropic_points(FiniteField(r, 2), 2 * D)
+    pivot = (points != 0).argmax(axis=1)
+    at_pivot = points[:, pivot]  # [i, j] = coordinate of point i at the pivot of point j
+    # Point j may follow row i when the two are orthogonal, j's pivot lies
+    # further right, and each is zero at the other's pivot.  Every path of
+    # D rows is then a reduced-echelon basis, so each subspace is reached
+    # exactly once; points are in lexicographic order, so the leaves are too.
+    follows = orth & (pivot[None, :] > pivot[:, None]) & (at_pivot == 0) & (at_pivot.T == 0)
+    step = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(follows, axis=1, bitorder="little")
+    ]
+    leaves = []
 
-    def inner(u, v):
-        return hermitian_inner(field, u, v)
-
-    points = _normalized_isotropic_points(field, dim, inner)
-    npts = len(points)
-    pivot = [next(i for i, x in enumerate(p) if x) for p in points]
-
-    orth = [0] * npts
-    for i in range(npts):
-        for j in range(i, npts):
-            if inner(points[i], points[j]) == 0:
-                orth[i] |= 1 << j
-                orth[j] |= 1 << i
-    zero_at = [0] * dim
-    for idx, p in enumerate(points):
-        for c in range(dim):
-            if p[c] == 0:
-                zero_at[c] |= 1 << idx
-    pivot_after = [0] * (dim + 1)
-    for idx in range(npts):
-        for t in range(pivot[idx]):
-            pivot_after[t] |= 1 << idx
-    full_mask = (1 << npts) - 1
-
-    subspaces = set()
-
-    def dfs(rows, cand):
-        if len(rows) == D:
-            reduced, _ = rref_gf(field, rows)
-            subspaces.add(tuple(reduced))
+    def dfs(prefix, cand):
+        if len(prefix) == D:
+            leaves.append(prefix)
             return
-        mask = cand
-        while mask:
-            low = mask & -mask
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
             idx = low.bit_length() - 1
-            mask ^= low
-            w = points[idx]
-            dfs(rows + [w], cand & orth[idx] & zero_at[pivot[idx]] & pivot_after[pivot[idx]])
+            dfs(prefix + (idx,), cand & step[idx])
 
-    dfs([], full_mask)
-    if len(subspaces) != expected:
-        raise ExactnessError(f"found {len(subspaces)} maximal isotropic subspaces, not {expected}")
-    return field, points, sorted(subspaces)
+    dfs((), (1 << len(points)) - 1)
+    if len(leaves) != expected:
+        raise ExactnessError(f"found {len(leaves)} maximal isotropic subspaces, not {expected}")
+    rows = np.array(leaves, dtype=np.intp)
+    # a maximal totally isotropic M equals its own perp, so its points are
+    # the isotropic points orthogonal to every row of its basis
+    masks = orth[rows[:, 0]]
+    for j in range(1, D):
+        masks &= orth[rows[:, j]]
+    return points, rows, masks
 
 
 def dual_polar_2a(r, D, budget=None):
@@ -210,34 +211,12 @@ def dual_polar_2a(r, D, budget=None):
     lexicographic order of their reduced-echelon bases; two are adjacent
     when their intersection has dimension D-1.
     """
-    field, points, bases = dual_polar_generator_bases(r, D, budget=budget)
-    dim = 2 * D
-
-    point_index = {p: i for i, p in enumerate(points)}
-    masks = []
-    for rows in bases:
-        mask = 0
-        for coeffs in product(field.elements(), repeat=D):
-            vec = (0,) * dim
-            for c, row in zip(coeffs, rows):
-                if c:
-                    vec = vec_add(field, vec, vec_scale(field, c, row))
-            lead = next((x for x in vec if x), None)
-            if lead is None:
-                continue
-            if lead != 1:
-                vec = vec_scale(field, field.inv[lead], vec)
-            mask |= 1 << point_index[vec]
-        masks.append(mask)
-
+    _, rows, masks = dual_polar_generator_bases(r, D, budget=budget)
+    incidence = masks.astype(np.float32)
+    common = incidence @ incidence.T  # shared points, exact in float32 below 2**24
     meet = (r ** (2 * (D - 1)) - 1) // (r**2 - 1)  # points of a (D-1)-subspace
-    edges = []
-    for i in range(len(bases)):
-        mi = masks[i]
-        for j in range(i + 1, len(bases)):
-            if (mi & masks[j]).bit_count() == meet:
-                edges.append((i, j))
-    return Graph(len(bases), edges)
+    u, v = np.nonzero(np.triu(common == meet, 1))
+    return Graph(len(rows), zip(u.tolist(), v.tolist()))
 
 
 def hermitian_forms(r, D, budget=None):

@@ -6,6 +6,8 @@ irreducibles keeps every derived vertex ordering reproducible.  Operations
 are table-driven, so they are plain list lookups in hot loops.
 """
 
+import numpy as np
+
 from .errors import UnsupportedField
 
 # fixed irreducible t^2 + u1*t + u0 over GF(p), stored as (u1, u0)
@@ -92,50 +94,15 @@ class FiniteField:
 
 
 def hermitian_inner(field, u, v):
-    """sum_i u_i * conj(v_i) over GF(r^2)."""
-    mul, conj, add = field.mul, field.conj, field.add
-    acc = 0
-    for a, b in zip(u, v):
-        acc = add[acc][mul[a][conj[b]]]
+    """sum_i u_i * conj(v_i) over GF(r^2).
+
+    ``u`` and ``v`` are integer arrays (or sequences) whose last axis holds
+    the coordinates; the leading axes broadcast, so one call gives a whole
+    Gram matrix.  Each coordinate is one lookup in the field's tables.
+    """
+    mul, add, conj = (np.asarray(t, dtype=np.uint8) for t in (field.mul, field.add, field.conj))
+    u, v = np.asarray(u), np.asarray(v)
+    acc = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]), dtype=np.uint8)
+    for i in range(u.shape[-1]):
+        acc = add[acc, mul[u[..., i], conj[v[..., i]]]]
     return acc
-
-
-def vec_add(field, u, v):
-    add = field.add
-    return tuple(add[a][b] for a, b in zip(u, v))
-
-
-def vec_scale(field, c, u):
-    mul = field.mul
-    return tuple(mul[c][x] for x in u)
-
-
-def rref_gf(field, rows):
-    """Reduced row echelon form over the field; returns (rows, pivots)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    mul, inv, neg, add = field.mul, field.inv, field.neg, field.add
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pick = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        s = inv[m[r][c]]
-        m[r] = [mul[s][x] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = neg[m[i][c]]
-                m[i] = [add[x][mul[f][y]] for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
-def rank_gf(field, rows):
-    return len(rref_gf(field, rows)[0])

@@ -14,7 +14,6 @@ from itertools import permutations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from . import exactla
 from .errors import (
@@ -74,6 +73,9 @@ class Graph:
                     yield (u, v)
 
     def sparse(self):
+        """The adjacency matrix in CSR form.  Its dtype is the smallest
+        unsigned type that holds the largest degree, so a product with a
+        0/1 matrix counts neighbours exactly in that type."""
         if self._csr is None:
             rows = np.fromiter(
                 (u for u in range(self.n) for _ in self.adj[u]), dtype=np.int64
@@ -81,20 +83,31 @@ class Graph:
             cols = np.fromiter(
                 (v for u in range(self.n) for v in self.adj[u]), dtype=np.int64
             )
-            data = np.ones(len(rows), dtype=np.float64)
+            data = np.ones(len(rows), dtype=np.min_scalar_type(max(map(len, self.adj))))
             self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return self._csr
 
     def distance_matrix(self):
-        """All-pairs distances as an int16 array; raises on disconnection."""
+        """All-pairs distances as an int16 array; raises on disconnection.
+
+        A breadth-first search from every vertex at once: column x of the
+        frontier marks the vertices at distance t from x, and one product
+        with the adjacency matrix gives their neighbours.
+        """
         if self._dist is None:
-            if self.n == 1:
-                self._dist = np.zeros((1, 1), dtype=np.int16)
-                return self._dist
-            d = shortest_path(self.sparse(), method="D", unweighted=True)
-            if np.isinf(d).any():
+            S = self.sparse()
+            dist = np.full((self.n, self.n), -1, dtype=np.int16)
+            np.fill_diagonal(dist, 0)
+            frontier = np.eye(self.n, dtype=np.uint8)
+            t = 0
+            while frontier.any():
+                t += 1
+                reach = (S @ frontier > 0) & (dist < 0)
+                dist[reach] = t
+                frontier = reach.view(np.uint8)
+            if (dist < 0).any():
                 raise DisconnectedGraph("graph is not connected")
-            self._dist = d.astype(np.int16)
+            self._dist = dist
         return self._dist
 
     def is_connected(self):
@@ -257,53 +270,39 @@ class IntersectionArray:
 def intersection_array(g):
     """Compute (c, a, b) of ``g``, or raise NotDistanceRegular with a witness.
 
-    A graph is distance-regular exactly when, for every ordered pair (x, y)
-    at distance i, the number of neighbors of y at distances i-1, i, i+1
-    from x depends only on i; those counts are checked for every pair.
+    A graph is distance-regular exactly when, for every pair (x, y) at
+    distance i, the number of neighbours of y at distances i-1, i, i+1 from
+    x depends only on i.  The product M_t = A 1[dist = t] holds in entry
+    (y, x) the number of neighbours of y at distance t from x, so D+1
+    products check every pair: M_t gives b_{t-1}, a_t and c_{t+1}.  The
+    witness (x, y) of a failure is at distance i and has the count ``got``;
+    ``expected`` is the count of the first pair at that distance.
     """
     dist = g.distance_matrix()
-    n = g.n
     D = int(dist.max())
     if D == 0:
-        raise NotDistanceRegular(0, 0, 0, "diameter", 1, 0)
+        raise InvalidParams("the graph has diameter 0, so it has no intersection array")
     ecc = dist.max(axis=1)
     if (ecc != D).any():
         x = int(np.argmin(ecc))
-        y = int(np.argmax(dist[int(np.argmax(ecc))]))
+        y = int(np.argmax(dist[x]))
         raise NotDistanceRegular(x, y, int(ecc[x]), "eccentricity", D, int(ecc[x]))
     S = g.sparse()
-    c = [None] * (D + 1)  # index by distance, c[0] stays 0
-    a = [None] * (D + 1)
-    b = [None] * (D + 1)
-    c[0], b[D] = 0, 0
-    for x in range(n):
-        dx = dist[x]
-        onehot = np.zeros((n, D + 3), dtype=np.float64)
-        onehot[np.arange(n), dx + 1] = 1.0
-        counts = S.T @ onehot  # counts[y, t+1] = #{z ~ y : d(x,z) = t}
-        counts = counts.astype(np.int64)
-        ys = np.arange(n)
-        dxy = dx.astype(np.int64)
-        cc = counts[ys, dxy]      # neighbors one layer closer
-        aa = counts[ys, dxy + 1]  # same layer
-        bb = counts[ys, dxy + 2]  # one layer farther
-        for i in range(D + 1):
-            mask = dxy == i
-            if not mask.any():
+    counts = {kind: [0] * (D + 1) for kind in "cab"}
+    for t in range(D + 1):
+        M = S @ (dist == t).view(np.uint8)
+        for kind, i in (("b", t - 1), ("a", t), ("c", t + 1)):
+            if not 0 <= i <= D:
                 continue
-            for kind, arr, store in (("c", cc, c), ("a", aa, a), ("b", bb, b)):
-                if kind == "c" and i == 0:
-                    continue
-                if kind == "b" and i == D:
-                    continue
-                vals = arr[mask]
-                lo, hi = int(vals.min()), int(vals.max())
-                if lo != hi or (store[i] is not None and store[i] != lo):
-                    expected = store[i] if store[i] is not None else lo
-                    bad = int(ys[mask][int(np.argmax(vals != expected))])
-                    raise NotDistanceRegular(x, bad, i, kind, expected, hi if hi != expected else lo)
-                store[i] = lo
-    a[0] = 0
+            at_i = dist == i
+            vals = M[at_i]
+            off = vals != vals[0]
+            if off.any():
+                k = int(np.argmax(off))
+                y, x = (int(w[k]) for w in np.nonzero(at_i))
+                raise NotDistanceRegular(x, y, i, kind, int(vals[0]), int(vals[k]))
+            counts[kind][i] = int(vals[0])
+    c, a, b = counts["c"], counts["a"], counts["b"]
     ia = IntersectionArray(c=tuple(c[1:]), a=tuple(a), b=tuple(b[:D]))
     return ia.validate()
 

@@ -7,12 +7,22 @@ numbers by direct set counting on the distance matrix, spectra through
 numpy on the actual adjacency matrix, the parameter conditions that
 vanish on a whole solution product by expanding them as polynomials, and
 the distinct nonzero rows of a layer system by numpy's 2-D ``unique``.
+The former library paths kept here as references: elimination and span
+enumeration over GF(r^2), the dual polar generators by a search that
+reduces every tuple of rows, and the intersection array by one pass per
+vertex over scipy's shortest-path distances.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+from drguniform.errors import NotDistanceRegular
+from drguniform.fields import FiniteField
 
 
 def dense_det(matrix):
@@ -314,3 +324,171 @@ def unique_nonzero_rows(a):
     zero-row filter."""
     rows = np.unique(a, axis=0)
     return rows[np.abs(rows).sum(axis=1) > 0]
+
+
+def scalar_hermitian_inner(field, u, v):
+    """sum_i u_i * conj(v_i) over GF(r^2), one coordinate at a time."""
+    mul, conj, add = field.mul, field.conj, field.add
+    acc = 0
+    for a, b in zip(u, v):
+        acc = add[acc][mul[a][conj[b]]]
+    return acc
+
+
+def vec_add(field, u, v):
+    add = field.add
+    return tuple(add[a][b] for a, b in zip(u, v))
+
+
+def vec_scale(field, c, u):
+    mul = field.mul
+    return tuple(mul[c][x] for x in u)
+
+
+def rref_gf(field, rows):
+    """Reduced row echelon form over the field; returns (rows, pivots)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    mul, inv, neg, add = field.mul, field.inv, field.neg, field.add
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        s = inv[m[r][c]]
+        m[r] = [mul[s][x] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = neg[m[i][c]]
+                m[i] = [add[x][mul[f][y]] for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def rank_gf(field, rows):
+    return len(rref_gf(field, rows)[0])
+
+
+def normalized_isotropic_points(field, dim):
+    """All projective points (first nonzero coordinate 1) with zero norm."""
+    points = []
+    for vec in product(field.elements(), repeat=dim):
+        lead = next((x for x in vec if x), None)
+        if lead == 1 and scalar_hermitian_inner(field, vec, vec) == 0:
+            points.append(vec)
+    return points
+
+
+def rref_dual_polar_bases(r, D):
+    """Reduced-echelon bases of the maximal totally isotropic D-subspaces,
+    sorted, by a search over ordered tuples of isotropic points in echelon
+    position that reduces every leaf and keeps the distinct results."""
+    field = FiniteField(r, 2)
+    dim = 2 * D
+    points = normalized_isotropic_points(field, dim)
+    npts = len(points)
+    pivot = [next(i for i, x in enumerate(p) if x) for p in points]
+    orth = [0] * npts
+    for i in range(npts):
+        for j in range(i, npts):
+            if scalar_hermitian_inner(field, points[i], points[j]) == 0:
+                orth[i] |= 1 << j
+                orth[j] |= 1 << i
+    zero_at = [0] * dim
+    for idx, p in enumerate(points):
+        for c in range(dim):
+            if p[c] == 0:
+                zero_at[c] |= 1 << idx
+    pivot_after = [0] * (dim + 1)
+    for idx in range(npts):
+        for t in range(pivot[idx]):
+            pivot_after[t] |= 1 << idx
+    subspaces = set()
+
+    def dfs(rows, cand):
+        if len(rows) == D:
+            subspaces.add(tuple(rref_gf(field, rows)[0]))
+            return
+        mask = cand
+        while mask:
+            low = mask & -mask
+            idx = low.bit_length() - 1
+            mask ^= low
+            dfs(rows + [points[idx]], cand & orth[idx] & zero_at[pivot[idx]] & pivot_after[pivot[idx]])
+
+    dfs([], (1 << npts) - 1)
+    return sorted(subspaces)
+
+
+def span_points(field, rows):
+    """The normalized projective points of the span of ``rows``, by
+    enumerating every linear combination."""
+    dim = len(rows[0])
+    points = set()
+    for coeffs in product(field.elements(), repeat=len(rows)):
+        vec = (0,) * dim
+        for c, row in zip(coeffs, rows):
+            if c:
+                vec = vec_add(field, vec, vec_scale(field, c, row))
+        lead = next((x for x in vec if x), None)
+        if lead is not None:
+            points.add(vec_scale(field, field.inv[lead], vec))
+    return points
+
+
+def loop_intersection_array(g):
+    """(c, a, b) of ``g`` by one pass per vertex x: a dense one-hot matrix
+    of the distances from x, one product with the adjacency matrix, and
+    the counts compared across every y.  Raises NotDistanceRegular."""
+    n = g.n
+    rows = [u for u in range(n) for _ in g.adj[u]]
+    cols = [v for u in range(n) for v in g.adj[u]]
+    S = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    dist = shortest_path(S, method="D", unweighted=True).astype(np.int16)
+    D = int(dist.max())
+    if D == 0:
+        raise NotDistanceRegular(0, 0, 0, "diameter", 1, 0)
+    ecc = dist.max(axis=1)
+    if (ecc != D).any():
+        x = int(np.argmin(ecc))
+        y = int(np.argmax(dist[int(np.argmax(ecc))]))
+        raise NotDistanceRegular(x, y, int(ecc[x]), "eccentricity", D, int(ecc[x]))
+    c = [None] * (D + 1)
+    a = [None] * (D + 1)
+    b = [None] * (D + 1)
+    c[0], b[D] = 0, 0
+    for x in range(n):
+        dx = dist[x]
+        onehot = np.zeros((n, D + 3), dtype=np.float64)
+        onehot[np.arange(n), dx + 1] = 1.0
+        counts = (S.T @ onehot).astype(np.int64)
+        ys = np.arange(n)
+        dxy = dx.astype(np.int64)
+        cc = counts[ys, dxy]
+        aa = counts[ys, dxy + 1]
+        bb = counts[ys, dxy + 2]
+        for i in range(D + 1):
+            mask = dxy == i
+            if not mask.any():
+                continue
+            for kind, arr, store in (("c", cc, c), ("a", aa, a), ("b", bb, b)):
+                if kind == "c" and i == 0:
+                    continue
+                if kind == "b" and i == D:
+                    continue
+                vals = arr[mask]
+                lo, hi = int(vals.min()), int(vals.max())
+                if lo != hi or (store[i] is not None and store[i] != lo):
+                    expected = store[i] if store[i] is not None else lo
+                    bad = int(ys[mask][int(np.argmax(vals != expected))])
+                    raise NotDistanceRegular(x, bad, i, kind, expected, hi if hi != expected else lo)
+                store[i] = lo
+    a[0] = 0
+    return tuple(c[1:]), tuple(a), tuple(b[:D])

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from drguniform import (
@@ -12,6 +15,8 @@ from drguniform import (
     spectrum,
 )
 from drguniform.families import (
+    FamilySpec,
+    build_family,
     doob,
     dual_polar_2a,
     dual_polar_generator_bases,
@@ -19,8 +24,38 @@ from drguniform.families import (
     hamming,
     johnson,
 )
-from drguniform.fields import hermitian_inner, rank_gf
+from drguniform.fields import FiniteField, hermitian_inner
+from drguniform.graph_core import write_edge_list
 from drguniform.tmodules import tightness
+
+from oracles import rank_gf, rref_dual_polar_bases, span_points
+
+# SHA-256 of write_edge_list for each constructor at the ladder and suite
+# instances, recorded from the pairwise-comparison builders these replaced
+GOLDEN_EDGE_LISTS = {
+    ("hamming", (4, 4)): "dcfa7695e72d9f27daeca3567c6f85b13d28ce5feb77162132af347f84cfa8f9",
+    ("hamming", (5, 4)): "f41ab4e498d28c1bf2fe32695393b0077ae42688df8dc8fa9952bdae0d4ff8f9",
+    ("halved_cube", (9,)): "eacc1a1e77408caf1ffbeb35c87550a7ff3abb2acb1656fb4221614759becc46",
+    ("hermitian_forms", (2, 3)): "9ab7783e2d7491679e0b3e7a4ca59dc909ad2775b39c2260c89a95839df9db8d",
+    ("johnson", (12, 5)): "8f50693c0a9faa95ba2717d3f06b08de9d54aad399d53a5f05add204385c5305",
+    ("johnson", (9, 4)): "31b65e578738351aec55f568235d1179f3ab2bfe16f17d9c4c1f21454d26b077",
+    ("johnson", (6, 3)): "3ff1263abf511d6b61ab894b0b9b8bf4c5c12402d2044ba0c2a7a1ae55747d36",
+    ("dual_polar_2a", (2, 2)): "33321c19714bc20ea52e994f0a0dda076ab7d800e3112464ccf1233bde0e39ae",
+    ("dual_polar_2a", (2, 3)): "89aba05ce33069cc4569a6cc400cc496d2fff8ced2aad606f03301eb8bb0c35f",
+    ("gosset", ()): "3208409e99cc0142b9beca98fe04927ffe66062b7baba50c62ce9612de9d31b1",
+    ("shrikhande", ()): "9ff56d2d9d8181be880da62e1ed46a0a884157e28ead7a247cf3c05190ef62b1",
+    ("doob", (1, 1)): "c762d14516fcca4f50b69e43b6728f128198c50487a9430d233a1a27021cd594",
+}
+
+
+@pytest.mark.parametrize(
+    "tag,params",
+    sorted(GOLDEN_EDGE_LISTS),
+    ids=["-".join(map(str, (tag, *params))) for tag, params in sorted(GOLDEN_EDGE_LISTS)],
+)
+def test_golden_edge_lists(tag, params):
+    text = write_edge_list(build_family(FamilySpec(tag, params)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_EDGE_LISTS[tag, params]
 
 
 def test_hamming_small_cases():
@@ -133,14 +168,30 @@ def test_dual_polar_891(dp23):
 
 
 def test_dual_polar_isotropy_post_hoc():
-    field, points, bases = dual_polar_generator_bases(2, 2)
-    assert len(bases) == 27
-    for rows in bases[::5]:  # sample
-        assert len(rows) == 2
-        assert rank_gf(field, rows) == 2
-        for u in rows:
-            for v in rows:
-                assert hermitian_inner(field, u, v) == 0
+    points, rows, _ = dual_polar_generator_bases(2, 2)
+    field = FiniteField(2, 2)
+    assert len(rows) == 27
+    for basis in points[rows[::5]]:  # sample
+        assert len(basis) == 2
+        assert rank_gf(field, basis.tolist()) == 2
+        assert not hermitian_inner(field, basis[:, None], basis[None, :]).any()
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_dual_polar_bases_match_rref_search(D):
+    points, rows, _ = dual_polar_generator_bases(2, D)
+    bases = [tuple(map(tuple, basis)) for basis in points[rows].tolist()]
+    assert bases == rref_dual_polar_bases(2, D)
+
+
+@pytest.mark.parametrize("r,D", [(2, 2), (2, 3), (3, 2)])
+def test_dual_polar_masks_are_spans(r, D):
+    # M = M^perp, so the AND of orth over a basis is the point set of its span
+    field = FiniteField(r, 2)
+    points, rows, masks = dual_polar_generator_bases(r, D)
+    labels = [tuple(p) for p in points.tolist()]
+    for basis, mask in zip(points[rows].tolist(), masks):
+        assert {labels[j] for j in np.flatnonzero(mask)} == span_points(field, basis)
 
 
 def test_hermitian_forms(her22, her23):

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 from drguniform import UnsupportedField
-from drguniform.fields import FiniteField, hermitian_inner, rank_gf, rref_gf
+from drguniform.fields import FiniteField, hermitian_inner
+
+from oracles import rank_gf, rref_gf, scalar_hermitian_inner
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -50,6 +52,17 @@ def test_hermitian_inner_conjugate_symmetry():
     for u in product(range(4), repeat=2):
         for v in product(range(4), repeat=2):
             assert hermitian_inner(F, u, v) == F.conj[hermitian_inner(F, v, u)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hermitian_gram_matches_scalar_inner(p):
+    F = FiniteField(p, 2)
+    vecs = list(product(range(F.order), repeat=2))
+    gram = hermitian_inner(F, [[u] for u in vecs], [vecs])
+    assert gram.shape == (len(vecs), len(vecs))
+    for i, u in enumerate(vecs):
+        for j, v in enumerate(vecs):
+            assert gram[i, j] == scalar_hermitian_inner(F, u, v)
 
 
 def test_rref_rank():

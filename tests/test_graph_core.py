@@ -1,13 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from drguniform import (
     ClassicalParameters,
     DisconnectedGraph,
     Graph,
+    InvalidParams,
     NotDistanceRegular,
     ParseError,
     bfs_layers,
@@ -25,7 +30,13 @@ from drguniform import (
 )
 from drguniform.graph_core import p_numbers
 
-from oracles import brute_intersection_numbers, brute_layer_sizes, numpy_spectrum, rref
+from oracles import (
+    brute_intersection_numbers,
+    brute_layer_sizes,
+    loop_intersection_array,
+    numpy_spectrum,
+    rref,
+)
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -95,6 +106,81 @@ def test_intersection_array_rejects():
     k4_minus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     with pytest.raises(NotDistanceRegular):
         intersection_array(k4_minus)
+
+
+def test_single_vertex_has_no_intersection_array():
+    with pytest.raises(InvalidParams, match="diameter 0") as info:
+        intersection_array(Graph(1, []))
+    assert "\n" not in str(info.value)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(random_graphs())
+@example(Graph(1, []))
+@example(Graph(4, [(0, 1), (2, 3)]))
+@settings(max_examples=300, deadline=None)
+def test_distance_matrix_matches_shortest_path(g):
+    rows = [u for u in range(g.n) for _ in g.adj[u]]
+    cols = [v for u in range(g.n) for v in g.adj[u]]
+    adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    expected = shortest_path(adjacency, unweighted=True)
+    if np.isinf(expected).any():
+        with pytest.raises(DisconnectedGraph):
+            g.distance_matrix()
+    else:
+        dist = g.distance_matrix()
+        assert dist.dtype == np.int16
+        assert np.array_equal(dist, expected.astype(np.int16))
+
+
+_SHIFT = {"c": -1, "a": 0, "b": 1}
+
+
+def _count(g, dist, kind, x, y):
+    """Neighbours z of y with d(x, z) = d(x, y) + shift(kind)."""
+    return sum(1 for z in g.adj[y] if dist[x, z] == dist[x, y] + _SHIFT[kind])
+
+
+@given(random_graphs())
+@settings(max_examples=300, deadline=None)
+def test_not_distance_regular_witness(g):
+    if g.n == 1 or not g.is_connected():
+        return
+    dist = g.distance_matrix()
+    try:
+        ia = intersection_array(g)
+    except NotDistanceRegular as exc:
+        with pytest.raises(NotDistanceRegular):
+            loop_intersection_array(g)
+        assert dist[exc.x, exc.y] == exc.i and exc.got != exc.expected
+        if exc.kind == "eccentricity":
+            assert (exc.got, exc.expected) == (dist[exc.x].max(), dist.max())
+        else:
+            assert _count(g, dist, exc.kind, exc.x, exc.y) == exc.got
+            assert any(
+                _count(g, dist, exc.kind, x, y) == exc.expected
+                for x, y in zip(*np.nonzero(dist == exc.i))
+            )
+    else:
+        assert (ia.c, ia.a, ia.b) == loop_intersection_array(g)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["h33", "h34", "h43", "cube3", "j63", "j94", "halved7", "halved8", "shrik",
+     "doob11", "gosset_graph", "dp22", "dp23", "her22", "her23"],
+)
+def test_intersection_array_matches_loop_oracle(request, name):
+    g = request.getfixturevalue(name)
+    ia = intersection_array(g)
+    assert (ia.c, ia.a, ia.b) == loop_intersection_array(g)
 
 
 def test_intersection_numbers_match_brute_force(h33):

@@ -62,3 +62,22 @@ def test_no_two_dimensional_unique():
         and (any(k.arg == "axis" for k in node.keywords) or len(node.args) >= 5)
     ]
     assert not found, f"unique over an axis in the package: {found}"
+
+
+def test_no_csgraph_import():
+    # distances come from graph_core's breadth-first frontier products;
+    # scipy's all-pairs shortest_path runs Dijkstra in float64 and holds an
+    # 8-byte n x n transient
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if (isinstance(node, ast.Import) and any(a.name.startswith("scipy.sparse.csgraph") for a in node.names))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (
+                (node.module or "").startswith("scipy.sparse.csgraph")
+                or (node.module == "scipy.sparse" and any(a.name == "csgraph" for a in node.names))
+            )
+        )
+    ]
+    assert not found, f"scipy.sparse.csgraph imported in the package: {found}"
