@@ -18,7 +18,10 @@ top of it:
   polynomial by p-adic lifting, and ``deflate`` divides one out.
 
 ``ModularComplement`` eliminates modulo a few primes below 2^26 in numpy
-and certifies what it returns exactly.  The routines are meant for the
+and certifies what it returns exactly.  It gathers new vectors in a
+pending block of at most 32 rows and folds them into the stored echelon
+with one matmul per prime, so the stored rows are rewritten once per 32
+vectors instead of once per vector.  The routines are meant for the
 small dense systems that show up when layer blocks and module actions
 are vectorized, not for large-scale numerics.
 """
@@ -189,18 +192,20 @@ def solve_affine(rows, rhs):
 
 _PRIME_BITS = 26  # the moduli are the largest primes below 2^26
 _CHUNK = 1024  # int64 partial sums of 1024 products below 2^52 stay below 2^62
+_BLOCK = 32  # pending rows per fold: the fold's int64 sums stay below 2^57
 
 
 @cache
 def _large_primes(count):
-    """The ``count`` largest primes below 2^26, in descending order."""
-    out = []
-    c = 2**_PRIME_BITS - 1
-    while len(out) < count:
-        if all(c % d for d in range(3, isqrt(c) + 1, 2)):
-            out.append(c)
+    """The ``count`` largest primes below 2^26, in descending order; each
+    count extends the one before, so every prime is searched for once."""
+    if not count:
+        return ()
+    out = _large_primes(count - 1)
+    c = out[-1] - 2 if out else 2**_PRIME_BITS - 1
+    while not all(c % d for d in range(3, isqrt(c) + 1, 2)):
         c -= 2
-    return tuple(out)
+    return out + (c,)
 
 
 def _primes_for(bits):
@@ -214,27 +219,38 @@ def _matmul_mod(a, b, p):
     p (K, 1); exact in int64 for entries below 2^26."""
     out = np.zeros((b.shape[0], b.shape[2]), dtype=np.int64)
     for s in range(0, a.shape[1], _CHUNK):
-        out += np.matmul(a[:, None, s : s + _CHUNK], b[:, s : s + _CHUNK])[:, 0]
+        out += np.einsum("kr,krm->km", a[:, s : s + _CHUNK], b[:, s : s + _CHUNK])
         out %= p
     return out
 
 
-def _crt(residues, primes):
-    """The integers in [0, prod(primes)) with the residues residues[k]
-    modulo primes[k]: Garner's mixed-radix digits in int64, then Horner
-    in Python ints."""
-    digits = [residues[0]]
-    for k in range(1, len(primes)):
-        p = primes[k]
-        acc = digits[-1] % p  # the digits so far, as an integer mod p
-        for i in range(k - 2, -1, -1):
-            acc = (acc * (primes[i] % p) + digits[i]) % p
-        inv = pow(prod(primes[:k]) % p, -1, p)
-        digits.append((residues[k] - acc) % p * inv % p)
-    values = digits[-1].tolist()
-    for i in range(len(primes) - 2, -1, -1):
-        values = [v * primes[i] + d for v, d in zip(values, digits[i].tolist())]
-    return values
+def _crt_prefixes(residues, primes):
+    """For t = 1, 2, 4, ... and finally t = K: the integers in [0, P_t)
+    with the residues residues[k] modulo primes[k] for every k < t, and
+    P_t, the product of those primes.  Garner's mixed-radix digits are
+    found once each, in int64, digit k from one product of the digits
+    before it with their radices modulo primes[k]; each prefix extends the
+    values of the one before by Horner over its new digits, in Python
+    ints."""
+    digits = np.empty_like(residues)
+    radices = [1]  # radices[k] = primes[0] ... primes[k - 1]
+    values, t = [0] * residues.shape[1], 1
+    while True:
+        start = len(radices) - 1
+        for k in range(start, t):
+            p = primes[k]
+            # the digits so far, as an integer mod p: k < 2^11 terms below 2^52
+            acc = np.array([r % p for r in radices[:k]], dtype=np.int64) @ digits[:k] % p
+            digits[k] = (residues[k] - acc) % p * pow(radices[k] % p, -1, p) % p
+            radices.append(radices[k] * p)
+        tail = digits[t - 1].tolist()
+        for i in range(t - 2, start - 1, -1):
+            tail = [v * primes[i] + d for v, d in zip(tail, digits[i].tolist())]
+        values = [v + radices[start] * x for v, x in zip(values, tail)]
+        yield values, radices[t]
+        if t == len(primes):
+            return
+        t = min(2 * t, len(primes))
 
 
 def _denominator(a, modulus, bound):
@@ -280,36 +296,56 @@ class ModularComplement:
     """The orthogonal complement of a growing set of integer vectors, and
     its first vector in canonical column order.
 
-    Modulo each of K primes below 2^26 the added vectors are kept in
-    reduced echelon form [I | N].  Only N, the entries in the non-pivot
-    columns, is stored: one (rank x (width - rank)) int64 block per
-    prime.  ``add`` reduces a vector against every block with one matvec
-    and, when it is independent, adds it with a rank-1 update of N.  The
-    primes must agree on every pivot; a prime that finds less rank than
-    another divides a minor of the vectors (it is unlucky) and is
-    replaced.  K comes from the bit size of the vectors: enough primes for
-    a modulus of 2 log2(max ||row||_1) + 2 bits.  It at least doubles
-    whenever larger vectors ask for more or a certificate fails, and only
-    the new primes then reduce the vectors already added.
+    Modulo each of K primes below 2^26 the vectors are kept in reduced
+    echelon form, in two parts.  The stored rows [I | N] keep only N,
+    their entries in the non-pivot columns: one (rank x (width - rank))
+    int64 block per prime.  A new independent vector goes into the
+    pending block B instead: it is reduced against [I | N] by one matvec
+    and against B's rows, and B stays in reduced echelon form among its
+    own rows, which are zero in every stored pivot column.  When B holds
+    32 rows, or before K changes, ``_fold`` clears B's pivot columns J
+    from N with one matmul N - N[:, J] B per prime, appends B to the
+    stored rows and drops J from the non-pivot columns.  So a new vector
+    updates at most 32 rows, and N is rewritten once per 32 vectors.
 
-    ``seed`` reads its answer off the first non-pivot column f, combines
-    the primes by CRT and rational reconstruction (from a prefix of the
-    primes first, since most seeds are small), and certifies the
-    integer vector w it gets: w[f] is nonzero and w vanishes past f; w is
-    in the kernel of the echelon modulo every prime, so M w = 0 modulo
-    their product P for the matrix M of added vectors; P > 2 max ||row||_1
-    ||w||_inf then forces M w = 0 over the integers.  Columns [0, f) are
-    pivots modulo a prime, so they are independent over the rationals,
-    and w is, up to scale, the only vector orthogonal to M supported on
-    [0, f].
+    The primes must agree on every pivot, stored or pending; a prime that
+    finds less rank than another divides a minor of the vectors (it is
+    unlucky) and is replaced.  K comes from the bit size of the vectors:
+    enough primes for a modulus of 2 log2(max ||row||_1) + 2 bits, taken
+    from the vectors the complement is constructed with.  When larger
+    vectors ask for more primes, or a certificate fails, K grows to at
+    least 3K/2, and only the new primes then reduce the vectors already
+    added.
+
+    ``seed`` reads its answer off the first column f that is neither a
+    stored nor a pending pivot, without a fold: the kernel vector w with
+    w[f] = 1 is -B[:, f] on the pending pivots and -N[:, f] + N[:, J]
+    B[:, f] on the stored ones.  It combines the primes by CRT and
+    rational reconstruction (from a prefix of the primes first, since most
+    seeds are small, each longer prefix extending the digits of the
+    last), and certifies the integer vector w it gets: w[f] is nonzero
+    and w vanishes past f; w is in the kernel of every stored and every
+    pending row modulo every prime, so M w = 0 modulo their product P for
+    the matrix M of added vectors; P > 2 max ||row||_1 ||w||_inf then
+    forces M w = 0 over the integers.  Columns [0, f) are pivots modulo a
+    prime, so they are independent over the rationals, and w is, up to
+    scale, the only vector orthogonal to M supported on [0, f].
     """
 
-    def __init__(self, width):
+    def __init__(self, width, rows=()):
         self.width = width
-        self._rows = []  # every added vector, to rebuild the blocks from
-        self._l1 = 0  # the largest l1 norm of an added vector
+        self._rows = list(rows)  # every added vector, to rebuild the blocks from
+        self._l1 = max((sum(map(abs, vec)) for vec in self._rows), default=0)
         self._bad = set()  # primes found unlucky
-        self._reset(self._choose(1))
+        self._rebuild(self._wanted())
+
+    def _wanted(self):
+        """How many primes the largest l1 norm of the vectors asks for."""
+        return _primes_for(2 * self._l1.bit_length() + 2)
+
+    def _grown(self, wanted):
+        """The next K: at least ``wanted`` and at least 3K/2."""
+        return max(wanted, -(-3 * len(self.primes) // 2))
 
     def _choose(self, count):
         """The ``count`` largest primes below 2^26 not found unlucky."""
@@ -320,9 +356,15 @@ class ModularComplement:
         """An empty echelon under ``primes``."""
         self.primes = primes
         self._p = np.array(primes, dtype=np.int64)[:, None]
-        self._pivots = []  # pivot columns, one per row of N
+        self._pivots = []  # stored pivot columns, one per row of N
         self._free = np.arange(self.width)  # non-pivot columns, ascending
         self._n = np.zeros((len(primes), 0, self.width), dtype=np.int64)
+        self._new_block()
+
+    def _new_block(self):
+        """An empty pending block over the current non-pivot columns."""
+        self._j = []  # positions in _free of the pending pivots, one per row
+        self._b = np.empty((len(self.primes), _BLOCK, len(self._free)), dtype=np.int64)
 
     def _rebuild(self, count):
         """Reduce every vector afresh under ``count`` primes."""
@@ -334,23 +376,25 @@ class ModularComplement:
     def _extend(self, count):
         """Use ``count`` primes, reducing the vectors under the new ones
         only; a full rebuild when the new primes disagree with the old."""
+        self._fold()
         primes, n, pivots = self.primes, self._n, self._pivots
         self._reset(self._choose(count)[len(primes) :])
-        if all(self._insert(vec) for vec in self._rows) and self._pivots == pivots:
-            self.primes = primes + self.primes
-            self._p = np.array(self.primes, dtype=np.int64)[:, None]
-            self._n = np.concatenate([n, self._n])
-        else:
-            self._rebuild(count)
+        if all(self._insert(vec) for vec in self._rows):
+            self._fold()
+            if self._pivots == pivots:
+                self.primes = primes + self.primes
+                self._p = np.array(self.primes, dtype=np.int64)[:, None]
+                self._n = np.concatenate([n, self._n])
+                self._new_block()
+                return
+        self._rebuild(count)
 
     def add(self, vec):
         """Add an integer vector to the set."""
         self._rows.append(vec)
         self._l1 = max(self._l1, sum(map(abs, vec)))
-        count = len(self.primes)
-        wanted = _primes_for(2 * self._l1.bit_length() + 2)
-        if wanted > count:
-            count = max(wanted, 2 * count)
+        wanted = self._wanted()
+        count = self._grown(wanted) if wanted > len(self.primes) else len(self.primes)
         if not self._insert(vec):
             self._rebuild(count)
         elif count > len(self.primes):
@@ -364,85 +408,111 @@ class ModularComplement:
         return np.array([(obj % p).astype(np.int64) for p in self.primes])
 
     def _insert(self, vec):
-        """Reduce ``vec`` under every prime and add it when independent.
-        Returns False, after marking the unlucky primes, when the primes
-        disagree on its pivot."""
-        if not len(self._free):
+        """Reduce ``vec`` under every prime and add it to the pending block
+        when independent.  Returns False, after marking the unlucky primes,
+        when the primes disagree on its pivot."""
+        m, j = len(self._free), self._j
+        if len(j) == m:
             return True  # full rank: every vector is dependent
         res = self._residues(vec)
         red = res[:, self._free]
         if self._pivots:
             red -= _matmul_mod(res[:, self._pivots], self._n, self._p)
             red %= self._p
+        block = self._b[:, : len(j)]
+        if j:
+            red -= _matmul_mod(red[:, j], block, self._p)
+            red %= self._p
         nonzero = red != 0
-        m = len(self._free)
         lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m)
-        j = int(lead.min())
-        if (lead != j).any():
-            self._bad.update(p for p, c in zip(self.primes, lead) if c != j)
+        c = int(lead.min())
+        if (lead != c).any():
+            self._bad.update(p for p, x in zip(self.primes, lead) if x != c)
             return False
-        if j == m:
+        if c == m:
             return True  # dependent under every prime
-        inv = np.array([[pow(int(x), -1, p)] for x, p in zip(red[:, j], self.primes)])
+        inv = np.array([[pow(int(x), -1, p)] for x, p in zip(red[:, c], self.primes)])
         row = red * inv % self._p
-        r = len(self._pivots)
-        n = np.empty((len(self.primes), r + 1, m - 1), dtype=np.int64)
-        for k, p in enumerate(self.primes):
-            # clear column j from the stored rows, then drop it
-            blk = self._n[k] - np.outer(self._n[k, :, j], row[k])
-            blk %= p
-            n[k, :r, :j] = blk[:, :j]
-            n[k, :r, j:] = blk[:, j + 1 :]
-        n[:, r, :j] = row[:, :j]
-        n[:, r, j:] = row[:, j + 1 :]
-        self._n = n
-        self._pivots.append(int(self._free[j]))
-        self._free = np.delete(self._free, j)
+        # clear column c from the pending rows
+        block -= block[:, :, c : c + 1] * row[:, None]
+        block %= self._p[:, :, None]
+        self._b[:, len(j)] = row
+        j.append(c)
+        if len(j) == _BLOCK:
+            self._fold()
         return True
+
+    def _fold(self):
+        """Clear the pending pivot columns J from N, append the pending rows
+        to the stored ones and drop J from the non-pivot columns."""
+        j = self._j
+        if not j:
+            return
+        keep = np.ones(len(self._free), dtype=bool)
+        keep[j] = False
+        r, block = len(self._pivots), self._b[:, : len(j), keep]
+        n = np.empty((len(self.primes), r + len(j), len(self._free) - len(j)), dtype=np.int64)
+        for k, p in enumerate(self.primes):  # one prime at a time keeps the temporaries small
+            np.remainder(self._n[k][:, keep] - self._n[k][:, j] @ block[k], p, out=n[k, :r])
+        n[:, r:] = block
+        self._n = n
+        self._pivots += self._free[j].tolist()
+        self._free = self._free[keep]
+        self._new_block()
+
+    def _first_free(self):
+        """Position in _free of the first column that is no pending pivot."""
+        pending = set(self._j)
+        return next(i for i in range(len(self._free)) if i not in pending)
 
     def seed(self):
         """The first nonzero integer vector, in canonical column order,
         orthogonal to every added vector: gcd-normalized, its first
         nonzero entry positive, supported on the columns up to the first
         non-pivot.  None when the vectors span the whole space."""
-        while len(self._free):
+        while len(self._j) < len(self._free):
             # lift from the first t primes, doubling t; every candidate
             # is certified under all of them
-            t = 1
-            while True:
-                w = self._candidate(t)
+            for w in self._candidates():
                 if w is not None and self._certified(w):
                     return w
-                if t == len(self.primes):
-                    break
-                t = min(2 * t, len(self.primes))
-            self._extend(2 * len(self.primes))
+            self._extend(self._grown(len(self.primes) + 1))
         return None  # full rank modulo a prime, hence over the rationals
 
-    def _candidate(self, t):
-        """w with w[f] = 1 and w[pivot_i] = -N[i, f] under the first t
-        primes, lifted to the integers; None when reconstruction fails."""
-        f = int(self._free[0])
-        residues = -self._n[:t, :, 0] % self._p[:t]
-        values = _crt(residues, self.primes[:t]) + [1]
-        lifted = _rational_vector(values, prod(self.primes[:t]))
-        if lifted is None:
-            return None
-        w = [0] * self.width
-        for c, x in zip(self._pivots + [f], lifted):
-            w[c] = x
-        return ivec_normalize(w)
+    def _candidates(self):
+        """w with w[f] = 1 and zero on the other non-pivot columns, in the
+        kernel of every row, lifted to the integers from the first t primes
+        for t = 1, 2, 4, ..., K; None where reconstruction fails."""
+        i, j = self._first_free(), self._j
+        bf = self._b[:, : len(j), i]
+        stored = np.matmul(self._n[:, :, j], bf[:, :, None])[:, :, 0] - self._n[:, :, i]
+        residues = np.concatenate([stored, -bf], axis=1) % self._p
+        cols = self._pivots + self._free[j].tolist() + [int(self._free[i])]
+        for values, modulus in _crt_prefixes(residues, self.primes):
+            lifted = _rational_vector(values + [1], modulus)
+            if lifted is None:
+                yield None
+                continue
+            w = [0] * self.width
+            for c, x in zip(cols, lifted):
+                w[c] = x
+            yield ivec_normalize(w)
 
     def _certified(self, w):
-        f = int(self._free[0])
+        i = self._first_free()
+        f = int(self._free[i])
         if not w[f] or any(w[f + 1 :]):
             return False
         if prod(self.primes) <= 2 * self._l1 * max(map(abs, w)):
             return False
         res = self._residues(w)
-        # row i of [I | N] against w; w vanishes on every free column but f
-        check = res[:, self._pivots] + self._n[:, :, 0] * res[:, f : f + 1]
-        return not (check % self._p).any()
+        # w vanishes on every non-pivot column but f, so against row k of
+        # [I | N] or of B only its pending pivots and f count
+        cols = self._j + [i]
+        wc = res[:, self._free[cols], None]
+        stored = res[:, self._pivots] + np.matmul(self._n[:, :, cols], wc)[:, :, 0]
+        pending = np.matmul(self._b[:, : len(self._j)][:, :, cols], wc)[:, :, 0]
+        return not (stored % self._p).any() and not (pending % self._p).any()
 
 
 def express(rows, target):

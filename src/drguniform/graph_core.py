@@ -10,7 +10,8 @@ back to floating point and are flagged as numeric.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
+from operator import ge
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,6 +28,21 @@ from .errors import (
 )
 
 
+def _first_bad_edge(n, edges, u, v, bad):
+    """The ParseError for the first edge that is out of range, a self-loop
+    or a repeat of an earlier edge; ``u`` and ``v`` are the endpoints,
+    clipped to [-1, n], and ``bad`` marks the first two kinds."""
+    lo, hi = np.minimum(u, v) + 1, np.maximum(u, v) + 1
+    repeat = np.ones(len(edges), dtype=bool)
+    repeat[np.unique(lo * (n + 2) + hi, return_index=True)[1]] = False
+    a, b = edges[int(np.argmax(bad | repeat))]
+    if not (0 <= a < n and 0 <= b < n):
+        return ParseError(f"vertex out of range in edge ({a}, {b})")
+    if a == b:
+        return ParseError(f"self-loop at vertex {a}")
+    return ParseError(f"duplicate edge {(min(a, b), max(a, b))}")
+
+
 class Graph:
     """Finite simple undirected graph with sorted adjacency lists.
 
@@ -38,22 +54,23 @@ class Graph:
     __slots__ = ("n", "adj", "m", "_dist", "_csr", "_adjsets")
 
     def __init__(self, n, edges):
-        adj = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"vertex out of range in edge ({u}, {v})")
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ParseError(f"duplicate edge {key}")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        edges = list(edges)
+        flat = list(chain.from_iterable(edges))
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            # clip to -1 or n, so that any endpoint fits in int64 and every
+            # check below keeps its verdict
+            flat = [min(max(x, -1), n) for x in flat]
+        u, v = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        key = np.sort(np.concatenate([u * n + v, v * n + u]))  # both directions
+        if bad.any() or (key[1:] == key[:-1]).any():
+            raise _first_bad_edge(n, edges, u, v, bad)
+        # one int object per vertex, shared by every adjacency tuple
+        dst = np.array(range(n), dtype=object)[key % n].tolist()
+        ends = np.searchsorted(key, np.arange(1, n + 1) * n).tolist()
         self.n = n
-        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.m = len(seen)
+        self.adj = tuple(tuple(dst[a:b]) for a, b in zip([0] + ends, ends))
+        self.m = len(edges)
         self._dist = None
         self._csr = None
         self._adjsets = None
@@ -141,7 +158,7 @@ def read_edge_list(text):
     if len(tokens) < 2:
         raise ParseError("missing header line 'n m'")
     try:
-        nums = [int(t) for t in tokens]
+        nums = list(map(int, tokens))
     except ValueError as exc:
         raise ParseError(f"non-integer token: {exc}") from exc
     n, m = nums[0], nums[1]
@@ -149,13 +166,11 @@ def read_edge_list(text):
         raise ParseError(f"a graph needs at least one vertex, not {n}")
     if len(nums) != 2 + 2 * m:
         raise ParseError(f"expected {2 * m} endpoints, found {len(nums) - 2}")
-    edges = []
-    for i in range(m):
-        u, v = nums[2 + 2 * i], nums[3 + 2 * i]
-        if not u < v:
-            raise ParseError(f"edge ({u}, {v}) must satisfy u < v")
-        edges.append((u, v))
-    return Graph(n, edges)
+    us, vs = nums[2::2], nums[3::2]
+    if any(map(ge, us, vs)):
+        u, v = next((u, v) for u, v in zip(us, vs) if u >= v)
+        raise ParseError(f"edge ({u}, {v}) must satisfy u < v")
+    return Graph(n, zip(us, vs))
 
 
 def write_edge_list(g):

@@ -484,10 +484,7 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     descriptors = []
     last = eps if max_endpoint is None else min(max_endpoint, eps)
     for r in range(last + 1):
-        complement = ModularComplement(sizes[r])
-        for mod in found:
-            for vec in mod.get(r, []):
-                complement.add(vec)
+        complement = ModularComplement(sizes[r], [vec for mod in found for vec in mod.get(r, [])])
         while True:
             seed = _orthogonal_seed(complement)
             if seed is None:

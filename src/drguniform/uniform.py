@@ -242,15 +242,18 @@ def is_strongly_uniform(U):
     )
 
 
-def verify_given(split, us):
+def verify_given(split, us, rows=None):
     """Exact check that the layer equation holds on every subconstituent,
-    row by distinct row in rational arithmetic."""
+    row by distinct row in rational arithmetic.  ``rows`` holds each
+    layer's distinct rows (X, Z, W, Y), as ``LayerSolution.system`` keeps
+    them; without it they are formed from the split."""
     eps = split.eccentricity
     if us.epsilon != eps:
         return False
     for i in range(1, eps + 1):
         em, ep, fi = (Fraction(v) for v in (us.U.e_minus_at(i), us.U.e_plus_at(i), us.f[i - 1]))
-        if any(em * x + ep * z - fi * w + y for x, z, w, y in layer_rows(split, i)):
+        layer = layer_rows(split, i) if rows is None else rows[i - 1]
+        if any(em * x + ep * z - fi * w + y for x, z, w, y in layer):
             return False
     return True
 
@@ -453,7 +456,7 @@ def certify_uniform(g, x=0, config=DEFAULT):
         )
     report = check_parameter_conditions(us.U)
     checks = {
-        "verify_given": verify_given(split, us),
+        "verify_given": verify_given(split, us, [sol.system for sol in layers]),
         "def_ii": report["family_minus"] or report["family_plus"],
         "def_iii": not report["violations"],
     }

@@ -9,8 +9,9 @@ vanish on a whole solution product by expanding them as polynomials, and
 the distinct nonzero rows of a layer system by numpy's 2-D ``unique``.
 The former library paths kept here as references: elimination and span
 enumeration over GF(r^2), the dual polar generators by a search that
-reduces every tuple of rows, and the intersection array by one pass per
-vertex over scipy's shortest-path distances.
+reduces every tuple of rows, the intersection array by one pass per
+vertex over scipy's shortest-path distances, and the graph constructor's
+edge checks by one pass over the edges with a set of those seen.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from drguniform.errors import NotDistanceRegular
+from drguniform.errors import NotDistanceRegular, ParseError
 from drguniform.fields import FiniteField
 
 
@@ -492,3 +493,23 @@ def loop_intersection_array(g):
                 store[i] = lo
     a[0] = 0
     return tuple(c[1:]), tuple(a), tuple(b[:D])
+
+
+def loop_adjacency(n, edges):
+    """(adj, m) of a simple graph on 0..n-1 by one pass over the edges,
+    raising ParseError at the first edge out of range, self-loop or
+    repeat: the reference for ``Graph.__init__``."""
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"vertex out of range in edge ({u}, {v})")
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ParseError(f"duplicate edge {key}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(nbrs)) for nbrs in adj), len(seen)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from drguniform.errors import ExactnessError
 from drguniform.exactla import (
+    _BLOCK,
     IntRowBasis,
     ModularComplement,
     _large_primes,
+    _primes_for,
     _reduced_echelon,
     deflate,
     express,
@@ -407,3 +409,133 @@ def test_modular_complement_certificate():
     # in the kernel modulo every prime, not over the integers: only the
     # bound P > 2 max ||row||_1 ||w||_inf rejects it
     assert not complement._certified([2 + P, -1, 0])
+
+
+@st.composite
+def wide_row_sets(draw):
+    """Rows wider than two pending blocks, so that seeds are read between
+    folds: banded small rows, dependent combinations, and now and then a
+    row whose bit size asks for more primes while rows are pending."""
+    width = draw(st.integers(min_value=2 * _BLOCK + 1, max_value=2 * _BLOCK + 24))
+    rows = []
+    for i in range(draw(st.integers(min_value=2 * _BLOCK, max_value=width + 2))):
+        kind = draw(st.sampled_from(["sparse"] * 7 + ["combo", "large", "anywhere"]))
+        if kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + 2 * y for x, y in zip(a, b)])
+            continue
+        bits = draw(st.sampled_from([40, 120])) if kind == "large" else 2
+        lead = draw(st.integers(0, width - 1)) if kind == "anywhere" else i % width
+        row = [0] * width
+        row[lead] = draw(st.integers(min_value=1, max_value=2**bits))
+        # a band after the lead, so that stored rows reach into the pending
+        # pivot columns and pending rows into the first free column
+        for c in draw(st.lists(st.integers(lead, min(lead + 4, width - 1)), max_size=3)):
+            row[c] = draw(st.integers(min_value=-(2**bits), max_value=2**bits))
+        rows.append(row)
+    checks = draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)) | {len(rows) - 1}
+    return width, rows, checks
+
+
+@given(wide_row_sets())
+@settings(max_examples=25, deadline=None)
+def test_modular_complement_wide_seeds_match_oracle(case):
+    width, rows, checks = case
+    complement = ModularComplement(width)
+    for i, row in enumerate(rows):
+        complement.add(row)
+        seed = complement.seed()  # read between folds, rows pending or not
+        if i in checks:
+            assert seed == echelon_orthogonal_seed(rows[: i + 1], width)
+
+
+@given(row_sets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_modular_complement_constructor_matches_adding(case, data):
+    width, rows = case
+    k = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    built, added = ModularComplement(width, rows[:k]), ModularComplement(width)
+    for row in rows[:k]:
+        added.add(row)
+    assert built.seed() == added.seed()
+    for row in rows[k:]:
+        built.add(row)
+        added.add(row)
+        assert built.seed() == added.seed()
+
+
+def test_modular_complement_extends_with_rows_pending(monkeypatch):
+    # 40 unit rows fold once and leave 8 pending; a 200-bit row then asks
+    # for more primes
+    width = 48
+    rows = [[int(c == i) for c in range(width)] for i in range(40)]
+    rows.append([0] * 40 + [2**200 + 1, 3, -(2**199)] + [0] * 5)
+    pending = []
+    extend = ModularComplement._extend
+
+    def counted(self, count):
+        pending.append(len(self._j))
+        extend(self, count)
+
+    monkeypatch.setattr(ModularComplement, "_extend", counted)
+    complement = ModularComplement(width)
+    for row in rows:
+        complement.add(row)
+    assert pending and pending[0] == 9
+    assert complement.seed() == echelon_orthogonal_seed(rows, width)
+
+
+def test_modular_complement_replaces_an_unlucky_prime_in_the_pending_block():
+    # modulo p0 the second row reduced by the first pending row is
+    # (0, 0, 1), modulo the other primes (0, p0, 1): they disagree on its
+    # pivot, which only the pending block shows
+    p0 = _large_primes(1)[0]
+    rows = [[1, 1, 0], [1, 1 + p0, 1]]
+    assert _primes_for(2 * (p0 + 2).bit_length() + 2) == 3
+    complement = ModularComplement(3, rows)
+    assert complement._bad == {p0} and p0 not in complement.primes
+    assert complement._pivots == [] and len(complement._j) == 2
+    assert complement.seed() == echelon_orthogonal_seed(rows, 3)
+
+
+def test_modular_complement_certificate_checks_pending_rows():
+    # 32 rows e_i (e_31 + e_32 for the last) are folded into the stored
+    # block, which reaches into column 32; e_32 + 2 e_33 is pending there
+    width = 40
+
+    def vec(entries):
+        return [entries.get(c, 0) for c in range(width)]
+
+    rows = [vec({i: 1}) for i in range(_BLOCK - 1)] + [vec({31: 1, 32: 1}), vec({32: 1, 33: 2})]
+    complement = ModularComplement(width, rows)
+    assert complement._pivots == list(range(_BLOCK)) and complement._j == [0]
+    w = vec({31: 2, 32: -2, 33: 1})
+    assert w == echelon_orthogonal_seed(rows, width)
+    assert list(complement._candidates())[-1] == w  # the stored pivot 31 is read through B
+    assert complement.seed() == w and complement._certified(w)
+    # orthogonal to every stored row, not to the pending one
+    assert not complement._certified(vec({31: 3, 32: -3, 33: 1}))
+
+
+def test_modular_complement_sizes_primes_once_from_its_rows(monkeypatch):
+    extends = []
+    extend = ModularComplement._extend
+
+    def counted(self, count):
+        extends.append(count)
+        extend(self, count)
+
+    monkeypatch.setattr(ModularComplement, "_extend", counted)
+    width = 50
+    rows = [[(3 * i + 7 * c) % 11 - 5 for c in range(width)] for i in range(40)]
+    rows[-1][-1] = 2**300
+    complement = ModularComplement(width, rows)
+    l1 = max(sum(map(abs, row)) for row in rows)
+    assert len(complement.primes) == _primes_for(2 * l1.bit_length() + 2) > 20
+    assert complement.seed() == echelon_orthogonal_seed(rows, width)
+    assert extends == []
+    # the same rows added one by one grow K as they come
+    added = ModularComplement(width)
+    for row in rows:
+        added.add(row)
+    assert extends

@@ -33,6 +33,7 @@ from drguniform.graph_core import p_numbers
 from oracles import (
     brute_intersection_numbers,
     brute_layer_sizes,
+    loop_adjacency,
     loop_intersection_array,
     numpy_spectrum,
     rref,
@@ -86,6 +87,50 @@ def test_edge_list_round_trip(h33):
 def test_edge_list_errors(text):
     with pytest.raises(ParseError):
         read_edge_list(text)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists on up to 8 vertices, with some endpoints out of range
+    (far beyond int64 too), self-loops and repeats in either orientation."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["range", "loop", "repeat"]))
+        if kind == "range":
+            far = st.sampled_from([-1, n, -(2**70), 2**64, 2**200])
+            u, v = draw(st.one_of(vertex, far)), draw(far)
+            edges.append((u, v) if draw(st.booleans()) else (v, u))
+        elif kind == "loop":
+            u = draw(vertex)
+            edges.append((u, u))
+        elif kind == "repeat" and edges:
+            u, v = draw(st.sampled_from(edges))
+            edges.append((v, u) if draw(st.booleans()) else (u, v))
+        else:
+            edges.append((draw(vertex), draw(vertex)))
+    return n, edges
+
+
+@given(edge_lists())
+@example((3, [(0, 1), (1, 0)]))
+@example((3, [(2, 2), (0, 5)]))
+@example((3, [(0, 2**64), (1, 1)]))
+@example((3, [(3, 3)]))
+@settings(max_examples=400, deadline=None)
+def test_graph_checks_match_the_loop(case):
+    n, edges = case
+    try:
+        expected = loop_adjacency(n, edges)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            Graph(n, edges)
+        assert str(info.value) == str(exc)
+        return
+    g = Graph(n, iter(edges))
+    assert (g.adj, g.m) == expected
+    assert all(type(x) is int for nbrs in g.adj for x in nbrs)
 
 
 def test_intersection_array_hamming(h33):

@@ -433,3 +433,21 @@ def test_golden_certificates(request, tmp_path, key):
     graph.write_text(write_edge_list(g))
     assert main(["certify-uniform", str(graph), "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CERTIFICATES[key]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_CERTIFICATES}))
+def test_verify_given_on_held_rows_matches_formed_rows(request, name):
+    g = request.getfixturevalue(name)
+    split = lfr_split(g, x=0)
+    eps = split.eccentricity
+    rows = [solve_layer(split, i).system for i in range(1, eps + 1)]
+    ones = (Fraction(1),) * (eps - 1)
+    candidates = [UniformStructure(U=ParameterMatrix(eps, ones, ones), f=ones + (Fraction(1),))]
+    found = certify_uniform(g).structure
+    if found is not None:
+        wrong = UniformStructure(U=found.U, f=found.f[:-1] + (found.f[-1] + 1,))
+        assert verify_given(split, found, rows)
+        assert not verify_given(split, wrong, rows)
+        candidates += [found, wrong]
+    for us in candidates:
+        assert verify_given(split, us, rows) == verify_given(split, us)
