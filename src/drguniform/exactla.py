@@ -315,7 +315,9 @@ class ModularComplement:
     from the vectors the complement is constructed with.  When larger
     vectors ask for more primes, or a certificate fails, K grows to at
     least 3K/2, and only the new primes then reduce the vectors already
-    added.
+    added.  K stops where the modulus passes 2 max(H^2, l1 H), for H the
+    Hadamard bound of the vectors: there the seed must certify, so
+    ``seed`` raises ExactnessError instead of growing K further.
 
     ``seed`` reads its answer off the first column f that is neither a
     stored nor a pending pivot, without a fold: the kernel vector w with
@@ -337,6 +339,7 @@ class ModularComplement:
         self._rows = list(rows)  # every added vector, to rebuild the blocks from
         self._l1 = max((sum(map(abs, vec)) for vec in self._rows), default=0)
         self._bad = set()  # primes found unlucky
+        self._h_bits = self._h_rows = 0  # log2 of the Hadamard bound of _rows[:_h_rows], rounded up
         self._rebuild(self._wanted())
 
     def _wanted(self):
@@ -476,8 +479,26 @@ class ModularComplement:
             for w in self._candidates():
                 if w is not None and self._certified(w):
                     return w
-            self._extend(self._grown(len(self.primes) + 1))
+            cap = _primes_for(self._sufficient_bits())
+            if len(self.primes) >= cap:
+                raise ExactnessError(
+                    f"no seed certified under {len(self.primes)} primes, past the Hadamard bound"
+                )
+            self._extend(min(self._grown(len(self.primes) + 1), cap))
         return None  # full rank modulo a prime, hence over the rationals
+
+    def _sufficient_bits(self):
+        """Bits of a modulus past 2 max(H^2, l1 H), for H the Hadamard bound
+        of the added vectors: the product of their nonzero Euclidean norms.
+
+        The seed is, up to scale, a vector of minors of those vectors
+        (Cramer), so its entries and the numerators and denominator of the
+        rationals it is lifted from are at most H: modulo such a modulus
+        the full lift reconstructs it and the certificate accepts it."""
+        for vec in self._rows[self._h_rows :]:  # each vector is measured once
+            self._h_bits += -(-sum(x * x for x in vec).bit_length() // 2)
+        self._h_rows = len(self._rows)
+        return 1 + max(2 * self._h_bits, self._l1.bit_length() + self._h_bits)
 
     def _candidates(self):
         """w with w[f] = 1 and zero on the other non-pivot columns, in the

@@ -94,14 +94,13 @@ class Graph:
         unsigned type that holds the largest degree, so a product with a
         0/1 matrix counts neighbours exactly in that type."""
         if self._csr is None:
-            rows = np.fromiter(
-                (u for u in range(self.n) for _ in self.adj[u]), dtype=np.int64
-            )
-            cols = np.fromiter(
-                (v for u in range(self.n) for v in self.adj[u]), dtype=np.int64
-            )
-            data = np.ones(len(rows), dtype=np.min_scalar_type(max(map(len, self.adj))))
-            self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            # the sorted adjacency tuples are the CSR's rows as they stand
+            degrees = np.fromiter(map(len, self.adj), dtype=np.int64, count=self.n)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
+            indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=indptr[-1])
+            data = np.ones(len(indices), dtype=np.min_scalar_type(degrees.max(initial=0)))
+            self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         return self._csr
 
     def distance_matrix(self):
@@ -193,30 +192,26 @@ class DistancePartition:
 
 
 def bfs_layers(g, x):
-    """Distance partition of ``g`` around vertex ``x``."""
+    """Distance partition of ``g`` around vertex ``x``: a breadth-first
+    search in which one product of the adjacency matrix with the
+    frontier's indicator finds the next layer."""
     if not 0 <= x < g.n:
         raise ValueError(f"base vertex {x} out of range")
-    dist = [-1] * g.n
+    S = g.sparse()
+    dist = np.full(g.n, -1, dtype=np.int64)
     dist[x] = 0
-    frontier = [x]
-    layers = [[x]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        if nxt:
-            layers.append(sorted(nxt))
-        frontier = nxt
-    if any(d == -1 for d in dist):
+    frontier = dist == 0
+    layers = [(x,)]
+    while True:
+        frontier = (S @ frontier > 0) & (dist < 0)
+        found = np.flatnonzero(frontier)
+        if not found.size:
+            break
+        dist[found] = len(layers)
+        layers.append(tuple(found.tolist()))
+    if (dist < 0).any():
         raise DisconnectedGraph(f"vertex unreachable from {x}")
-    return DistancePartition(
-        base=x,
-        layer_of=tuple(dist),
-        layers=tuple(tuple(layer) for layer in layers),
-    )
+    return DistancePartition(base=x, layer_of=tuple(dist.tolist()), layers=tuple(layers))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ graphs those blocks are small even when n is not.
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,45 +25,46 @@ _INT64_MAX = 2**63 - 1
 class LFRSplit:
     """A = L + F + R at a base vertex, held as per-layer blocks.
 
-    ``lrows[i][z]`` lists, for the z-th vertex of layer i-1, the local
-    indices of its neighbors inside layer i; this is the block of L
-    mapping layer i to layer i-1.  ``frows[i][z]`` lists the same-layer
-    neighbors of the z-th vertex of layer i.  R is the transpose of L by
-    definition and is never stored.
+    The directed edges of the graph's CSR adjacency are classified once by
+    the layers of their ends: an edge from layer i-1 to layer i is an entry
+    of the block of L mapping layer i to layer i-1, an edge inside layer i
+    one of the block of F on layer i.  Blocks are indexed by the vertices'
+    positions inside their layers.  R is the transpose of L by definition
+    and is never stored.
 
     ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector.  A
     list of Python ints goes through a cached sparse int64 block, split
     into limbs when its entries are too large for one int64 product;
-    Fractions take the exact pure-Python loop.
+    Fractions take an exact pure-Python loop over the same block.
+    ``l_block`` and ``l_gram`` are the dense float64 blocks that
+    ``uniform`` forms its layer systems from.
     """
 
     def __init__(self, g, dp):
         self.g = g
         self.dp = dp
-        layers = dp.layers
-        self.local = [None] * g.n
-        for layer in layers:
-            for j, v in enumerate(layer):
-                self.local[v] = j
-        eps = dp.eccentricity
-        self.lrows = [None] * (eps + 1)
-        self.frows = [None] * (eps + 1)
-        layer_of = dp.layer_of
-        for i in range(eps + 1):
-            frows = []
-            for v in layers[i]:
-                frows.append(
-                    tuple(self.local[u] for u in g.adj[v] if layer_of[u] == i)
-                )
-            self.frows[i] = tuple(frows)
-            if i >= 1:
-                lrows = []
-                for z in layers[i - 1]:
-                    lrows.append(
-                        tuple(self.local[u] for u in g.adj[z] if layer_of[u] == i)
-                    )
-                self.lrows[i] = tuple(lrows)
-        self._lblocks = {}
+        sizes = self.layer_sizes()
+        layer_of = np.array(dp.layer_of, dtype=np.int64)
+        local = np.empty(g.n, dtype=np.int64)
+        local[np.fromiter(chain.from_iterable(dp.layers), dtype=np.int64, count=g.n)] = (
+            np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        )
+        S = g.sparse()
+        deg = np.diff(S.indptr)
+        # the layers of both ends of every directed edge (u, v) of the CSR
+        du, dv = np.repeat(layer_of, deg), layer_of[S.indices]
+        keep = dv >= du
+        # class 2i - 1: an edge of L from layer i; class 2i: one of F on layer i.
+        # The classes are grouped by a stable argsort of the keys in their
+        # smallest type, which numpy does by radix sort up to 16 bits.
+        key = (du + dv)[keep]
+        order = np.argsort(key.astype(np.min_scalar_type(2 * len(sizes))), kind="stable")
+        self._rows = np.repeat(local, deg)[keep][order]
+        self._cols = local[S.indices[keep][order]]
+        self._ends = np.searchsorted(key[order], np.arange(2 * len(sizes))).tolist()
+        self.degree = int(deg.max(initial=0))
+        self._dense = {}
+        self._grams = {}
         self._blocks = {}
 
     @property
@@ -72,52 +74,67 @@ class LFRSplit:
     def layer_sizes(self):
         return tuple(len(layer) for layer in self.dp.layers)
 
+    def _entries(self, c):
+        """(row, column) positions of the entries of edge class ``c``."""
+        a, b = self._ends[c], self._ends[c + 1]
+        return self._rows[a:b], self._cols[a:b]
+
     def l_block(self, i):
-        """Dense int64 block of L from layer i to layer i-1."""
-        if i not in self._lblocks:
-            rows = self.lrows[i]
-            blk = np.zeros((len(rows), len(self.dp.layers[i])), dtype=np.int64)
-            for z, nbrs in enumerate(rows):
-                for y in nbrs:
-                    blk[z, y] = 1
-            self._lblocks[i] = blk
-        return self._lblocks[i]
+        """Dense float64 block of L from layer i to layer i-1.
+
+        Its entries are 0 or 1, and an entry of a product of at most three
+        blocks of L and R counts walks of length at most 3 between two
+        vertices: at most k^2 for the largest degree k.  Every partial sum
+        is nonnegative and at most that, so float64 products of these
+        blocks are exact while k^2 < 2^53.
+        """
+        if i not in self._dense:
+            sizes = self.layer_sizes()
+            blk = np.zeros((sizes[i - 1], sizes[i]))
+            blk[self._entries(2 * i - 1)] = 1.0
+            self._dense[i] = blk
+        return self._dense[i]
+
+    def l_gram(self, i):
+        """L L^T for the block L of layer i, cached: ``uniform`` needs it
+        at layer i and at layer i - 1."""
+        if i not in self._grams:
+            blk = self.l_block(i)
+            self._grams[i] = blk @ blk.T
+        return self._grams[i]
 
     def _block(self, gen, i):
         """Sparse int64 block of ``gen`` acting on layer i, and the largest
         |entry| an input may have for the int64 product to stay exact."""
         key = (gen, i)
         if key not in self._blocks:
-            if gen == "R":  # the transpose of L from layer i+1
-                rows, width = self.lrows[i + 1], len(self.dp.layers[i + 1])
-            else:
-                rows = self.frows[i] if gen == "F" else self.lrows[i]
-                width = len(self.dp.layers[i])
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum([len(nbrs) for nbrs in rows], out=indptr[1:])
-            indices = np.fromiter(
-                (y for nbrs in rows for y in nbrs), dtype=np.int64, count=indptr[-1]
-            )
-            blk = csr_matrix(
-                (np.ones(len(indices), dtype=np.int64), indices, indptr),
-                shape=(len(rows), width),
-            )
-            if gen == "R":
-                blk = blk.T.tocsr()
+            sizes = self.layer_sizes()
+            if gen == "F":
+                rows, cols = self._entries(2 * i)
+                shape = (sizes[i], sizes[i])
+            elif gen == "L":
+                rows, cols = self._entries(2 * i - 1)
+                shape = (sizes[i - 1], sizes[i])
+            else:  # R: the transpose of L from layer i+1
+                cols, rows = self._entries(2 * i + 1)
+                shape = (sizes[i + 1], sizes[i])
+            blk = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=shape)
             count = max(int(np.diff(blk.indptr).max(initial=0)), 1)
             self._blocks[key] = (blk, _INT64_MAX // count)
         return self._blocks[key]
 
-    def _int64_product(self, gen, i, vec):
-        """The block product on an integer vector, exact through int64, or
-        None when ``vec`` holds a non-int.
+    def _product(self, gen, i, vec):
+        """The block product on an exact vector.
 
-        Entries up to the block's limit go in as they are.  Larger ones
-        are split into limbs of at most ``limit`` in magnitude, one int64
-        product per limb, recombined by shifts in Python ints."""
-        if set(map(type, vec)) != {int}:
-            return None
+        A vector of Python ints is multiplied in int64: entries up to the
+        block's limit go in as they are, larger ones are split into limbs
+        of at most ``limit`` in magnitude, one int64 product per limb,
+        recombined by shifts in Python ints.  Anything else (Fractions)
+        is summed row by row over the block's entries."""
         blk, limit = self._block(gen, i)
+        if set(map(type, vec)) != {int}:
+            ptr, idx = blk.indptr.tolist(), blk.indices.tolist()
+            return [sum(vec[y] for y in idx[a:b]) for a, b in zip(ptr, ptr[1:])]
         hi, lo = max(vec), min(vec)
         if hi <= limit and lo >= -limit:
             return (blk @ np.array(vec, dtype=np.int64)).tolist()
@@ -135,53 +152,17 @@ class LFRSplit:
 
     def apply_L(self, i, vec):
         """Apply L to an exact vector supported on layer i."""
-        out = self._int64_product("L", i, vec)
-        if out is not None:
-            return out
-        return [sum(vec[y] for y in nbrs) for nbrs in self.lrows[i]]
+        return self._product("L", i, vec)
 
     def apply_R(self, i, vec):
         """Apply R to an exact vector supported on layer i; R = L transposed,
-        so this scatters through the L block one layer up."""
+        so this goes through the L block one layer up."""
         if i + 1 > self.eccentricity:
             return []
-        out = self._int64_product("R", i, vec)
-        if out is not None:
-            return out
-        out = [0] * len(self.dp.layers[i + 1])
-        for z, nbrs in enumerate(self.lrows[i + 1]):
-            if vec[z]:
-                for y in nbrs:
-                    out[y] += vec[z]
-        return out
+        return self._product("R", i, vec)
 
     def apply_F(self, i, vec):
-        out = self._int64_product("F", i, vec)
-        if out is not None:
-            return out
-        return [sum(vec[y] for y in nbrs) for nbrs in self.frows[i]]
-
-    def dense(self):
-        """Full (L, F, R) as dense int64 matrices, for small graphs."""
-        n = self.g.n
-        L = np.zeros((n, n), dtype=np.int64)
-        F = np.zeros((n, n), dtype=np.int64)
-        layer_of = self.dp.layer_of
-        for u, v in self.g.edges():
-            du, dv = layer_of[u], layer_of[v]
-            if du == dv:
-                F[u, v] = F[v, u] = 1
-            elif du == dv - 1:
-                L[u, v] = 1
-            else:
-                L[v, u] = 1
-        return L, F, L.T.copy()
-
-    def l_nonzeros(self):
-        return sum(len(nbrs) for rows in self.lrows[1:] for nbrs in rows)
-
-    def f_nonzeros(self):
-        return sum(len(nbrs) for rows in self.frows for nbrs in rows)
+        return self._product("F", i, vec)
 
 
 def lfr_split(g, dp=None, x=0):

@@ -5,7 +5,9 @@ For a base vertex x the layer equation
     e_i^- * RL^2 + LRL + e_i^+ * L^2R = f_i * L      on the i-th subconstituent
 
 is turned into an exact linear system per layer by restricting every
-operator to the blocks between consecutive layers.  The per-layer affine
+operator to the blocks between consecutive layers: one equation per entry
+of the blocks, which the 4x4 Gram matrix of their coefficients replaces
+with the same solutions.  The per-layer affine
 solution sets are then combined and searched for a point satisfying the
 parameter-matrix conditions: unit diagonal, one nowhere-zero off-diagonal
 family, and all tridiagonal principal minors nonsingular.  Everything is
@@ -21,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -30,33 +33,46 @@ from .exactla import IntRowBasis, solve_affine
 from .graph_core import bfs_layers
 from .terwilliger import lfr_split
 
-_FLOAT_SAFE = 2**52
+_INT64_MAX = 2**63 - 1
 
 
-def _imatmul(a, b):
-    """Exact product of small-entry integer matrices through float BLAS."""
-    c = a.astype(np.float64) @ b.astype(np.float64)
-    if np.abs(c).max(initial=0.0) >= _FLOAT_SAFE:
-        raise ExactnessError("a float product left the range of exact integers")
-    return np.rint(c).astype(np.int64)
+def layer_gram(split, i):
+    """The nonzero rows of the Gram matrix G = M^T M of layer i, as tuples
+    of Python ints.
 
+    M = [X Z W Y] has one row per entry of the blocks of RL^2, L^2R, L and
+    LRL from layer i to layer i-1, and each row is one equation
+    e_i^- X + e_i^+ Z - f_i W + Y = 0, that is M v = 0 for
+    v = (e_i^-, e_i^+, -f_i, 1).  Over the rationals M v = 0 exactly when
+    G v = 0, since v^T G v = |M v|^2, and G has the row space of M: its
+    nonzero rows (at most four) are an equivalent system of the same form.
 
-def layer_operator_blocks(split, i):
-    """Blocks of RL^2, LRL, L^2R, L restricted to (layer i-1, layer i)."""
+    Every entry of the blocks counts walks of length at most 3 between two
+    vertices, so it is at most k^2 for the largest degree k, and a product
+    of two entries at most k^4.  G is summed in int64 over chunks of at
+    most 2^63 / k^4 rows of M, and the chunk sums are added as Python
+    ints.  Raises ExactnessError when k^4 passes 2^63; below that k^2 is
+    below 2^53, so the float64 block products are exact too.
+    """
+    chunk = _INT64_MAX // split.degree**4
+    if not chunk:
+        raise ExactnessError(f"degree {split.degree} is too large for exact layer systems")
     eps = split.eccentricity
-    L_i = split.l_block(i)
-    Y = _imatmul(_imatmul(L_i, L_i.T), L_i)
+    L = split.l_block(i)
+    # M held transposed: row a is column a of M, each exact float product cast as it lands
+    M = np.zeros((4, L.size), dtype=np.int64)
     if i >= 2:
-        L_prev = split.l_block(i - 1)
-        X = _imatmul(L_prev.T, _imatmul(L_prev, L_i))
-    else:
-        X = np.zeros_like(L_i)
+        P = split.l_block(i - 1)
+        M[0] = (P.T @ (P @ L)).ravel()
     if i <= eps - 1:
-        L_next = split.l_block(i + 1)
-        Z = _imatmul(L_i, _imatmul(L_next, L_next.T))
-    else:
-        Z = np.zeros_like(L_i)
-    return X, Y, Z, L_i
+        M[1] = (L @ split.l_gram(i + 1)).ravel()
+    M[2] = L.ravel()
+    M[3] = (split.l_gram(i) @ L).ravel()
+    G = [[0] * 4 for _ in range(4)]
+    for s in range(0, M.shape[1], chunk):
+        part = M[:, s : s + chunk]
+        G = [[a + b for a, b in zip(row, new)] for row, new in zip(G, (part @ part.T).tolist())]
+    return [tuple(row) for row in G if any(row)]
 
 
 @dataclass(frozen=True)
@@ -65,8 +81,9 @@ class LayerSolution:
 
     Coordinates pinned by convention (e_1^- and e_eps^+) are zero in both
     the particular point and every basis vector.  ``empty`` marks an
-    inconsistent layer; ``system`` keeps the deduplicated coefficient rows
-    (e_minus_coeff, e_plus_coeff, f_coeff, rhs) as the witness.
+    inconsistent layer; ``system`` keeps the nonzero rows (X, Z, W, Y) of
+    the layer's Gram matrix (``layer_gram``), each the equation
+    e^- X + e^+ Z - f W + Y = 0, as the witness.
     """
 
     layer: int
@@ -90,54 +107,22 @@ class LayerSolution:
         return solve_affine(rows, delta) is not None
 
 
-def distinct_rows(columns):
-    """The distinct nonzero rows of the integer matrix with these columns, in
-    lexicographic order.
-
-    Equal to ``np.unique(np.stack(columns, axis=1), axis=0)`` without its
-    zero row, but the zero rows are dropped first and the rest ordered by
-    ``np.lexsort``, so no stacked copy is made or sorted as a void view.
-    """
-    nonzero = columns[0] != 0
-    for col in columns[1:]:
-        nonzero |= col != 0
-    keys = [col[nonzero] for col in columns]
-    order = np.lexsort(keys[::-1])
-    first = np.zeros(len(order), dtype=bool)
-    first[:1] = True
-    for j, key in enumerate(keys):
-        keys[j] = key = key[order]
-        first[1:] |= key[1:] != key[:-1]
-    return np.stack([key[first] for key in keys], axis=1)
-
-
-def layer_rows(split, i):
-    """The distinct nonzero rows (X, Z, W, Y) of the layer-i blocks, each one
-    equation e_i^- X + e_i^+ Z - f_i W + Y = 0 in lexicographic order."""
-    X, Y, Z, W = layer_operator_blocks(split, i)
-    return distinct_rows([X.ravel(), Z.ravel(), W.ravel(), Y.ravel()]).tolist()
-
-
 def solve_layer(split, i):
     """Exact affine solution set of the layer equation on E*_i V."""
     eps = split.eccentricity
     if not 1 <= i <= eps:
         raise ValueError(f"layer {i} out of range 1..{eps}")
-    rows = layer_rows(split, i)
+    rows = layer_gram(split, i)
     active = []
     if i >= 2:
         active.append(0)  # e_minus
     if i <= eps - 1:
         active.append(1)  # e_plus
     active.append(2)  # f
-    system = []
-    rhs = []
-    for em, ep, fc, y in rows:
-        coeffs = {0: em, 1: ep, 2: -fc}
-        system.append([coeffs[a] for a in active])
-        rhs.append(-y)
+    system = [[(x, z, -w)[a] for a in active] for x, z, w, _ in rows]
+    rhs = [-y for *_, y in rows]
     sol = solve_affine(system, rhs)
-    witness = tuple(map(tuple, rows))
+    witness = tuple(rows)
     if sol is None:
         return LayerSolution(
             layer=i, empty=True, particular=(), basis=(), system=witness
@@ -243,17 +228,22 @@ def is_strongly_uniform(U):
 
 
 def verify_given(split, us, rows=None):
-    """Exact check that the layer equation holds on every subconstituent,
-    row by distinct row in rational arithmetic.  ``rows`` holds each
-    layer's distinct rows (X, Z, W, Y), as ``LayerSolution.system`` keeps
+    """Exact check that the layer equation holds on every subconstituent.
+
+    Each layer's Gram rows (X, Z, W, Y) must satisfy
+    e_i^- X + e_i^+ Z - f_i W + Y = 0; the check multiplies through by the
+    common denominator of (e_i^-, e_i^+, f_i) and runs in integers.
+    ``rows`` holds those rows per layer, as ``LayerSolution.system`` keeps
     them; without it they are formed from the split."""
     eps = split.eccentricity
     if us.epsilon != eps:
         return False
     for i in range(1, eps + 1):
-        em, ep, fi = (Fraction(v) for v in (us.U.e_minus_at(i), us.U.e_plus_at(i), us.f[i - 1]))
-        layer = layer_rows(split, i) if rows is None else rows[i - 1]
-        if any(em * x + ep * z - fi * w + y for x, z, w, y in layer):
+        coeffs = [Fraction(v) for v in (us.U.e_minus_at(i), us.U.e_plus_at(i), us.f[i - 1])]
+        d = lcm(*(c.denominator for c in coeffs))
+        a, b, c = (v.numerator * (d // v.denominator) for v in coeffs)
+        layer = layer_gram(split, i) if rows is None else rows[i - 1]
+        if any(a * x + b * z - c * w + d * y for x, z, w, y in layer):
             return False
     return True
 

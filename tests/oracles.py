@@ -10,8 +10,13 @@ the distinct nonzero rows of a layer system by numpy's 2-D ``unique``.
 The former library paths kept here as references: elimination and span
 enumeration over GF(r^2), the dual polar generators by a search that
 reduces every tuple of rows, the intersection array by one pass per
-vertex over scipy's shortest-path distances, and the graph constructor's
-edge checks by one pass over the edges with a set of those seen.
+vertex over scipy's shortest-path distances, the graph constructor's
+edge checks by one pass over the edges with a set of those seen, the
+distance partition by a breadth-first search one vertex at a time, the
+L/F split as neighbour tuples built per vertex, and each layer system as
+the distinct rows of its guarded float-BLAS blocks.  The helpers that
+assemble an ``LFRSplit``'s blocks into full matrices or count their
+entries are here too: only tests use them.
 """
 
 from fractions import Fraction
@@ -22,8 +27,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from drguniform.errors import NotDistanceRegular, ParseError
+from drguniform.errors import DisconnectedGraph, ExactnessError, NotDistanceRegular, ParseError
 from drguniform.fields import FiniteField
+from drguniform.graph_core import DistancePartition
 
 
 def dense_det(matrix):
@@ -513,3 +519,157 @@ def loop_adjacency(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return tuple(tuple(sorted(nbrs)) for nbrs in adj), len(seen)
+
+
+def loop_bfs_layers(g, x):
+    """The distance partition of ``g`` around ``x`` by a breadth-first
+    search over the adjacency lists, one vertex at a time: the reference
+    for ``graph_core.bfs_layers``."""
+    dist = [-1] * g.n
+    dist[x] = 0
+    frontier = [x]
+    layers = [[x]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if dist[v] == -1:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        if nxt:
+            layers.append(sorted(nxt))
+        frontier = nxt
+    if any(d == -1 for d in dist):
+        raise DisconnectedGraph(f"vertex unreachable from {x}")
+    return DistancePartition(
+        base=x, layer_of=tuple(dist), layers=tuple(tuple(layer) for layer in layers)
+    )
+
+
+class TupleSplit:
+    """The split of the adjacency matrix at a base vertex as neighbour
+    tuples, built one vertex at a time: the reference for ``LFRSplit``.
+
+    ``lrows[i][z]`` lists, for the z-th vertex of layer i-1, the local
+    indices of its neighbours inside layer i; ``frows[i][z]`` the
+    same-layer neighbours of the z-th vertex of layer i.
+    """
+
+    def __init__(self, g, dp):
+        self.g = g
+        self.dp = dp
+        layers = dp.layers
+        local = [None] * g.n
+        for layer in layers:
+            for j, v in enumerate(layer):
+                local[v] = j
+        eps = dp.eccentricity
+        self.lrows = [None] * (eps + 1)
+        self.frows = [None] * (eps + 1)
+        layer_of = dp.layer_of
+        for i in range(eps + 1):
+            self.frows[i] = tuple(
+                tuple(local[u] for u in g.adj[v] if layer_of[u] == i) for v in layers[i]
+            )
+            if i >= 1:
+                self.lrows[i] = tuple(
+                    tuple(local[u] for u in g.adj[z] if layer_of[u] == i) for z in layers[i - 1]
+                )
+
+    @property
+    def eccentricity(self):
+        return self.dp.eccentricity
+
+    def _dense(self, rows, width):
+        blk = np.zeros((len(rows), width), dtype=np.int64)
+        for z, nbrs in enumerate(rows):
+            blk[z, list(nbrs)] = 1
+        return blk
+
+    def l_block(self, i):
+        """Dense int64 block of L from layer i to layer i-1."""
+        return self._dense(self.lrows[i], len(self.dp.layers[i]))
+
+    def f_block(self, i):
+        """Dense int64 block of F on layer i."""
+        return self._dense(self.frows[i], len(self.dp.layers[i]))
+
+
+_FLOAT_SAFE = 2**52
+
+
+def imatmul(a, b):
+    """Exact product of small-entry integer matrices through float BLAS,
+    guarded after the fact."""
+    c = a.astype(np.float64) @ b.astype(np.float64)
+    if np.abs(c).max(initial=0.0) >= _FLOAT_SAFE:
+        raise ExactnessError("a float product left the range of exact integers")
+    return np.rint(c).astype(np.int64)
+
+
+def layer_operator_blocks(split, i):
+    """Blocks of RL^2, LRL, L^2R, L restricted to (layer i-1, layer i), from
+    the dense int64 blocks of a ``TupleSplit``."""
+    eps = split.eccentricity
+    L_i = split.l_block(i)
+    Y = imatmul(imatmul(L_i, L_i.T), L_i)
+    if i >= 2:
+        L_prev = split.l_block(i - 1)
+        X = imatmul(L_prev.T, imatmul(L_prev, L_i))
+    else:
+        X = np.zeros_like(L_i)
+    if i <= eps - 1:
+        L_next = split.l_block(i + 1)
+        Z = imatmul(L_i, imatmul(L_next, L_next.T))
+    else:
+        Z = np.zeros_like(L_i)
+    return X, Y, Z, L_i
+
+
+def distinct_rows(columns):
+    """The distinct nonzero rows of the integer matrix with these columns, in
+    lexicographic order: the zero rows dropped, the rest ordered by
+    ``np.lexsort`` and each row kept that differs from the one before."""
+    nonzero = columns[0] != 0
+    for col in columns[1:]:
+        nonzero |= col != 0
+    keys = [col[nonzero] for col in columns]
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for j, key in enumerate(keys):
+        keys[j] = key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    return np.stack([key[first] for key in keys], axis=1)
+
+
+def layer_rows(split, i):
+    """The distinct nonzero rows (X, Z, W, Y) of the layer-i blocks of a
+    ``TupleSplit``, each one equation e_i^- X + e_i^+ Z - f_i W + Y = 0."""
+    X, Y, Z, W = layer_operator_blocks(split, i)
+    return distinct_rows([X.ravel(), Z.ravel(), W.ravel(), Y.ravel()]).tolist()
+
+
+def split_dense(split):
+    """Full (L, F, R) of an ``LFRSplit`` as dense int64 n x n matrices,
+    assembled from its per-layer sparse blocks."""
+    n = split.g.n
+    layers = [list(layer) for layer in split.dp.layers]
+    L, F, R = (np.zeros((n, n), dtype=np.int64) for _ in range(3))
+    for i, layer in enumerate(layers):
+        F[np.ix_(layer, layer)] = split._block("F", i)[0].toarray()
+        if i >= 1:
+            L[np.ix_(layers[i - 1], layer)] = split._block("L", i)[0].toarray()
+        if i + 1 < len(layers):
+            R[np.ix_(layers[i + 1], layer)] = split._block("R", i)[0].toarray()
+    return L, F, R
+
+
+def l_nonzeros(split):
+    """Entries of L in an ``LFRSplit``'s blocks."""
+    return sum(split._block("L", i)[0].nnz for i in range(1, split.eccentricity + 1))
+
+
+def f_nonzeros(split):
+    """Entries of F in an ``LFRSplit``'s blocks."""
+    return sum(split._block("F", i)[0].nnz for i in range(split.eccentricity + 1))

@@ -1,10 +1,14 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from drguniform import read_edge_list
+from drguniform import Graph, read_edge_list, write_edge_list
 from drguniform.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "drguniform" / "schemas"
@@ -177,3 +181,28 @@ def test_verify_theorem_takes_no_configuration(capsys, option):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_certify_all_bases_bytes_do_not_depend_on_the_process(tmp_path, j63):
+    # two runs with one configuration stay byte-identical: under python -O
+    # (no assert can decide anything) and two string-hash seeds, in fresh
+    # processes, the bytes equal the in-process output
+    perm = list(range(j63.n))
+    random.Random(63).shuffle(perm)
+    graph = tmp_path / "j63.edges"
+    graph.write_text(write_edge_list(Graph(j63.n, [(perm[u], perm[v]) for u, v in j63.edges()])))
+    out = tmp_path / "in_process.json"
+    assert main(["certify-uniform", str(graph), "--all-bases", "--output", str(out)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["-O", "-m", "drguniform.cli", "certify-uniform", str(graph), "--all-bases"]
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, *argv],
+            env=env,
+            capture_output=True,
+            timeout=300,
+            check=True,
+        )
+        assert run.stdout == out.read_bytes(), seed

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -409,6 +410,21 @@ def test_modular_complement_certificate():
     # in the kernel modulo every prime, not over the integers: only the
     # bound P > 2 max ||row||_1 ||w||_inf rejects it
     assert not complement._certified([2 + P, -1, 0])
+
+
+@pytest.mark.parametrize("bits", [3, 60])
+def test_modular_complement_seed_stops_at_the_hadamard_cap(monkeypatch, bits):
+    # a certificate that never passes: K grows to the cap, then seed raises
+    rng = random.Random(bits)
+    rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(12)] for _ in range(8)]
+    complement = ModularComplement(12, rows)
+    want = echelon_orthogonal_seed(rows, 12)
+    monkeypatch.setattr(ModularComplement, "_certified", lambda self, w: False)
+    with pytest.raises(ExactnessError):
+        complement.seed()
+    assert len(complement.primes) == _primes_for(complement._sufficient_bits())
+    monkeypatch.undo()
+    assert complement.seed() == want
 
 
 @st.composite

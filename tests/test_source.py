@@ -52,8 +52,9 @@ def test_np_roots_only_in_spectrum():
 
 
 def test_no_two_dimensional_unique():
-    # unique(..., axis=...) sorts a void view of every row; integer rows are
-    # deduplicated by uniform.distinct_rows, a lexsort of the nonzero rows
+    # unique(..., axis=...) sorts a void view of every row; a layer system
+    # needs no distinct rows, since uniform.layer_gram replaces its rows by
+    # their 4x4 Gram matrix
     found = [
         f"{path.name}:{node.lineno}"
         for path, node in _nodes()

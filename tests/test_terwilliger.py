@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from drguniform import (
     BudgetExceeded,
@@ -16,20 +17,23 @@ from drguniform import (
 )
 from drguniform.families import hamming
 
+from oracles import TupleSplit, f_nonzeros, loop_bfs_layers, split_dense
+from strategies import connected_graphs, relabel
+
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
 
 
 def test_split_bipartite_has_no_flat():
     split = lfr_split(C6, x=0)
-    assert split.f_nonzeros() == 0
-    L, F, R = split.dense()
+    assert f_nonzeros(split) == 0
+    L, F, R = split_dense(split)
     assert not F.any()
 
 
 def test_split_triangle_counts():
     split = lfr_split(K3, x=0)
-    L, F, R = split.dense()
+    L, F, R = split_dense(split)
     assert int(L.sum()) == 2  # two edges from layer 1 down to the base
     assert int(F.sum()) == 2  # one edge inside layer 1, both directions
 
@@ -37,7 +41,7 @@ def test_split_triangle_counts():
 def test_split_reassembles_adjacency(h33, j63, shrik):
     for g in (h33, j63, shrik, K3, C6):
         split = lfr_split(g, x=0)
-        L, F, R = split.dense()
+        L, F, R = split_dense(split)
         A = np.zeros((g.n, g.n), dtype=np.int64)
         for u, v in g.edges():
             A[u, v] = A[v, u] = 1
@@ -66,14 +70,14 @@ def test_apply_matches_blocks(h33):
     assert split.apply_R(1, vec) == list(blk.T @ np.array(vec))
 
 
-def _loop_apply(split, gen, i, vec):
-    """The exact pure-Python L/F/R products, as reference."""
+def _loop_apply(ref, gen, i, vec):
+    """The exact pure-Python L/F/R products over a ``TupleSplit``."""
     if gen == "L":
-        return [sum(vec[y] for y in nbrs) for nbrs in split.lrows[i]]
+        return [sum(vec[y] for y in nbrs) for nbrs in ref.lrows[i]]
     if gen == "F":
-        return [sum(vec[y] for y in nbrs) for nbrs in split.frows[i]]
-    out = [0] * len(split.dp.layers[i + 1])
-    for z, nbrs in enumerate(split.lrows[i + 1]):
+        return [sum(vec[y] for y in nbrs) for nbrs in ref.frows[i]]
+    out = [0] * len(ref.dp.layers[i + 1])
+    for z, nbrs in enumerate(ref.lrows[i + 1]):
         for y in nbrs:
             out[y] += vec[z]
     return out
@@ -93,6 +97,7 @@ def test_int64_fast_path_matches_loop(j63):
     # into limbs), all one sign (the largest sums) or mixed with
     # negatives; Fractions, alone and mixed with ints
     split = lfr_split(j63, x=0)
+    ref = TupleSplit(j63, split.dp)
     rng = random.Random(11)
     edges = [2**62, 2**63 - 1, 2**63, 2**64, 2**100, 2**300]
     edges += [(2**63 - 1) // k for k in range(1, 10)]
@@ -109,7 +114,7 @@ def test_int64_fast_path_matches_loop(j63):
         vecs.append([1] * (w - 1) + [Fraction(1, 3)])
         for vec in vecs:
             for gen, out in _products(split, i, vec):
-                assert out == _loop_apply(split, gen, i, vec), (gen, i, vec[:3])
+                assert out == _loop_apply(ref, gen, i, vec), (gen, i, vec[:3])
                 if all(type(x) is int for x in vec):
                     assert all(type(x) is int for x in out)
 
@@ -181,3 +186,23 @@ def test_shrikhande_not_hamming(shrik):
 def test_isomorphism_budget():
     with pytest.raises(BudgetExceeded):
         graph_isomorphic(hamming(2, 3), hamming(2, 3), vertex_bound=4)
+
+
+@given(connected_graphs())
+@settings(max_examples=200, deadline=None)
+def test_partition_and_blocks_match_loop_oracles(case):
+    g, perm, x = case
+    sizes = None
+    for h, y in ((g, x), (relabel(g, perm), perm[x])):
+        dp = bfs_layers(h, y)
+        assert dp == loop_bfs_layers(h, y)
+        assert sizes in (None, [len(layer) for layer in dp.layers])
+        sizes = [len(layer) for layer in dp.layers]
+        split, ref = lfr_split(h, dp), TupleSplit(h, dp)
+        for i in range(dp.eccentricity + 1):
+            assert np.array_equal(split._block("F", i)[0].toarray(), ref.f_block(i))
+            if i >= 1:
+                blk = ref.l_block(i)
+                assert np.array_equal(split.l_block(i), blk)
+                assert np.array_equal(split._block("L", i)[0].toarray(), blk)
+                assert np.array_equal(split._block("R", i - 1)[0].toarray(), blk.T)

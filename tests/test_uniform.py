@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from drguniform import (
     DecompositionUnavailable,
+    ExactnessError,
     Graph,
     ParameterMatrix,
     UniformStructure,
@@ -25,6 +26,7 @@ from drguniform import (
 )
 from drguniform import uniform
 from drguniform.cli import main
+from drguniform.exactla import solve_affine
 from drguniform.suites import (
     dual_polar_structure,
     halved_cube_structure,
@@ -32,16 +34,23 @@ from drguniform.suites import (
 )
 from drguniform.uniform import (
     LayerSolution,
-    distinct_rows,
     grid_point,
     is_strongly_uniform,
-    layer_operator_blocks,
+    layer_gram,
     select_structure,
     structure_at,
     vanishing_conditions,
 )
 
-from oracles import dense_det, polynomial_vanishing_conditions, unique_nonzero_rows
+from oracles import (
+    TupleSplit,
+    dense_det,
+    distinct_rows,
+    layer_rows,
+    polynomial_vanishing_conditions,
+    unique_nonzero_rows,
+)
+from strategies import connected_graphs, relabel
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -196,7 +205,7 @@ def test_certify_failure_witness(j63):
     assert cert.failure["kind"] == "inconsistent_layer_system"
     assert cert.failure["layer"] == 2
     assert cert.layers[-1].empty
-    assert cert.layers[-1].system  # deduplicated witness rows attached
+    assert cert.layers[-1].system  # the layer's Gram rows attached as the witness
 
 
 def test_certify_symbolic_failure(halved8):
@@ -365,11 +374,66 @@ def _apply_layer_equation(split, us, i, vec):
 
 
 def test_layer_blocks_zero_boundaries(h33):
+    # no RL^2 block at layer 1 and no L^2R block at the top layer, so the
+    # Gram rows lack the X row and column at layer 1 and the Z ones at the top
     split = lfr_split(h33, x=0)
-    X, Y, Z, W = layer_operator_blocks(split, 1)
-    assert not X.any()
-    X, Y, Z, W = layer_operator_blocks(split, 3)
-    assert not Z.any()
+    first, top = layer_gram(split, 1), layer_gram(split, 3)
+    assert len(first) == 3 and all(row[0] == 0 for row in first)
+    assert len(top) == 3 and all(row[1] == 0 for row in top)
+
+
+def _layer_solution_from_rows(rows, i, eps):
+    """(empty, particular, basis) of the layer equation solved from the rows
+    (X, Z, W, Y), as solve_layer embeds them."""
+    active = [a for a, on in enumerate((i >= 2, i <= eps - 1, True)) if on]
+    sol = solve_affine(
+        [[(x, z, -w)[a] for a in active] for x, z, w, _ in rows], [-y for *_, y in rows]
+    )
+    if sol is None:
+        return True, (), ()
+
+    def embed(vec):
+        full = [Fraction(0)] * 3
+        for a, v in zip(active, vec):
+            full[a] = v
+        return tuple(full)
+
+    return False, embed(sol[0]), tuple(embed(h) for h in sol[1])
+
+
+@given(connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_layer_systems_match_distinct_rows_oracle(case):
+    # the Gram rows have the row space of the distinct (X, Z, W, Y) rows,
+    # so solve_affine's reduced echelon answer is the same, and G sums
+    # over every entry of the blocks, so a relabelling does not change it
+    g, perm, x = case
+    split = lfr_split(g, x=x)
+    moved = lfr_split(relabel(g, perm), x=perm[x])
+    ref = TupleSplit(g, split.dp)
+    eps = split.eccentricity
+    for i in range(1, eps + 1):
+        sol = solve_layer(split, i)
+        assert (sol.empty, sol.particular, sol.basis) == _layer_solution_from_rows(
+            layer_rows(ref, i), i, eps
+        )
+        assert layer_gram(moved, i) == layer_gram(split, i) == list(sol.system)
+        assert len(sol.system) <= 4
+
+
+@pytest.mark.parametrize("name", ["h33", "her22"])
+def test_layer_gram_in_int64_chunks(request, monkeypatch, name):
+    # a chunk of at most 5 rows of M: many int64 partial Gram matrices
+    # added as Python ints give the one-chunk answer
+    split = lfr_split(request.getfixturevalue(name), x=0)
+    layers = range(1, split.eccentricity + 1)
+    whole = [layer_gram(split, i) for i in layers]
+    monkeypatch.setattr(uniform, "_INT64_MAX", 5 * split.degree**4 + 4)
+    assert [layer_gram(split, i) for i in layers] == whole
+    # not one product of two entries bounded by k^2 fits: no exact sum
+    monkeypatch.setattr(uniform, "_INT64_MAX", split.degree**4 - 1)
+    with pytest.raises(ExactnessError):
+        layer_gram(split, 1)
 
 
 def test_non_thin_diagnostic_negative(h33):
