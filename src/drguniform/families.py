@@ -7,7 +7,7 @@ enumeration starts.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -52,20 +52,18 @@ def _johnson_edges(n, D):
 
 def hamming(D, n, budget=None):
     """Words of length D over an n-letter alphabet, adjacent at Hamming
-    distance one."""
+    distance one.  A word's index is its value in base n."""
     if D < 1 or n < 2:
         raise InvalidParams("hamming needs D >= 1 and n >= 2")
     _check_budget(n**D, budget)
-    words = sorted(product(range(n), repeat=D))
-    index = {w: i for i, w in enumerate(words)}
+    words = np.arange(n**D)
     edges = []
-    for w in words:
-        i = index[w]
-        for pos in range(D):
-            for letter in range(w[pos] + 1, n):
-                v = w[:pos] + (letter,) + w[pos + 1 :]
-                edges.append((i, index[v]))
-    return Graph(len(words), edges)
+    for place in n ** np.arange(D):
+        digit = words // place % n
+        for step in range(1, n):
+            lower = words[digit + step < n]
+            edges.append(np.column_stack((lower, lower + step * place)))
+    return Graph(n**D, np.concatenate(edges))
 
 
 def johnson(n, D, budget=None):
@@ -80,35 +78,28 @@ def johnson(n, D, budget=None):
 
 
 def halved_cube(n, budget=None):
-    """Even-weight binary words of length n, adjacent at Hamming distance 2."""
+    """Even-weight binary words of length n, adjacent at Hamming distance 2.
+
+    Word i in lexicographic order is (i << 1) | parity(i): its first n - 1
+    bits are i, and the last one makes the weight even.
+    """
     if n < 4:
         raise InvalidParams("halved_cube needs n >= 4")
     _check_budget(2 ** (n - 1), budget)
-    words = sorted(w for w in product((0, 1), repeat=n) if sum(w) % 2 == 0)
-    index = {w: i for i, w in enumerate(words)}
-    edges = []
-    for w in words:
-        i = index[w]
-        for p, q in combinations(range(n), 2):
-            v = list(w)
-            v[p] ^= 1
-            v[q] ^= 1
-            v = tuple(v)
-            if v > w:
-                edges.append((i, index[v]))
-    return Graph(len(words), edges)
+    index = np.arange(2 ** (n - 1))
+    words = index << 1 | np.bitwise_count(index) & 1
+    flips = [1 << p | 1 << q for p, q in combinations(range(n), 2)]
+    other = (words[:, None] ^ np.array(flips)) >> 1
+    u, v = np.broadcast_arrays(index[:, None], other)
+    upper = u < v
+    return Graph(len(index), np.column_stack((u[upper], v[upper])))
 
 
 def shrikhande():
     """Cayley graph on Z4 x Z4 with connection set {±(1,0), ±(0,1), ±(1,1)}."""
-    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = set()
-    for a, b in product(range(4), repeat=2):
-        i = 4 * a + b
-        for da, db in conn:
-            j = 4 * ((a + da) % 4) + (b + db) % 4
-            edges.add((min(i, j), max(i, j)))
-    return Graph(16, sorted(edges))
+    a, b = np.divmod(np.arange(16), 4)
+    steps = [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4) for da, db in ((1, 0), (0, 1), (1, 1))]
+    return Graph(16, np.concatenate([np.column_stack(step) for step in steps]))
 
 
 def doob(n, m, budget=None):
@@ -216,66 +207,41 @@ def dual_polar_2a(r, D, budget=None):
     common = incidence @ incidence.T  # shared points, exact in float32 below 2**24
     meet = (r ** (2 * (D - 1)) - 1) // (r**2 - 1)  # points of a (D-1)-subspace
     u, v = np.nonzero(np.triu(common == meet, 1))
-    return Graph(len(rows), zip(u.tolist(), v.tolist()))
+    return Graph(len(rows), np.column_stack((u, v)))
 
 
 def hermitian_forms(r, D, budget=None):
     """D x D Hermitian matrices over GF(r^2), adjacent when the difference
     has rank one.
 
-    Rank-one Hermitian matrices are exactly lambda * v v^* with lambda in
-    GF(r)^* and v a projective point, which gives the neighbor list
-    directly.
+    A matrix is its free entries (i <= j, row-major), read as the digits
+    of a mixed-radix number: radix r on the diagonal, which lies in GF(r),
+    and r^2 off it.  Each entry below the diagonal is the conjugate of an
+    earlier free one, so that number is the matrix's index in lexicographic
+    order.  Rank-one Hermitian matrices are exactly lambda * v v^* with
+    lambda in GF(r)^* and v a projective point, and the neighbour of a
+    matrix across one of them is the sum, digit by digit.
     """
     if D < 2:
         raise InvalidParams("hermitian_forms needs D >= 2")
     _check_budget(r ** (D * D), budget)
     field = FiniteField(r, 2)
-    subfield = [x for x in field.prime_subfield() if x]
-    mul, conj, add = field.mul, field.conj, field.add
-
-    diag_positions = [(i, i) for i in range(D)]
-    upper_positions = [(i, j) for i in range(D) for j in range(i + 1, D)]
-
-    def matrices():
-        fixed = field.prime_subfield()
-        for diag in product(fixed, repeat=D):
-            for upper in product(field.elements(), repeat=len(upper_positions)):
-                mat = [[0] * D for _ in range(D)]
-                for (i, _), x in zip(diag_positions, diag):
-                    mat[i][i] = x
-                for (i, j), x in zip(upper_positions, upper):
-                    mat[i][j] = x
-                    mat[j][i] = conj[x]
-                yield tuple(tuple(row) for row in mat)
-
-    labels = sorted(matrices())
-    if len(labels) != r ** (D * D):
-        raise ExactnessError(f"{len(labels)} Hermitian matrices, not {r ** (D * D)}")
-    index = {m: i for i, m in enumerate(labels)}
-
-    rank_one = []
-    for v in product(field.elements(), repeat=D):
-        lead = next((x for x in v if x), None)
-        if lead != 1:
-            continue
-        base = [[mul[v[i]][conj[v[j]]] for j in range(D)] for i in range(D)]
-        for lam in subfield:
-            rank_one.append(
-                tuple(tuple(mul[lam][x] for x in row) for row in base)
-            )
-
-    edges = set()
-    for mat in labels:
-        i = index[mat]
-        for delta in rank_one:
-            other = tuple(
-                tuple(add[x][y] for x, y in zip(rm, rd)) for rm, rd in zip(mat, delta)
-            )
-            j = index[other]
-            if i < j:
-                edges.add((i, j))
-    return Graph(len(labels), sorted(edges))
+    mul, conj, add = (np.array(t) for t in (field.mul, field.conj, field.add))
+    rows, cols = np.triu_indices(D)
+    radix = np.where(rows == cols, r, r * r)
+    weights = np.cumprod(np.append(radix[1:], 1)[::-1])[::-1]
+    index = np.arange(r ** (D * D))
+    digits = index[:, None] // weights % radix
+    vecs = np.indices((field.order,) * D).reshape(D, -1).T
+    points = vecs[vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1]
+    outer = mul[points[:, rows], conj[points[:, cols]]]  # v v^*, free entries
+    edges = []
+    for lam in field.prime_subfield()[1:]:
+        for delta in mul[lam, outer]:
+            other = add[digits, delta] @ weights
+            upper = index < other
+            edges.append(np.column_stack((index[upper], other[upper])))
+    return Graph(len(index), np.concatenate(edges))
 
 
 # tag -> (constructor, names of its parameters); constructors with

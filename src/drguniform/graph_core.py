@@ -1,17 +1,17 @@
 """Graphs, distance partitions, and exact distance-regular graph invariants.
 
-The graph type is a plain adjacency structure over vertices 0..n-1.  All
-spectral quantities (eigenvalues, multiplicities, primitive idempotents,
-Krein parameters) are computed with exact rational arithmetic whenever the
-characteristic polynomial of the intersection matrix splits over Q, which
-covers every family constructed in this package.  Irrational spectra fall
+A graph on the vertices 0..n-1 is its adjacency matrix in CSR form, built
+from and read out as integer arrays of edges.  All spectral quantities
+(eigenvalues, multiplicities, primitive idempotents, Krein parameters) are
+computed with exact rational arithmetic whenever the characteristic
+polynomial of the intersection matrix splits over Q, which covers every
+family constructed in this package.  Irrational spectra fall
 back to floating point and are flagged as numeric.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, permutations
-from operator import ge
+from itertools import permutations
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,9 +33,9 @@ def _first_bad_edge(n, edges, u, v, bad):
     or a repeat of an earlier edge; ``u`` and ``v`` are the endpoints,
     clipped to [-1, n], and ``bad`` marks the first two kinds."""
     lo, hi = np.minimum(u, v) + 1, np.maximum(u, v) + 1
-    repeat = np.ones(len(edges), dtype=bool)
+    repeat = np.ones(len(u), dtype=bool)
     repeat[np.unique(lo * (n + 2) + hi, return_index=True)[1]] = False
-    a, b = edges[int(np.argmax(bad | repeat))]
+    a, b = map(int, edges[int(np.argmax(bad | repeat))])
     if not (0 <= a < n and 0 <= b < n):
         return ParseError(f"vertex out of range in edge ({a}, {b})")
     if a == b:
@@ -44,39 +44,52 @@ def _first_bad_edge(n, edges, u, v, bad):
 
 
 class Graph:
-    """Finite simple undirected graph with sorted adjacency lists.
+    """Finite simple undirected graph on the vertices 0..n-1, stored as
+    its adjacency matrix in CSR form.
 
-    Vertices are 0..n-1.  Instances are treated as immutable after
-    construction; derived data (distance matrix, sparse adjacency) is
-    cached lazily.
+    ``edges`` is an (m, 2) integer array or an iterable of pairs.
+    Instances are treated as immutable after construction; derived data
+    (distance matrix, neighbour tuples and sets) is cached lazily.
     """
 
-    __slots__ = ("n", "adj", "m", "_dist", "_csr", "_adjsets")
+    __slots__ = ("n", "m", "_csr", "_dist", "_adj", "_adjsets")
 
     def __init__(self, n, edges):
-        edges = list(edges)
-        flat = list(chain.from_iterable(edges))
-        if flat and (min(flat) < 0 or max(flat) >= n):
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            uv = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
             # clip to -1 or n, so that any endpoint fits in int64 and every
             # check below keeps its verdict
-            flat = [min(max(x, -1), n) for x in flat]
-        u, v = np.array(flat, dtype=np.int64).reshape(-1, 2).T
+            uv = np.clip(np.array(edges, dtype=object), -1, n).astype(np.int64).reshape(-1, 2)
+        u, v = uv.T
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
         key = np.sort(np.concatenate([u * n + v, v * n + u]))  # both directions
         if bad.any() or (key[1:] == key[:-1]).any():
             raise _first_bad_edge(n, edges, u, v, bad)
-        # one int object per vertex, shared by every adjacency tuple
-        dst = np.array(range(n), dtype=object)[key % n].tolist()
-        ends = np.searchsorted(key, np.arange(1, n + 1) * n).tolist()
+        # the sorted keys are the CSR's rows as they stand; the data type is
+        # the smallest unsigned one that holds the largest degree, so a
+        # product with a 0/1 matrix counts neighbours exactly in that type
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        data = np.ones(len(key), dtype=np.min_scalar_type(np.diff(indptr).max(initial=0)))
+        self._csr = csr_matrix((data, key % n, indptr), shape=(n, n))
         self.n = n
-        self.adj = tuple(tuple(dst[a:b]) for a, b in zip([0] + ends, ends))
-        self.m = len(edges)
+        self.m = len(uv)
         self._dist = None
-        self._csr = None
+        self._adj = None
         self._adjsets = None
 
+    @property
+    def adj(self):
+        """The sorted neighbours of every vertex, as tuples of ints."""
+        if self._adj is None:
+            nbrs, ends = self._csr.indices.tolist(), self._csr.indptr.tolist()
+            self._adj = tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
+        return self._adj
+
     def degree(self, v):
-        return len(self.adj[v])
+        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     def adjacent(self, u, v):
         if self._adjsets is None:
@@ -84,23 +97,15 @@ class Graph:
         return v in self._adjsets[u]
 
     def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """The (m, 2) int64 array of edges (u, v), u < v, in lexicographic
+        order."""
+        S = self._csr
+        u = np.repeat(np.arange(self.n), np.diff(S.indptr))
+        upper = u < S.indices
+        return np.column_stack((u[upper], S.indices[upper].astype(np.int64)))
 
     def sparse(self):
-        """The adjacency matrix in CSR form.  Its dtype is the smallest
-        unsigned type that holds the largest degree, so a product with a
-        0/1 matrix counts neighbours exactly in that type."""
-        if self._csr is None:
-            # the sorted adjacency tuples are the CSR's rows as they stand
-            degrees = np.fromiter(map(len, self.adj), dtype=np.int64, count=self.n)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=indptr[-1])
-            data = np.ones(len(indices), dtype=np.min_scalar_type(degrees.max(initial=0)))
-            self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        """The adjacency matrix in CSR form."""
         return self._csr
 
     def distance_matrix(self):
@@ -136,46 +141,43 @@ class Graph:
     def diameter(self):
         return int(self.distance_matrix().max())
 
-    def is_bipartite(self):
-        color = [-1] * self.n
-        color[0] = 0
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-        return True
-
 
 def read_edge_list(text):
-    """Parse the repo edge-list format: ``n m`` then m lines ``u v``."""
+    """Parse the repo edge-list format: ``n m`` then m lines ``u v``.
+
+    The tokens go to int64 in one numpy conversion, which accepts exactly
+    the tokens ``int`` accepts.  Only when that fails are they read again
+    as Python ints: for the error message, or for numbers beyond int64.
+    """
     tokens = text.split()
     if len(tokens) < 2:
         raise ParseError("missing header line 'n m'")
     try:
-        nums = list(map(int, tokens))
-    except ValueError as exc:
-        raise ParseError(f"non-integer token: {exc}") from exc
-    n, m = nums[0], nums[1]
+        nums = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        try:
+            nums = np.array([int(t) for t in tokens], dtype=object)
+        except ValueError as exc:
+            raise ParseError(f"non-integer token: {exc}") from exc
+    n, m = int(nums[0]), int(nums[1])
     if n < 1:
         raise ParseError(f"a graph needs at least one vertex, not {n}")
+    if m < 0:
+        raise ParseError(f"a graph needs a nonnegative edge count, not {m}")
     if len(nums) != 2 + 2 * m:
         raise ParseError(f"expected {2 * m} endpoints, found {len(nums) - 2}")
-    us, vs = nums[2::2], nums[3::2]
-    if any(map(ge, us, vs)):
-        u, v = next((u, v) for u, v in zip(us, vs) if u >= v)
+    edges = nums[2:].reshape(-1, 2)
+    wrong = edges[:, 0] >= edges[:, 1]
+    if wrong.any():
+        u, v = map(int, edges[int(np.argmax(wrong))])
         raise ParseError(f"edge ({u}, {v}) must satisfy u < v")
-    return Graph(n, zip(us, vs))
+    return Graph(n, edges)
 
 
 def write_edge_list(g):
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """The edge-list text of ``g``: ``n m``, then its edges in
+    lexicographic order, one ``u v`` line each."""
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(g.edges().ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -658,23 +660,50 @@ def q_polynomial_orderings(kt, tol=Fraction(1, 10**9)):
     return orderings
 
 
+_WEDGES = 1 << 16  # pairs of neighbours the K_{1,1,2} test examines at once
+
+
 def near_polygon_check(g, ia):
     """True when a_i = a_1 c_i for i < D and no induced K_{1,1,2} exists.
 
-    The K_{1,1,2} pattern is an edge uv with two nonadjacent common
-    neighbors; every edge is scanned.
+    A K_{1,1,2} is an edge uv with two nonadjacent common neighbours, so
+    there is none exactly when every local graph (the graph on the
+    neighbours of a vertex u) is a disjoint union of cliques.  Label each
+    neighbour v of u with the least vertex of its closed neighbourhood in
+    the local graph.  That graph is a union of cliques exactly when the
+    ends of each of its edges share a label, so that a label marks one
+    component, and each vertex has one neighbour fewer than its label has
+    members.  The neighbours of v in the local graph of u, the common
+    neighbours of u and v, are the product of the rows of u and v, formed
+    for a run of vertices u with at most _WEDGES pairs of neighbours (or
+    for one vertex) at a time.
     """
     a1 = ia.a[1] if ia.D >= 1 else 0
     for i in range(1, ia.D):
         if ia.a[i] != a1 * ia.c_at(i):
             return False
-    if g._adjsets is None:
-        g.adjacent(0, 0)  # build adjacency sets
-    sets = g._adjsets
-    for u, v in g.edges():
-        common = sorted(sets[u] & sets[v])
-        for s in range(len(common)):
-            for t in range(s + 1, len(common)):
-                if common[t] not in sets[common[s]]:
-                    return False
+    S, n = g.sparse(), g.n
+    ptr, nbr = S.indptr.astype(np.int64), S.indices.astype(np.int64)
+    deg = np.diff(ptr)
+    src = np.repeat(np.arange(n), deg)
+    key = src * n + nbr  # one per directed edge, sorted
+    cost = np.concatenate([[0], np.cumsum(deg * deg)])
+    lo = 0
+    while lo < n:
+        hi = max(int(np.searchsorted(cost, cost[lo] + _WEDGES, side="right")) - 1, lo + 1)
+        a, b = ptr[lo], ptr[hi]
+        # row e lists the common neighbours w of the directed edge (u, v) = e
+        common = S[src[a:b]].multiply(S[nbr[a:b]]).tocsr()
+        lam = np.diff(common.indptr)
+        e = np.repeat(np.arange(b - a), lam)
+        f = np.searchsorted(key, src[a + e] * n + common.indices) - a  # the edge (u, w)
+        label = nbr[a:b].copy()
+        some = lam > 0
+        label[some] = np.minimum(label[some], common.indices[common.indptr[:-1][some]])
+        if (label[e] != label[f]).any():
+            return False
+        _, cls, size = np.unique(src[a:b] * n + label, return_inverse=True, return_counts=True)
+        if (size[cls] != lam + 1).any():
+            return False
+        lo = hi
     return True

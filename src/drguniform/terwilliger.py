@@ -1,6 +1,6 @@
 """Base-point machinery: the lowering/flat/raising split of the adjacency
-matrix, layer-local blocks, graph flattening, Cartesian products, and a
-small-graph isomorphism search.
+matrix, layer-local blocks, graph flattening and Cartesian products as
+edge-array operations, and a small-graph isomorphism search.
 
 The split is stored layer-locally: the block of L from layer i to layer
 i-1 is all that any downstream computation needs, and on the larger
@@ -182,14 +182,10 @@ class FlattenedGraph:
 def flatten(g, x):
     """Remove all same-layer edges around ``x``; the result is bipartite,
     connected, and has the same distance partition at ``x``."""
-    dp = bfs_layers(g, x)
-    layer_of = dp.layer_of
-    kept = [
-        (u, v) for u, v in g.edges() if layer_of[u] != layer_of[v]
-    ]
-    return FlattenedGraph(
-        graph=Graph(g.n, kept), base=x, removed_edges=g.m - len(kept)
-    )
+    layer_of = np.array(bfs_layers(g, x).layer_of)
+    edges = g.edges()
+    kept = edges[layer_of[edges[:, 0]] != layer_of[edges[:, 1]]]
+    return FlattenedGraph(graph=Graph(g.n, kept), base=x, removed_edges=g.m - len(kept))
 
 
 def cartesian_product(g, h, budget=None):
@@ -197,15 +193,9 @@ def cartesian_product(g, h, budget=None):
     budget = DEFAULT.vertex_budget if budget is None else budget
     if g.n * h.n > budget:
         raise BudgetExceeded(f"{g.n * h.n} vertices exceed the budget of {budget}")
-    edges = []
-    for u in range(g.n):
-        base = u * h.n
-        for a, b in h.edges():
-            edges.append((base + a, base + b))
-    for u, w in g.edges():
-        for v in range(h.n):
-            edges.append((u * h.n + v, w * h.n + v))
-    return Graph(g.n * h.n, edges)
+    within = h.edges()[None, :, :] + h.n * np.arange(g.n)[:, None, None]
+    across = h.n * g.edges()[:, None, :] + np.arange(h.n)[None, :, None]
+    return Graph(g.n * h.n, np.concatenate((within.reshape(-1, 2), across.reshape(-1, 2))))
 
 
 def _joint_refine(g, h):
@@ -294,7 +284,7 @@ def graph_isomorphic(g, h, vertex_bound=None):
     if not extend(0):
         return None
     if len(set(mapping.values())) != g.n or not all(
-        h.adjacent(mapping[u], mapping[v]) for u, v in g.edges()
+        h.adjacent(mapping[u], mapping[v]) for u, v in g.edges().tolist()
     ):
         raise ExactnessError("the isomorphism search returned a map that is not one")
     return dict(mapping)

@@ -321,7 +321,9 @@ def select_structure(layers, config=DEFAULT):
     """Choose a point of the product of the layer solution sets that passes
     the parameter conditions, strongly uniform whenever one is.
 
-    Returns (structure, None), or (None, failure) when no point passes.
+    Returns (structure, report, None), the report being the structure's
+    check_parameter_conditions, or (None, None, failure) when no point
+    passes.
     """
     nvars = sum(sol.dim for sol in layers)
 
@@ -330,8 +332,8 @@ def select_structure(layers, config=DEFAULT):
         us = structure_at(layers, [])
         report = check_parameter_conditions(us.U)
         if report["ok"]:
-            return us, None
-        return None, {
+            return us, report, None
+        return None, None, {
             "layer": None,
             "kind": "parameter_conditions",
             "detail": _condition_failure_text(report),
@@ -347,8 +349,9 @@ def select_structure(layers, config=DEFAULT):
             for _ in range(nvars)
         ]
         us = structure_at(layers, values)
-        if check_parameter_conditions(us.U)["ok"] and is_strongly_uniform(us.U):
-            return us, None
+        report = check_parameter_conditions(us.U)
+        if report["ok"] and is_strongly_uniform(us.U):
+            return us, report, None
 
     singular, zero_minus, zero_plus = vanishing_conditions(layers)
     if singular or (zero_minus and zero_plus):
@@ -363,8 +366,9 @@ def select_structure(layers, config=DEFAULT):
                 "both off-diagonal families contain an identically zero entry "
                 "over the solution set"
             )
-        return None, {"layer": None, "kind": "parameter_conditions", "detail": detail}
-    return grid_point(layers, zero_minus, zero_plus), None
+        return None, None, {"layer": None, "kind": "parameter_conditions", "detail": detail}
+    us = grid_point(layers, zero_minus, zero_plus)
+    return us, check_parameter_conditions(us.U), None
 
 
 def grid_point(layers, zero_minus, zero_plus):
@@ -434,7 +438,7 @@ def certify_uniform(g, x=0, config=DEFAULT):
         layers.append(sol)
     layers = tuple(layers)
 
-    us, failure = select_structure(layers, config)
+    us, report, failure = select_structure(layers, config)
     if us is None:
         return UniformCertificate(
             verdict="NoUniform",
@@ -444,7 +448,6 @@ def certify_uniform(g, x=0, config=DEFAULT):
             failure=failure,
             checks=None,
         )
-    report = check_parameter_conditions(us.U)
     checks = {
         "verify_given": verify_given(split, us, [sol.system for sol in layers]),
         "def_ii": report["family_minus"] or report["family_plus"],

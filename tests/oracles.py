@@ -13,8 +13,10 @@ reduces every tuple of rows, the intersection array by one pass per
 vertex over scipy's shortest-path distances, the graph constructor's
 edge checks by one pass over the edges with a set of those seen, the
 distance partition by a breadth-first search one vertex at a time, the
-L/F split as neighbour tuples built per vertex, and each layer system as
-the distinct rows of its guarded float-BLAS blocks.  The helpers that
+L/F split as neighbour tuples built per vertex, each layer system as the
+distinct rows of its guarded float-BLAS blocks, the two-colouring of a
+graph, the near-polygon test's scan of every edge for an induced
+K_{1,1,2}, and flattening and Cartesian products one edge at a time.  The helpers that
 assemble an ``LFRSplit``'s blocks into full matrices or count their
 entries are here too: only tests use them.
 """
@@ -519,6 +521,57 @@ def loop_adjacency(n, edges):
         adj[u].append(v)
         adj[v].append(u)
     return tuple(tuple(sorted(nbrs)) for nbrs in adj), len(seen)
+
+
+def is_bipartite(g):
+    """Two-colour a connected graph by a depth-first search from vertex 0."""
+    color = [-1] * g.n
+    color[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in g.adj[u]:
+            if color[v] == -1:
+                color[v] = color[u] ^ 1
+                stack.append(v)
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
+def scan_k112(g):
+    """True when no edge uv has two nonadjacent common neighbours, by a
+    scan of every edge: the reference for the clique test of
+    ``graph_core.near_polygon_check``."""
+    sets = [set(nbrs) for nbrs in g.adj]
+    for u, v in g.edges().tolist():
+        common = sorted(sets[u] & sets[v])
+        for s in range(len(common)):
+            for t in range(s + 1, len(common)):
+                if common[t] not in sets[common[s]]:
+                    return False
+    return True
+
+
+def loop_flatten_edges(g, x):
+    """The edges of ``g`` between two layers around ``x``, one pair at a
+    time: the reference for ``terwilliger.flatten``."""
+    layer_of = loop_bfs_layers(g, x).layer_of
+    return [[u, v] for u in range(g.n) for v in g.adj[u] if u < v and layer_of[u] != layer_of[v]]
+
+
+def loop_product_edges(g, h):
+    """The edges of the Cartesian product of ``g`` and ``h``, vertex (u, v)
+    numbered u*|h| + v, one pair at a time: the reference for
+    ``terwilliger.cartesian_product``."""
+    edges = []
+    for u in range(g.n):
+        for a in range(h.n):
+            edges.extend([u * h.n + a, u * h.n + b] for b in h.adj[a] if a < b)
+        for w in g.adj[u]:
+            if u < w:
+                edges.extend([u * h.n + v, w * h.n + v] for v in range(h.n))
+    return sorted(edges)
 
 
 def loop_bfs_layers(g, x):

@@ -11,6 +11,8 @@ import pytest
 from drguniform import Graph, read_edge_list, write_edge_list
 from drguniform.cli import main
 
+from oracles import is_bipartite
+
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "drguniform" / "schemas"
 
 
@@ -28,7 +30,7 @@ def h33_file(tmp_path):
 
 def test_family_round_trip(h33_file, h33):
     g = read_edge_list(h33_file.read_text())
-    assert g.n == 27 and sorted(g.edges()) == sorted(h33.edges())
+    assert g.n == 27 and g.edges().tolist() == h33.edges().tolist()
     sidecar = json.loads((h33_file.parent / (h33_file.name + ".json")).read_text())
     assert sidecar["spec"] == {"family": "hamming", "params": [3, 3]}
     assert sidecar["n"] == 27 and sidecar["m"] == 81
@@ -82,7 +84,7 @@ def test_flatten_cli(tmp_path):
     flat = tmp_path / "flat.edges"
     assert main(["flatten", str(src), "--base", "0", "--out", str(flat)]) == 0
     g = read_edge_list(flat.read_text())
-    assert g.is_bipartite()
+    assert is_bipartite(g)
     meta = json.loads((tmp_path / "flat.edges.json").read_text())
     assert meta["base"] == 0
     assert meta["removed_edges"] == 48 - g.m

@@ -31,11 +31,16 @@ from drguniform.tmodules import tightness
 from oracles import rank_gf, rref_dual_polar_bases, span_points
 
 # SHA-256 of write_edge_list for each constructor at the ladder and suite
-# instances, recorded from the pairwise-comparison builders these replaced
+# instances, recorded from the pairwise-comparison builders these replaced;
+# Hermitian forms (2,2) and (3,2) and the halved 7-cube were recorded from
+# the word-by-word builders that the index arithmetic replaced
 GOLDEN_EDGE_LISTS = {
     ("hamming", (4, 4)): "dcfa7695e72d9f27daeca3567c6f85b13d28ce5feb77162132af347f84cfa8f9",
     ("hamming", (5, 4)): "f41ab4e498d28c1bf2fe32695393b0077ae42688df8dc8fa9952bdae0d4ff8f9",
     ("halved_cube", (9,)): "eacc1a1e77408caf1ffbeb35c87550a7ff3abb2acb1656fb4221614759becc46",
+    ("halved_cube", (7,)): "195cbe7bc7742e891864924aad21d93aebd353e4c350e5b228d8b4424e3a6d34",
+    ("hermitian_forms", (2, 2)): "1f5913ca7a41f6259699ca676394f0dacdf43af2f6d3341a7f441814a185cc0e",
+    ("hermitian_forms", (3, 2)): "43202ad5ef381a25b5f88635fbc180a250ccbbcab93d0407fe5af630712ce058",
     ("hermitian_forms", (2, 3)): "9ab7783e2d7491679e0b3e7a4ca59dc909ad2775b39c2260c89a95839df9db8d",
     ("johnson", (12, 5)): "8f50693c0a9faa95ba2717d3f06b08de9d54aad399d53a5f05add204385c5305",
     ("johnson", (9, 4)): "31b65e578738351aec55f568235d1179f3ab2bfe16f17d9c4c1f21454d26b077",
@@ -136,7 +141,7 @@ def test_doob_cases(doob11, shrik, h34):
     assert graph_isomorphic(doob11, h34) is None  # Doob is not Hamming
     k4 = hamming(1, 4)
     direct = cartesian_product(shrik, k4)
-    assert sorted(direct.edges()) == sorted(doob11.edges())
+    assert direct.edges().tolist() == doob11.edges().tolist()
 
 
 def test_gosset_graph(gosset_graph):

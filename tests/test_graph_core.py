@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ from drguniform import (
     spectrum,
     write_edge_list,
 )
-from drguniform.graph_core import p_numbers
+from drguniform import graph_core
+from drguniform.families import FamilySpec, build_family, shrikhande
+from drguniform.graph_core import IntersectionArray, p_numbers
+from drguniform.terwilliger import flatten
 
 from oracles import (
     brute_intersection_numbers,
@@ -37,6 +41,7 @@ from oracles import (
     loop_intersection_array,
     numpy_spectrum,
     rref,
+    scan_k112,
 )
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -77,16 +82,46 @@ def test_disconnected_rejected():
 def test_edge_list_round_trip(h33):
     text = write_edge_list(h33)
     g = read_edge_list(text)
-    assert g.n == h33.n and sorted(g.edges()) == sorted(h33.edges())
+    assert g.n == h33.n and g.edges().tolist() == h33.edges().tolist()
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "3", "2 1\n1 0", "2 2\n0 1", "2 1\n0 2", "1 1\n0 0", "a b"],
-)
+# every input's message, as the reader gave it before the arrays replaced
+# its Python ints; a negative edge count has had a message of its own since
+_EDGE_LIST_ERRORS = {
+    "": "missing header line 'n m'",
+    "3": "missing header line 'n m'",
+    "0 0": "a graph needs at least one vertex, not 0",
+    "2 -1": "a graph needs a nonnegative edge count, not -1",
+    "2 -1\n0 1": "a graph needs a nonnegative edge count, not -1",
+    "2 2\n0 1": "expected 4 endpoints, found 2",
+    "4 2\n0 3\n1 2 5": "expected 4 endpoints, found 5",
+    "a b": "non-integer token: invalid literal for int() with base 10: 'a'",
+    "2 1\n0 1.5": "non-integer token: invalid literal for int() with base 10: '1.5'",
+    "2 1\n18446744073709551616 x": "non-integer token: invalid literal for int() with base 10: 'x'",
+    "2 1\n1 0": "edge (1, 0) must satisfy u < v",
+    "1 1\n0 0": "edge (0, 0) must satisfy u < v",
+    "3 2\n0 1\n1 1": "edge (1, 1) must satisfy u < v",
+    "3 2\n0 5\n2 1": "edge (2, 1) must satisfy u < v",
+    "3 2\n0 1\n0 -5": "edge (0, -5) must satisfy u < v",
+    "2 1\n0 -18446744073709551617": "edge (0, -18446744073709551617) must satisfy u < v",
+    "2 1\n0 2": "vertex out of range in edge (0, 2)",
+    "2 1\n-1 1": "vertex out of range in edge (-1, 1)",
+    "2 1\n0 9223372036854775807": "vertex out of range in edge (0, 9223372036854775807)",
+    "2 1\n0 9223372036854775808": "vertex out of range in edge (0, 9223372036854775808)",
+    "2 1\n-9223372036854775809 1": "vertex out of range in edge (-9223372036854775809, 1)",
+    "2 1\n0 18446744073709551616": "vertex out of range in edge (0, 18446744073709551616)",
+    "2 1\n-18446744073709551616 1": "vertex out of range in edge (-18446744073709551616, 1)",
+    "2 1\n0 99999999999999999999999999": "vertex out of range in edge (0, 99999999999999999999999999)",
+    "3 2\n0 1\n0 1": "duplicate edge (0, 1)",
+    "3 3\n0 1\n1 2\n0 1": "duplicate edge (0, 1)",
+}
+
+
+@pytest.mark.parametrize("text", sorted(_EDGE_LIST_ERRORS))
 def test_edge_list_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         read_edge_list(text)
+    assert str(info.value) == _EDGE_LIST_ERRORS[text]
 
 
 @st.composite
@@ -165,6 +200,15 @@ def random_graphs(draw):
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(random_graphs())
+@settings(max_examples=100, deadline=None)
+def test_edges_and_degrees_read_the_rows(g):
+    edges = g.edges()
+    assert edges.dtype == np.int64 and edges.shape == (g.m, 2)
+    assert edges.tolist() == [[u, v] for u in range(g.n) for v in g.adj[u] if u < v]
+    assert [g.degree(v) for v in range(g.n)] == [len(nbrs) for nbrs in g.adj]
 
 
 @given(random_graphs())
@@ -411,6 +455,56 @@ def test_near_polygon_hamming(h33):
     assert near_polygon_check(h33, intersection_array(h33))
 
 
+# a diameter-1 array sets no condition on the a_i, so that only the
+# induced K_{1,1,2} test decides
+_DIAMETER_ONE = IntersectionArray(c=(1,), a=(0, 0), b=(1,))
+_WHEEL = Graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(i, 6) for i in range(6)])
+_DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+_TWO_TRIANGLES = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+# The Shrikhande graph is locally a hexagon.  Under this labelling the two
+# least neighbours of every vertex are opposite on its hexagon, so in every
+# local graph each vertex has one neighbour fewer than its label has
+# members, and only the shared label across each local edge tells the
+# hexagons from two triangles.
+_SHRIKHANDE_LABELS = [9, 1, 10, 3, 5, 8, 7, 13, 12, 2, 14, 0, 4, 11, 6, 15]
+_SHRIKHANDE = Graph(16, np.array(_SHRIKHANDE_LABELS)[shrikhande().edges()])
+
+
+@given(random_graphs(), st.sampled_from([1, 5, graph_core._WEDGES]))
+@example(_SHRIKHANDE, graph_core._WEDGES)
+@example(_WHEEL, 1)
+@example(_DIAMOND, 5)
+@example(_TWO_TRIANGLES, 1)
+@settings(max_examples=300, deadline=None)
+def test_near_polygon_clique_test_matches_the_scan(g, wedges):
+    with mock.patch.object(graph_core, "_WEDGES", wedges):
+        assert near_polygon_check(g, _DIAMETER_ONE) == scan_k112(g)
+
+
+def _suite_graphs():
+    specs = [
+        ("hamming", (3, 3)), ("hamming", (3, 4)), ("hamming", (4, 3)),
+        ("halved_cube", (7,)), ("halved_cube", (8,)), ("doob", (1, 1)),
+        ("dual_polar_2a", (2, 3)), ("johnson", (6, 3)), ("johnson", (9, 4)),
+        ("gosset", ()), ("hermitian_forms", (2, 3)),
+    ]
+    return {f"{tag}{params}": build_family(FamilySpec(tag, params)) for tag, params in specs}
+
+
+def test_near_polygon_check_matches_the_scan_on_suite_graphs():
+    graphs = _suite_graphs()
+    for name, g in graphs.items():
+        scan = scan_k112(g)
+        assert near_polygon_check(g, _DIAMETER_ONE) == scan, name
+        ia = intersection_array(g)
+        layers = all(ia.a[i] == ia.a[1] * ia.c_at(i) for i in range(1, ia.D))
+        assert near_polygon_check(g, ia) == (layers and scan), name
+    # the flattened graphs of the doob suite are not distance-regular
+    for name in ("doob(1, 1)", "hamming(3, 4)"):
+        flat = flatten(graphs[name], 0).graph
+        assert near_polygon_check(flat, _DIAMETER_ONE) == scan_k112(flat), name
+
+
 def _line_graph_of_petersen():
     from drguniform import johnson
 
@@ -424,7 +518,7 @@ def _line_graph_of_petersen():
             if not t5.adjacent(u, v)
         ],
     )
-    edge_index = {e: i for i, e in enumerate(sorted(petersen.edges()))}
+    edge_index = {e: i for i, e in enumerate(map(tuple, petersen.edges().tolist()))}
     edges = [
         (i, j)
         for e1, i in edge_index.items()

@@ -17,7 +17,15 @@ from drguniform import (
 )
 from drguniform.families import hamming
 
-from oracles import TupleSplit, f_nonzeros, loop_bfs_layers, split_dense
+from oracles import (
+    TupleSplit,
+    f_nonzeros,
+    is_bipartite,
+    loop_bfs_layers,
+    loop_flatten_edges,
+    loop_product_edges,
+    split_dense,
+)
 from strategies import connected_graphs, relabel
 
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -121,13 +129,13 @@ def test_int64_fast_path_matches_loop(j63):
 
 def test_flatten_bipartite_fixed_point():
     fl = flatten(C6, 0)
-    assert sorted(fl.graph.edges()) == sorted(C6.edges())
+    assert fl.graph.edges().tolist() == C6.edges().tolist()
     assert fl.removed_edges == 0
 
 
 def test_flatten_triangle():
     fl = flatten(K3, 0)
-    assert sorted(fl.graph.edges()) == [(0, 1), (0, 2)]
+    assert fl.graph.edges().tolist() == [[0, 1], [0, 2]]
     assert fl.removed_edges == 1
 
 
@@ -135,7 +143,7 @@ def test_flatten_preserves_partition(h33, shrik, gosset_graph):
     for g in (h33, shrik, gosset_graph):
         dp = bfs_layers(g, 0)
         fl = flatten(g, 0)
-        assert fl.graph.is_bipartite()
+        assert is_bipartite(fl.graph)
         dp_f = bfs_layers(fl.graph, 0)  # also proves connectivity
         assert dp_f.layers == dp.layers
         inside = sum(
@@ -143,6 +151,15 @@ def test_flatten_preserves_partition(h33, shrik, gosset_graph):
         )
         assert fl.graph.m == g.m - inside
         assert fl.removed_edges == inside
+
+
+@given(connected_graphs(), connected_graphs(max_n=5))
+@settings(max_examples=100, deadline=None)
+def test_flatten_and_product_match_the_loops(case, other):
+    g, _, x = case
+    h = other[0]
+    assert flatten(g, x).graph.edges().tolist() == loop_flatten_edges(g, x)
+    assert cartesian_product(g, h).edges().tolist() == loop_product_edges(g, h)
 
 
 def test_cartesian_product_basics():
@@ -158,7 +175,7 @@ def test_flatten_commutes_with_product():
     prod = cartesian_product(k3, k3)
     lhs = flatten(prod, 0).graph
     rhs = cartesian_product(flatten(k3, 0).graph, flatten(k3, 0).graph)
-    assert sorted(lhs.edges()) == sorted(rhs.edges())
+    assert lhs.edges().tolist() == rhs.edges().tolist()
 
 
 def test_isomorphic_to_relabeled_self(h33):

@@ -320,9 +320,9 @@ def test_select_one_family_gives_uniform():
     # e_1^+ = t and e_2^- = 0: only the raising family can be nowhere zero
     layers = (_layer(1, 2, (0, 0, 1), [(0, 1, 0)]), _layer(2, 2, (0, 0, 1)))
     assert vanishing_conditions(layers) == (set(), {2}, set())
-    us, failure = select_structure(layers)
-    assert failure is None
-    assert check_parameter_conditions(us.U)["ok"] and not is_strongly_uniform(us.U)
+    us, report, failure = select_structure(layers)
+    assert failure is None and report == check_parameter_conditions(us.U)
+    assert report["ok"] and not is_strongly_uniform(us.U)
     assert us.U.e_plus == (1,)
 
 
@@ -335,8 +335,8 @@ def test_grid_search_passes_the_points_that_fail():
         _layer(2, 3, (-1, 1, 1), [(1, 1, 0)]),
         _layer(3, 3, (1, 0, 1)),
     )
-    us, failure = select_structure(layers)
-    assert failure is None
+    us, report, failure = select_structure(layers)
+    assert failure is None and report == check_parameter_conditions(us.U)
     assert us.U.e_minus == (1, 1) and us.U.e_plus == (0, 3)
 
 
