@@ -10,7 +10,8 @@ standard error:
   a family tag given the wrong number of parameters, or a configuration
   file or value that is unreadable, not a JSON object, names an unknown
   field or fails validation
-- 3 budget exceeded
+- 3 budget exceeded: a family build, or the vertex count in a graph
+  file's header, above the vertex budget
 - 4 expectation mismatch in a reproduction suite
 - 1 any other library error
 
@@ -74,10 +75,10 @@ def _load_config(args):
         raise ParseError(f"invalid configuration: {exc}") from exc
 
 
-def _read_graph(path):
+def _read_graph(path, budget):
     try:
         with open(path) as fh:
-            return read_edge_list(fh.read())
+            return read_edge_list(fh.read(), budget)
     except OSError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -118,7 +119,7 @@ def cmd_family(args):
 
 def cmd_analyze(args):
     cfg = _load_config(args)
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, cfg.vertex_budget)
     ia = intersection_array(g)
     cps = classical_parameter_candidates(ia)
     spec = spectrum(ia)
@@ -133,7 +134,7 @@ def cmd_analyze(args):
 
 def cmd_flatten(args):
     cfg = _load_config(args)
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, cfg.vertex_budget)
     _check_base(g, args.base)
     fl = flatten(g, args.base)
     out = args.out or (args.graph + ".flat")
@@ -155,7 +156,7 @@ def cmd_flatten(args):
 
 def cmd_certify(args):
     cfg = _load_config(args)
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, cfg.vertex_budget)
     if args.all_bases:
         payload = {
             "per_base": [
@@ -173,7 +174,7 @@ def cmd_certify(args):
 
 def cmd_decompose(args):
     cfg = _load_config(args)
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, cfg.vertex_budget)
     _check_base(g, args.base)
     mods = decompose(g, args.base, args.algebra, config=cfg)
     spec = None

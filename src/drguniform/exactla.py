@@ -37,15 +37,6 @@ import numpy as np
 from .errors import ExactnessError
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def ivec_normalize(v):
     """Divide an integer vector by the gcd of its entries; flip sign so the
     first nonzero entry is positive.  Returns None for the zero vector."""
@@ -69,11 +60,6 @@ def clear_denominators(v):
     for x in v:
         den = den * x.denominator // gcd(den, x.denominator)
     return [x.numerator * (den // x.denominator) for x in v], den
-
-
-def fvec_to_ivec(v):
-    """Clear denominators of a Fraction vector, then gcd-normalize."""
-    return ivec_normalize(clear_denominators(v)[0])
 
 
 class IntRowBasis:

@@ -11,10 +11,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import DEFAULT
-from .errors import BudgetExceeded, ExactnessError, InvalidParams, ParseError
+from .errors import ExactnessError, InvalidParams, ParseError
 from .fields import FiniteField, hermitian_inner
-from .graph_core import Graph
+from .graph_core import Graph, check_budget
 
 
 @dataclass(frozen=True)
@@ -24,12 +23,6 @@ class FamilySpec:
 
     def as_dict(self):
         return {"family": self.tag, "params": list(self.params)}
-
-
-def _check_budget(count, budget):
-    budget = DEFAULT.vertex_budget if budget is None else budget
-    if count > budget:
-        raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
 
 
 def _johnson_edges(n, D):
@@ -55,7 +48,7 @@ def hamming(D, n, budget=None):
     distance one.  A word's index is its value in base n."""
     if D < 1 or n < 2:
         raise InvalidParams("hamming needs D >= 1 and n >= 2")
-    _check_budget(n**D, budget)
+    check_budget(n**D, budget)
     words = np.arange(n**D)
     edges = []
     for place in n ** np.arange(D):
@@ -73,7 +66,7 @@ def johnson(n, D, budget=None):
     count = 1
     for t in range(D):
         count = count * (n - t) // (t + 1)
-    _check_budget(count, budget)
+    check_budget(count, budget)
     return Graph(count, _johnson_edges(n, D))
 
 
@@ -85,7 +78,7 @@ def halved_cube(n, budget=None):
     """
     if n < 4:
         raise InvalidParams("halved_cube needs n >= 4")
-    _check_budget(2 ** (n - 1), budget)
+    check_budget(2 ** (n - 1), budget)
     index = np.arange(2 ** (n - 1))
     words = index << 1 | np.bitwise_count(index) & 1
     flips = [1 << p | 1 << q for p, q in combinations(range(n), 2)]
@@ -106,7 +99,7 @@ def doob(n, m, budget=None):
     """Cartesian product of n Shrikhande graphs and m copies of K4."""
     if n < 1 or m < 0:
         raise InvalidParams("doob needs n >= 1 and m >= 0")
-    _check_budget(16**n * 4**m, budget)
+    check_budget(16**n * 4**m, budget)
     from .terwilliger import cartesian_product
 
     g = shrikhande()
@@ -157,7 +150,7 @@ def dual_polar_generator_bases(r, D, budget=None):
     expected = 1
     for i in range(1, D + 1):
         expected *= r ** (2 * i - 1) + 1
-    _check_budget(expected, budget)
+    check_budget(expected, budget)
     points, orth = _isotropic_points(FiniteField(r, 2), 2 * D)
     pivot = (points != 0).argmax(axis=1)
     at_pivot = points[:, pivot]  # [i, j] = coordinate of point i at the pivot of point j
@@ -224,7 +217,7 @@ def hermitian_forms(r, D, budget=None):
     """
     if D < 2:
         raise InvalidParams("hermitian_forms needs D >= 2")
-    _check_budget(r ** (D * D), budget)
+    check_budget(r ** (D * D), budget)
     field = FiniteField(r, 2)
     mul, conj, add = (np.array(t) for t in (field.mul, field.conj, field.add))
     rows, cols = np.triu_indices(D)

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import exactla
+from .config import DEFAULT
 from .errors import (
+    BudgetExceeded,
     DisconnectedGraph,
     ExactnessError,
     InvalidParams,
@@ -26,6 +28,14 @@ from .errors import (
     NotDistanceRegular,
     ParseError,
 )
+
+
+def check_budget(count, budget=None):
+    """Raise BudgetExceeded when a graph of ``count`` vertices exceeds the
+    vertex budget (the default configuration's when ``budget`` is None)."""
+    budget = DEFAULT.vertex_budget if budget is None else budget
+    if count > budget:
+        raise BudgetExceeded(f"{count} vertices exceed the budget of {budget}")
 
 
 def _first_bad_edge(n, edges, u, v, bad):
@@ -142,12 +152,15 @@ class Graph:
         return int(self.distance_matrix().max())
 
 
-def read_edge_list(text):
+def read_edge_list(text, budget=None):
     """Parse the repo edge-list format: ``n m`` then m lines ``u v``.
 
     The tokens go to int64 in one numpy conversion, which accepts exactly
     the tokens ``int`` accepts.  Only when that fails are they read again
     as Python ints: for the error message, or for numbers beyond int64.
+    The vertex count in the header is held to the vertex budget, as the
+    family constructors hold theirs, before anything of that size is
+    allocated.
     """
     tokens = text.split()
     if len(tokens) < 2:
@@ -162,6 +175,7 @@ def read_edge_list(text):
     n, m = int(nums[0]), int(nums[1])
     if n < 1:
         raise ParseError(f"a graph needs at least one vertex, not {n}")
+    check_budget(n, budget)
     if m < 0:
         raise ParseError(f"a graph needs a nonnegative edge count, not {m}")
     if len(nums) != 2 + 2 * m:

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 
 from .config import DEFAULT
 from .errors import BudgetExceeded, ExactnessError
-from .graph_core import Graph, bfs_layers
+from .graph_core import Graph, bfs_layers, check_budget
 
 
 _INT64_MAX = 2**63 - 1
@@ -32,10 +32,12 @@ class LFRSplit:
     positions inside their layers.  R is the transpose of L by definition
     and is never stored.
 
-    ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector.  A
-    list of Python ints goes through a cached sparse int64 block, split
-    into limbs when its entries are too large for one int64 product;
-    Fractions take an exact pure-Python loop over the same block.
+    ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector, a
+    list of Python ints, and multiply it by a cached sparse int64 block,
+    split into limbs when its entries are too large for one int64
+    product.  Any other entry raises TypeError, so that nothing can be
+    truncated on its way into int64; a rational vector is scaled to
+    integers first.
     ``l_block`` and ``l_gram`` are the dense float64 blocks that
     ``uniform`` forms its layer systems from.
     """
@@ -124,17 +126,13 @@ class LFRSplit:
         return self._blocks[key]
 
     def _product(self, gen, i, vec):
-        """The block product on an exact vector.
-
-        A vector of Python ints is multiplied in int64: entries up to the
-        block's limit go in as they are, larger ones are split into limbs
-        of at most ``limit`` in magnitude, one int64 product per limb,
-        recombined by shifts in Python ints.  Anything else (Fractions)
-        is summed row by row over the block's entries."""
+        """The block product on a vector of Python ints, in int64: entries
+        up to the block's limit go in as they are, larger ones are split
+        into limbs of at most ``limit`` in magnitude, one int64 product
+        per limb, recombined by shifts in Python ints."""
+        if set(map(type, vec)) - {int}:
+            raise TypeError("LFRSplit products take a list of Python ints")
         blk, limit = self._block(gen, i)
-        if set(map(type, vec)) != {int}:
-            ptr, idx = blk.indptr.tolist(), blk.indices.tolist()
-            return [sum(vec[y] for y in idx[a:b]) for a, b in zip(ptr, ptr[1:])]
         hi, lo = max(vec), min(vec)
         if hi <= limit and lo >= -limit:
             return (blk @ np.array(vec, dtype=np.int64)).tolist()
@@ -190,9 +188,7 @@ def flatten(g, x):
 
 def cartesian_product(g, h, budget=None):
     """Cartesian product with row-major vertex numbering (u, v) -> u*|h| + v."""
-    budget = DEFAULT.vertex_budget if budget is None else budget
-    if g.n * h.n > budget:
-        raise BudgetExceeded(f"{g.n * h.n} vertices exceed the budget of {budget}")
+    check_budget(g.n * h.n, budget)
     within = h.edges()[None, :, :] + h.n * np.arange(g.n)[:, None, None]
     across = h.n * g.edges()[:, None, :] + np.arange(h.n)[None, :, None]
     return Graph(g.n * h.n, np.concatenate((within.reshape(-1, 2), across.reshape(-1, 2))))

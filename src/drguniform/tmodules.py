@@ -15,9 +15,11 @@ Doob family.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 import numpy as np
 
@@ -28,12 +30,9 @@ from .exactla import (
     ModularComplement,
     clear_denominators,
     deflate,
-    fvec_to_ivec,
-    identity,
     int_poly_rational_roots,
     ivec_normalize,
     krylov_relation,
-    mat_mul,
     minimal_polynomial,
     nullspace,
     solve_affine,
@@ -286,55 +285,32 @@ def _commutant(slices, actions):
     return mats
 
 
-def _full_matrix(slices, block_mat):
-    layers = sorted(slices)
-    dims = [len(slices[i]) for i in layers]
-    total = sum(dims)
-    out = [[Fraction(0)] * total for _ in range(total)]
-    pos = 0
-    for layer, d in zip(layers, dims):
-        blk = block_mat[layer]
-        for a in range(d):
-            for b in range(d):
-                out[pos + a][pos + b] = blk[a][b]
-        pos += d
-    return out
-
-
-def _module_coords_to_slices(slices, vectors):
-    """Graded sub-bases from module-coordinate vectors (projection per layer)."""
-    layers = sorted(slices)
-    dims = [len(slices[i]) for i in layers]
-    out = {}
-    for vec in vectors:
-        pos = 0
-        for layer, d in zip(layers, dims):
-            part = vec[pos : pos + d]
-            pos += d
-            if all(x == 0 for x in part):
-                continue
-            ambient = [Fraction(0)] * len(slices[layer][0])
-            for c, row in zip(part, slices[layer]):
-                if c:
-                    ambient = [a + c * b for a, b in zip(ambient, row)]
-            iv = fvec_to_ivec(ambient)
-            if iv is None:
-                continue
-            out.setdefault(layer, IntRowBasis(len(iv))).add(iv)
-    return {i: b.basis() for i, b in out.items()}
+def _kernel_slice(rows, mat):
+    """The part of a layer slice that the kernel of ``mat`` picks out: each
+    kernel vector, cleared of denominators, combines the slice's rows."""
+    basis = IntRowBasis(len(rows[0]))
+    for vec in nullspace(mat, len(rows)):
+        combo = [0] * len(rows[0])
+        for c, row in zip(clear_denominators(vec)[0], rows):
+            if c:
+                combo = [a + c * b for a, b in zip(combo, row)]
+        basis.add(combo)
+    return basis.basis()
 
 
 def _poly_eval_matrix(coeffs, mat):
+    """den^d p(M) for an integer polynomial p = [c0..cd] and a rational
+    matrix M over the common denominator den of its entries: an integer
+    matrix with the kernel of p(M).  Horner's rule on N = den M, since
+    den^d p(N / den) = sum c_k den^(d-k) N^k."""
     n = len(mat)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    power = identity(n)
-    for c in coeffs:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * power[i][j]
-        power = mat_mul(power, mat)
-    return out
+    flat, den = clear_denominators([x for row in mat for x in row])
+    scaled, eye = np.array(flat, dtype=object).reshape(n, n), np.eye(n, dtype=object)
+    out = np.zeros((n, n), dtype=object)
+    d = len(coeffs) - 1
+    for k in range(d, -1, -1):
+        out = out @ scaled + coeffs[k] * den ** (d - k) * eye
+    return out.tolist()
 
 
 def _split_candidates(comm_basis, rng, rounds):
@@ -359,47 +335,64 @@ def _split_candidates(comm_basis, rng, rounds):
         yield combo
 
 
+def _split_by(slices, cand):
+    """The pieces of an invariant graded subspace W cut out by the factors
+    of a commutant element X's minimal polynomial, one per rational root
+    and one for the factor with none; None when there is only one.
+
+    W is generated by its slice W_r on its lowest layer r: a closure by
+    its seed, and a piece P W, for P a spectral projector of a commutant
+    element (a polynomial in it), by P(W_r).  X is fixed by its action on
+    W_r, so X's d_r x d_r block there has X's minimal polynomial, which is
+    read off that block.  X is block diagonal over the layers, so the
+    kernel of a factor p is, layer by layer, the kernel of p on X's block
+    there, and each piece is built one layer at a time.  The pieces'
+    dimensions must add up to W's.
+    """
+    roots, residual = int_poly_rational_roots(minimal_polynomial(cand[min(slices)]))
+    # (b t - a)^m for each root a/b of multiplicity m
+    factors = [
+        [comb(m, k) * lam.denominator**k * (-lam.numerator) ** (m - k) for k in range(m + 1)]
+        for lam, m in sorted(Counter(roots).items())
+    ]
+    if len(residual) > 1:
+        factors.append(residual)
+    if len(factors) < 2:
+        return None
+    pieces = []
+    for f in factors:
+        piece = {}
+        for layer in sorted(slices):
+            kernel = _kernel_slice(slices[layer], _poly_eval_matrix(f, cand[layer]))
+            if kernel:
+                piece[layer] = kernel
+        pieces.append(piece)
+    dim = sum(map(len, slices.values()))
+    if sum(len(rows) for piece in pieces for rows in piece.values()) != dim:
+        raise ExactnessError("the endpoint block's minimal polynomial does not split the module")
+    return pieces
+
+
 def _split_irreducible(split, algebra, slices, rng):
-    """Recursively split an invariant graded subspace into irreducibles.
+    """Recursively split an invariant graded subspace into irreducibles,
+    through ``_split_by`` on the first commutant element that splits it.
 
     Returns (list_of_slices, certified) where certified reports whether
-    every piece has a one-dimensional commutant.
+    every piece has a one-dimensional commutant.  Each returned piece has
+    passed its own ``_action_matrices`` invariance check.
     """
     actions = _action_matrices(split, algebra, slices)
     comm = _commutant(slices, actions)
     if len(comm) == 1:
         return [slices], True
     for cand in _split_candidates(comm, rng, rounds=40):
-        full = _full_matrix(slices, cand)
-        minpoly = minimal_polynomial(full)
-        roots, residual = int_poly_rational_roots(minpoly)
-        distinct = sorted(set(roots))
-        n_components = len(distinct) + (1 if len(residual) > 1 else 0)
-        if n_components < 2:
+        pieces = _split_by(slices, cand)
+        if pieces is None:
             continue
-        pieces = []
-        for lam in distinct:
-            mult = roots.count(lam)
-            # ker (X - lam)^mult
-            shifted = [
-                [full[i][j] - (lam if i == j else 0) for j in range(len(full))]
-                for i in range(len(full))
-            ]
-            power = shifted
-            for _ in range(mult - 1):
-                power = mat_mul(power, shifted)
-            kernel = nullspace(power, len(full))
-            pieces.append(kernel)
-        if len(residual) > 1:
-            gx = _poly_eval_matrix([Fraction(c) for c in residual], full)
-            kernel = nullspace(gx, len(full))
-            if kernel:
-                pieces.append(kernel)
         out = []
         certified = True
-        for kernel in pieces:
-            sub = _module_coords_to_slices(slices, kernel)
-            subs, ok = _split_irreducible(split, algebra, sub, rng)
+        for piece in pieces:
+            subs, ok = _split_irreducible(split, algebra, piece, rng)
             out.extend(subs)
             certified = certified and ok
         return out, certified
@@ -423,25 +416,24 @@ def _orthogonalize(slices, siblings):
             continue
         basis = IntRowBasis(len(rows[0]))
         for vec in rows:
-            proj = [Fraction(x) for x in vec]
             for sib in sib_slices:
-                proj = _project_off(proj, sib)
-            iv = fvec_to_ivec(proj)
-            if iv is not None:
-                basis.add(iv)
+                vec = _project_off(vec, sib)
+            basis.add(vec)
         out[layer] = basis.basis()
     return out
 
 
 def _project_off(vec, rows):
-    """vec minus its orthogonal projection onto span(rows), exact."""
+    """A positive integer multiple of vec minus its orthogonal projection
+    onto span(rows): den vec - sum_k (den c_k) rows_k, for the projection
+    coefficients c_k over their common denominator den."""
     gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
     rhs = [sum(a * b for a, b in zip(r, vec)) for r in rows]
     sol = solve_affine(gram, rhs)
     if sol is None:
         raise ExactnessError("singular Gram matrix of a module slice")
-    coeffs, _ = sol
-    out = [Fraction(x) for x in vec]
+    coeffs, den = clear_denominators(sol[0])
+    out = [den * x for x in vec]
     for c, r in zip(coeffs, rows):
         if c:
             out = [a - c * b for a, b in zip(out, r)]
@@ -471,7 +463,10 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     Layers are processed by increasing endpoint; at each endpoint the
     orthogonal complement of everything already found is seeded in
     canonical vertex order, closures are split through their commutants,
-    and the pieces are orthogonalized.  With ``max_endpoint`` set, only
+    and the pieces are orthogonalized.  Invariance is checked once per
+    piece: ``_split_irreducible`` checks every piece it returns, and a
+    piece projected off its earlier siblings from the same closure is
+    checked again.  With ``max_endpoint`` set, only
     modules with endpoint up to that bound are extracted (the remainder
     is ignored), which is enough for endpoint-one diagnostics.
     """
@@ -494,9 +489,10 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
             pieces, certified = _split_irreducible(split, algebra, closure, rng)
             siblings = []
             for piece in pieces:
-                piece = _orthogonalize(piece, siblings)
-                # re-verify invariance after the projection
-                _action_matrices(split, algebra, piece)
+                if siblings:
+                    # the projection is all that can change a checked piece
+                    piece = _orthogonalize(piece, siblings)
+                    _action_matrices(split, algebra, piece)
                 siblings.append(piece)
                 found.append(piece)
                 layers = sorted(piece)
@@ -569,17 +565,19 @@ def standard_basis(mod, spec):
     """Layer basis {E*_i v} for a nonzero v in E_t W, t the dual endpoint.
 
     Only defined for thin modules; the scalars of the ladder maps in this
-    basis are the per-module intersection numbers.
+    basis are the per-module intersection numbers.  The vectors are
+    integers: v is E_t w scaled by the denominator that clears E_t, which
+    leaves the ladder scalars, ratios, as they are.
     """
     if not mod.thin:
         raise NotThin("standard bases are defined for thin modules")
     dp = mod.split.dp
     t = dual_endpoint(mod, spec)
-    row, den = clear_denominators(spec.idempotent_coefficients()[t])
-    # E_t v for the first basis vector v, in layer order, it does not kill
+    row, _ = clear_denominators(spec.idempotent_coefficients()[t])
+    # den E_t w for the first basis vector w, in layer order, it does not kill
     v = next(
         (
-            [Fraction(int(x), den) for x in col]
+            col.tolist()
             for layer in mod.layers()
             for col in _idempotent_images(mod, row, layer).T
             if np.count_nonzero(col)

@@ -16,20 +16,23 @@ distance partition by a breadth-first search one vertex at a time, the
 L/F split as neighbour tuples built per vertex, each layer system as the
 distinct rows of its guarded float-BLAS blocks, the two-colouring of a
 graph, the near-polygon test's scan of every edge for an induced
-K_{1,1,2}, and flattening and Cartesian products one edge at a time.  The helpers that
+K_{1,1,2}, flattening and Cartesian products one edge at a time, and the
+split of a module closure through the dim x dim matrix of a commutant
+element instead of its block on the endpoint slice.  The helpers that
 assemble an ``LFRSplit``'s blocks into full matrices or count their
 entries are here too: only tests use them.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from drguniform.errors import DisconnectedGraph, ExactnessError, NotDistanceRegular, ParseError
+from drguniform.exactla import IntRowBasis, int_poly_rational_roots
 from drguniform.fields import FiniteField
 from drguniform.graph_core import DistancePartition
 
@@ -726,3 +729,71 @@ def l_nonzeros(split):
 def f_nonzeros(split):
     """Entries of F in an ``LFRSplit``'s blocks."""
     return sum(split._block("F", i)[0].nnz for i in range(split.eccentricity + 1))
+
+
+def full_matrix(slices, block_mat):
+    """The dim x dim block-diagonal matrix of a graded commutant element,
+    its layer blocks in increasing layer order."""
+    layers = sorted(slices)
+    total = sum(len(slices[i]) for i in layers)
+    out = [[Fraction(0)] * total for _ in range(total)]
+    pos = 0
+    for layer in layers:
+        for a, row in enumerate(block_mat[layer]):
+            out[pos + a][pos : pos + len(row)] = row
+        pos += len(slices[layer])
+    return out
+
+
+def module_coords_to_slices(slices, vectors):
+    """Graded sub-bases from module-coordinate vectors: each layer's part of
+    a vector combines that layer's slice rows as Fractions, and the result,
+    cleared of denominators, goes into a fresh echelon basis per layer."""
+    layers = sorted(slices)
+    out = {}
+    for vec in vectors:
+        pos = 0
+        for layer in layers:
+            rows = slices[layer]
+            part = vec[pos : pos + len(rows)]
+            pos += len(rows)
+            if any(part):
+                ambient = [sum(c * row[k] for c, row in zip(part, rows)) for k in range(len(rows[0]))]
+                den = lcm(*(x.denominator for x in ambient))
+                out.setdefault(layer, IntRowBasis(len(ambient))).add([int(x * den) for x in ambient])
+    return {i: b.basis() for i, b in sorted(out.items())}
+
+
+def _matrix_polynomial(coeffs, mat):
+    """sum c_k M^k over the Fractions, by Horner's rule."""
+    n = len(mat)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        out = [
+            [sum(out[i][k] * mat[k][j] for k in range(n)) + (c if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    return out
+
+
+def full_matrix_split(slices, cand):
+    """The split of a graded subspace by a commutant element through its
+    full matrix X: the minimal polynomial of X, and the pieces, one per
+    rational root lam of multiplicity m (the kernel of (X - lam)^m) and one
+    for the factor without roots, each kernel read back into layer slices;
+    the pieces are None when the polynomial has a single factor."""
+    full = full_matrix(slices, cand)
+    minpoly = fraction_minimal_polynomial(full)
+    roots, residual = int_poly_rational_roots(minpoly)
+    factors = [
+        [comb(m, k) * (-lam) ** (m - k) for k in range(m + 1)]
+        for lam, m in sorted((lam, roots.count(lam)) for lam in set(roots))
+    ]
+    if len(residual) > 1:
+        factors.append(residual)
+    if len(factors) < 2:
+        return minpoly, None
+    return minpoly, [
+        module_coords_to_slices(slices, fraction_nullspace(_matrix_polynomial(f, full), len(full)))
+        for f in factors
+    ]

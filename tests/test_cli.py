@@ -120,17 +120,35 @@ def test_exit_code_budget(tmp_path):
 
 def test_config_file_override(h33_file, tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"vertex_budget": 20, "retry_count": 4}))
-    # analyzing an existing file ignores the budget, but the config is echoed
+    cfg.write_text(json.dumps({"vertex_budget": 27, "retry_count": 4}))
+    # the 27-vertex file fits the budget, and the config is echoed
     out = tmp_path / "a.json"
     assert main(["analyze", str(h33_file), "--config", str(cfg), "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["config"]["vertex_budget"] == 20
+    assert payload["config"]["vertex_budget"] == 27
     assert payload["config"]["retry_count"] == 4
     # a family build under the same config hits the budget
     assert main(
-        ["family", "hamming", "3", "3", "--out", str(tmp_path / "x.edges"), "--config", str(cfg)]
+        ["family", "hamming", "3", "4", "--out", str(tmp_path / "x.edges"), "--config", str(cfg)]
     ) == 3
+    # so does a graph file, and --budget overrides the file's budget
+    cfg.write_text(json.dumps({"vertex_budget": 20}))
+    assert main(["analyze", str(h33_file), "--config", str(cfg)]) == 3
+    assert main(["analyze", str(h33_file), "--config", str(cfg), "--budget", "27", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("header", ["99999999999999999999 0", "3000000000 0", "100001 0"])
+@pytest.mark.parametrize("command", ["analyze", "certify-uniform", "decompose", "flatten"])
+def test_oversized_header_exits_3_with_one_line(tmp_path, capsys, header, command):
+    # the header's vertex count is held to the budget before anything of
+    # that size is allocated: an int64 overflow or a 22 GiB allocation
+    # ended these in tracebacks
+    graph = tmp_path / "big.edges"
+    graph.write_text(header + "\n")
+    assert main([command, str(graph)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 def test_all_bases(tmp_path):

@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from drguniform import (
+    BudgetExceeded,
     ClassicalParameters,
     DisconnectedGraph,
     Graph,
@@ -122,6 +123,18 @@ def test_edge_list_errors(text):
     with pytest.raises(ParseError) as info:
         read_edge_list(text)
     assert str(info.value) == _EDGE_LIST_ERRORS[text]
+
+
+def test_edge_list_header_is_held_to_the_budget():
+    # the constructors' rule: more vertices than the budget (the default
+    # configuration's when none is given) is BudgetExceeded, before the
+    # body is checked or anything of that size allocated
+    with pytest.raises(BudgetExceeded, match="^6 vertices exceed the budget of 5$"):
+        read_edge_list("6 1\n0 9", budget=5)
+    assert read_edge_list("5 1\n0 4", budget=5).n == 5
+    for text in ("100001 0", "99999999999999999999 0"):
+        with pytest.raises(BudgetExceeded):
+            read_edge_list(text)
 
 
 @st.composite

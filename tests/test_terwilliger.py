@@ -103,7 +103,7 @@ def test_int64_fast_path_matches_loop(j63):
     # small ints; magnitudes at and around 2^62, 2^63 and (2^63 - 1) // k
     # for every row count k the blocks have, and 2^100 and 2^300 (split
     # into limbs), all one sign (the largest sums) or mixed with
-    # negatives; Fractions, alone and mixed with ints
+    # negatives
     split = lfr_split(j63, x=0)
     ref = TupleSplit(j63, split.dp)
     rng = random.Random(11)
@@ -117,14 +117,29 @@ def test_int64_fast_path_matches_loop(j63):
             vecs.append([m] * w)
             vecs.append([-m] * w)
             vecs.append([rng.choice((m, -m, -(2**63), 1)) for _ in range(w)])
-        vecs.append([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(w)])
-        vecs.append([Fraction(1, 2)] * w)
-        vecs.append([1] * (w - 1) + [Fraction(1, 3)])
         for vec in vecs:
             for gen, out in _products(split, i, vec):
                 assert out == _loop_apply(ref, gen, i, vec), (gen, i, vec[:3])
-                if all(type(x) is int for x in vec):
-                    assert all(type(x) is int for x in out)
+                assert all(type(x) is int for x in out)
+
+
+def test_products_reject_entries_that_are_not_ints(j63):
+    # a Fraction, a float or a numpy integer never reaches the int64
+    # product, where it could be truncated; whole Fractions are no exception
+    split = lfr_split(j63, x=0)
+    for i, layer in enumerate(split.dp.layers):
+        w = len(layer)
+        for vec in (
+            [Fraction(1, 2)] * w,
+            [1] * (w - 1) + [Fraction(1, 3)],
+            [Fraction(2)] * w,
+            [0.5] * w,
+            [np.int64(1)] * w,
+        ):
+            gens = ["F"] + ["L"] * (i >= 1) + ["R"] * (i < split.eccentricity)
+            for gen in gens:
+                with pytest.raises(TypeError):
+                    getattr(split, f"apply_{gen}")(i, vec)
 
 
 def test_flatten_bipartite_fixed_point():

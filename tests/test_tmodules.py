@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,13 @@ from drguniform import (
     theta_tilde,
     tightness,
 )
+from drguniform import tmodules
+from drguniform.errors import ExactnessError
+from drguniform.exactla import minimal_polynomial
 from drguniform.graph_core import Graph
 from drguniform.tmodules import INFINITY, group_modules
+
+from oracles import full_matrix_split
 
 
 def test_theta_tilde_basics():
@@ -394,3 +400,73 @@ def test_golden_module_slices(request, key):
     if labelling:
         g = _relabelled(g, labelling)
     assert _slice_digest(decompose(g, 0, algebra)) == GOLDEN_SLICES[key]
+
+
+@pytest.mark.parametrize(
+    "name, labelling, splits", [("j94", 0, 2), ("j94", 2305, 6), ("halved8", 0, 14)]
+)
+def test_endpoint_block_split_matches_the_full_matrix(request, monkeypatch, name, labelling, splits):
+    # every candidate's block on the lowest layer has the minimal
+    # polynomial of its full matrix, and the closures that split give the
+    # pieces the full matrix gives
+    g = request.getfixturevalue(name)
+    if labelling:
+        g = _relabelled(g, labelling)
+    calls = []
+    split_by = tmodules._split_by
+
+    def recorded(slices, cand):
+        pieces = split_by(slices, cand)
+        calls.append((slices, cand, pieces))
+        return pieces
+
+    monkeypatch.setattr(tmodules, "_split_by", recorded)
+    decompose(g, 0, "T")
+    assert sum(pieces is not None for _, _, pieces in calls) == splits
+    for slices, cand, pieces in calls:
+        minpoly, full_pieces = full_matrix_split(slices, cand)
+        assert minimal_polynomial(cand[min(slices)]) == minpoly
+        assert pieces == full_pieces
+
+
+def test_split_pieces_must_fill_the_subspace(j94, monkeypatch):
+    # a polynomial whose factors have no kernel on the subspace, as a
+    # minimal polynomial read off the wrong block would, cannot pass
+    big = 10**9
+    monkeypatch.setattr(tmodules, "minimal_polynomial", lambda m: [big * (big + 1), -(2 * big + 1), 1])
+    with pytest.raises(ExactnessError, match="does not split the module"):
+        decompose(j94, 0, "T")
+
+
+def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
+    # each subspace _split_irreducible receives is checked there, and a
+    # piece projected off its earlier siblings once more; the halved
+    # 8-cube's closures give 14 such pieces
+    counts = Counter()
+    for name in ("_action_matrices", "_split_irreducible", "_orthogonalize"):
+
+        def counted(*args, _name=name, _original=getattr(tmodules, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tmodules, name, counted)
+    decompose(halved8, 0, "T")
+    assert counts["_orthogonalize"] == 14
+    assert counts["_action_matrices"] == counts["_split_irreducible"] + counts["_orthogonalize"]
+
+
+def test_projected_pieces_are_checked_again(halved8, monkeypatch):
+    # a projection that broke invariance would be caught: the first vertex
+    # of the endpoint layer has neighbours one layer down, where the piece
+    # has no slice
+    orthogonalize = tmodules._orthogonalize
+
+    def broken(slices, siblings):
+        out = orthogonalize(slices, siblings)
+        r = min(out)
+        out[r] = [[1] + [0] * (len(out[r][0]) - 1)] + out[r][1:]
+        return out
+
+    monkeypatch.setattr(tmodules, "_orthogonalize", broken)
+    with pytest.raises(ExactnessError, match="not invariant"):
+        decompose(halved8, 0, "T")

@@ -356,18 +356,13 @@ def _apply_layer_equation(split, us, i, vec):
     em = us.U.e_minus_at(i)
     ep = us.U.e_plus_at(i)
     fi = Fraction(us.f[i - 1])
-    frac_vec = [Fraction(x) for x in vec]
-    lv = split.apply_L(i, frac_vec)
-    rl2 = (
-        split.apply_R(i - 2, split.apply_L(i - 1, lv))
-        if i >= 2
-        else [Fraction(0)] * len(lv)
-    )
+    lv = split.apply_L(i, vec)
+    rl2 = split.apply_R(i - 2, split.apply_L(i - 1, lv)) if i >= 2 else [0] * len(lv)
     lrl = split.apply_L(i, split.apply_R(i - 1, lv))
     if i <= split.eccentricity - 1:
-        l2r = split.apply_L(i, split.apply_L(i + 1, split.apply_R(i, frac_vec)))
+        l2r = split.apply_L(i, split.apply_L(i + 1, split.apply_R(i, vec)))
     else:
-        l2r = [Fraction(0)] * len(lv)
+        l2r = [0] * len(lv)
     return [
         em * a + b + ep * c - fi * d for a, b, c, d in zip(rl2, lrl, l2r, lv)
     ]
