@@ -27,7 +27,6 @@ are vectorized, not for large-scale numerics.
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import count
 from math import gcd, isqrt, prod
 from operator import mul
@@ -181,17 +180,18 @@ _CHUNK = 1024  # int64 partial sums of 1024 products below 2^52 stay below 2^62
 _BLOCK = 32  # pending rows per fold: the fold's int64 sums stay below 2^57
 
 
-@cache
+_PRIMES = []  # the largest primes below 2^26 found so far, descending
+
+
 def _large_primes(count):
-    """The ``count`` largest primes below 2^26, in descending order; each
-    count extends the one before, so every prime is searched for once."""
-    if not count:
-        return ()
-    out = _large_primes(count - 1)
-    c = out[-1] - 2 if out else 2**_PRIME_BITS - 1
-    while not all(c % d for d in range(3, isqrt(c) + 1, 2)):
+    """The ``count`` largest primes below 2^26, in descending order.  The
+    primes found are kept, so every prime is searched for once."""
+    c = _PRIMES[-1] - 2 if _PRIMES else 2**_PRIME_BITS - 1
+    while len(_PRIMES) < count:
+        if all(c % d for d in range(3, isqrt(c) + 1, 2)):
+            _PRIMES.append(c)
         c -= 2
-    return out + (c,)
+    return tuple(_PRIMES[:count])
 
 
 def _primes_for(bits):
@@ -390,11 +390,24 @@ class ModularComplement:
             self._extend(count)
 
     def _residues(self, vec):
-        """(K, width) int64 residues of an integer vector."""
+        """(K, width) int64 residues of an integer vector.  Past int64, the
+        absolute values are written as little-endian bytes, one int64
+        product of that (width x size) byte matrix with the powers of 256
+        modulo each prime gives their residues (its sums stay below
+        size * 2^34), and the negative entries' residues are negated."""
         if -(2**63) <= min(vec) and max(vec) < 2**63:
             return np.array(vec, dtype=np.int64) % self._p
-        obj = np.array(vec, dtype=object)
-        return np.array([(obj % p).astype(np.int64) for p in self.primes])
+        size = (max(map(abs, vec)).bit_length() + 7) // 8
+        data = b"".join(abs(x).to_bytes(size, "little") for x in vec)
+        digits = np.frombuffer(data, dtype=np.uint8).reshape(len(vec), size).astype(np.int64)
+        powers = np.ones((len(self.primes), 1), dtype=np.int64)  # 256^j mod p, j < size
+        while powers.shape[1] < size:
+            step = powers[:, -1:] * 256 % self._p
+            powers = np.hstack([powers, powers * step % self._p])
+        res = powers[:, :size] @ digits.T % self._p
+        neg = np.array([x < 0 for x in vec])
+        res[:, neg] = -res[:, neg] % self._p
+        return res
 
     def _insert(self, vec):
         """Reduce ``vec`` under every prime and add it to the pending block

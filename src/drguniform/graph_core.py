@@ -59,10 +59,11 @@ class Graph:
 
     ``edges`` is an (m, 2) integer array or an iterable of pairs.
     Instances are treated as immutable after construction; derived data
-    (distance matrix, neighbour tuples and sets) is cached lazily.
+    (distance matrix and layer counts, neighbour tuples and sets) is cached
+    lazily.
     """
 
-    __slots__ = ("n", "m", "_csr", "_dist", "_adj", "_adjsets")
+    __slots__ = ("n", "m", "_csr", "_dist", "_counts", "_adj", "_adjsets")
 
     def __init__(self, n, edges):
         if not isinstance(edges, np.ndarray):
@@ -87,6 +88,7 @@ class Graph:
         self.n = n
         self.m = len(uv)
         self._dist = None
+        self._counts = None
         self._adj = None
         self._adjsets = None
 
@@ -121,25 +123,20 @@ class Graph:
     def distance_matrix(self):
         """All-pairs distances as an int16 array; raises on disconnection.
 
-        A breadth-first search from every vertex at once: column x of the
-        frontier marks the vertices at distance t from x, and one product
-        with the adjacency matrix gives their neighbours.
+        The matrix comes from ``_sweep``, which also checks the counts the
+        intersection array needs; both are cached.
         """
         if self._dist is None:
-            S = self.sparse()
-            dist = np.full((self.n, self.n), -1, dtype=np.int16)
-            np.fill_diagonal(dist, 0)
-            frontier = np.eye(self.n, dtype=np.uint8)
-            t = 0
-            while frontier.any():
-                t += 1
-                reach = (S @ frontier > 0) & (dist < 0)
-                dist[reach] = t
-                frontier = reach.view(np.uint8)
-            if (dist < 0).any():
-                raise DisconnectedGraph("graph is not connected")
-            self._dist = dist
+            self._dist, self._counts = _sweep(self._csr)
         return self._dist
+
+    def layer_counts(self):
+        """What the sweep behind ``distance_matrix`` read off its products:
+        the counts (b_{t-1}, a_t, c_{t+1}) in row 0 of M_t for each t up to
+        the first at which M_t differs from what they predict, and that
+        M_t, or None when no t does."""
+        self.distance_matrix()
+        return self._counts
 
     def is_connected(self):
         try:
@@ -150,6 +147,56 @@ class Graph:
 
     def diameter(self):
         return int(self.distance_matrix().max())
+
+
+_CHECK = 1 << 16  # entries of M_t compared at once, so the temporaries stay small
+
+
+def _sweep(S):
+    """All-pairs int16 distances of the graph with CSR ``S``, and the
+    counts of its intersection array, from D+1 products.
+
+    A breadth-first search from every vertex at once: column x of the 0/1
+    layer F_t marks the vertices at distance t from x, and M_t = S F_t
+    holds in entry (y, x) the number of neighbours of y at distance t from
+    x; its nonzero entries not yet reached are F_{t+1}.  A pair's distance
+    is the number of t at which it is not yet reached, so while M_t is in
+    hand the distances are min(d, t + 1), and F_{t-1} is where they equal
+    t - 1.  M_t is zero at every distance but t-1, t and t+1, so b_{t-1},
+    a_t and c_{t+1} are the same for every pair exactly when
+    M_t = b_{t-1} F_{t-1} + a_t F_t + c_{t+1} F_{t+1}, with the counts read
+    in row 0; that is checked in the CSR's unsigned type, a block of rows
+    at a time.  The counts are returned as (the triples up to the first t
+    where the check fails, that M_t or None).
+    """
+    n = S.shape[0]
+    dist = np.zeros((n, n), dtype=np.int16)
+    unseen = ~np.eye(n, dtype=bool)
+    cur, nxt = np.eye(n, dtype=np.uint8), np.empty((n, n), dtype=np.uint8)
+    step = max(1, _CHECK // n)
+    counts, bad, t = [], None, 0
+    while cur.any():
+        dist += unseen
+        M = S @ cur
+        np.logical_and(M, unseen, out=nxt.view(bool))
+        unseen ^= nxt.view(bool)
+        if bad is None:
+            # M_t in row 0 at the first vertex of each layer, or 0 when row 0
+            # has none (then the eccentricities differ, which is reported first)
+            bac = [M[0, f.argmax()] * f.max() for f in (dist[0] == t - 1, cur[0], nxt[0])]
+            counts.append(tuple(map(int, bac)))
+            for r in range(0, n, step):
+                rows = slice(r, r + step)
+                want = (dist[rows] == t - 1) * bac[0] + cur[rows] * bac[1] + nxt[rows] * bac[2]
+                if not np.array_equal(M[rows], want):
+                    bad = M
+                    break
+        cur, nxt = nxt, cur
+        t += 1
+        del M  # before the next product is formed
+    if unseen.any():
+        raise DisconnectedGraph("graph is not connected")
+    return dist, (tuple(counts), bad)
 
 
 def read_edge_list(text, budget=None):
@@ -298,11 +345,14 @@ def intersection_array(g):
 
     A graph is distance-regular exactly when, for every pair (x, y) at
     distance i, the number of neighbours of y at distances i-1, i, i+1 from
-    x depends only on i.  The product M_t = A 1[dist = t] holds in entry
-    (y, x) the number of neighbours of y at distance t from x, so D+1
-    products check every pair: M_t gives b_{t-1}, a_t and c_{t+1}.  The
-    witness (x, y) of a failure is at distance i and has the count ``got``;
-    ``expected`` is the count of the first pair at that distance.
+    x depends only on i.  The sweep behind ``g.distance_matrix()`` checked
+    that on each of its products and kept the counts, so none is formed
+    here.  The witness (x, y) of a failure is at distance i and has the
+    count ``got``; ``expected`` is the count of the first pair at that
+    distance.  Eccentricities are compared first.  Past that, row 0 meets
+    every distance, and the witness is read off the first failing product
+    M_t: the first pair, in row-major order, whose count b_{t-1}, a_t or
+    c_{t+1} (in that order) differs from row 0's.
     """
     dist = g.distance_matrix()
     D = int(dist.max())
@@ -313,24 +363,16 @@ def intersection_array(g):
         x = int(np.argmin(ecc))
         y = int(np.argmax(dist[x]))
         raise NotDistanceRegular(x, y, int(ecc[x]), "eccentricity", D, int(ecc[x]))
-    S = g.sparse()
-    counts = {kind: [0] * (D + 1) for kind in "cab"}
-    for t in range(D + 1):
-        M = S @ (dist == t).view(np.uint8)
-        for kind, i in (("b", t - 1), ("a", t), ("c", t + 1)):
-            if not 0 <= i <= D:
-                continue
-            at_i = dist == i
-            vals = M[at_i]
-            off = vals != vals[0]
+    counts, M = g.layer_counts()
+    if M is not None:
+        t = len(counts) - 1
+        for kind, i, expected in zip("bac", (t - 1, t, t + 1), counts[t]):
+            off = (dist == i) & (M != expected)
             if off.any():
-                k = int(np.argmax(off))
-                y, x = (int(w[k]) for w in np.nonzero(at_i))
-                raise NotDistanceRegular(x, y, i, kind, int(vals[0]), int(vals[k]))
-            counts[kind][i] = int(vals[0])
-    c, a, b = counts["c"], counts["a"], counts["b"]
-    ia = IntersectionArray(c=tuple(c[1:]), a=tuple(a), b=tuple(b[:D]))
-    return ia.validate()
+                y, x = divmod(int(np.argmax(off)), g.n)
+                raise NotDistanceRegular(x, y, i, kind, expected, int(M[y, x]))
+    b, a, c = zip(*counts)
+    return IntersectionArray(c=c[:D], a=a, b=b[1:]).validate()
 
 
 def gaussian_binomial(j, q):

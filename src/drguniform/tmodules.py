@@ -732,9 +732,9 @@ def _grid_apply_L(state, delta, p):
     out = {}
     for (l, j), c in state.items():
         if l - 1 >= 0:
-            out[(l - 1, j)] = out.get((l - 1, j), Fraction(0)) + c * 3 * (delta - l + 1)
+            out[(l - 1, j)] = out.get((l - 1, j), 0) + c * 3 * (delta - l + 1)
         if j - 1 >= 0:
-            out[(l, j - 1)] = out.get((l, j - 1), Fraction(0)) + c * (p - j + 1)
+            out[(l, j - 1)] = out.get((l, j - 1), 0) + c * (p - j + 1)
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -742,14 +742,15 @@ def _grid_apply_R(state, delta, p):
     out = {}
     for (l, j), c in state.items():
         if j + 1 <= p:
-            out[(l, j + 1)] = out.get((l, j + 1), Fraction(0)) + c * 3 * (j + 1)
+            out[(l, j + 1)] = out.get((l, j + 1), 0) + c * 3 * (j + 1)
         if l + 1 <= delta:
-            out[(l + 1, j)] = out.get((l + 1, j), Fraction(0)) + c * (l + 1)
+            out[(l + 1, j)] = out.get((l + 1, j), 0) + c * (l + 1)
     return {k: v for k, v in out.items() if v != 0}
 
 
 def doob_symbolic_check(delta, p, grid_bound=None):
-    """Verify -1/2 RL^2 + LRL - 1/2 L^2R = 3L on the abstract ladder grid.
+    """Verify -1/2 RL^2 + LRL - 1/2 L^2R = 3L on the abstract ladder grid,
+    in integers, as -RL^2 + 2LRL - L^2R - 6L = 0.
 
     The grid basis w_{l,j} (0 <= l <= delta, 0 <= j <= p) carries the
     actions L w = 3(delta-l+1) w_{l-1,j} + (p-j+1) w_{l,j-1} and
@@ -788,10 +789,9 @@ def doob_symbolic_check(delta, p, grid_bound=None):
 
     ok = True
     report = []
-    half = Fraction(1, 2)
     for l in range(delta + 1):
         for j in range(p + 1):
-            start = {(l, j): Fraction(1)}
+            start = {(l, j): 1}
             Lw = _grid_apply_L(start, delta, p)
             words = {
                 "RL2": _grid_apply_R(_grid_apply_L(Lw, delta, p), delta, p),
@@ -817,14 +817,10 @@ def doob_symbolic_check(delta, p, grid_bound=None):
                         entry["closed_form_ok"] = False
             # the uniform identity itself
             combo = {}
-            for key, c in words["RL2"].items():
-                combo[key] = combo.get(key, Fraction(0)) - half * c
-            for key, c in words["LRL"].items():
-                combo[key] = combo.get(key, Fraction(0)) + c
-            for key, c in words["L2R"].items():
-                combo[key] = combo.get(key, Fraction(0)) - half * c
-            for key, c in Lw.items():
-                combo[key] = combo.get(key, Fraction(0)) - 3 * c
+            terms = ((words["RL2"], -1), (words["LRL"], 2), (words["L2R"], -1), (Lw, -6))
+            for state, weight in terms:
+                for key, c in state.items():
+                    combo[key] = combo.get(key, 0) + weight * c
             identity_ok = all(v == 0 for v in combo.values())
             entry["identity_ok"] = identity_ok
             ok = ok and identity_ok and entry["closed_form_ok"]

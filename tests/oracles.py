@@ -10,17 +10,18 @@ the distinct nonzero rows of a layer system by numpy's 2-D ``unique``.
 The former library paths kept here as references: elimination and span
 enumeration over GF(r^2), the dual polar generators by a search that
 reduces every tuple of rows, the intersection array by one pass per
-vertex over scipy's shortest-path distances, the graph constructor's
-edge checks by one pass over the edges with a set of those seen, the
-distance partition by a breadth-first search one vertex at a time, the
-L/F split as neighbour tuples built per vertex, each layer system as the
-distinct rows of its guarded float-BLAS blocks, the two-colouring of a
-graph, the near-polygon test's scan of every edge for an induced
-K_{1,1,2}, flattening and Cartesian products one edge at a time, and the
-split of a module closure through the dim x dim matrix of a commutant
-element instead of its block on the endpoint slice.  The helpers that
-assemble an ``LFRSplit``'s blocks into full matrices or count their
-entries are here too: only tests use them.
+vertex over scipy's shortest-path distances and by D+1 products formed
+apart from the distance matrix and checked kind by kind, the graph
+constructor's edge checks by one pass over the edges with a set of those
+seen, the distance partition by a breadth-first search one vertex at a
+time, the L/F split as neighbour tuples built per vertex, each layer
+system as the distinct rows of its guarded float-BLAS blocks, the
+two-colouring of a graph, the near-polygon test's scan of every edge for
+an induced K_{1,1,2}, flattening and Cartesian products one edge at a
+time, and the split of a module closure through the dim x dim matrix of
+a commutant element instead of its block on the endpoint slice.  The
+helpers that assemble an ``LFRSplit``'s blocks into full matrices or
+count their entries are here too: only tests use them.
 """
 
 from fractions import Fraction
@@ -31,10 +32,16 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from drguniform.errors import DisconnectedGraph, ExactnessError, NotDistanceRegular, ParseError
+from drguniform.errors import (
+    DisconnectedGraph,
+    ExactnessError,
+    InvalidParams,
+    NotDistanceRegular,
+    ParseError,
+)
 from drguniform.exactla import IntRowBasis, int_poly_rational_roots
 from drguniform.fields import FiniteField
-from drguniform.graph_core import DistancePartition
+from drguniform.graph_core import DistancePartition, IntersectionArray
 
 
 def dense_det(matrix):
@@ -504,6 +511,41 @@ def loop_intersection_array(g):
                 store[i] = lo
     a[0] = 0
     return tuple(c[1:]), tuple(a), tuple(b[:D])
+
+
+def product_intersection_array(g):
+    """(c, a, b) of ``g`` by D+1 products of its adjacency matrix with the
+    0/1 distance layers, formed after the distance matrix, each compared
+    kind by kind (b_{t-1}, a_t, c_{t+1}) with the first pair at that
+    distance through a mask of the pairs there.  Raises InvalidParams,
+    NotDistanceRegular (eccentricities first) or ValueError as the library
+    does."""
+    dist = g.distance_matrix()
+    D = int(dist.max())
+    if D == 0:
+        raise InvalidParams("the graph has diameter 0, so it has no intersection array")
+    ecc = dist.max(axis=1)
+    if (ecc != D).any():
+        x = int(np.argmin(ecc))
+        y = int(np.argmax(dist[x]))
+        raise NotDistanceRegular(x, y, int(ecc[x]), "eccentricity", D, int(ecc[x]))
+    S = g.sparse()
+    counts = {kind: [0] * (D + 1) for kind in "cab"}
+    for t in range(D + 1):
+        M = S @ (dist == t).view(np.uint8)
+        for kind, i in (("b", t - 1), ("a", t), ("c", t + 1)):
+            if not 0 <= i <= D:
+                continue
+            at_i = dist == i
+            vals = M[at_i]
+            off = vals != vals[0]
+            if off.any():
+                k = int(np.argmax(off))
+                y, x = (int(w[k]) for w in np.nonzero(at_i))
+                raise NotDistanceRegular(x, y, i, kind, int(vals[0]), int(vals[k]))
+            counts[kind][i] = int(vals[0])
+    c, a, b = counts["c"], counts["a"], counts["b"]
+    return IntersectionArray(c=tuple(c[1:]), a=tuple(a), b=tuple(b[:D])).validate()
 
 
 def loop_adjacency(n, edges):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -555,3 +556,28 @@ def test_modular_complement_sizes_primes_once_from_its_rows(monkeypatch):
     for row in rows:
         added.add(row)
     assert extends
+
+
+def test_large_primes_reach_past_the_recursion_limit():
+    primes = _large_primes(1500)
+    expected = [2**26]
+    for _ in range(1500):
+        expected.append(sympy.prevprime(expected[-1]))
+    assert list(primes) == expected[1:]
+    assert _large_primes(7) == primes[:7]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_residues_of_big_vectors_match_the_remainder(seed):
+    rng = random.Random(seed)
+    complement = ModularComplement(40)
+    complement._reset(list(_large_primes(9)))
+    edges = [2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 0, 1, -1, 255, -256]
+    vec = edges + [rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 400)) for _ in range(31)]
+    rng.shuffle(vec)
+    got = complement._residues(vec)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[x % p for x in vec] for p in complement.primes]
+    # entries that all fit in int64 take the int64 path
+    small = [-(2**63), 2**63 - 1, -5, 7]
+    assert complement._residues(small).tolist() == [[x % p for x in small] for p in complement.primes]

@@ -32,8 +32,9 @@ from drguniform import (
 )
 from drguniform import graph_core
 from drguniform.families import FamilySpec, build_family, shrikhande
+from drguniform.errors import GraphError
 from drguniform.graph_core import IntersectionArray, p_numbers
-from drguniform.terwilliger import flatten
+from drguniform.terwilliger import cartesian_product, flatten
 
 from oracles import (
     brute_intersection_numbers,
@@ -41,6 +42,7 @@ from oracles import (
     loop_adjacency,
     loop_intersection_array,
     numpy_spectrum,
+    product_intersection_array,
     rref,
     scan_k112,
 )
@@ -272,6 +274,108 @@ def test_not_distance_regular_witness(g):
             )
     else:
         assert (ia.c, ia.a, ia.b) == loop_intersection_array(g)
+
+
+def _outcome(g):
+    """The array of ``g``, or the type and args of what it raises, from the
+    library and from the per-kind product oracle."""
+    results = []
+    for compute in (intersection_array, product_intersection_array):
+        try:
+            ia = compute(g)
+        except (GraphError, ValueError) as exc:
+            results.append((type(exc), exc.args))
+        else:
+            results.append((ia.c, ia.a, ia.b))
+    return results
+
+
+_STAR = Graph(4, [(0, 1), (0, 2), (0, 3)])
+
+
+@given(random_graphs())
+@example(Graph(1, []))
+@example(Graph(4, [(0, 1), (2, 3)]))
+@example(_STAR)
+@example(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_sweep_matches_the_product_oracle(g):
+    ours, oracle = _outcome(g)
+    assert ours == oracle
+
+
+def test_sweep_matches_the_product_oracle_on_suite_graphs():
+    for name, g in _suite_graphs().items():
+        ours, oracle = _outcome(g)
+        assert ours == oracle and all(type(x) is int for x in ours[0]), name
+        flat = flatten(g, 0).graph
+        ours, oracle = _outcome(flat)
+        assert ours == oracle and ours[0] is NotDistanceRegular, name
+
+
+def _generalized_petersen(n, k):
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, [(min(e), max(e)) for e in outer + spokes + inner])
+
+
+@pytest.mark.parametrize(
+    "g",
+    # distance-regular (the dodecahedron and the Desargues graph), then
+    # regular graphs whose counts first differ at t = 1, 2 or 3
+    [_generalized_petersen(10, 2), _generalized_petersen(10, 3),
+     cartesian_product(K4, C5), cartesian_product(C5, C6), _generalized_petersen(12, 2),
+     _generalized_petersen(8, 3), _generalized_petersen(13, 5), _generalized_petersen(24, 5)],
+)
+@pytest.mark.parametrize("check", [graph_core._CHECK, 50])
+def test_sweep_matches_the_product_oracle_past_the_first_layer(g, check):
+    fresh = Graph(g.n, g.edges())  # the sweep's results are cached on the graph
+    with mock.patch.object(graph_core, "_CHECK", check):
+        ours, oracle = _outcome(fresh)
+    assert ours == oracle
+
+
+def test_eccentricity_is_reported_before_the_counts():
+    # vertex 0 is the centre: its degree differs from the leaves' at t = 1,
+    # but its eccentricity is 1 where theirs is 2
+    counts, product = _STAR.layer_counts()
+    assert product is not None and len(counts) == 2
+    with pytest.raises(NotDistanceRegular) as info:
+        intersection_array(_STAR)
+    assert info.value.kind == "eccentricity" and (info.value.x, info.value.i) == (0, 1)
+
+
+def test_complete_graph_with_a_uint16_csr():
+    n = 300
+    g = Graph(n, list(combinations(range(n), 2)))
+    assert g.sparse().dtype == np.uint16
+    ia = intersection_array(g)
+    assert (ia.c, ia.a, ia.b) == ((1,), (0, n - 2), (n - 1,))
+
+
+def _count_products(g, call):
+    """How many products of ``g``'s CSR ``call()`` forms."""
+    S = g.sparse()
+    matmul, counted = type(S).__matmul__, []
+
+    def count(self, other):
+        counted.append(self is S)
+        return matmul(self, other)
+
+    with mock.patch.object(type(S), "__matmul__", count):
+        call()
+    return sum(counted)
+
+
+def test_one_sweep_forms_d_plus_one_products(h33, j94):
+    for g in (h33, j94):
+        fresh = Graph(g.n, g.edges())
+        D = intersection_array(g).D
+        assert _count_products(fresh, fresh.distance_matrix) == D + 1
+        assert _count_products(fresh, lambda: intersection_array(fresh)) == 0
+        again = Graph(g.n, g.edges())
+        assert _count_products(again, lambda: intersection_array(again)) == D + 1
 
 
 @pytest.mark.parametrize(

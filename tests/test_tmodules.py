@@ -300,6 +300,7 @@ def test_doob_symbolic_check_sizes():
         assert ok
         for entry in report:
             assert entry["identity_ok"] and entry["closed_form_ok"]
+            assert all(type(c) is int for w in entry["coefficients"].values() for c in w.values())
 
 
 def test_doob_symbolic_lrl_coefficient():
