@@ -38,7 +38,6 @@ from .graph_core import (
     intersection_array,
     krein_parameters,
     near_polygon_check,
-    primitive_idempotents,
     q_polynomial_orderings,
     read_edge_list,
     spectrum,

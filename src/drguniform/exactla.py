@@ -214,21 +214,31 @@ def _crt_prefixes(residues, primes):
     """For t = 1, 2, 4, ... and finally t = K: the integers in [0, P_t)
     with the residues residues[k] modulo primes[k] for every k < t, and
     P_t, the product of those primes.  Garner's mixed-radix digits are
-    found once each, in int64, digit k from one product of the digits
-    before it with their radices modulo primes[k]; each prefix extends the
-    values of the one before by Horner over its new digits, in Python
+    found once each, in int64: digit k is residues[k] less the value of
+    the digits before it, over their radix P_k, modulo primes[k].  While a
+    prefix's new primes are added, every radix P_j modulo them and the
+    value of the digits before j are kept in int64, one vector update per
+    digit, so no radix is reduced as a Python int.  Each prefix extends
+    the values of the one before by Horner over its new digits, in Python
     ints."""
     digits = np.empty_like(residues)
     radices = [1]  # radices[k] = primes[0] ... primes[k - 1]
     values, t = [0] * residues.shape[1], 1
     while True:
         start = len(radices) - 1
-        for k in range(start, t):
-            p = primes[k]
-            # the digits so far, as an integer mod p: k < 2^11 terms below 2^52
-            acc = np.array([r % p for r in radices[:k]], dtype=np.int64) @ digits[:k] % p
-            digits[k] = (residues[k] - acc) % p * pow(radices[k] % p, -1, p) % p
-            radices.append(radices[k] * p)
+        q = np.array(primes[start:t], dtype=np.int64)[:, None]
+        radix = np.ones_like(q)  # P_j modulo each new prime
+        acc = np.zeros((t - start, residues.shape[1]), dtype=np.int64)
+        for j in range(t):
+            if j >= start:
+                p, k = primes[j], j - start
+                digits[j] = (residues[j] - acc[k]) % p * pow(int(radix[k, 0]), -1, p) % p
+                radices.append(radices[j] * p)
+            if j + 1 < t:  # every entry is below 2^26, each product below 2^52
+                acc += radix * digits[j]
+                acc %= q
+                radix *= primes[j]
+                radix %= q
         tail = digits[t - 1].tolist()
         for i in range(t - 2, start - 1, -1):
             tail = [v * primes[i] + d for v, d in zip(tail, digits[i].tolist())]

@@ -2,14 +2,14 @@
 
 A graph on the vertices 0..n-1 is its adjacency matrix in CSR form, built
 from and read out as integer arrays of edges.  All spectral quantities
-(eigenvalues, multiplicities, primitive idempotents, Krein parameters) are
+(eigenvalues, multiplicities, idempotent coefficients, Krein parameters) are
 computed with exact rational arithmetic whenever the characteristic
 polynomial of the intersection matrix splits over Q, which covers every
 family constructed in this package.  Irrational spectra fall
 back to floating point and are flagged as numeric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -478,15 +478,13 @@ class SpectralData:
     """Eigenvalues theta_0 > ... > theta_D with multiplicities.
 
     When ``numeric`` is False all entries are Fractions and the derived
-    eigenmatrix / idempotent coefficients are exact.  ``idempotents`` is
-    filled in by :func:`primitive_idempotents`.
+    eigenmatrix / idempotent coefficients are exact.
     """
 
     ia: IntersectionArray
     eigenvalues: tuple
     multiplicities: tuple
     numeric: bool
-    idempotents: tuple = field(default=None, compare=False)
 
     @property
     def D(self):
@@ -564,28 +562,6 @@ def spectrum(ia):
             raise ExactnessError(f"multiplicities sum to {sum(mults)}, not {n}")
     return SpectralData(
         ia=ia, eigenvalues=eigs, multiplicities=tuple(mults), numeric=numeric
-    )
-
-
-def idempotent_matrix(g, spec, i):
-    """Materialize E_i as a dense matrix of Fractions."""
-    coeffs = spec.idempotent_coefficients()[i]
-    dist = g.distance_matrix()
-    n = g.n
-    return [[coeffs[int(dist[y, z])] for z in range(n)] for y in range(n)]
-
-
-def primitive_idempotents(g, spec):
-    """SpectralData enriched with the matrices E_i (exact spectrum only)."""
-    if spec.numeric:
-        raise IrrationalSpectrum("primitive idempotents need a rational spectrum")
-    mats = tuple(idempotent_matrix(g, spec, i) for i in range(spec.D + 1))
-    return SpectralData(
-        ia=spec.ia,
-        eigenvalues=spec.eigenvalues,
-        multiplicities=spec.multiplicities,
-        numeric=False,
-        idempotents=mats,
     )
 
 

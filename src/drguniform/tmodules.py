@@ -674,7 +674,7 @@ def group_modules(modules):
     return groups
 
 
-def endpoint1_census(g, x, modules, spec):
+def endpoint1_census(modules, spec):
     """Group the endpoint-one modules by local eigenvalue and test the
     diameter / dual-endpoint predictions for each class.
 

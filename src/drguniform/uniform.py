@@ -11,12 +11,15 @@ with the same solutions.  The per-layer affine
 solution sets are then combined and searched for a point satisfying the
 parameter-matrix conditions: unit diagonal, one nowhere-zero off-diagonal
 family, and all tridiagonal principal minors nonsingular.  Everything is
-decided in exact rational arithmetic.  When solution sets have free
-parameters, a few seeded rational samples are tried first.  If none is
-strongly uniform, each condition is tested for vanishing on the whole
-solution product at the finitely many corners that decide it, and unless
-that rules every structure out, the first passing point of an integer
-grid bounded by the number of conditions is taken.
+decided in exact rational arithmetic.  While some layer has a free
+parameter, a few seeded rational samples are tried first.  If none is
+strongly uniform, or no parameter is free, each condition is tested for
+vanishing on the whole solution product at the finitely many corners
+that decide it, and unless that rules every structure out, the first
+passing point of an integer grid bounded by the number of conditions is
+taken; a unique solution is its own only corner and grid point.  A
+structure is checked against the Gram rows each layer's solution set
+holds, without forming them again.
 """
 
 import itertools
@@ -220,30 +223,21 @@ def check_parameter_conditions(U):
     }
 
 
-def is_strongly_uniform(U):
-    eps = U.epsilon
-    return all(U.e_minus_at(i) != 0 for i in range(2, eps + 1)) and all(
-        U.e_plus_at(i) != 0 for i in range(1, eps)
-    )
+def verify_given(us, systems):
+    """Exact check that ``us`` satisfies the layer equation on every
+    subconstituent, read from the Gram rows the layers hold.
 
-
-def verify_given(split, us, rows=None):
-    """Exact check that the layer equation holds on every subconstituent.
-
-    Each layer's Gram rows (X, Z, W, Y) must satisfy
-    e_i^- X + e_i^+ Z - f_i W + Y = 0; the check multiplies through by the
-    common denominator of (e_i^-, e_i^+, f_i) and runs in integers.
-    ``rows`` holds those rows per layer, as ``LayerSolution.system`` keeps
-    them; without it they are formed from the split."""
-    eps = split.eccentricity
-    if us.epsilon != eps:
+    ``systems`` holds layer i's rows (X, Z, W, Y) at index i - 1, as
+    ``LayerSolution.system`` keeps them; each must satisfy
+    e_i^- X + e_i^+ Z - f_i W + Y = 0.  The check multiplies through by the
+    common denominator of (e_i^-, e_i^+, f_i) and runs in integers."""
+    if us.epsilon != len(systems):
         return False
-    for i in range(1, eps + 1):
+    for i, rows in enumerate(systems, 1):
         coeffs = [Fraction(v) for v in (us.U.e_minus_at(i), us.U.e_plus_at(i), us.f[i - 1])]
         d = lcm(*(c.denominator for c in coeffs))
         a, b, c = (v.numerator * (d // v.denominator) for v in coeffs)
-        layer = layer_gram(split, i) if rows is None else rows[i - 1]
-        if any(a * x + b * z - c * w + d * y for x, z, w, y in layer):
+        if any(a * x + b * z - c * w + d * y for x, z, w, y in rows):
             return False
     return True
 
@@ -321,28 +315,16 @@ def select_structure(layers, config=DEFAULT):
     """Choose a point of the product of the layer solution sets that passes
     the parameter conditions, strongly uniform whenever one is.
 
-    Returns (structure, report, None), the report being the structure's
-    check_parameter_conditions, or (None, None, failure) when no point
-    passes.
+    Seeded samples are tried only while some layer has a free parameter;
+    the corner test and the grid decide every other case, a unique
+    solution included.  Returns (structure, report, None), the report
+    being the structure's check_parameter_conditions, or
+    (None, None, failure) when no point passes.
     """
+    # seeded sampling with exact verification, while a parameter is free
     nvars = sum(sol.dim for sol in layers)
-
-    # unique solution: decide directly
-    if nvars == 0:
-        us = structure_at(layers, [])
-        report = check_parameter_conditions(us.U)
-        if report["ok"]:
-            return us, report, None
-        return None, None, {
-            "layer": None,
-            "kind": "parameter_conditions",
-            "detail": _condition_failure_text(report),
-            "report": report,
-        }
-
-    # seeded sampling with exact verification
     rng = random.Random(config.decomposition_seed)
-    for round_no in range(config.retry_count):
+    for round_no in range(config.retry_count if nvars else 0):
         span = 3 + 2 * round_no
         values = [
             Fraction(rng.randint(-span, span), rng.randint(1, span))
@@ -350,7 +332,7 @@ def select_structure(layers, config=DEFAULT):
         ]
         us = structure_at(layers, values)
         report = check_parameter_conditions(us.U)
-        if report["ok"] and is_strongly_uniform(us.U):
+        if report["ok"] and report["family_minus"] and report["family_plus"]:
             return us, report, None
 
     singular, zero_minus, zero_plus = vanishing_conditions(layers)
@@ -376,7 +358,8 @@ def grid_point(layers, zero_minus, zero_plus):
     the parameter conditions, and is strongly uniform when ``zero_minus``
     and ``zero_plus`` (the identically zero e-entries) are both empty.
 
-    F is the number of conditions and k > 0 the number of free parameters.
+    F is the number of conditions and k the number of free parameters;
+    with k = 0 the grid is the unique solution alone.
     When no minor and not both families vanish identically, the product of
     the conditions such a point must pass is nonzero with degree at most F
     in each parameter, so it has a non-root in the grid (Alon,
@@ -431,7 +414,6 @@ def certify_uniform(g, x=0, config=DEFAULT):
                     "layer": i,
                     "kind": "inconsistent_layer_system",
                     "detail": "no (e-, e+, f) satisfies the layer equation",
-                    "system_rows": sol.system,
                 },
                 checks=None,
             )
@@ -449,14 +431,14 @@ def certify_uniform(g, x=0, config=DEFAULT):
             checks=None,
         )
     checks = {
-        "verify_given": verify_given(split, us, [sol.system for sol in layers]),
+        "verify_given": verify_given(us, [sol.system for sol in layers]),
         "def_ii": report["family_minus"] or report["family_plus"],
         "def_iii": not report["violations"],
     }
     if not all(checks.values()):
         raise ExactnessError(f"a structure found by the search fails its checks: {checks}")
     return UniformCertificate(
-        verdict="StronglyUniform" if is_strongly_uniform(us.U) else "Uniform",
+        verdict="StronglyUniform" if report["family_minus"] and report["family_plus"] else "Uniform",
         epsilon=eps,
         layers=layers,
         structure=us,
@@ -465,25 +447,18 @@ def certify_uniform(g, x=0, config=DEFAULT):
     )
 
 
-def _condition_failure_text(report):
-    if report["violations"]:
-        s, t = report["violations"][0]
-        return f"principal submatrix ({s},{t}) of the parameter matrix is singular"
-    return "both off-diagonal families of the parameter matrix contain a zero"
-
-
-def non_thin_diagnostic(g, x, modules):
+def non_thin_diagnostic(modules):
     """Look for an endpoint-1 module whose second slice has dimension >= 2.
 
-    ``modules`` is a decomposition produced by the module machinery; for
-    every endpoint-1 module the vectors R w and L R^2 w (w spanning the
+    ``modules`` is a decomposition produced by the module machinery, and
+    the split every module carries (``mod.split``) supplies the operators;
+    for every endpoint-1 module the vectors R w and L R^2 w (w spanning the
     first slice) are also compared for linear independence, mirroring the
     obstruction computation.  Returns a witness dict or None.
     """
     if not modules:
         raise DecompositionUnavailable("no module decomposition supplied")
-    dp = bfs_layers(g, x)
-    split = lfr_split(g, dp)
+    split = modules[0].split
     witness = None
     reports = []
     for mod in modules:
@@ -493,7 +468,7 @@ def non_thin_diagnostic(g, x, modules):
         dim2 = dims.get(2, 0)
         w = mod.slice_basis(1)[0]
         rw = split.apply_R(1, w)
-        if dp.eccentricity >= 3:
+        if split.eccentricity >= 3:
             lr2w = split.apply_L(3, split.apply_R(2, rw))
         else:
             lr2w = [0] * len(rw)

@@ -5,7 +5,8 @@ reduced row echelon forms, kernels, affine solutions and minimal
 polynomials by plain Fraction elimination written here, intersection
 numbers by direct set counting on the distance matrix, spectra through
 numpy on the actual adjacency matrix, the parameter conditions that
-vanish on a whole solution product by expanding them as polynomials, and
+vanish on a whole solution product by expanding them as polynomials, the
+parameter conditions at a unique solution by dense determinants, and
 the distinct nonzero rows of a layer system by numpy's 2-D ``unique``.
 The former library paths kept here as references: elimination and span
 enumeration over GF(r^2), the dual polar generators by a search that
@@ -19,7 +20,9 @@ system as the distinct rows of its guarded float-BLAS blocks, the
 two-colouring of a graph, the near-polygon test's scan of every edge for
 an induced K_{1,1,2}, flattening and Cartesian products one edge at a
 time, and the split of a module closure through the dim x dim matrix of
-a commutant element instead of its block on the endpoint slice.  The
+a commutant element instead of its block on the endpoint slice, and
+Garner's prefixes of a CRT lift with every earlier radix reduced as a
+Python int for each new prime.  The
 helpers that assemble an ``LFRSplit``'s blocks into full matrices or
 count their entries are here too: only tests use them.
 """
@@ -42,6 +45,7 @@ from drguniform.errors import (
 from drguniform.exactla import IntRowBasis, int_poly_rational_roots
 from drguniform.fields import FiniteField
 from drguniform.graph_core import DistancePartition, IntersectionArray
+from drguniform.uniform import ParameterMatrix, UniformStructure
 
 
 def dense_det(matrix):
@@ -335,6 +339,34 @@ def polynomial_vanishing_conditions(layers):
     zero_minus = {i for i, p in e_minus.items() if p.is_zero()}
     zero_plus = {i for i, p in e_plus.items() if p.is_zero()}
     return singular, zero_minus, zero_plus
+
+
+def unique_point_conditions(layers):
+    """The structure at the one point of layer solutions without free
+    parameters, and its parameter-condition report as
+    ``uniform.check_parameter_conditions`` gives it, decided at that point
+    alone, with every principal minor a dense determinant: the decision
+    ``uniform.select_structure`` once made for a unique solution by a
+    branch of its own."""
+    eps = len(layers)
+    e_minus = tuple(sol.particular[0] for sol in layers[1:])
+    e_plus = tuple(sol.particular[1] for sol in layers[:-1])
+    U = ParameterMatrix(eps, e_minus, e_plus)
+    dense = U.dense()
+    violations = tuple(
+        (s, t)
+        for s in range(1, eps + 1)
+        for t in range(s, eps + 1)
+        if dense_det([row[s - 1 : t] for row in dense[s - 1 : t]]) == 0
+    )
+    family_minus, family_plus = all(e_minus), all(e_plus)
+    report = {
+        "ok": (family_minus or family_plus) and not violations,
+        "family_minus": family_minus,
+        "family_plus": family_plus,
+        "violations": violations,
+    }
+    return UniformStructure(U=U, f=tuple(sol.particular[2] for sol in layers)), report
 
 
 def unique_nonzero_rows(a):
@@ -839,3 +871,33 @@ def full_matrix_split(slices, cand):
         module_coords_to_slices(slices, fraction_nullspace(_matrix_polynomial(f, full), len(full)))
         for f in factors
     ]
+
+
+def bigint_crt_prefixes(residues, primes):
+    """For t = 1, 2, 4, ... and finally t = K: the integers in [0, P_t)
+    with the residues residues[k] modulo primes[k] for every k < t, and
+    P_t, the product of those primes.  Garner's mixed-radix digits are
+    found once each, in int64, digit k from one product of the digits
+    before it with their radices modulo primes[k]; each prefix extends the
+    values of the one before by Horner over its new digits, in Python
+    ints.  The former ``exactla._crt_prefixes``: every earlier radix is
+    reduced as a Python int for each new prime."""
+    digits = np.empty_like(residues)
+    radices = [1]  # radices[k] = primes[0] ... primes[k - 1]
+    values, t = [0] * residues.shape[1], 1
+    while True:
+        start = len(radices) - 1
+        for k in range(start, t):
+            p = primes[k]
+            # the digits so far, as an integer mod p: k < 2^11 terms below 2^52
+            acc = np.array([r % p for r in radices[:k]], dtype=np.int64) @ digits[:k] % p
+            digits[k] = (residues[k] - acc) % p * pow(radices[k] % p, -1, p) % p
+            radices.append(radices[k] * p)
+        tail = digits[t - 1].tolist()
+        for i in range(t - 2, start - 1, -1):
+            tail = [v * primes[i] + d for v, d in zip(tail, digits[i].tolist())]
+        values = [v + radices[start] * x for v, x in zip(values, tail)]
+        yield values, radices[t]
+        if t == len(primes):
+            return
+        t = min(2 * t, len(primes))

@@ -71,7 +71,7 @@ def test_criterion_1_hamming(h33, h34, h43):
             assert elapsed < 5.0, f"certification took {elapsed:.1f}s"
             assert cert.verdict == "StronglyUniform"
             expected = hamming_structure(D, n)
-            ok, why = certificate_matches(g, 0, cert, expected)
+            ok, why = certificate_matches(cert, expected)
             assert ok, why
             # the interior layers are pinned uniquely by the equations
             assert all(sol.dim == 0 for sol in cert.layers[1:])
@@ -86,7 +86,7 @@ def test_criterion_2_doob(doob11, h34):
         cert = certify_uniform(doob11)
         assert cert.verdict == "StronglyUniform"
         expected = hamming_structure(3, 4)  # e = -1/2, f = 3
-        ok, why = certificate_matches(doob11, 0, cert, expected)
+        ok, why = certificate_matches(cert, expected)
         assert ok, why
         for delta in range(7):
             for p in range(7):
@@ -107,7 +107,7 @@ def test_criterion_3_halved_cube_odd(halved7):
         # spot values at D = 3: layer 1 carries e+ = -7/10 and f = -21
         assert expected.U.e_plus_at(1) == Fraction(-7, 10)
         assert expected.f[0] == Fraction(-21)
-        ok, why = certificate_matches(halved7, 0, cert, expected)
+        ok, why = certificate_matches(cert, expected)
         assert ok, why
         for s in range(1, D + 1):
             for t in range(s, D + 1):
@@ -128,7 +128,7 @@ def test_criterion_4_dual_polar(dp23):
         assert expected.U.e_minus_at(2) == Fraction(-16, 5)
         assert expected.U.e_plus_at(1) == Fraction(-1, 20)
         assert expected.f == (Fraction(32),) * 3
-        ok, why = certificate_matches(dp23, 0, cert, expected)
+        ok, why = certificate_matches(cert, expected)
         assert ok, why
         assert all(sol.dim == 0 for sol in cert.layers[1:])
         assert cert.structure.U.e_minus == (Fraction(-16, 5),) * 2
@@ -151,7 +151,7 @@ def test_criterion_5_tight_obstructions(j63, gosset_graph, halved8):
             is_tight, gap = tightness(ia, sp.eigenvalues[1], sp.eigenvalues[-1])
             assert is_tight and gap == 0
             mods = decompose(g, 0, "T")
-            census = endpoint1_census(g, 0, mods, sp)
+            census = endpoint1_census(mods, sp)
             assert census["non_thin_endpoint1"] == 0
             assert len(census["classes"]) == 2
             etas = {c["eta"] for c in census["classes"]}
@@ -164,7 +164,7 @@ def test_criterion_6_johnson_obstruction(j94):
         assert cert.verdict == "NoUniform"
         sp = spectrum(intersection_array(j94))
         mods = decompose(j94, 0, "T")
-        census = endpoint1_census(j94, 0, mods, sp)
+        census = endpoint1_census(mods, sp)
         assert len(census["classes"]) == 3
         short = [
             m
@@ -185,7 +185,7 @@ def test_criterion_7_negative_type(her23, dp23):
         cert = certify_uniform(her23)
         assert cert.verdict == "NoUniform"
         mods = decompose(her23, 0, "Tf", max_endpoint=1)
-        witness = non_thin_diagnostic(her23, 0, mods)
+        witness = non_thin_diagnostic(mods)
         assert witness is not None
         assert witness["report"]["slice_dims"][2] >= 2
         assert witness["report"]["rw_lr2w_independent"]

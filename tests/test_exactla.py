@@ -5,7 +5,7 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drguniform.errors import ExactnessError
@@ -13,6 +13,7 @@ from drguniform.exactla import (
     _BLOCK,
     IntRowBasis,
     ModularComplement,
+    _crt_prefixes,
     _large_primes,
     _primes_for,
     _reduced_echelon,
@@ -25,6 +26,7 @@ from drguniform.exactla import (
 )
 
 from oracles import (
+    bigint_crt_prefixes,
     dense_det,
     echelon_orthogonal_seed,
     fraction_express,
@@ -581,3 +583,21 @@ def test_residues_of_big_vectors_match_the_remainder(seed):
     # entries that all fit in int64 take the int64 path
     small = [-(2**63), 2**63 - 1, -5, 7]
     assert complement._residues(small).tolist() == [[x % p for x in small] for p in complement.primes]
+
+
+@given(st.integers(1, 300), st.integers(1, 70), st.integers(0, 2**32 - 1))
+@example(300, 70, 0)
+@example(1, 1, 0)
+@settings(max_examples=40, deadline=None)
+def test_crt_prefixes_match_the_bigint_garner_oracle(k, width, seed):
+    # every prefix (t = 1, 2, 4, ..., K) gives the same values and modulus
+    # as reducing every earlier radix as a Python int, and each value has
+    # the given residues modulo the prefix's primes
+    primes = _large_primes(k)
+    p = np.array(primes, dtype=np.int64)[:, None]
+    residues = np.random.default_rng(seed).integers(0, 2**26, size=(k, width)) % p
+    got = list(_crt_prefixes(residues, primes))
+    assert got == list(bigint_crt_prefixes(residues, primes))
+    values, modulus = got[-1]
+    assert modulus == prod(primes)
+    assert [[v % q for v in values] for q in primes] == residues.tolist()

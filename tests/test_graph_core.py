@@ -24,7 +24,6 @@ from drguniform import (
     intersection_array,
     krein_parameters,
     near_polygon_check,
-    primitive_idempotents,
     q_polynomial_orderings,
     read_edge_list,
     spectrum,
@@ -43,7 +42,6 @@ from oracles import (
     loop_intersection_array,
     numpy_spectrum,
     product_intersection_array,
-    rref,
     scan_k112,
 )
 
@@ -478,7 +476,7 @@ def test_irrational_spectrum_blocks_idempotents():
 
     spec = spectrum(intersection_array(C5))
     with pytest.raises(IrrationalSpectrum):
-        primitive_idempotents(C5, spec)
+        spec.idempotent_coefficients()
 
 
 def test_integral_spectra_of_families(h33, h34, halved7, doob11, gosset_graph):
@@ -487,37 +485,9 @@ def test_integral_spectra_of_families(h33, h34, halved7, doob11, gosset_graph):
 
 
 def test_primitive_idempotents_k4():
-    spec = primitive_idempotents(K4, spectrum(intersection_array(K4)))
-    E0, E1 = spec.idempotents
-    quarter = Fraction(1, 4)
-    assert all(x == quarter for row in E0 for x in row)
-    for y in range(4):
-        for z in range(4):
-            expected = (1 if y == z else 0) - quarter
-            assert E1[y][z] == expected
-
-
-def test_primitive_idempotent_identities(h33):
-    spec = primitive_idempotents(h33, spectrum(intersection_array(h33)))
-    E = spec.idempotents
-    n = h33.n
-    for y in range(n):
-        for z in range(n):
-            assert sum(E[i][y][z] for i in range(4)) == (1 if y == z else 0)
-    # E_i E_j = delta_ij E_i, exact, on a representative pair plus rank check
-    def matmul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    prod = matmul(E[1], E[2])
-    assert all(x == 0 for row in prod for x in row)
-    prod = matmul(E[2], E[2])
-    assert prod == [list(row) for row in E[2]]
-    for i in range(4):
-        reduced, _ = rref(E[i])
-        assert len(reduced) == spec.multiplicities[i]
+    # E_0 = J/4 = (A_0 + A_1)/4 and E_1 = I - J/4 = 3/4 A_0 - 1/4 A_1
+    coeffs = spectrum(intersection_array(K4)).idempotent_coefficients()
+    assert coeffs == [[Fraction(1, 4), Fraction(1, 4)], [Fraction(3, 4), Fraction(-1, 4)]]
 
 
 def test_krein_trace_identity(h33, j63):

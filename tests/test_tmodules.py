@@ -111,7 +111,7 @@ def test_hamming_modules_all_thin(h33):
 def test_census_hamming(h33):
     spec = spectrum(intersection_array(h33))
     mods = decompose(h33, 0, "T")
-    census = endpoint1_census(h33, 0, mods, spec)
+    census = endpoint1_census(mods, spec)
     assert census["all_predictions_ok"]
     assert census["non_thin_endpoint1"] == 0
     etas = {c["eta"] for c in census["classes"]}

@@ -24,10 +24,11 @@ from drguniform import (
     verify_given,
     write_edge_list,
 )
-from drguniform import uniform
+from drguniform import graph_core, terwilliger, tmodules, uniform
 from drguniform.cli import main
-from drguniform.exactla import solve_affine
+from drguniform.exactla import IntRowBasis, solve_affine
 from drguniform.suites import (
+    certificate_matches,
     dual_polar_structure,
     halved_cube_structure,
     hamming_structure,
@@ -35,7 +36,6 @@ from drguniform.suites import (
 from drguniform.uniform import (
     LayerSolution,
     grid_point,
-    is_strongly_uniform,
     layer_gram,
     select_structure,
     structure_at,
@@ -49,10 +49,16 @@ from oracles import (
     layer_rows,
     polynomial_vanishing_conditions,
     unique_nonzero_rows,
+    unique_point_conditions,
 )
 from strategies import connected_graphs, relabel
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def gram_rows(split):
+    """Every layer's Gram rows, formed from the split."""
+    return [layer_gram(split, i) for i in range(1, split.eccentricity + 1)]
 
 
 def test_solve_layer_hamming_interior(h33):
@@ -124,9 +130,9 @@ def test_check_conditions_constructed_singularity():
 
 def test_verify_given_hamming(h34):
     split = lfr_split(h34, x=0)
-    assert verify_given(split, hamming_structure(3, 4))
+    assert verify_given(hamming_structure(3, 4), gram_rows(split))
     wrong = UniformStructure(U=hamming_structure(3, 4).U, f=(Fraction(2), Fraction(3), Fraction(5)))
-    assert not verify_given(split, wrong)
+    assert not verify_given(wrong, gram_rows(split))
 
 
 def _with_e2_minus(us, value):
@@ -137,23 +143,23 @@ def _with_e2_minus(us, value):
 def test_verify_given_rejects_a_wrapping_combination(h33):
     # e_2^- = (2^63 - 1)/2 scales to the largest int64 coefficient, and its
     # int64 combination with the layer-2 blocks would wrap around to zero
-    split = lfr_split(h33, x=0)
-    assert not verify_given(split, _with_e2_minus(hamming_structure(3, 3), Fraction(2**63 - 1, 2)))
+    rows = gram_rows(lfr_split(h33, x=0))
+    assert not verify_given(_with_e2_minus(hamming_structure(3, 3), Fraction(2**63 - 1, 2)), rows)
 
 
 def test_verify_given_rejects_a_coefficient_beyond_int64(h33):
-    split = lfr_split(h33, x=0)
-    assert not verify_given(split, _with_e2_minus(hamming_structure(3, 3), Fraction(2**64)))
+    rows = gram_rows(lfr_split(h33, x=0))
+    assert not verify_given(_with_e2_minus(hamming_structure(3, 3), Fraction(2**64)), rows)
 
 
 def test_verify_given_halved_cube(halved7):
     split = lfr_split(halved7, x=0)
-    assert verify_given(split, halved_cube_structure(3))
+    assert verify_given(halved_cube_structure(3), gram_rows(split))
 
 
 def test_verify_given_dual_polar(dp23):
     split = lfr_split(dp23, x=0)
-    assert verify_given(split, dual_polar_structure(3, -2))
+    assert verify_given(dual_polar_structure(3, -2), gram_rows(split))
 
 
 def test_certify_soundness(h33, halved7, doob11):
@@ -166,7 +172,7 @@ def test_certify_soundness(h33, halved7, doob11):
             "def_iii": True,
         }
         split = lfr_split(g, x=0)
-        assert verify_given(split, cert.structure)
+        assert verify_given(cert.structure, gram_rows(split))
 
 
 def test_certify_positive_dimensional_path():
@@ -174,7 +180,7 @@ def test_certify_positive_dimensional_path():
     assert cert.verdict == "StronglyUniform"
     assert [s.dim for s in cert.layers] == [1, 2, 1]
     split = lfr_split(P4, x=0)
-    assert verify_given(split, cert.structure)
+    assert verify_given(cert.structure, gram_rows(split))
 
 
 def test_certify_all_bases_vertex_transitive(h33):
@@ -188,7 +194,7 @@ def test_certify_bipartite_direct(cube3):
     assert cert.verdict == "StronglyUniform"
     expected = hamming_structure(3, 2)
     split = lfr_split(cube3, x=0)
-    assert verify_given(split, expected)
+    assert verify_given(expected, gram_rows(split))
     for sol in cert.layers:
         i = sol.layer
         point = (
@@ -229,15 +235,16 @@ def _layer(i, eps, point, basis=()):
 
 
 @st.composite
-def layer_sets(draw, max_eps=6, f_only=False):
-    """Synthetic layer sets; with ``f_only`` every layer also has one or two
-    basis vectors that move only f, placed anywhere in its basis."""
+def layer_sets(draw, max_eps=6, f_only=False, max_dim=2):
+    """Synthetic layer sets with at most ``max_dim`` basis vectors a layer;
+    with ``f_only`` every layer also has one or two basis vectors that move
+    only f, placed anywhere in its basis."""
     eps = draw(st.integers(min_value=1, max_value=max_eps))
     coord = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
     vec = st.tuples(coord, coord, coord)
     out = []
     for i in range(1, eps + 1):
-        point, basis = draw(vec), draw(st.lists(vec, max_size=2))
+        point, basis = draw(vec), draw(st.lists(vec, max_size=max_dim))
         if f_only:
             f_vec = st.tuples(st.just(0), st.just(0), coord.filter(bool))
             basis = draw(st.permutations(basis + draw(st.lists(f_vec, min_size=1, max_size=2))))
@@ -308,12 +315,35 @@ def test_grid_point_is_the_first_in_product_order(layers):
     strongly = not (zero_minus or zero_plus)
     eps = len(layers)
     bound = eps * (eps + 1) // 2 + 2 * (eps - 1)
-    first = next(
-        us
-        for us in (structure_at(layers, v) for v in itertools.product(range(bound + 1), repeat=nvars))
-        if check_parameter_conditions(us.U)["ok"] and (is_strongly_uniform(us.U) or not strongly)
-    )
+
+    def passes(us):
+        report = check_parameter_conditions(us.U)
+        return report["ok"] and (report["family_minus"] and report["family_plus"] or not strongly)
+
+    points = (structure_at(layers, v) for v in itertools.product(range(bound + 1), repeat=nvars))
+    first = next(us for us in points if passes(us))
     assert grid_point(layers, zero_minus, zero_plus) == first
+
+
+@given(layer_sets(max_dim=0))
+@settings(max_examples=300, deadline=None)
+def test_unique_solution_goes_through_the_corner_test(layers):
+    # a unique point is decided as deciding it directly did: the same
+    # structure and report when it passes, else the same first singular
+    # minor, or both families holding a zero
+    us, report = unique_point_conditions(layers)
+    got, got_report, failure = select_structure(layers)
+    if report["ok"]:
+        assert (got, got_report, failure) == (us, report, None)
+        return
+    assert got is None and got_report is None and failure["kind"] == "parameter_conditions"
+    if report["violations"]:
+        s, t = report["violations"][0]
+        assert failure["detail"] == (
+            f"principal submatrix ({s},{t}) is singular for every solution of the layer equations"
+        )
+    else:
+        assert failure["detail"].startswith("both off-diagonal families")
 
 
 def test_select_one_family_gives_uniform():
@@ -322,7 +352,7 @@ def test_select_one_family_gives_uniform():
     assert vanishing_conditions(layers) == (set(), {2}, set())
     us, report, failure = select_structure(layers)
     assert failure is None and report == check_parameter_conditions(us.U)
-    assert report["ok"] and not is_strongly_uniform(us.U)
+    assert report["ok"] and not report["family_minus"] and report["family_plus"]
     assert us.U.e_plus == (1,)
 
 
@@ -433,14 +463,14 @@ def test_layer_gram_in_int64_chunks(request, monkeypatch, name):
 
 def test_non_thin_diagnostic_negative(h33):
     mods = decompose(h33, 0, "Tf")
-    assert non_thin_diagnostic(h33, 0, mods) is None
+    assert non_thin_diagnostic(mods) is None
 
 
 def test_non_thin_diagnostic_bipartite(cube3):
     # flattening fixes bipartite graphs, and thinness is forced when a
     # uniform structure exists
     mods = decompose(cube3, 0, "Tf")
-    assert non_thin_diagnostic(cube3, 0, mods) is None
+    assert non_thin_diagnostic(mods) is None
 
 
 def test_condition_family_disjunction():
@@ -455,7 +485,7 @@ def test_condition_family_disjunction():
 
 def test_non_thin_diagnostic_requires_modules(h33):
     with pytest.raises(DecompositionUnavailable):
-        non_thin_diagnostic(h33, 0, [])
+        non_thin_diagnostic([])
 
 
 # SHA-256 of `certify-uniform`'s JSON at base 0, recorded while solve_layer
@@ -496,17 +526,61 @@ def test_golden_certificates(request, tmp_path, key):
 
 @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_CERTIFICATES}))
 def test_verify_given_on_held_rows_matches_formed_rows(request, name):
+    # the Gram rows the layers hold decide a structure as the distinct rows
+    # (X, Z, W, Y) of the layer blocks do, formed again from a TupleSplit
     g = request.getfixturevalue(name)
     split = lfr_split(g, x=0)
     eps = split.eccentricity
-    rows = [solve_layer(split, i).system for i in range(1, eps + 1)]
+    held = [solve_layer(split, i).system for i in range(1, eps + 1)]
+    ref = TupleSplit(g, split.dp)
+    formed = [layer_rows(ref, i) for i in range(1, eps + 1)]
     ones = (Fraction(1),) * (eps - 1)
     candidates = [UniformStructure(U=ParameterMatrix(eps, ones, ones), f=ones + (Fraction(1),))]
     found = certify_uniform(g).structure
     if found is not None:
         wrong = UniformStructure(U=found.U, f=found.f[:-1] + (found.f[-1] + 1,))
-        assert verify_given(split, found, rows)
-        assert not verify_given(split, wrong, rows)
+        assert verify_given(found, held)
+        assert not verify_given(wrong, held)
         candidates += [found, wrong]
     for us in candidates:
-        assert verify_given(split, us, rows) == verify_given(split, us)
+        assert verify_given(us, held) == verify_given(us, formed)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("formed again from the graph")
+
+
+def test_certificate_checks_read_only_the_held_rows(h33, monkeypatch):
+    # once the certificate is in hand, neither check forms a layer system
+    # or a split again
+    cert = certify_uniform(h33)
+    expected = hamming_structure(3, 3)
+    monkeypatch.setattr(uniform, "layer_gram", _refuse)
+    monkeypatch.setattr(terwilliger, "LFRSplit", _refuse)
+    held = [sol.system for sol in cert.layers]
+    assert verify_given(cert.structure, held) and verify_given(expected, held)
+    assert certificate_matches(cert, expected) == (True, "ok")
+    wrong = UniformStructure(U=expected.U, f=expected.f[:-1] + (expected.f[-1] + 1,))
+    assert not verify_given(wrong, held)
+    assert not certificate_matches(cert, wrong)[0]
+
+
+def test_non_thin_diagnostic_reads_the_modules_split(her23, monkeypatch):
+    # the reports come from the split the modules carry, not a search again,
+    # and agree with R w and L R^2 w taken in a split formed afresh
+    mods = decompose(her23, 0, "Tf", max_endpoint=1)
+    split = lfr_split(her23, x=0)
+    expected = []
+    for mod in (m for m in mods if m.endpoint == 1):
+        rw = split.apply_R(1, mod.slice_basis(1)[0])
+        basis = IntRowBasis(len(rw))
+        independent = [basis.add(v) is not None for v in (rw, split.apply_L(3, split.apply_R(2, rw)))]
+        expected.append(
+            {"module_dim": mod.dim, "slice_dims": mod.slice_dims(), "rw_lr2w_independent": all(independent)}
+        )
+    for module in (graph_core, terwilliger, tmodules, uniform):
+        monkeypatch.setattr(module, "bfs_layers", _refuse)
+    witness = non_thin_diagnostic(mods)
+    assert witness["all_endpoint1_reports"] == expected
+    assert witness["report"] == next(r for r in expected if r["slice_dims"].get(2, 0) >= 2)
+    assert witness["report"]["slice_dims"][2] >= 2 and witness["report"]["rw_lr2w_independent"]
