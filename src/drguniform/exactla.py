@@ -10,7 +10,8 @@ top of it:
   clear their denominators, back-eliminate the basis to the unique
   reduced echelon form and read the answer off as Fractions;
 - ``express`` writes a vector in an echelon basis by forward
-  substitution;
+  substitution, and ``IntRowBasis.extend`` does the same while inserting
+  the vector's residual when it lies outside the span;
 - ``krylov_relation`` finds the first linear relation of a Krylov
   sequence of integer vectors, and ``minimal_polynomial`` applies it to
   the flattened powers of a matrix;
@@ -67,7 +68,8 @@ class IntRowBasis:
     Rows are gcd-normalized and kept in forward-eliminated form keyed by
     pivot position.  ``reduce`` returns the residual of a vector against
     the span (None when the vector is dependent); ``add`` inserts the
-    residual as a new basis row.
+    residual as a new basis row, and ``extend`` does so while also
+    returning the vector's coordinates in the basis.
     """
 
     def __init__(self, width):
@@ -105,6 +107,24 @@ class IntRowBasis:
         pivot = next(i for i, x in enumerate(v) if x)
         self.rows[pivot] = v
         return v
+
+    def extend(self, vec):
+        """Write ``vec`` in the basis, first inserting its residual when it
+        lies outside the span, by one forward substitution.  Returns
+        (coords, row): coords maps pivots to the Fraction coefficients
+        with vec = sum coords[p] rows[p], and row is the inserted row, as
+        ``add`` would insert it, or None when vec was already in the span.
+        """
+        pivots = sorted(self.rows)
+        coeffs, v, den = _substitute(((p, self.rows[p]) for p in pivots), vec)
+        coords = dict(zip(pivots, coeffs))
+        row = ivec_normalize(v)
+        if row is not None:
+            pivot = next(i for i, x in enumerate(row) if x)
+            # v = (v[pivot] / row[pivot]) row, exactly
+            coords[pivot] = Fraction(v[pivot] // row[pivot], den)
+            self.rows[pivot] = row
+        return coords, row
 
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows)]
@@ -545,22 +565,21 @@ class ModularComplement:
         return not (stored % self._p).any() and not (pending % self._p).any()
 
 
-def express(rows, target):
-    """Coefficients of ``target`` in the span of ``rows``, or None when it
-    lies outside.
+def _substitute(pivoted, target):
+    """Fraction-free forward substitution of ``target`` against rows given
+    as (pivot, row) pairs in increasing pivot order, each row zero before
+    its pivot.
 
-    ``rows`` are integer vectors whose leading entries sit in strictly
-    increasing columns, as ``IntRowBasis.basis`` returns them, so the
-    coefficients come out by forward substitution.  The substitution is
-    fraction-free, like ``IntRowBasis.reduce``: the residual is an integer
-    vector over a common denominator, both are rescaled instead of
-    divided, and a Fraction is built only for each returned coefficient.
+    Returns (coeffs, v, den) with target = sum coeffs[k] rows[k] + v / den
+    and v zero at every pivot: the residual is an integer vector over a
+    common denominator, both are rescaled instead of divided, and a
+    Fraction is built only for each coefficient.  Every 16 rows the
+    factor v and den share is divided out, which keeps long chains small.
     """
     v = list(target)
     den = 1
     coeffs = []
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x)
+    for p, row in pivoted:
         a = v[p]
         if not a:
             coeffs.append(Fraction(0))
@@ -573,8 +592,26 @@ def express(rows, target):
             v = [x - a * y for x, y in zip(v, row)]
         else:
             v = [b * x - a * y for x, y in zip(v, row)]
-        den *= b
+            den *= b
         coeffs.append(Fraction(a, den))
+        if len(coeffs) % 16 == 0 and den > 1:
+            h = gcd(den, *v)
+            if h > 1:
+                v = [x // h for x in v]
+                den //= h
+    return coeffs, v, den
+
+
+def express(rows, target):
+    """Coefficients of ``target`` in the span of ``rows``, or None when it
+    lies outside.
+
+    ``rows`` are integer vectors whose leading entries sit in strictly
+    increasing columns, as ``IntRowBasis.basis`` returns them, so the
+    coefficients come out by forward substitution (``_substitute``).
+    """
+    pivoted = ((next(i for i, x in enumerate(row) if x), row) for row in rows)
+    coeffs, v, _ = _substitute(pivoted, target)
     if any(v):
         return None
     return coeffs

@@ -3,7 +3,8 @@
 Elements of GF(p^2) are encoded as integers a + b*p standing for a + b*t,
 where t is a root of the fixed irreducible polynomial below.  Using fixed
 irreducibles keeps every derived vertex ordering reproducible.  Operations
-are table-driven, so they are plain list lookups in hot loops.
+are table-driven, so they are plain list lookups in hot loops; the
+Hermitian form runs on the components a, b instead.
 """
 
 import numpy as np
@@ -98,11 +99,26 @@ def hermitian_inner(field, u, v):
 
     ``u`` and ``v`` are integer arrays (or sequences) whose last axis holds
     the coordinates; the leading axes broadcast, so one call gives a whole
-    Gram matrix.  Each coordinate is one lookup in the field's tables.
+    Gram matrix.  Write u_i = a + b t, with t^2 = r0 + r1 t, and conj(v_i)
+    = c + d t from the table: their product is (ac + r0 bd) + (ad + bc +
+    r1 bd) t, so each GF(p) component of the form is one contraction of
+    (a, b) with (c, r0 d) or with (d, c + r1 d), reduced mod p.  The
+    contractions run in float32 BLAS and are reduced in uint16, exact
+    while their sums stay below 2^16: each of the 2k terms of a sum over k
+    coordinates is below p^3, and more coordinates are refused.
     """
-    mul, add, conj = (np.asarray(t, dtype=np.uint8) for t in (field.mul, field.add, field.conj))
-    u, v = np.asarray(u), np.asarray(v)
-    acc = np.zeros(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]), dtype=np.uint8)
-    for i in range(u.shape[-1]):
-        acc = add[acc, mul[u[..., i], conj[v[..., i]]]]
-    return acc
+    p = field.p
+    u1, u0 = _IRREDUCIBLE[p] if field.k == 2 else (0, 0)
+    r0, r1 = -u0 % p, -u1 % p
+    u = np.asarray(u, dtype=np.int64)
+    if 2 * u.shape[-1] * p**3 >= 2**16:
+        raise ValueError("too many coordinates for an exact Hermitian form")
+    b, a = np.divmod(u, p)
+    d, c = np.divmod(np.asarray(field.conj)[np.asarray(v)], p)
+    x = np.concatenate([a, b], axis=-1).astype(np.float32)
+
+    def component(y0, y1):
+        y = np.concatenate([y0, y1], axis=-1).astype(np.float32)
+        return np.einsum("...k,...k->...", x, y, optimize=True).astype(np.uint16) % p
+
+    return (component(c, r0 * d) + p * component(d, c + r1 * d)).astype(np.uint8)

@@ -247,7 +247,7 @@ def suite_tight():
         sp = spectrum(ia)
         is_tight, gap = tightness(ia, sp.eigenvalues[1], sp.eigenvalues[-1])
         results.append((f"{name}: tight with zero gap", is_tight and gap == 0, f"gap={gap}"))
-        mods = decompose(g, 0, "T")
+        mods = decompose(g, 0, "T", max_endpoint=1)
         cen = endpoint1_census(mods, sp)
         etas = {c["eta"] for c in cen["classes"]}
         ok = (
@@ -269,7 +269,7 @@ def suite_johnson():
         ("J(9,4): no uniform structure", cert.verdict == "NoUniform", cert.verdict)
     )
     sp = spectrum(intersection_array(g))
-    mods = decompose(g, 0, "T")
+    mods = decompose(g, 0, "T", max_endpoint=1)
     cen = endpoint1_census(mods, sp)
     results.append(
         ("J(9,4): exactly three endpoint-1 classes", len(cen["classes"]) == 3, str(len(cen["classes"])))

@@ -78,9 +78,13 @@ class ModuleDescriptor:
     """One irreducible module of the standard module, layer-graded.
 
     ``slices`` maps a layer index to a list of exact integer basis vectors
-    in layer-local coordinates.  ``exact`` is True when every piece split
-    from the module's closure has a one-dimensional commutant, which
-    certifies the module irreducible over the rationals.
+    in layer-local coordinates.  ``actions`` holds the algebra's generator
+    actions in that basis, in ``_action_matrices``' format, as the module's
+    closure or its invariance check formed them; the local eigenvalue and
+    ``module_class_key`` read their scalars from it.  ``exact`` is True
+    when every piece split from the module's closure has a
+    one-dimensional commutant, which certifies the module irreducible
+    over the rationals.
     """
 
     algebra: str  # "T" or "Tf"
@@ -89,6 +93,7 @@ class ModuleDescriptor:
     thin: bool
     slices: dict
     split: object = field(repr=False)
+    actions: dict = field(repr=False)
     local_eigenvalue: object = None  # Fraction, or None when undefined
     exact: bool = True
     dual_endpoint: object = None  # filled lazily
@@ -172,16 +177,28 @@ def _refine_seed(split, r, seed):
 
 
 def _closure(split, algebra, r, seed):
-    """Span of the module generated by a layer-r vector, per-layer bases."""
+    """The module generated by a layer-r vector: (slices, actions).
+
+    Each generator image of each basis vector is formed once and written
+    in the basis as it is formed (``IntRowBasis.extend``): an image in the
+    span gets its coordinates, and any other becomes a new row, with its
+    coordinates.  Rows never change once inserted, so those coordinates
+    hold in the final pivot-sorted slices, where they are the action
+    matrices in ``_action_matrices``' format.  Every image of every basis
+    vector is then written exactly in the final basis, which is the check
+    ``_action_matrices`` makes, so the closure is invariant as built.
+    """
+    gens = _generators(algebra)
+    sizes = split.layer_sizes()
     slices = {r: IntRowBasis(len(seed))}
     first = slices[r].add(seed)
     if first is None:
         raise ExactnessError("closure seeded with the zero vector")
+    images = {}  # (gen, layer) -> (image layer, {source pivot: image coordinates})
     work = [(r, first)]
-    gens = _generators(algebra)
-    sizes = split.layer_sizes()
     while work:
         layer, vec = work.pop()
+        src = next(i for i, x in enumerate(vec) if x)
         for gen in gens:
             res = _apply(split, gen, layer, vec)
             if res is None:
@@ -193,17 +210,37 @@ def _closure(split, algebra, r, seed):
                 raise ExactnessError("closure escaped below its endpoint")
             if new_layer not in slices:
                 slices[new_layer] = IntRowBasis(sizes[new_layer])
-            added = slices[new_layer].add(img)
+            coords, added = slices[new_layer].extend(img)
+            images.setdefault((gen, layer), (new_layer, {}))[1][src] = coords
             if added is not None:
                 work.append((new_layer, added))
-    return {i: basis.basis() for i, basis in slices.items()}
+    pivots = {i: sorted(basis.rows) for i, basis in slices.items()}
+    actions = {}
+    for gen in gens:
+        blocks = {}
+        for layer in sorted(slices):
+            if (gen, layer) not in images:
+                continue
+            dst, cols = images[gen, layer]
+            row_of = {q: a for a, q in enumerate(pivots[dst])}
+            mat = [[Fraction(0)] * len(pivots[layer]) for _ in pivots[dst]]
+            for b, p in enumerate(pivots[layer]):
+                for q, c in cols.get(p, {}).items():
+                    mat[row_of[q]][b] = c
+            blocks[layer] = (dst, mat)
+        actions[gen] = blocks
+    return {i: basis.basis() for i, basis in slices.items()}, actions
 
 
 def _action_matrices(split, algebra, slices):
     """Generator actions in the module basis; columns index source vectors.
 
-    Raises when a slice basis is not exactly invariant, which certifies
-    invariance of every reported module as a side effect.
+    ``actions[gen][src] = (dst, mat)``, where column b of mat holds the
+    coordinates, in layer dst's slice, of gen applied to row b of layer
+    src's slice; a layer whose images all vanish has no block.  Raises
+    when a slice basis is not exactly invariant, which certifies
+    invariance of every piece it is formed for: the pieces split from a
+    closure and the pieces projected off their siblings.
     """
     actions = {}
     layers = sorted(slices)
@@ -373,18 +410,21 @@ def _split_by(slices, cand):
     return pieces
 
 
-def _split_irreducible(split, algebra, slices, rng):
+def _split_irreducible(split, algebra, slices, rng, actions=None):
     """Recursively split an invariant graded subspace into irreducibles,
     through ``_split_by`` on the first commutant element that splits it.
 
-    Returns (list_of_slices, certified) where certified reports whether
-    every piece has a one-dimensional commutant.  Each returned piece has
-    passed its own ``_action_matrices`` invariance check.
+    ``actions`` are the subspace's action matrices: a closure brings its
+    own, and every piece split off here has them formed by
+    ``_action_matrices``, which checks its invariance.  Returns
+    (pieces, certified): one (slices, actions) pair per piece, and
+    whether every piece has a one-dimensional commutant.
     """
-    actions = _action_matrices(split, algebra, slices)
+    if actions is None:
+        actions = _action_matrices(split, algebra, slices)
     comm = _commutant(slices, actions)
     if len(comm) == 1:
-        return [slices], True
+        return [(slices, actions)], True
     for cand in _split_candidates(comm, rng, rounds=40):
         pieces = _split_by(slices, cand)
         if pieces is None:
@@ -396,7 +436,7 @@ def _split_irreducible(split, algebra, slices, rng):
             out.extend(subs)
             certified = certified and ok
         return out, certified
-    return [slices], False  # could not split over Q; flagged upstream
+    return [(slices, actions)], False  # could not split over Q; flagged upstream
 
 
 def _orthogonalize(slices, siblings):
@@ -447,11 +487,21 @@ def _orthogonal_seed(complement):
     return complement.seed()
 
 
-def _local_eigenvalue(split, slices, endpoint):
-    """F-eigenvalue on the first slice of a thin module, if defined."""
+def _thin_scalar(actions, gen, layer):
+    """The scalar by which ``gen`` maps a thin module's layer vector to the
+    next one, read off its action matrices; a missing block is zero."""
+    block = actions[gen].get(layer)
+    return block[1][0][0] if block else Fraction(0)
+
+
+def _local_eigenvalue(split, slices, endpoint, actions):
+    """F-eigenvalue on the first slice of a thin module, if defined: the
+    entry of the module's F action there, or, for T_f, whose actions have
+    no F, F applied to that slice."""
+    if "F" in actions:
+        return _thin_scalar(actions, "F", endpoint)
     w = slices[endpoint][0]
-    fw = split.apply_F(endpoint, w)
-    coeffs = _express(slices[endpoint], fw)
+    coeffs = _express(slices[endpoint], split.apply_F(endpoint, w))
     if coeffs is None:
         return None
     return coeffs[0]
@@ -463,10 +513,12 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     Layers are processed by increasing endpoint; at each endpoint the
     orthogonal complement of everything already found is seeded in
     canonical vertex order, closures are split through their commutants,
-    and the pieces are orthogonalized.  Invariance is checked once per
-    piece: ``_split_irreducible`` checks every piece it returns, and a
-    piece projected off its earlier siblings from the same closure is
-    checked again.  With ``max_endpoint`` set, only
+    and the pieces are orthogonalized.  A closure is invariant as built,
+    since it writes every generator image in its own basis; the pieces
+    split from it, and a piece projected off its earlier siblings from
+    the same closure, are checked by ``_action_matrices``.  Every module
+    carries the action matrices its closure or its check formed.  With
+    ``max_endpoint`` set, only
     modules with endpoint up to that bound are extracted (the remainder
     is ignored), which is enough for endpoint-one diagnostics.
     """
@@ -485,14 +537,14 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
             if seed is None:
                 break
             seed = _refine_seed(split, r, seed)
-            closure = _closure(split, algebra, r, seed)
-            pieces, certified = _split_irreducible(split, algebra, closure, rng)
+            closure, actions = _closure(split, algebra, r, seed)
+            pieces, certified = _split_irreducible(split, algebra, closure, rng, actions)
             siblings = []
-            for piece in pieces:
+            for piece, actions in pieces:
                 if siblings:
                     # the projection is all that can change a checked piece
                     piece = _orthogonalize(piece, siblings)
-                    _action_matrices(split, algebra, piece)
+                    actions = _action_matrices(split, algebra, piece)
                 siblings.append(piece)
                 found.append(piece)
                 layers = sorted(piece)
@@ -510,8 +562,9 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                         thin=thin,
                         slices=piece,
                         split=split,
+                        actions=actions,
                         local_eigenvalue=(
-                            _local_eigenvalue(split, piece, endpoint) if thin else None
+                            _local_eigenvalue(split, piece, endpoint, actions) if thin else None
                         ),
                         exact=certified,
                     )
@@ -643,27 +696,23 @@ def module_class_key(mod):
 
     For thin modules the gauge-invariant data is the endpoint, the
     diameter, the per-layer scalars of LR (the products gamma_i
-    beta_{i+1}), and for the full algebra the flat-action scalars.  For
-    non-thin modules the slice-dimension profile is used together with a
-    marker, which separates classes coarsely but never merges a thin and
-    a non-thin class.
+    beta_{i+1}), and for the full algebra the flat-action scalars.  They
+    are read off the module's action matrices: the LR scalar of a layer is
+    its R entry times the L entry one layer up, and a missing block is a
+    zero action.  For non-thin modules the slice-dimension profile is used
+    together with a marker, which separates classes coarsely but never
+    merges a thin and a non-thin class.
     """
     base = (mod.algebra, mod.endpoint, mod.diameter)
     if not mod.thin:
         return base + ("non-thin", tuple(sorted(mod.slice_dims().items())))
-    split = mod.split
-    lr_scalars = []
-    f_scalars = []
-    for layer in mod.layers():
-        vec = mod.slices[layer][0]
-        if layer < mod.endpoint + mod.diameter:
-            img = split.apply_L(layer + 1, split.apply_R(layer, vec))
-            coeffs = _express(mod.slices[layer], img)
-            lr_scalars.append(coeffs[0] if coeffs else None)
-        if mod.algebra == "T":
-            coeffs = _express(mod.slices[layer], split.apply_F(layer, vec))
-            f_scalars.append(coeffs[0] if coeffs else None)
-    return base + (tuple(lr_scalars), tuple(f_scalars))
+    acts = mod.actions
+    top = mod.endpoint + mod.diameter
+    lr_scalars = tuple(
+        _thin_scalar(acts, "R", i) * _thin_scalar(acts, "L", i + 1) for i in range(mod.endpoint, top)
+    )
+    f_scalars = tuple(_thin_scalar(acts, "F", i) for i in mod.layers()) if mod.algebra == "T" else ()
+    return base + (lr_scalars, f_scalars)
 
 
 def group_modules(modules):

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drguniform import UnsupportedField
 from drguniform.fields import FiniteField, hermitian_inner
@@ -63,6 +65,23 @@ def test_hermitian_gram_matches_scalar_inner(p):
     for i, u in enumerate(vecs):
         for j, v in enumerate(vecs):
             assert gram[i, j] == scalar_hermitian_inner(F, u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 8), st.data())
+def test_hermitian_gram_of_longer_vectors_matches_scalar_inner(p, k, data):
+    F = FiniteField(p, 2)
+    vecs = st.lists(st.lists(st.integers(0, F.order - 1), min_size=k, max_size=k), min_size=1, max_size=6)
+    us, vs = data.draw(vecs), data.draw(vecs)
+    gram = hermitian_inner(F, [[u] for u in us], [vs])
+    assert gram.tolist() == [[scalar_hermitian_inner(F, u, v) for v in vs] for u in us]
+
+
+def test_hermitian_inner_refuses_sums_it_cannot_reduce_exactly():
+    F = FiniteField(7, 2)
+    assert hermitian_inner(F, [48] * 95, [48] * 95) == scalar_hermitian_inner(F, [48] * 95, [48] * 95)
+    with pytest.raises(ValueError, match="too many coordinates"):
+        hermitian_inner(F, [48] * 96, [48] * 96)
 
 
 def test_rref_rank():

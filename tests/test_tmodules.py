@@ -23,10 +23,11 @@ from drguniform import (
     theta_tilde,
     tightness,
 )
-from drguniform import tmodules
+from drguniform import families, tmodules
 from drguniform.errors import ExactnessError
 from drguniform.exactla import minimal_polynomial
 from drguniform.graph_core import Graph
+from drguniform.terwilliger import LFRSplit
 from drguniform.tmodules import INFINITY, group_modules
 
 from oracles import full_matrix_split
@@ -403,6 +404,67 @@ def test_golden_module_slices(request, key):
     assert _slice_digest(decompose(g, 0, algebra)) == GOLDEN_SLICES[key]
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN_SLICES))
+def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
+    # the coordinates a closure records as it forms each generator image
+    # are the action matrices _action_matrices forms from its slices
+    name, algebra, labelling = key
+    g = request.getfixturevalue(name)
+    if labelling:
+        g = _relabelled(g, labelling)
+    closures = []
+    closure = tmodules._closure
+
+    def recorded(split, algebra, r, seed):
+        out = closure(split, algebra, r, seed)
+        closures.append((split, out))
+        return out
+
+    monkeypatch.setattr(tmodules, "_closure", recorded)
+    mods = decompose(g, 0, algebra)
+    assert len(closures) <= len(mods)
+    for split, (slices, actions) in closures:
+        assert actions == tmodules._action_matrices(split, algebra, slices)
+
+
+def test_each_generator_image_is_formed_once(monkeypatch):
+    # H(4,4), T: a closure forms at most one product per generator and
+    # basis vector, and grouping the modules forms none
+    g = families.hamming(4, 4)
+    products = Counter()
+    where = ["decompose"]
+    product = LFRSplit._product
+
+    def counted(self, gen, i, vec):
+        products[where[-1]] += 1
+        return product(self, gen, i, vec)
+
+    def inside(name, fn):
+        def run(*args):
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+
+        return run
+
+    dims = []
+    closure = tmodules._closure
+
+    def recorded(*args):
+        slices, actions = closure(*args)
+        dims.append(sum(map(len, slices.values())))
+        return slices, actions
+
+    monkeypatch.setattr(LFRSplit, "_product", counted)
+    monkeypatch.setattr(tmodules, "_closure", inside("closure", recorded))
+    monkeypatch.setattr(tmodules, "module_class_key", inside("key", tmodules.module_class_key))
+    group_modules(decompose(g, 0, "T"))
+    assert products["key"] == 0
+    assert 0 < products["closure"] <= 3 * sum(dims)
+
+
 @pytest.mark.parametrize(
     "name, labelling, splits", [("j94", 0, 2), ("j94", 2305, 6), ("halved8", 0, 14)]
 )
@@ -440,11 +502,13 @@ def test_split_pieces_must_fill_the_subspace(j94, monkeypatch):
 
 
 def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
-    # each subspace _split_irreducible receives is checked there, and a
-    # piece projected off its earlier siblings once more; the halved
-    # 8-cube's closures give 14 such pieces
+    # a closure is invariant as built and brings its own action matrices;
+    # each piece split from one is checked where its commutant is formed,
+    # and a piece projected off its earlier siblings once more.  The
+    # halved 8-cube's 56 closures take 84 splitting calls, so 28 split
+    # pieces and 14 projected ones are checked
     counts = Counter()
-    for name in ("_action_matrices", "_split_irreducible", "_orthogonalize"):
+    for name in ("_closure", "_action_matrices", "_split_irreducible", "_orthogonalize"):
 
         def counted(*args, _name=name, _original=getattr(tmodules, name)):
             counts[_name] += 1
@@ -452,8 +516,9 @@ def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
 
         monkeypatch.setattr(tmodules, name, counted)
     decompose(halved8, 0, "T")
-    assert counts["_orthogonalize"] == 14
-    assert counts["_action_matrices"] == counts["_split_irreducible"] + counts["_orthogonalize"]
+    assert (counts["_closure"], counts["_split_irreducible"], counts["_orthogonalize"]) == (56, 84, 14)
+    assert counts["_action_matrices"] == counts["_split_irreducible"] - counts["_closure"] + counts["_orthogonalize"]
+    assert counts["_action_matrices"] == 42
 
 
 def test_projected_pieces_are_checked_again(halved8, monkeypatch):
