@@ -18,18 +18,19 @@ top of it:
 - ``int_poly_rational_roots`` finds every rational root of an integer
   polynomial by p-adic lifting, and ``deflate`` divides one out.
 
-``ModularComplement`` eliminates modulo a few primes below 2^26 in numpy
-and certifies what it returns exactly.  It gathers new vectors in a
-pending block of at most 32 rows and folds them into the stored echelon
-with one matmul per prime, so the stored rows are rewritten once per 32
-vectors instead of once per vector.  The routines are meant for the
-small dense systems that show up when layer blocks and module actions
-are vectorized, not for large-scale numerics.
+``modular_kernel`` is the one kernel computed modulo primes: a reduced
+echelon form modulo each of a few primes below 2^26 in numpy int64,
+combined by Chinese remaindering and rational reconstruction, and
+certified exactly by M w = 0.  ``tmodules.decompose`` takes from it the
+orthogonal complement of the modules found so far, the eigenspaces it
+seeds from, and the rank check that certifies its sum direct.  The
+routines are meant for the small dense systems that show up when layer
+blocks and module actions are vectorized, not for large-scale numerics.
 """
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import mul
 
 import numpy as np
@@ -197,7 +198,6 @@ def solve_affine(rows, rhs):
 
 _PRIME_BITS = 26  # the moduli are the largest primes below 2^26
 _CHUNK = 1024  # int64 partial sums of 1024 products below 2^52 stay below 2^62
-_BLOCK = 32  # pending rows per fold: the fold's int64 sums stay below 2^57
 
 
 _PRIMES = []  # the largest primes below 2^26 found so far, descending
@@ -218,16 +218,6 @@ def _primes_for(bits):
     """How many of those primes a modulus of at least ``bits`` bits takes
     (each is above 2^25)."""
     return max(1, -(-bits // (_PRIME_BITS - 1)))
-
-
-def _matmul_mod(a, b, p):
-    """(a[k] @ b[k]) mod p[k] for every prime k: a is (K, r), b (K, r, m),
-    p (K, 1); exact in int64 for entries below 2^26."""
-    out = np.zeros((b.shape[0], b.shape[2]), dtype=np.int64)
-    for s in range(0, a.shape[1], _CHUNK):
-        out += np.einsum("kr,krm->km", a[:, s : s + _CHUNK], b[:, s : s + _CHUNK])
-        out %= p
-    return out
 
 
 def _crt_prefixes(residues, primes):
@@ -308,261 +298,146 @@ def _rational_vector(values, modulus):
     return out
 
 
-class ModularComplement:
-    """The orthogonal complement of a growing set of integer vectors, and
-    its first vector in canonical column order.
+def _int_array(rows, ncols):
+    """An integer matrix as an int64 array, or as an object array of
+    Python ints when some entry does not fit int64."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
-    Modulo each of K primes below 2^26 the vectors are kept in reduced
-    echelon form, in two parts.  The stored rows [I | N] keep only N,
-    their entries in the non-pivot columns: one (rank x (width - rank))
-    int64 block per prime.  A new independent vector goes into the
-    pending block B instead: it is reduced against [I | N] by one matvec
-    and against B's rows, and B stays in reduced echelon form among its
-    own rows, which are zero in every stored pivot column.  When B holds
-    32 rows, or before K changes, ``_fold`` clears B's pivot columns J
-    from N with one matmul N - N[:, J] B per prime, appends B to the
-    stored rows and drops J from the non-pivot columns.  So a new vector
-    updates at most 32 rows, and N is rewritten once per 32 vectors.
 
-    The primes must agree on every pivot, stored or pending; a prime that
-    finds less rank than another divides a minor of the vectors (it is
-    unlucky) and is replaced.  K comes from the bit size of the vectors:
-    enough primes for a modulus of 2 log2(max ||row||_1) + 2 bits, taken
-    from the vectors the complement is constructed with.  When larger
-    vectors ask for more primes, or a certificate fails, K grows to at
-    least 3K/2, and only the new primes then reduce the vectors already
-    added.  K stops where the modulus passes 2 max(H^2, l1 H), for H the
-    Hadamard bound of the vectors: there the seed must certify, so
-    ``seed`` raises ExactnessError instead of growing K further.
+def _residues(mat, p):
+    """An ``_int_array`` matrix modulo p, as int64."""
+    return (mat % p).astype(np.int64)
 
-    ``seed`` reads its answer off the first column f that is neither a
-    stored nor a pending pivot, without a fold: the kernel vector w with
-    w[f] = 1 is -B[:, f] on the pending pivots and -N[:, f] + N[:, J]
-    B[:, f] on the stored ones.  It combines the primes by CRT and
-    rational reconstruction (from a prefix of the primes first, since most
-    seeds are small, each longer prefix extending the digits of the
-    last), and certifies the integer vector w it gets: w[f] is nonzero
-    and w vanishes past f; w is in the kernel of every stored and every
-    pending row modulo every prime, so M w = 0 modulo their product P for
-    the matrix M of added vectors; P > 2 max ||row||_1 ||w||_inf then
-    forces M w = 0 over the integers.  Columns [0, f) are pivots modulo a
-    prime, so they are independent over the rationals, and w is, up to
-    scale, the only vector orthogonal to M supported on [0, f].
-    """
 
-    def __init__(self, width, rows=()):
-        self.width = width
-        self._rows = list(rows)  # every added vector, to rebuild the blocks from
-        self._l1 = max((sum(map(abs, vec)) for vec in self._rows), default=0)
-        self._bad = set()  # primes found unlucky
-        self._h_bits = self._h_rows = 0  # log2 of the Hadamard bound of _rows[:_h_rows], rounded up
-        self._rebuild(self._wanted())
+def _echelon_mod(mat, p):
+    """The reduced row echelon form of an ``_int_array`` matrix modulo a
+    prime p below 2^26: (pivot columns, the nonzero rows as int64).
 
-    def _wanted(self):
-        """How many primes the largest l1 norm of the vectors asks for."""
-        return _primes_for(2 * self._l1.bit_length() + 2)
+    Entries are reduced modulo p only where they are read: the pivot
+    column and row.  An elimination step changes every other entry by a
+    product below 2^52, so the matrix is reduced as a whole only once
+    per 1024 steps, before any entry could leave int64."""
+    a = _residues(mat, p)
+    pivots = []
+    for c in range(a.shape[1]):
+        rank = len(pivots)
+        if rank == a.shape[0]:
+            break
+        col = a[:, c] % p
+        hit = np.flatnonzero(col[rank:])
+        if not len(hit):
+            continue
+        i = rank + hit[0]
+        row = a[i, c:] % p * pow(int(col[i]), -1, p) % p
+        a[i], col[i] = a[rank], col[rank]
+        a[rank, c:], col[rank] = row, 0
+        rest = a[:, c:]
+        rest -= col[:, None] * row
+        pivots.append(c)
+        if len(pivots) % 1024 == 0:
+            a %= p
+    return pivots, a[: len(pivots)] % p
 
-    def _grown(self, wanted):
-        """The next K: at least ``wanted`` and at least 3K/2."""
-        return max(wanted, -(-3 * len(self.primes) // 2))
 
-    def _choose(self, count):
-        """The ``count`` largest primes below 2^26 not found unlucky."""
-        pool = _large_primes(count + len(self._bad))
-        return [p for p in pool if p not in self._bad][:count]
+def _dot_mod(a, b, p):
+    """a @ b modulo p for int64 matrices with entries in [0, p)."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], _CHUNK):
+        out += a[:, s : s + _CHUNK] @ b[s : s + _CHUNK]
+        out %= p
+    return out
 
-    def _reset(self, primes):
-        """An empty echelon under ``primes``."""
-        self.primes = primes
-        self._p = np.array(primes, dtype=np.int64)[:, None]
-        self._pivots = []  # stored pivot columns, one per row of N
-        self._free = np.arange(self.width)  # non-pivot columns, ascending
-        self._n = np.zeros((len(primes), 0, self.width), dtype=np.int64)
-        self._new_block()
 
-    def _new_block(self):
-        """An empty pending block over the current non-pivot columns."""
-        self._j = []  # positions in _free of the pending pivots, one per row
-        self._b = np.empty((len(self.primes), _BLOCK, len(self._free)), dtype=np.int64)
+def _max_abs(a):
+    """The largest absolute entry of a nonempty ``_int_array`` matrix, as
+    a Python int."""
+    return max(int(a.max()), -int(a.min()))
 
-    def _rebuild(self, count):
-        """Reduce every vector afresh under ``count`` primes."""
-        while True:
-            self._reset(self._choose(count))
-            if all(self._insert(vec) for vec in self._rows):
-                return
 
-    def _extend(self, count):
-        """Use ``count`` primes, reducing the vectors under the new ones
-        only; a full rebuild when the new primes disagree with the old."""
-        self._fold()
-        primes, n, pivots = self.primes, self._n, self._pivots
-        self._reset(self._choose(count)[len(primes) :])
-        if all(self._insert(vec) for vec in self._rows):
-            self._fold()
-            if self._pivots == pivots:
-                self.primes = primes + self.primes
-                self._p = np.array(self.primes, dtype=np.int64)[:, None]
-                self._n = np.concatenate([n, self._n])
-                self._new_block()
-                return
-        self._rebuild(count)
-
-    def add(self, vec):
-        """Add an integer vector to the set."""
-        self._rows.append(vec)
-        self._l1 = max(self._l1, sum(map(abs, vec)))
-        wanted = self._wanted()
-        count = self._grown(wanted) if wanted > len(self.primes) else len(self.primes)
-        if not self._insert(vec):
-            self._rebuild(count)
-        elif count > len(self.primes):
-            self._extend(count)
-
-    def _residues(self, vec):
-        """(K, width) int64 residues of an integer vector.  Past int64, the
-        absolute values are written as little-endian bytes, one int64
-        product of that (width x size) byte matrix with the powers of 256
-        modulo each prime gives their residues (its sums stay below
-        size * 2^34), and the negative entries' residues are negated."""
-        if -(2**63) <= min(vec) and max(vec) < 2**63:
-            return np.array(vec, dtype=np.int64) % self._p
-        size = (max(map(abs, vec)).bit_length() + 7) // 8
-        data = b"".join(abs(x).to_bytes(size, "little") for x in vec)
-        digits = np.frombuffer(data, dtype=np.uint8).reshape(len(vec), size).astype(np.int64)
-        powers = np.ones((len(self.primes), 1), dtype=np.int64)  # 256^j mod p, j < size
-        while powers.shape[1] < size:
-            step = powers[:, -1:] * 256 % self._p
-            powers = np.hstack([powers, powers * step % self._p])
-        res = powers[:, :size] @ digits.T % self._p
-        neg = np.array([x < 0 for x in vec])
-        res[:, neg] = -res[:, neg] % self._p
-        return res
-
-    def _insert(self, vec):
-        """Reduce ``vec`` under every prime and add it to the pending block
-        when independent.  Returns False, after marking the unlucky primes,
-        when the primes disagree on its pivot."""
-        m, j = len(self._free), self._j
-        if len(j) == m:
-            return True  # full rank: every vector is dependent
-        res = self._residues(vec)
-        red = res[:, self._free]
-        if self._pivots:
-            red -= _matmul_mod(res[:, self._pivots], self._n, self._p)
-            red %= self._p
-        block = self._b[:, : len(j)]
-        if j:
-            red -= _matmul_mod(red[:, j], block, self._p)
-            red %= self._p
-        nonzero = red != 0
-        lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m)
-        c = int(lead.min())
-        if (lead != c).any():
-            self._bad.update(p for p, x in zip(self.primes, lead) if x != c)
-            return False
-        if c == m:
-            return True  # dependent under every prime
-        inv = np.array([[pow(int(x), -1, p)] for x, p in zip(red[:, c], self.primes)])
-        row = red * inv % self._p
-        # clear column c from the pending rows
-        block -= block[:, :, c : c + 1] * row[:, None]
-        block %= self._p[:, :, None]
-        self._b[:, len(j)] = row
-        j.append(c)
-        if len(j) == _BLOCK:
-            self._fold()
+def _annihilates(mat, vectors):
+    """Whether M w = 0 for every integer vector w, exactly, for M as
+    ``_int_array`` holds it.  Each entry of M w is at most
+    B = ncols max|M| max|w| in size, so it is zero when it is zero modulo
+    primes whose product passes 2B."""
+    if not mat.size or not vectors:
         return True
+    w = _int_array(vectors, mat.shape[1]).T
+    bound = mat.shape[1] * _max_abs(mat) * _max_abs(w)
+    return not any(
+        _dot_mod(_residues(mat, p), _residues(w, p), p).any()
+        for p in _large_primes(_primes_for(bound.bit_length() + 2))
+    )
 
-    def _fold(self):
-        """Clear the pending pivot columns J from N, append the pending rows
-        to the stored ones and drop J from the non-pivot columns."""
-        j = self._j
-        if not j:
-            return
-        keep = np.ones(len(self._free), dtype=bool)
-        keep[j] = False
-        r, block = len(self._pivots), self._b[:, : len(j), keep]
-        n = np.empty((len(self.primes), r + len(j), len(self._free) - len(j)), dtype=np.int64)
-        for k, p in enumerate(self.primes):  # one prime at a time keeps the temporaries small
-            np.remainder(self._n[k][:, keep] - self._n[k][:, j] @ block[k], p, out=n[k, :r])
-        n[:, r:] = block
-        self._n = n
-        self._pivots += self._free[j].tolist()
-        self._free = self._free[keep]
-        self._new_block()
 
-    def _first_free(self):
-        """Position in _free of the first column that is no pending pivot."""
-        pending = set(self._j)
-        return next(i for i in range(len(self._free)) if i not in pending)
+def _lift(values, modulus, pivots, free, ncols):
+    """Integer kernel vectors from the CRT values of the negated reduced
+    echelon entries, row-major over (pivot row, free column); None when
+    some vector does not reconstruct."""
+    basis = []
+    for j, f in enumerate(free):
+        lifted = _rational_vector(values[j :: len(free)] + [1], modulus)
+        if lifted is None:
+            return None
+        w = [0] * ncols
+        for c, x in zip(pivots, lifted):
+            w[c] = x
+        w[f] = lifted[-1]
+        basis.append(w)
+    return basis
 
-    def seed(self):
-        """The first nonzero integer vector, in canonical column order,
-        orthogonal to every added vector: gcd-normalized, its first
-        nonzero entry positive, supported on the columns up to the first
-        non-pivot.  None when the vectors span the whole space."""
-        while len(self._j) < len(self._free):
-            # lift from the first t primes, doubling t; every candidate
-            # is certified under all of them
-            for w in self._candidates():
-                if w is not None and self._certified(w):
-                    return w
-            cap = _primes_for(self._sufficient_bits())
-            if len(self.primes) >= cap:
-                raise ExactnessError(
-                    f"no seed certified under {len(self.primes)} primes, past the Hadamard bound"
-                )
-            self._extend(min(self._grown(len(self.primes) + 1), cap))
-        return None  # full rank modulo a prime, hence over the rationals
 
-    def _sufficient_bits(self):
-        """Bits of a modulus past 2 max(H^2, l1 H), for H the Hadamard bound
-        of the added vectors: the product of their nonzero Euclidean norms.
+def modular_kernel(rows, ncols):
+    """A basis of the right kernel of an integer matrix M, certified.
 
-        The seed is, up to scale, a vector of minors of those vectors
-        (Cramer), so its entries and the numerators and denominator of the
-        rationals it is lifted from are at most H: modulo such a modulus
-        the full lift reconstructs it and the certificate accepts it."""
-        for vec in self._rows[self._h_rows :]:  # each vector is measured once
-            self._h_bits += -(-sum(x * x for x in vec).bit_length() // 2)
-        self._h_rows = len(self._rows)
-        return 1 + max(2 * self._h_bits, self._l1.bit_length() + self._h_bits)
+    Returns (free, basis): the non-pivot columns f of M's reduced echelon
+    form over the rationals and, for each, the kernel vector that is 1 at
+    f and 0 at the other free columns, times its least denominator, an
+    integer vector with w[f] > 0.
 
-    def _candidates(self):
-        """w with w[f] = 1 and zero on the other non-pivot columns, in the
-        kernel of every row, lifted to the integers from the first t primes
-        for t = 1, 2, 4, ..., K; None where reconstruction fails."""
-        i, j = self._first_free(), self._j
-        bf = self._b[:, : len(j), i]
-        stored = np.matmul(self._n[:, :, j], bf[:, :, None])[:, :, 0] - self._n[:, :, i]
-        residues = np.concatenate([stored, -bf], axis=1) % self._p
-        cols = self._pivots + self._free[j].tolist() + [int(self._free[i])]
-        for values, modulus in _crt_prefixes(residues, self.primes):
-            lifted = _rational_vector(values + [1], modulus)
-            if lifted is None:
-                yield None
-                continue
-            w = [0] * self.width
-            for c, x in zip(cols, lifted):
-                w[c] = x
-            yield ivec_normalize(w)
-
-    def _certified(self, w):
-        i = self._first_free()
-        f = int(self._free[i])
-        if not w[f] or any(w[f + 1 :]):
-            return False
-        if prod(self.primes) <= 2 * self._l1 * max(map(abs, w)):
-            return False
-        res = self._residues(w)
-        # w vanishes on every non-pivot column but f, so against row k of
-        # [I | N] or of B only its pending pivots and f count
-        cols = self._j + [i]
-        wc = res[:, self._free[cols], None]
-        stored = res[:, self._pivots] + np.matmul(self._n[:, :, cols], wc)[:, :, 0]
-        pending = np.matmul(self._b[:, : len(self._j)][:, :, cols], wc)[:, :, 0]
-        return not (stored % self._p).any() and not (pending % self._p).any()
+    M is reduced modulo primes below 2^26, one int64 elimination each.
+    Modulo a prime a pivot can only move to a later column, so among
+    primes whose pivot columns differ, those that do not find the
+    earliest are unlucky and are replaced.  The negated echelon entries are combined by
+    Chinese remaindering, from the first t primes for t = 1, 2, 4, ... in
+    turn, and rational reconstruction; the first vectors that reconstruct
+    and satisfy M w = 0 exactly (``_annihilates``) are the answer.  They
+    are independent, being 1 on distinct free columns, and there are as
+    many as the non-pivot columns modulo a prime, which is at least the
+    kernel's dimension.  Otherwise the number of primes doubles, up to
+    the Hadamard cap: a modulus past 2 H^2, for H the product of the
+    rows' Euclidean norms, bounds every minor of M and so every
+    numerator and denominator to reconstruct.  Past the cap it raises
+    ExactnessError.
+    """
+    mat = _int_array(rows, ncols)
+    forms, bad, nprimes = {}, set(), 1
+    while True:
+        primes = [p for p in _large_primes(nprimes + len(bad)) if p not in bad][:nprimes]
+        for p in primes:
+            if p not in forms:
+                forms[p] = _echelon_mod(mat, p)
+        # the earliest pivot columns, a missing pivot counting as column ncols
+        best = min(forms[p][0] + [ncols] for p in primes)
+        if any(forms[p][0] + [ncols] != best for p in primes):
+            bad.update(p for p in primes if forms[p][0] + [ncols] != best)
+            continue
+        pivots = best[:-1]
+        free = sorted(set(range(ncols)) - set(pivots))
+        if not free:
+            return [], []
+        residues = np.stack([-forms[p][1][:, free] % p for p in primes]).reshape(nprimes, -1)
+        for values, modulus in _crt_prefixes(residues, primes):
+            basis = _lift(values, modulus, pivots, free, ncols)
+            if basis is not None and _annihilates(mat, basis):
+                return free, basis
+        h_bits = sum(-(-sum(x * x for x in row).bit_length() // 2) for row in rows)
+        cap = _primes_for(2 * h_bits + 2)
+        if nprimes >= cap:
+            raise ExactnessError(f"no kernel certified under {nprimes} primes, the Hadamard cap")
+        nprimes = min(2 * nprimes, cap)
 
 
 def _substitute(pivoted, target):

@@ -4,9 +4,15 @@ The standard module is decomposed into irreducible T- or T_f-modules with
 exact rational arithmetic.  Everything is layer-graded: module basis
 vectors live inside single subconstituents, closures under the lowering,
 flat, and raising actions stay graded, and commutants respect the grading
-block by block.  The decomposition is deterministic: seeds are taken in
-canonical vertex order and the splitting elements are drawn from the
-commutant with a fixed seed.
+block by block.  Modules are seeded from eigenspaces: at each endpoint r,
+the layer-r slice of the orthogonal complement of the modules with lower
+endpoints is split into the eigenspaces of F (for T) or of L R (for
+T_f), and every basis vector of an eigenspace generates a module.  The
+sum is direct inside an eigenspace and orthogonal across eigenspaces and
+endpoints, and one rank check per layer certifies it direct.  The
+decomposition is deterministic: eigenspaces come in ascending order of
+eigenvalue, their bases from reduced echelon forms, and the splitting
+elements are drawn from the commutant with a fixed seed.
 
 Also here: the local-eigenvalue map, the tightness test, standard bases,
 ladder scalars with the isomorphism ratio criterion, an endpoint-one
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -27,13 +34,12 @@ from .config import DEFAULT
 from .errors import ExactnessError, NotALadder, NotThin
 from .exactla import (
     IntRowBasis,
-    ModularComplement,
     clear_denominators,
-    deflate,
     int_poly_rational_roots,
     ivec_normalize,
     krylov_relation,
     minimal_polynomial,
+    modular_kernel,
     nullspace,
     solve_affine,
 )
@@ -84,7 +90,9 @@ class ModuleDescriptor:
     ``module_class_key`` read their scalars from it.  ``exact`` is True
     when every piece split from the module's closure has a
     one-dimensional commutant, which certifies the module irreducible
-    over the rationals.
+    over the rationals.  A T_f module's ``local_eigenvalue`` is not a
+    class invariant: it depends on which copy of its isotypic component
+    the decomposition picks (see ``_local_eigenvalue``).
     """
 
     algebra: str  # "T" or "Tf"
@@ -131,49 +139,6 @@ def _apply(split, gen, layer, vec):
             return None
         return layer + 1, split.apply_R(layer, vec)
     return layer, split.apply_F(layer, vec)
-
-
-def _layer_word_apply(split, r, k, vec):
-    """Apply the self-adjoint word L^k R^k to a layer-r vector."""
-    cur = vec
-    top = split.eccentricity
-    for i in range(k):
-        if r + i >= top:
-            return [0] * len(vec)
-        cur = split.apply_R(r + i, cur)
-    for i in range(k, 0, -1):
-        cur = split.apply_L(r + i, cur)
-    return cur
-
-
-def _refine_seed(split, r, seed):
-    """Project a seed into an eigencomponent of L^k R^k inside its layer.
-
-    The closure of a refined seed meets only the module classes sharing
-    that eigenvalue, which keeps closures (and the splitting work on
-    them) small.  Self-adjoint words are diagonalizable, so evaluating
-    minpoly/(t - lambda) at the word maps the seed exactly into the
-    lambda-eigenspace.  Irrational eigencomponents are left alone.
-    """
-    for k in (1, 2):
-        # the minimal polynomial of the word on the Krylov space of the seed
-        coeffs, krylov = krylov_relation(seed, partial(_layer_word_apply, split, r, k))
-        if len(krylov) <= 1:
-            continue
-        roots, residual = int_poly_rational_roots(coeffs)
-        if len(set(roots)) + (len(residual) > 1) < 2:
-            continue
-        # map the seed into the eigenspace of the least root lam: evaluate
-        # minpoly / (t - lam), an integer polynomial, at the word on the
-        # seed, whose powers are the Krylov vectors
-        out = [0] * len(seed)
-        for c, power in zip(deflate(coeffs, roots[0]), krylov):
-            if c:
-                out = [a + c * b for a, b in zip(out, power)]
-        refined = ivec_normalize(out)
-        if refined is not None:
-            seed = refined
-    return seed
 
 
 def _closure(split, algebra, r, seed):
@@ -442,11 +407,10 @@ def _split_irreducible(split, algebra, slices, rng, actions=None):
 def _orthogonalize(slices, siblings):
     """Project a graded subspace off its sibling modules, layer by layer.
 
-    Pieces split from one closure can fail to be pairwise orthogonal, but
-    every closure is orthogonal to all previously found modules (its seed
-    lives in their invariant orthocomplement), so only siblings from the
-    same closure need projecting.  The projector onto a module commutes
-    with the algebra, so the image is again a module of equal dimension.
+    Pieces split from one closure can fail to be pairwise orthogonal, so
+    each is projected off the pieces of the same closure before it.  The
+    projector onto a module commutes with the algebra, so the image is
+    again a module of equal dimension.
     """
     out = {}
     for layer, rows in slices.items():
@@ -480,11 +444,68 @@ def _project_off(vec, rows):
     return out
 
 
-def _orthogonal_seed(complement):
-    """The next seed: the first vector, in canonical vertex order, of the
-    orthogonal complement of the modules found in a layer, or None when
-    they fill the layer."""
-    return complement.seed()
+def _orthogonal_seed(width, rows):
+    """K_r, the vectors of layer r orthogonal to ``rows``, the layer's
+    slices of the modules with lower endpoints: ``modular_kernel``'s
+    (free columns, basis)."""
+    return modular_kernel(rows, width)
+
+
+def _seed_operator(split, algebra, r):
+    """F_r for T, L_{r+1} R_r for T_f: a symmetric map of layer r that
+    the algebra contains and that maps K_r into itself."""
+    if algebra == "T":
+        return partial(split.apply_F, r)
+    if r == split.eccentricity:
+        return lambda vec: [0] * len(vec)
+    return lambda vec: split.apply_L(r + 1, split.apply_R(r, vec))
+
+
+def _combine(coords, basis):
+    """The gcd-normalized integer vectors sum_j c_j basis[j], one per
+    coordinate vector c, in int64 when no sum can leave that range."""
+    if not coords:
+        return []
+    c, w = np.array(coords, dtype=object), np.array(basis, dtype=object)
+    if len(basis) * max(c.max(), -c.min()) * max(w.max(), -w.min()) < 2**63:
+        c, w = c.astype(np.int64), w.astype(np.int64)
+    return [ivec_normalize(v) for v in (c @ w).tolist()]
+
+
+def _refine_seed(split, algebra, r, free, basis):
+    """Split K_r, given as ``modular_kernel``'s (free, basis), into the
+    exact eigenspaces of ``_seed_operator``: one list of seeds per
+    rational eigenvalue, ascending, and, when those do not fill K_r, one
+    last list spanning the part of K_r that they leave, the irrational
+    remainder.
+
+    The eigenvalues are the rational roots of the Krylov relations of
+    K_r's basis vectors, taken in order until their eigenspaces fill K_r.
+    Each eigenspace is computed in K_r's coordinates: basis vector w_j is
+    d_j at its free column f_j and 0 at the others, so an image A w_j,
+    which lies in K_r, has coordinate A w_j[f_i] / d_i on w_i, and the
+    eigenspace of a/b is the kernel of the integer matrix
+    b A w_j[f_i] - a d_i [i = j].  The map is symmetric, so the
+    eigenspaces and the uncovered part are pairwise orthogonal.
+    """
+    op = _seed_operator(split, algebra, r)
+    images = [op(w) for w in basis]
+    spaces = {}
+    for w in basis:
+        if sum(map(len, spaces.values())) == len(basis):
+            break
+        for lam in set(int_poly_rational_roots(krylov_relation(w, op)[0])[0]) - set(spaces):
+            a, b = lam.numerator, lam.denominator
+            mat = [
+                [b * img[f] - (a * v[f] if i == j else 0) for j, img in enumerate(images)]
+                for i, (f, v) in enumerate(zip(free, basis))
+            ]
+            spaces[lam] = _combine(modular_kernel(mat, len(basis))[1], basis)
+    groups = [spaces[lam] for lam in sorted(spaces)]
+    if sum(map(len, groups)) < len(basis):
+        gram = [[sum(map(mul, v, w)) for w in basis] for group in groups for v in group]
+        groups.append(_combine(modular_kernel(gram, len(basis))[1], basis))
+    return groups
 
 
 def _thin_scalar(actions, gen, layer):
@@ -497,7 +518,14 @@ def _thin_scalar(actions, gen, layer):
 def _local_eigenvalue(split, slices, endpoint, actions):
     """F-eigenvalue on the first slice of a thin module, if defined: the
     entry of the module's F action there, or, for T_f, whose actions have
-    no F, F applied to that slice."""
+    no F, F applied to that slice.
+
+    For T, F is in the algebra, so the value is fixed by the module's
+    class.  For T_f it is not: isomorphic T_f modules can sit in
+    different eigenspaces of F, or in none (the value is then None), so
+    it depends on which copy of the isotypic component is picked, and
+    with it on the labelling of the graph.
+    """
     if "F" in actions:
         return _thin_scalar(actions, "F", endpoint)
     w = slices[endpoint][0]
@@ -507,74 +535,86 @@ def _local_eigenvalue(split, slices, endpoint, actions):
     return coeffs[0]
 
 
-def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
-    """Orthogonal decomposition into irreducible modules.
+def _closure_modules(split, algebra, r, seed, rng):
+    """The irreducible modules of a seed's closure: (pieces, certified).
 
-    Layers are processed by increasing endpoint; at each endpoint the
-    orthogonal complement of everything already found is seeded in
-    canonical vertex order, closures are split through their commutants,
-    and the pieces are orthogonalized.  A closure is invariant as built,
-    since it writes every generator image in its own basis; the pieces
-    split from it, and a piece projected off its earlier siblings from
-    the same closure, are checked by ``_action_matrices``.  Every module
-    carries the action matrices its closure or its check formed.  With
-    ``max_endpoint`` set, only
-    modules with endpoint up to that bound are extracted (the remainder
-    is ignored), which is enough for endpoint-one diagnostics.
+    The closure is split by ``_split_irreducible``, and each piece after
+    the first is projected off the pieces before it and checked invariant
+    again by ``_action_matrices``; pieces are (slices, actions) pairs.
+    """
+    closure, actions = _closure(split, algebra, r, seed)
+    pieces, certified = _split_irreducible(split, algebra, closure, rng, actions)
+    out = []
+    for piece, actions in pieces:
+        if out:
+            # the projection is all that can change a checked piece
+            piece = _orthogonalize(piece, [sib for sib, _ in out])
+            actions = _action_matrices(split, algebra, piece)
+        out.append((piece, actions))
+    return out, certified
+
+
+def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
+    """Decomposition into irreducible modules, as a direct sum.
+
+    Layers are processed by increasing endpoint r.  K_r, the layer-r
+    slice of the orthogonal complement of the modules with endpoint below
+    r, is split into the eigenspaces of F_r (for T) or L_{r+1} R_r (for
+    T_f), and every basis vector of each eigenspace seeds a closure,
+    which ``_closure_modules`` splits into irreducibles.  Inside one
+    eigenspace the modules form a direct sum, not an orthogonal one;
+    modules from different eigenspaces or different endpoints are
+    orthogonal.  A seed that lies in the span of the endpoint slices its
+    eigenspace has found generates nothing new and is skipped; that span
+    is formed only once some closure there has an endpoint slice wider
+    than 1.  After each layer, one rank check certifies the sum direct:
+    the layer's module slices number as many as its vertices and have
+    full rank.  With ``max_endpoint`` set, only modules with endpoint up
+    to that bound are extracted (the remainder is ignored), which is
+    enough for endpoint-one diagnostics.
     """
     dp = bfs_layers(g, x)
     split = lfr_split(g, dp)
-    eps = dp.eccentricity
     sizes = split.layer_sizes()
     rng = random.Random(config.decomposition_seed)
-    found = []  # slices dicts
     descriptors = []
-    last = eps if max_endpoint is None else min(max_endpoint, eps)
+    last = dp.eccentricity if max_endpoint is None else min(max_endpoint, dp.eccentricity)
     for r in range(last + 1):
-        complement = ModularComplement(sizes[r], [vec for mod in found for vec in mod.get(r, [])])
-        while True:
-            seed = _orthogonal_seed(complement)
-            if seed is None:
-                break
-            seed = _refine_seed(split, r, seed)
-            closure, actions = _closure(split, algebra, r, seed)
-            pieces, certified = _split_irreducible(split, algebra, closure, rng, actions)
-            siblings = []
-            for piece, actions in pieces:
-                if siblings:
-                    # the projection is all that can change a checked piece
-                    piece = _orthogonalize(piece, siblings)
-                    actions = _action_matrices(split, algebra, piece)
-                siblings.append(piece)
-                found.append(piece)
-                layers = sorted(piece)
-                endpoint = layers[0]
-                if endpoint != r or layers != list(range(endpoint, layers[-1] + 1)):
-                    raise ExactnessError(
-                        f"module at endpoint {r} occupies layers {layers}"
+        free, basis = _orthogonal_seed(sizes[r], [v for d in descriptors for v in d.slices.get(r, [])])
+        for group in _refine_seed(split, algebra, r, free, basis):
+            ends, span = [], None  # the group's endpoint vectors, and their span once needed
+            for seed in group:
+                if span is not None and span.reduce(seed) is None:
+                    continue  # the modules found already contain its closure
+                pieces, certified = _closure_modules(split, algebra, r, seed, rng)
+                for piece, actions in pieces:
+                    layers = sorted(piece)
+                    if layers[0] != r or layers != list(range(r, layers[-1] + 1)):
+                        raise ExactnessError(f"module at endpoint {r} occupies layers {layers}")
+                    thin = all(len(v) <= 1 for v in piece.values())
+                    descriptors.append(
+                        ModuleDescriptor(
+                            algebra=algebra,
+                            endpoint=r,
+                            diameter=layers[-1] - r,
+                            thin=thin,
+                            slices=piece,
+                            split=split,
+                            actions=actions,
+                            local_eigenvalue=_local_eigenvalue(split, piece, r, actions) if thin else None,
+                            exact=certified,
+                        )
                     )
-                thin = all(len(v) <= 1 for v in piece.values())
-                descriptors.append(
-                    ModuleDescriptor(
-                        algebra=algebra,
-                        endpoint=endpoint,
-                        diameter=layers[-1] - endpoint,
-                        thin=thin,
-                        slices=piece,
-                        split=split,
-                        actions=actions,
-                        local_eigenvalue=(
-                            _local_eigenvalue(split, piece, endpoint, actions) if thin else None
-                        ),
-                        exact=certified,
-                    )
-                )
-                for vec in piece.get(r, []):
-                    complement.add(vec)
-    if max_endpoint is None:
-        total = sum(d.dim for d in descriptors)
-        if total != g.n:
-            raise ExactnessError(f"module dimensions sum to {total}, not {g.n}")
+                    ends.extend(piece[r])
+                # while every closure's endpoint slice is its seed's span, no
+                # later seed of the group lies in the span of the earlier ones
+                if span is None and sum(len(piece[r]) for piece, _ in pieces) > 1:
+                    span = IntRowBasis(sizes[r])
+                for vec in ends[len(span) :] if span is not None else ():
+                    span.add(vec)
+        rows = [v for d in descriptors for v in d.slices.get(r, [])]
+        if len(rows) != sizes[r] or modular_kernel(rows, sizes[r])[1]:
+            raise ExactnessError(f"the module slices of layer {r} are not a basis of it")
     return descriptors
 
 

@@ -29,7 +29,7 @@ count their entries are here too: only tests use them.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -223,54 +223,6 @@ def fraction_express(rows, target):
     if any(x != 0 for x in residual):
         return None
     return coeffs
-
-
-def echelon_orthogonal_seed(rows, width):
-    """The first integer vector, in canonical column order, orthogonal to
-    ``rows``, or None when they span the whole space.
-
-    The exact reference for ``ModularComplement.seed``: the rows go into a
-    fraction-free forward echelon keyed by pivot column; the free
-    coordinate is the smallest non-pivot column, and the pivot coordinates
-    are back-solved in descending order with rescaling instead of
-    division.  The result is divided by its content, first nonzero entry
-    positive.
-    """
-
-    def normalize(v):
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g == 0:
-            return None
-        lead = next(x for x in v if x)
-        return [x // (g if lead > 0 else -g) for x in v]
-
-    echelon = {}  # pivot -> row
-    for vec in rows:
-        v = list(vec)
-        for p in sorted(echelon):
-            if v[p]:
-                row = echelon[p]
-                g = gcd(v[p], row[p])
-                a, b = row[p] // g, v[p] // g
-                v = [a * x - b * y for x, y in zip(v, row)]
-        v = normalize(v)
-        if v is not None:
-            echelon[next(i for i, x in enumerate(v) if x)] = v
-    free = next((c for c in range(width) if c not in echelon), None)
-    if free is None:
-        return None
-    v = [0] * width
-    v[free] = 1
-    for p in sorted(echelon, reverse=True):
-        row = echelon[p]
-        acc = sum(row[j] * v[j] for j in range(p + 1, width))
-        if acc:
-            g = gcd(acc, row[p])
-            v = [x * (row[p] // g) for x in v]
-            v[p] = -(acc // g)
-    return normalize(v)
 
 
 class Poly:

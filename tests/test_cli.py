@@ -105,9 +105,9 @@ def test_decompose_schema(h33_file, tmp_path):
 # SHA-256 of `decompose`'s JSON, recorded while module_class_key formed
 # R, L and F products per layer; the class keys are now read off the
 # modules' action matrices.  Labelling 0 is the constructor's order; 2305
-# is random.Random(2305).shuffle of it.  The halved 8-cube's T
-# decomposition does not finish in a random labelling (README, "Known
-# limitation"), so its relabelled row is Tf.
+# is random.Random(2305).shuffle of it.  A T payload is the same in every
+# labelling; a T_f payload need not be (README, "Local eigenvalues of
+# T_f modules").
 GOLDEN_DECOMPOSITIONS = {
     ("h33", "T", 0): "b131b1f362eaeab0f8aee18b0f32ab714235a4e397f909e878fb765fd0adb0e1",
     ("h33", "T", 2305): "b131b1f362eaeab0f8aee18b0f32ab714235a4e397f909e878fb765fd0adb0e1",
@@ -116,6 +116,7 @@ GOLDEN_DECOMPOSITIONS = {
     ("j63", "T", 0): "2d5ca7c172356251aa43e0813824d6fe8a8d104863ea40f8547c0bc017c51373",
     ("j63", "T", 2305): "2d5ca7c172356251aa43e0813824d6fe8a8d104863ea40f8547c0bc017c51373",
     ("halved8", "T", 0): "6746064fec7def4d8b5d2c448de800d7c0cc095c7a543b19e3e520d625170ac6",
+    ("halved8", "T", 2305): "6746064fec7def4d8b5d2c448de800d7c0cc095c7a543b19e3e520d625170ac6",
     ("halved8", "Tf", 2305): "5ecf219b2da0b327f65167f83606a35f40aea0701b0a26025a8f96c55a7adc76",
     ("her22", "T", 0): "8eccd472359159a2640a3e4232de70281ded75c5813a14757839b59d9d7bde14",
     ("her22", "T", 2305): "8eccd472359159a2640a3e4232de70281ded75c5813a14757839b59d9d7bde14",

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -8,19 +8,22 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drguniform import exactla
 from drguniform.errors import ExactnessError
 from drguniform.exactla import (
-    _BLOCK,
     IntRowBasis,
-    ModularComplement,
+    _annihilates,
     _crt_prefixes,
+    _int_array,
     _large_primes,
     _primes_for,
     _reduced_echelon,
+    _residues,
     deflate,
     express,
     int_poly_rational_roots,
     minimal_polynomial,
+    modular_kernel,
     nullspace,
     solve_affine,
 )
@@ -28,7 +31,6 @@ from drguniform.exactla import (
 from oracles import (
     bigint_crt_prefixes,
     dense_det,
-    echelon_orthogonal_seed,
     fraction_express,
     fraction_minimal_polynomial,
     fraction_nullspace,
@@ -345,39 +347,63 @@ def row_sets(draw):
     return width, rows
 
 
+def _as_fractions(free, basis):
+    """Each kernel vector over its entry at its free column."""
+    return [[Fraction(x, w[f]) for x in w] for f, w in zip(free, basis)]
+
+
+def _check_kernel(rows, width):
+    # the complement of the rows, computed modulo primes, is the exact
+    # nullspace, each vector over its least denominator
+    free, basis = modular_kernel(rows, width)
+    assert free == sorted(set(range(width)) - set(_reduced_echelon(rows, width)))
+    assert _as_fractions(free, basis) == nullspace(rows, width)
+    for f, w in zip(free, basis):
+        assert all(type(x) is int for x in w) and w[f] > 0 and gcd(*w) == 1
+    return free, basis
+
+
 @given(row_sets())
 @settings(max_examples=200, deadline=None)
 def test_modular_complement_seed_matches_oracle(case):
     width, rows = case
-    complement = ModularComplement(width)
-    assert complement.seed() == echelon_orthogonal_seed([], width)
-    for i, row in enumerate(rows):
-        complement.add(row)
-        assert complement.seed() == echelon_orthogonal_seed(rows[: i + 1], width)
+    _check_kernel(rows, width)
 
 
 def test_modular_complement_full_rank_is_none():
-    complement = ModularComplement(3)
-    for row in ([2, 1, 0], [0, 3, 1], [5, 0, 2**200]):
-        complement.add(row)
-    assert complement.seed() is None
+    assert modular_kernel([[2, 1, 0], [0, 3, 1], [5, 0, 2**200]], 3) == ([], [])
+    assert modular_kernel([], 2) == ([0, 1], [[1, 0], [0, 1]])
 
 
-def test_modular_complement_replaces_a_prime_that_loses_rank():
-    # modulo p0 the row is (0, 1, 0, 0): its pivot moves to column 1
+def _record_primes(monkeypatch):
+    """The primes ``modular_kernel`` reduces under, in the order it does."""
+    used = []
+    echelon = exactla._echelon_mod
+
+    def recorded(mat, p):
+        used.append(p)
+        return echelon(mat, p)
+
+    monkeypatch.setattr(exactla, "_echelon_mod", recorded)
+    return used
+
+
+def test_modular_complement_replaces_a_prime_that_loses_rank(monkeypatch):
+    # modulo p0 the row is (0, 1, 0, 0): its pivot moves to column 1, the
+    # vector lifted from p0 alone is not in the kernel, and the next prime
+    # finds the pivot at column 0
+    used = _record_primes(monkeypatch)
     p0 = _large_primes(1)[0]
     rows = [[p0, 1, 0, 0]]
-    complement = ModularComplement(4)
-    complement.add(rows[0])
-    assert p0 not in complement.primes
-    assert complement.seed() == echelon_orthogonal_seed(rows, 4) == [1, -p0, 0, 0]
+    assert _check_kernel(rows, 4) == ([1, 2, 3], [[-1, p0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert used[0] == p0 and p0 not in used[1:]
 
 
-def test_modular_complement_grows_when_every_prime_is_unlucky():
+def test_modular_complement_grows_when_every_prime_is_unlucky(monkeypatch):
     # tridiagonal rows with small entries whose leading block has
     # determinant p0 (a continuant of the continued fraction of p0/q):
-    # the bit size of the rows asks for one prime, p0, under which the
-    # block is singular, so the first certificate must fail
+    # the first prime, p0, finds a pivot past that block, so the first
+    # certificate must fail and the primes double
     p0 = _large_primes(1)[0]
     quotients = []
     a, b = p0, p0 * 618 // 1000
@@ -394,50 +420,57 @@ def test_modular_complement_grows_when_every_prime_is_unlucky():
         row[i + 1] = 1
         rows.append(row)
     assert dense_det([r[:f] for r in rows]) == p0
-    complement = ModularComplement(f + 1)
-    for row in rows:
-        complement.add(row)
-    assert complement.primes == [p0]
-    assert complement.seed() == echelon_orthogonal_seed(rows, f + 1)
-    assert p0 not in complement.primes and len(complement.primes) >= 2
-
-
-def test_modular_complement_certificate():
-    complement = ModularComplement(3)
-    complement.add([1, 2, 0])
-    P = prod(complement.primes)
-    assert complement.seed() == [2, -1, 0]
-    assert complement._certified([2, -1, 0])
-    assert not complement._certified([2, -1, 1])  # nonzero past f
-    assert not complement._certified([3, -1, 0])  # outside the kernel
-    # in the kernel modulo every prime, not over the integers: only the
-    # bound P > 2 max ||row||_1 ||w||_inf rejects it
-    assert not complement._certified([2 + P, -1, 0])
+    used = _record_primes(monkeypatch)
+    assert _check_kernel(rows, f + 1)[0] == [f]
+    assert used[0] == p0 and p0 not in used[1:] and len(used) >= 3
 
 
 @pytest.mark.parametrize("bits", [3, 60])
 def test_modular_complement_seed_stops_at_the_hadamard_cap(monkeypatch, bits):
-    # a certificate that never passes: K grows to the cap, then seed raises
+    # a certificate that never passes: the primes double up to the cap,
+    # a modulus past 2 H^2, then the kernel raises
     rng = random.Random(bits)
     rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(12)] for _ in range(8)]
-    complement = ModularComplement(12, rows)
-    want = echelon_orthogonal_seed(rows, 12)
-    monkeypatch.setattr(ModularComplement, "_certified", lambda self, w: False)
-    with pytest.raises(ExactnessError):
-        complement.seed()
-    assert len(complement.primes) == _primes_for(complement._sufficient_bits())
+    h_bits = sum(-(-sum(x * x for x in row).bit_length() // 2) for row in rows)
+    used = _record_primes(monkeypatch)
+    monkeypatch.setattr(exactla, "_annihilates", lambda mat, vectors: False)
+    with pytest.raises(ExactnessError, match="Hadamard cap"):
+        modular_kernel(rows, 12)
+    assert len(set(used)) == _primes_for(2 * h_bits + 2)
     monkeypatch.undo()
-    assert complement.seed() == want
+    _check_kernel(rows, 12)
+
+
+def test_modular_complement_certificate(monkeypatch):
+    mat = _int_array([[1, 2, 0]], 3)
+    assert _annihilates(mat, [[2, -1, 0], [0, 0, 1]])
+    assert not _annihilates(mat, [[2, -1, 0], [3, -1, 0]])  # one outside the kernel
+    # in the kernel modulo the largest primes, not over the integers
+    P = prod(_large_primes(4))
+    assert not _annihilates(mat, [[2 + P, -1, 0]])
+    assert not _annihilates(_int_array([[2**70, 1]], 2), [[1, -(2**70) + P]])
+    # a lifted vector corrupted by its modulus agrees with the kernel
+    # modulo every prime it was lifted from: every candidate is rejected
+    lift = exactla._lift
+
+    def corrupted(values, modulus, pivots, free, ncols):
+        basis = lift(values, modulus, pivots, free, ncols)
+        if basis is not None:
+            basis[0][pivots[0]] += modulus
+        return basis
+
+    monkeypatch.setattr(exactla, "_lift", corrupted)
+    with pytest.raises(ExactnessError, match="Hadamard cap"):
+        modular_kernel([[3, 5, 7], [1, -2, 4]], 3)
 
 
 @st.composite
 def wide_row_sets(draw):
-    """Rows wider than two pending blocks, so that seeds are read between
-    folds: banded small rows, dependent combinations, and now and then a
-    row whose bit size asks for more primes while rows are pending."""
-    width = draw(st.integers(min_value=2 * _BLOCK + 1, max_value=2 * _BLOCK + 24))
+    """Banded rows wider than 64 columns: small entries, dependent
+    combinations, and now and then a row of 40 or 120 bits."""
+    width = draw(st.integers(min_value=65, max_value=88))
     rows = []
-    for i in range(draw(st.integers(min_value=2 * _BLOCK, max_value=width + 2))):
+    for i in range(draw(st.integers(min_value=64, max_value=width + 2))):
         kind = draw(st.sampled_from(["sparse"] * 7 + ["combo", "large", "anywhere"]))
         if kind == "combo" and rows:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
@@ -447,117 +480,17 @@ def wide_row_sets(draw):
         lead = draw(st.integers(0, width - 1)) if kind == "anywhere" else i % width
         row = [0] * width
         row[lead] = draw(st.integers(min_value=1, max_value=2**bits))
-        # a band after the lead, so that stored rows reach into the pending
-        # pivot columns and pending rows into the first free column
         for c in draw(st.lists(st.integers(lead, min(lead + 4, width - 1)), max_size=3)):
             row[c] = draw(st.integers(min_value=-(2**bits), max_value=2**bits))
         rows.append(row)
-    checks = draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)) | {len(rows) - 1}
-    return width, rows, checks
+    return width, rows
 
 
 @given(wide_row_sets())
 @settings(max_examples=25, deadline=None)
 def test_modular_complement_wide_seeds_match_oracle(case):
-    width, rows, checks = case
-    complement = ModularComplement(width)
-    for i, row in enumerate(rows):
-        complement.add(row)
-        seed = complement.seed()  # read between folds, rows pending or not
-        if i in checks:
-            assert seed == echelon_orthogonal_seed(rows[: i + 1], width)
-
-
-@given(row_sets(), st.data())
-@settings(max_examples=100, deadline=None)
-def test_modular_complement_constructor_matches_adding(case, data):
     width, rows = case
-    k = data.draw(st.integers(min_value=0, max_value=len(rows)))
-    built, added = ModularComplement(width, rows[:k]), ModularComplement(width)
-    for row in rows[:k]:
-        added.add(row)
-    assert built.seed() == added.seed()
-    for row in rows[k:]:
-        built.add(row)
-        added.add(row)
-        assert built.seed() == added.seed()
-
-
-def test_modular_complement_extends_with_rows_pending(monkeypatch):
-    # 40 unit rows fold once and leave 8 pending; a 200-bit row then asks
-    # for more primes
-    width = 48
-    rows = [[int(c == i) for c in range(width)] for i in range(40)]
-    rows.append([0] * 40 + [2**200 + 1, 3, -(2**199)] + [0] * 5)
-    pending = []
-    extend = ModularComplement._extend
-
-    def counted(self, count):
-        pending.append(len(self._j))
-        extend(self, count)
-
-    monkeypatch.setattr(ModularComplement, "_extend", counted)
-    complement = ModularComplement(width)
-    for row in rows:
-        complement.add(row)
-    assert pending and pending[0] == 9
-    assert complement.seed() == echelon_orthogonal_seed(rows, width)
-
-
-def test_modular_complement_replaces_an_unlucky_prime_in_the_pending_block():
-    # modulo p0 the second row reduced by the first pending row is
-    # (0, 0, 1), modulo the other primes (0, p0, 1): they disagree on its
-    # pivot, which only the pending block shows
-    p0 = _large_primes(1)[0]
-    rows = [[1, 1, 0], [1, 1 + p0, 1]]
-    assert _primes_for(2 * (p0 + 2).bit_length() + 2) == 3
-    complement = ModularComplement(3, rows)
-    assert complement._bad == {p0} and p0 not in complement.primes
-    assert complement._pivots == [] and len(complement._j) == 2
-    assert complement.seed() == echelon_orthogonal_seed(rows, 3)
-
-
-def test_modular_complement_certificate_checks_pending_rows():
-    # 32 rows e_i (e_31 + e_32 for the last) are folded into the stored
-    # block, which reaches into column 32; e_32 + 2 e_33 is pending there
-    width = 40
-
-    def vec(entries):
-        return [entries.get(c, 0) for c in range(width)]
-
-    rows = [vec({i: 1}) for i in range(_BLOCK - 1)] + [vec({31: 1, 32: 1}), vec({32: 1, 33: 2})]
-    complement = ModularComplement(width, rows)
-    assert complement._pivots == list(range(_BLOCK)) and complement._j == [0]
-    w = vec({31: 2, 32: -2, 33: 1})
-    assert w == echelon_orthogonal_seed(rows, width)
-    assert list(complement._candidates())[-1] == w  # the stored pivot 31 is read through B
-    assert complement.seed() == w and complement._certified(w)
-    # orthogonal to every stored row, not to the pending one
-    assert not complement._certified(vec({31: 3, 32: -3, 33: 1}))
-
-
-def test_modular_complement_sizes_primes_once_from_its_rows(monkeypatch):
-    extends = []
-    extend = ModularComplement._extend
-
-    def counted(self, count):
-        extends.append(count)
-        extend(self, count)
-
-    monkeypatch.setattr(ModularComplement, "_extend", counted)
-    width = 50
-    rows = [[(3 * i + 7 * c) % 11 - 5 for c in range(width)] for i in range(40)]
-    rows[-1][-1] = 2**300
-    complement = ModularComplement(width, rows)
-    l1 = max(sum(map(abs, row)) for row in rows)
-    assert len(complement.primes) == _primes_for(2 * l1.bit_length() + 2) > 20
-    assert complement.seed() == echelon_orthogonal_seed(rows, width)
-    assert extends == []
-    # the same rows added one by one grow K as they come
-    added = ModularComplement(width)
-    for row in rows:
-        added.add(row)
-    assert extends
+    _check_kernel(rows, width)
 
 
 def test_large_primes_reach_past_the_recursion_limit():
@@ -572,17 +505,17 @@ def test_large_primes_reach_past_the_recursion_limit():
 @pytest.mark.parametrize("seed", range(5))
 def test_residues_of_big_vectors_match_the_remainder(seed):
     rng = random.Random(seed)
-    complement = ModularComplement(40)
-    complement._reset(list(_large_primes(9)))
     edges = [2**63, -(2**63), 2**63 - 1, -(2**63) - 1, 0, 1, -1, 255, -256]
     vec = edges + [rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 400)) for _ in range(31)]
     rng.shuffle(vec)
-    got = complement._residues(vec)
-    assert got.dtype == np.int64
-    assert got.tolist() == [[x % p for x in vec] for p in complement.primes]
-    # entries that all fit in int64 take the int64 path
-    small = [-(2**63), 2**63 - 1, -5, 7]
-    assert complement._residues(small).tolist() == [[x % p for x in small] for p in complement.primes]
+    for p in _large_primes(9):
+        got = _residues(_int_array([vec], 40), p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[x % p for x in vec]]
+        # entries that all fit in int64 take the int64 path
+        small = [-(2**63), 2**63 - 1, -5, 7]
+        assert _int_array([small], 4).dtype == np.int64
+        assert _residues(_int_array([small], 4), p).tolist() == [[x % p for x in small]]
 
 
 @given(st.integers(1, 300), st.integers(1, 70), st.integers(0, 2**32 - 1))

@@ -1,7 +1,12 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "drguniform"
+from drguniform import suites
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "drguniform"
 
 
 def _nodes():
@@ -82,3 +87,21 @@ def test_no_csgraph_import():
         )
     ]
     assert not found, f"scipy.sparse.csgraph imported in the package: {found}"
+
+
+def test_every_traced_callable_exists():
+    # bench/spans.py wraps package callables by name and reports a missing
+    # one as absent instead of failing, so a renamed callable would only
+    # drop its metric from a traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for entry in spans.SPANNED + spans.LEAVES:
+        owner = importlib.import_module(f"drguniform.{entry[0]}")
+        for part in entry[1].split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{entry[0]}.{entry[1]}")
+    assert not missing, f"callables bench/spans.py traces but the package lacks: {missing}"
+    assert set(spans.SUITE_NAMES) <= set(suites.SUITES)

@@ -23,14 +23,15 @@ from drguniform import (
     theta_tilde,
     tightness,
 )
-from drguniform import families, tmodules
+from drguniform import bfs_layers, families, tmodules
 from drguniform.errors import ExactnessError
-from drguniform.exactla import minimal_polynomial
+from drguniform.exactla import IntRowBasis, minimal_polynomial
 from drguniform.graph_core import Graph
-from drguniform.terwilliger import LFRSplit
+from drguniform.terwilliger import LFRSplit, lfr_split
 from drguniform.tmodules import INFINITY, group_modules
 
 from oracles import full_matrix_split
+from strategies import connected_graphs
 
 
 def test_theta_tilde_basics():
@@ -78,13 +79,41 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _endpoint_eigenvalue(mod):
+    """The eigenvalue of F (for T) or L R (for T_f) shared by every vector
+    of the module's endpoint slice."""
+    r = mod.endpoint
+    op = tmodules._seed_operator(mod.split, mod.algebra, r)
+    values = set()
+    for w in mod.slices[r]:
+        img = op(w)
+        p = next(i for i, x in enumerate(w) if x)
+        lam = Fraction(img[p], w[p])
+        assert img == [lam * x for x in w]
+        values.add(lam)
+    assert len(values) == 1
+    return values.pop()
+
+
+def _check_direct_sum(mods):
+    # every layer's slices are a basis of it
+    for layer, size in enumerate(mods[0].split.layer_sizes()):
+        basis = IntRowBasis(size)
+        rows = [v for m in mods for v in m.slice_basis(layer)]
+        assert len(rows) == size and all(basis.add(v) is not None for v in rows)
+
+
 def _check_decomposition(g, algebra):
     mods = decompose(g, 0, algebra)
     assert sum(m.dim for m in mods) == g.n
     assert all(m.exact for m in mods)
-    # pairwise orthogonality, layer by layer
+    _check_direct_sum(mods)
+    # orthogonal, layer by layer, across endpoints and endpoint eigenspaces
+    spaces = [(m.endpoint, _endpoint_eigenvalue(m)) for m in mods]
     for a in range(len(mods)):
         for b in range(a + 1, len(mods)):
+            if spaces[a] == spaces[b]:
+                continue
             for layer in mods[a].layers():
                 for u in mods[a].slice_basis(layer):
                     for v in mods[b].slice_basis(layer):
@@ -323,6 +352,53 @@ def test_doob_symbolic_bound():
         doob_symbolic_check(20, 0)
 
 
+@given(connected_graphs(), st.sampled_from(["T", "Tf"]))
+@settings(max_examples=40, deadline=None)
+def test_any_graph_decomposes_as_a_direct_sum(case, algebra):
+    # graphs that are not distance-regular give non-thin modules and
+    # eigenspaces shared by several module classes; decompose still
+    # certifies every layer's slices a basis of it, or raises
+    g, perm, x = case
+    _check_direct_sum(decompose(_permuted(g, perm), perm[x], algebra))
+
+
+def test_a_sum_that_is_not_direct_is_refused(h33, monkeypatch):
+    # seeding every eigenspace twice finds each of its modules twice, and
+    # the rank check of the first such layer refuses the sum
+    refine = tmodules._refine_seed
+    monkeypatch.setattr(tmodules, "_refine_seed", lambda *args: [g for g in refine(*args) for _ in (0, 1)])
+    with pytest.raises(ExactnessError, match="slices of layer 0 are not a basis"):
+        decompose(h33, 0, "T")
+
+
+def test_irrational_eigenspaces_are_seeded_as_one_group(monkeypatch):
+    # the wheel W5: layer 1 is a 5-cycle, whose sum-zero vectors have the
+    # eigenvalues (-1 +- sqrt 5)/2, so K_1 has no rational eigenspace and
+    # is seeded whole.  Each closure is 2-dimensional, irreducible over Q
+    # but with a 2-dimensional commutant, and the seeds that fall in the
+    # span of the first closure's endpoint slice are skipped
+    g = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    groups, closures = [], []
+    refine, closure = tmodules._refine_seed, tmodules._closure
+
+    def recorded(*args):
+        out = refine(*args)
+        groups.append([len(group) for group in out])
+        return out
+
+    def counted(*args):
+        closures.append(args[3])
+        return closure(*args)
+
+    monkeypatch.setattr(tmodules, "_refine_seed", recorded)
+    monkeypatch.setattr(tmodules, "_closure", counted)
+    mods = decompose(g, 0, "T")
+    assert groups == [[1], [4]] and len(closures) == 3
+    assert [(m.endpoint, m.dim, m.thin, m.exact) for m in mods] == [
+        (0, 2, True, True), (1, 2, False, False), (1, 2, False, False),
+    ]
+
+
 def _relabelled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
@@ -334,13 +410,18 @@ def _permuted(g, perm):
 
 
 def _module_types(mods):
-    return sorted((m.endpoint, m.diameter, m.dim) for m in mods)
+    # a T module's local eigenvalue is fixed by its class, a T_f module's
+    # is not (see tmodules._local_eigenvalue)
+    return sorted(
+        (m.endpoint, m.diameter, m.dim, str(m.local_eigenvalue) if m.algebra == "T" else "")
+        for m in mods
+    )
 
 
 @pytest.mark.parametrize("algebra", ["T", "Tf"])
-@pytest.mark.parametrize("name", ["h33", "j63", "j94", "doob11"])
+@pytest.mark.parametrize("name", ["h33", "j63", "j94", "doob11", "halved8", "her22"])
 def test_decompose_invariant_under_relabelling(request, name, algebra):
-    # the four graphs are vertex-transitive, so every labelling and every
+    # the six graphs are vertex-transitive, so every labelling and every
     # base vertex gives the modules of the canonical decomposition
     g = request.getfixturevalue(name)
     canonical = _module_types(decompose(g, 0, algebra))
@@ -372,26 +453,27 @@ def _slice_digest(mods):
 
 # SHA-256 of every descriptor's (endpoint, diameter, thin, exact, sorted
 # slices, local eigenvalue), in decomposition order, recorded from the
-# Fraction-arithmetic kernel.  Labelling 0 is the constructor's order;
-# 2305 is random.Random(2305).shuffle of it.  Doob D(1,1) is here because
-# its T and Tf decompositions differ.
+# eigenspace seeding (each K_r split into eigenspaces of F for T, of L R
+# for T_f).  Labelling 0 is the constructor's order; 2305 is
+# random.Random(2305).shuffle of it.  Doob D(1,1) is here because its T
+# and Tf decompositions differ.
 GOLDEN_SLICES = {
-    ("h33", "T", 0): "857969f1b4283dec8770461d59e5d7a62faf692f59f98b32a14365a56aba3836",
-    ("h33", "T", 2305): "0d63f53f95bcfb75e9e11e7799c0ba28ce52d13866518843434522e6b5e7c132",
-    ("h33", "Tf", 0): "857969f1b4283dec8770461d59e5d7a62faf692f59f98b32a14365a56aba3836",
-    ("h33", "Tf", 2305): "0d63f53f95bcfb75e9e11e7799c0ba28ce52d13866518843434522e6b5e7c132",
-    ("j63", "T", 0): "6fd05283762fe95ec46fd6bea31431289426bbc3a977328ca192277e873111a9",
-    ("j63", "T", 2305): "7af9a420b2dee58640806b2f87047bb902eff039b78057d37702560451f89eb1",
-    ("j63", "Tf", 0): "6fd05283762fe95ec46fd6bea31431289426bbc3a977328ca192277e873111a9",
-    ("j63", "Tf", 2305): "7af9a420b2dee58640806b2f87047bb902eff039b78057d37702560451f89eb1",
-    ("her22", "T", 0): "be6f8c2d62112079ea4f59849e2aea561d14fb0fa3ee538a7ea0abef037a0dec",
-    ("her22", "T", 2305): "43efacedfb09e5a8c074f051462001786658e03ed9273b58de0317c4ae1ed53b",
-    ("her22", "Tf", 0): "be6f8c2d62112079ea4f59849e2aea561d14fb0fa3ee538a7ea0abef037a0dec",
-    ("her22", "Tf", 2305): "43efacedfb09e5a8c074f051462001786658e03ed9273b58de0317c4ae1ed53b",
-    ("doob11", "T", 0): "d7440a0bd29b789ba5149f80c4485eb7d5de62454fadc15fa7733606297ab373",
-    ("doob11", "T", 2305): "cc59c516e7d86a881133d77e977a4d29aa834a8e84612005f173003d5830ed3b",
-    ("doob11", "Tf", 0): "befe256c2c1388dbc2bbb420ba4f593c6158b29ee8f68d2fd4c7b920707117fd",
-    ("doob11", "Tf", 2305): "e2e5a079444a931ca26cb9e713e950cb98512f6b704e566b37d590705361ae97",
+    ("h33", "T", 0): "f8b9cf35658537ade1989e0c01fc6ca3fb65881c212b2a28961ca9973cacf8fb",
+    ("h33", "T", 2305): "23d0f90309a8597dd24d09fc2a3803687a837ed04167f3fed1b47f44810dba3d",
+    ("h33", "Tf", 0): "43621329a1466567227145fe41a0c57c6eb1780e5d28b2c00708c1d7db3195da",
+    ("h33", "Tf", 2305): "cc74c0c22e0041cde67df160e5f3edd4884c0b827b72f55461e67e068facd693",
+    ("j63", "T", 0): "abb6065f0896d34c57410af47f5e747f81cc0f76346698870160c5726918dd2d",
+    ("j63", "T", 2305): "d6669c696f0e1b3c602beb48f5a18c8443c83950b03c9f5bafa26d4d2461f208",
+    ("j63", "Tf", 0): "abb6065f0896d34c57410af47f5e747f81cc0f76346698870160c5726918dd2d",
+    ("j63", "Tf", 2305): "d6669c696f0e1b3c602beb48f5a18c8443c83950b03c9f5bafa26d4d2461f208",
+    ("her22", "T", 0): "ae770386bd58d8dd4e2c34a72801b18f1686056f9f82f66c91e7e6be77237ced",
+    ("her22", "T", 2305): "4312da7b7033b0f1efab727dd9be9225dabc13e8fcee61dd00bc2c671a411d6a",
+    ("her22", "Tf", 0): "ae770386bd58d8dd4e2c34a72801b18f1686056f9f82f66c91e7e6be77237ced",
+    ("her22", "Tf", 2305): "4312da7b7033b0f1efab727dd9be9225dabc13e8fcee61dd00bc2c671a411d6a",
+    ("doob11", "T", 0): "f11fcc8aae33a9a7ce31664c98b01d25ad63baad6bc7ffa4dd35a405d8c1a82c",
+    ("doob11", "T", 2305): "abd89dd0c18c3c39fd086ac5ee4677f907e4094d28484bc01543fb00ddd61e37",
+    ("doob11", "Tf", 0): "1897e31ef6ee208e869d4f5b08ce198939ad423b5eb6b609387c16317cf14b02",
+    ("doob11", "Tf", 2305): "a7b675685912492655bed3d88fcdc938547cd2b49fb92a2e5cb537bd19695efd",
 }
 
 
@@ -465,8 +547,18 @@ def test_each_generator_image_is_formed_once(monkeypatch):
     assert 0 < products["closure"] <= 3 * sum(dims)
 
 
+def _difference_seeds(g):
+    """The layer-1 seeds e_0 - e_j, j > 0, in layer-local coordinates, with
+    the graph's split at vertex 0.  Each lies in the complement of the
+    trivial module and meets several eigenspaces of F, so its closure
+    splits."""
+    split = lfr_split(g, bfs_layers(g, 0))
+    size = split.layer_sizes()[1]
+    return split, [[1] + [-int(i == j) for i in range(1, size)] for j in range(1, size)]
+
+
 @pytest.mark.parametrize(
-    "name, labelling, splits", [("j94", 0, 2), ("j94", 2305, 6), ("halved8", 0, 14)]
+    "name, labelling, splits", [("j94", 0, 19), ("j94", 2305, 20), ("halved8", 0, 27)]
 )
 def test_endpoint_block_split_matches_the_full_matrix(request, monkeypatch, name, labelling, splits):
     # every candidate's block on the lowest layer has the minimal
@@ -484,7 +576,9 @@ def test_endpoint_block_split_matches_the_full_matrix(request, monkeypatch, name
         return pieces
 
     monkeypatch.setattr(tmodules, "_split_by", recorded)
-    decompose(g, 0, "T")
+    split, seeds = _difference_seeds(g)
+    for seed in seeds:
+        tmodules._closure_modules(split, "T", 1, seed, random.Random(0))
     assert sum(pieces is not None for _, _, pieces in calls) == splits
     for slices, cand, pieces in calls:
         minpoly, full_pieces = full_matrix_split(slices, cand)
@@ -497,16 +591,18 @@ def test_split_pieces_must_fill_the_subspace(j94, monkeypatch):
     # minimal polynomial read off the wrong block would, cannot pass
     big = 10**9
     monkeypatch.setattr(tmodules, "minimal_polynomial", lambda m: [big * (big + 1), -(2 * big + 1), 1])
+    split, seeds = _difference_seeds(j94)
     with pytest.raises(ExactnessError, match="does not split the module"):
-        decompose(j94, 0, "T")
+        tmodules._closure_modules(split, "T", 1, seeds[0], random.Random(0))
 
 
 def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
     # a closure is invariant as built and brings its own action matrices;
     # each piece split from one is checked where its commutant is formed,
-    # and a piece projected off its earlier siblings once more.  The
-    # halved 8-cube's 56 closures take 84 splitting calls, so 28 split
-    # pieces and 14 projected ones are checked
+    # and a piece projected off its earlier siblings once more.  On the
+    # halved 8-cube each of the 27 layer-1 difference seeds splits in two:
+    # 81 splitting calls, so 54 split pieces and 27 projected ones are
+    # checked
     counts = Counter()
     for name in ("_closure", "_action_matrices", "_split_irreducible", "_orthogonalize"):
 
@@ -515,10 +611,16 @@ def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(tmodules, name, counted)
-    decompose(halved8, 0, "T")
-    assert (counts["_closure"], counts["_split_irreducible"], counts["_orthogonalize"]) == (56, 84, 14)
+    split, seeds = _difference_seeds(halved8)
+    for seed in seeds:
+        tmodules._closure_modules(split, "T", 1, seed, random.Random(0))
+    assert (counts["_closure"], counts["_split_irreducible"], counts["_orthogonalize"]) == (27, 81, 27)
     assert counts["_action_matrices"] == counts["_split_irreducible"] - counts["_closure"] + counts["_orthogonalize"]
-    assert counts["_action_matrices"] == 42
+    assert counts["_action_matrices"] == 81
+    # seeded from eigenspaces, decompose's 70 closures are its 70 modules
+    counts.clear()
+    assert len(decompose(halved8, 0, "T")) == 70
+    assert counts == {"_closure": 70, "_split_irreducible": 70}
 
 
 def test_projected_pieces_are_checked_again(halved8, monkeypatch):
@@ -534,5 +636,6 @@ def test_projected_pieces_are_checked_again(halved8, monkeypatch):
         return out
 
     monkeypatch.setattr(tmodules, "_orthogonalize", broken)
+    split, seeds = _difference_seeds(halved8)
     with pytest.raises(ExactnessError, match="not invariant"):
-        decompose(halved8, 0, "T")
+        tmodules._closure_modules(split, "T", 1, seeds[0], random.Random(0))
