@@ -7,9 +7,11 @@ flat, and raising actions stay graded, and commutants respect the grading
 block by block.  Modules are seeded from eigenspaces: at each endpoint r,
 the layer-r slice of the orthogonal complement of the modules with lower
 endpoints is split into the eigenspaces of F (for T) or of L R (for
-T_f), and every basis vector of an eigenspace generates a module.  The
-sum is direct inside an eigenspace and orthogonal across eigenspaces and
-endpoints, and one rank check per layer certifies it direct.  The
+T_f), whose basis vectors seed the closures.  Once some closure of a
+layer has more than one endpoint vector, each further seed is taken
+orthogonal to every module found at that layer.  The sum is direct
+inside an eigenspace and orthogonal across eigenspaces and endpoints,
+and one rank check per layer certifies it direct.  The
 decomposition is deterministic: eigenspaces come in ascending order of
 eigenvalue, their bases from reduced echelon forms, and the splitting
 elements are drawn from the commutant with a fixed seed.
@@ -461,15 +463,19 @@ def _seed_operator(split, algebra, r):
     return lambda vec: split.apply_L(r + 1, split.apply_R(r, vec))
 
 
+def _product(a, b):
+    """The integer matrix product a b of two nonempty integer matrices,
+    in int64 when no sum can leave that range."""
+    a, b = np.array(a, dtype=object), np.array(b, dtype=object)
+    if a.shape[1] * max(a.max(), -a.min()) * max(b.max(), -b.min()) < 2**63:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    return (a @ b).tolist()
+
+
 def _combine(coords, basis):
     """The gcd-normalized integer vectors sum_j c_j basis[j], one per
-    coordinate vector c, in int64 when no sum can leave that range."""
-    if not coords:
-        return []
-    c, w = np.array(coords, dtype=object), np.array(basis, dtype=object)
-    if len(basis) * max(c.max(), -c.min()) * max(w.max(), -w.min()) < 2**63:
-        c, w = c.astype(np.int64), w.astype(np.int64)
-    return [ivec_normalize(v) for v in (c @ w).tolist()]
+    coordinate vector c."""
+    return [ivec_normalize(v) for v in _product(coords, basis)] if coords else []
 
 
 def _refine_seed(split, algebra, r, free, basis):
@@ -560,17 +566,21 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     Layers are processed by increasing endpoint r.  K_r, the layer-r
     slice of the orthogonal complement of the modules with endpoint below
     r, is split into the eigenspaces of F_r (for T) or L_{r+1} R_r (for
-    T_f), and every basis vector of each eigenspace seeds a closure,
-    which ``_closure_modules`` splits into irreducibles.  Inside one
-    eigenspace the modules form a direct sum, not an orthogonal one;
-    modules from different eigenspaces or different endpoints are
-    orthogonal.  A seed that lies in the span of the endpoint slices its
-    eigenspace has found generates nothing new and is skipped; that span
-    is formed only once some closure there has an endpoint slice wider
-    than 1.  After each layer, one rank check certifies the sum direct:
-    the layer's module slices number as many as its vertices and have
-    full rank.  With ``max_endpoint`` set, only modules with endpoint up
-    to that bound are extracted (the remainder is ignored), which is
+    T_f), and each eigenspace seeds closures, which ``_closure_modules``
+    splits into irreducibles.  While every closure of the layer has a
+    one-dimensional endpoint slice, the seeds are the eigenspace basis
+    vectors: each closure is then irreducible and spanned at r by its
+    seed, so inside an eigenspace the sum is direct, though not
+    orthogonal.  A wider closure can contain modules found already, so
+    from the first one on each seed is taken from the part of its
+    eigenspace orthogonal to every module found at the layer, until that
+    part is empty, and the first one is kept only if its seed was
+    orthogonal to them; the orthogonal complement of a module is a
+    module.  Modules from different eigenspaces or endpoints are
+    orthogonal.  After each layer, one rank check certifies the sum
+    direct: the layer's module slices number as many as its vertices and
+    have full rank.  With ``max_endpoint`` set, only modules with endpoint
+    up to that bound are extracted (the remainder is ignored), which is
     enough for endpoint-one diagnostics.
     """
     dp = bfs_layers(g, x)
@@ -581,12 +591,25 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     last = dp.eccentricity if max_endpoint is None else min(max_endpoint, dp.eccentricity)
     for r in range(last + 1):
         free, basis = _orthogonal_seed(sizes[r], [v for d in descriptors for v in d.slices.get(r, [])])
+        found, wide = [], False  # the layer's endpoint slices; whether a closure had several
         for group in _refine_seed(split, algebra, r, free, basis):
-            ends, span = [], None  # the group's endpoint vectors, and their span once needed
-            for seed in group:
-                if span is not None and span.reduce(seed) is None:
-                    continue  # the modules found already contain its closure
+            pending = list(group)
+            while True:
+                if wide:
+                    # the part of the group orthogonal to every module found
+                    orth = modular_kernel(_product(found, list(zip(*group))), len(group))[1]
+                    pending = _combine(orth[:1], group)
+                if not pending:
+                    break
+                seed = pending.pop(0)
                 pieces, certified = _closure_modules(split, algebra, r, seed, rng)
+                ends = [v for piece, _ in pieces for v in piece[r]]
+                if len(ends) > 1 and not wide:
+                    # such a closure can contain modules found already,
+                    # unless its seed is orthogonal to them
+                    wide = True
+                    if any(sum(map(mul, seed, v)) for v in found):
+                        continue
                 for piece, actions in pieces:
                     layers = sorted(piece)
                     if layers[0] != r or layers != list(range(r, layers[-1] + 1)):
@@ -605,13 +628,7 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                             exact=certified,
                         )
                     )
-                    ends.extend(piece[r])
-                # while every closure's endpoint slice is its seed's span, no
-                # later seed of the group lies in the span of the earlier ones
-                if span is None and sum(len(piece[r]) for piece, _ in pieces) > 1:
-                    span = IntRowBasis(sizes[r])
-                for vec in ends[len(span) :] if span is not None else ():
-                    span.add(vec)
+                found.extend(ends)
         rows = [v for d in descriptors for v in d.slices.get(r, [])]
         if len(rows) != sizes[r] or modular_kernel(rows, sizes[r])[1]:
             raise ExactnessError(f"the module slices of layer {r} are not a basis of it")

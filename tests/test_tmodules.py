@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drguniform import (
@@ -352,7 +352,22 @@ def test_doob_symbolic_bound():
         doob_symbolic_check(20, 0)
 
 
+# bipartite graphs have F = 0, so under T each K_r is one eigenspace
+# holding several module classes.  In the first, layer 1's first closure
+# has two endpoint vectors and a later seed has a component on one of its
+# modules; in the second, such a closure comes after a one-vector closure
+# that it contains
+_SHARED_EIGENSPACES = (
+    Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (4, 5), (2, 6), (3, 6)]),
+    Graph(8, [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (2, 3), (3, 6), (4, 5), (4, 6), (4, 7)]),
+)
+
+
 @given(connected_graphs(), st.sampled_from(["T", "Tf"]))
+@example((_SHARED_EIGENSPACES[0], list(range(7)), 0), "T")
+@example((_SHARED_EIGENSPACES[0], [3, 6, 5, 2, 0, 4, 1], 0), "T")
+@example((_SHARED_EIGENSPACES[1], list(range(8)), 1), "T")
+@example((_SHARED_EIGENSPACES[1], [3, 6, 1, 5, 7, 0, 4, 2], 1), "T")
 @settings(max_examples=40, deadline=None)
 def test_any_graph_decomposes_as_a_direct_sum(case, algebra):
     # graphs that are not distance-regular give non-thin modules and
@@ -375,8 +390,8 @@ def test_irrational_eigenspaces_are_seeded_as_one_group(monkeypatch):
     # the wheel W5: layer 1 is a 5-cycle, whose sum-zero vectors have the
     # eigenvalues (-1 +- sqrt 5)/2, so K_1 has no rational eigenspace and
     # is seeded whole.  Each closure is 2-dimensional, irreducible over Q
-    # but with a 2-dimensional commutant, and the seeds that fall in the
-    # span of the first closure's endpoint slice are skipped
+    # but with a 2-dimensional commutant, and the second is seeded from
+    # the part of K_1 orthogonal to the first
     g = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
     groups, closures = [], []
     refine, closure = tmodules._refine_seed, tmodules._closure
