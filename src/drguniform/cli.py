@@ -16,14 +16,17 @@ standard error:
 - 1 any other library error
 
 All outputs are deterministic given the configuration, which is embedded
-in every JSON document.
+in every JSON document, and every number in them is exact.  On a graph
+whose spectrum is not rational, ``analyze`` prints the rational
+eigenvalues, the integer factor with no rational root
+(``irrational_factor``) and null Krein data, and ``decompose`` leaves out
+dual endpoints.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from .config import Config
 from .errors import BudgetExceeded, GraphError, ParseError
@@ -64,11 +67,8 @@ def _load_config(args):
         unknown = sorted(set(base) - {f.name for f in dataclasses.fields(Config)})
         if unknown:
             raise ParseError(f"configuration file: unknown fields {unknown}")
-    overrides = {
-        "vertex_budget": getattr(args, "budget", None),
-        "numeric_tolerance": getattr(args, "tol", None),
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    if getattr(args, "budget", None) is not None:
+        base["vertex_budget"] = args.budget
     try:
         return Config(**base).validate()
     except (TypeError, ValueError) as exc:
@@ -123,11 +123,10 @@ def cmd_analyze(args):
     ia = intersection_array(g)
     cps = classical_parameter_candidates(ia)
     spec = spectrum(ia)
-    tol = Fraction(cfg.numeric_tolerance).limit_denominator(10**12)
-    kt = krein_parameters(spec, tol=tol)
-    orderings = q_polynomial_orderings(kt, tol=tol)
+    # an irrational spectrum has no eigenmatrix, so no Krein data
+    orderings = None if spec.numeric else q_polynomial_orderings(krein_parameters(spec))
     near = near_polygon_check(g, ia)
-    payload = analysis_dict(g, ia, cps, spec, kt, orderings, near, cfg)
+    payload = analysis_dict(g, ia, cps, spec, orderings, near, cfg)
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -226,7 +225,6 @@ def build_parser():
     def common(p, output=True):
         p.add_argument("--config", help="JSON file with configuration overrides")
         p.add_argument("--budget", type=int, help="vertex budget")
-        p.add_argument("--tol", type=float, help="numeric tolerance")
         if output:
             p.add_argument("--output", help="write JSON here instead of stdout")
 

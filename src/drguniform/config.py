@@ -5,6 +5,10 @@ from dataclasses import dataclass, asdict
 
 @dataclass(frozen=True)
 class Config:
+    """The run configuration.  ``numeric_tolerance`` is validated and echoed
+    in every document, but nothing reads it: every spectral quantity is
+    exact."""
+
     vertex_budget: int = 100_000
     numeric_tolerance: float = 1e-9
     decomposition_seed: int = 1729

@@ -3,10 +3,12 @@
 A graph on the vertices 0..n-1 is its adjacency matrix in CSR form, built
 from and read out as integer arrays of edges.  All spectral quantities
 (eigenvalues, multiplicities, idempotent coefficients, Krein parameters) are
-computed with exact rational arithmetic whenever the characteristic
-polynomial of the intersection matrix splits over Q, which covers every
-family constructed in this package.  Irrational spectra fall
-back to floating point and are flagged as numeric.
+computed with exact rational arithmetic.  They are defined when the
+characteristic polynomial of the intersection matrix splits over Q, which
+covers every family constructed in this package (graphs with classical
+parameters have integral eigenvalues).  Otherwise the spectrum keeps its
+rational eigenvalues and the integer factor with no rational root, and
+everything derived from the eigenmatrix raises IrrationalSpectrum.
 """
 
 from dataclasses import dataclass
@@ -475,32 +477,40 @@ def charpoly_tridiagonal(ia):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues theta_0 > ... > theta_D with multiplicities.
+    """The rational eigenvalues theta_0 > theta_1 > ... of the intersection
+    matrix, with their multiplicities, and ``residual``: the integer
+    coefficients, constant term first, of the factor of its characteristic
+    polynomial that has no rational root, (1,) when there is none.
 
-    When ``numeric`` is False all entries are Fractions and the derived
-    eigenmatrix / idempotent coefficients are exact.
+    Only a rational spectrum has an eigenmatrix; every entry is exact.
     """
 
     ia: IntersectionArray
     eigenvalues: tuple
     multiplicities: tuple
-    numeric: bool
+    residual: tuple
 
     @property
     def D(self):
         return self.ia.D
 
+    @property
+    def numeric(self):
+        """True when some eigenvalue is irrational, that is when
+        ``eigenvalues`` is not the whole spectrum."""
+        return len(self.residual) > 1
+
     def eigenmatrix(self):
         """P[i][h] = eigenvalue of the h-th distance matrix on the i-th
         eigenspace; row 0 lists the layer sizes k_h."""
+        if self.numeric:
+            raise IrrationalSpectrum("the eigenmatrix needs a rational spectrum")
         return [
             _distance_polynomial_values(self.ia, th) for th in self.eigenvalues
         ]
 
     def idempotent_coefficients(self):
-        """e[i][h] with E_i = sum_h e[i][h] A_h (exact path only)."""
-        if self.numeric:
-            raise IrrationalSpectrum("idempotent coefficients need a rational spectrum")
+        """e[i][h] with E_i = sum_h e[i][h] A_h."""
         n = self.ia.n
         P = self.eigenmatrix()
         k = self.ia.layer_sizes()
@@ -523,45 +533,28 @@ def _distance_polynomial_values(ia, theta):
 
 
 def spectrum(ia):
-    """Eigenvalues of the intersection matrix, descending.
-
-    Rational roots are extracted exactly from the characteristic
-    polynomial; any residual factor is solved numerically and the result
-    is flagged ``numeric``.
+    """The rational eigenvalues of the intersection matrix, descending,
+    with their multiplicities, and the factor of its characteristic
+    polynomial that has no rational root; all exact.
     """
     D = ia.D
-    coeffs = charpoly_tridiagonal(ia)
-    roots, residual = exactla.int_poly_rational_roots(coeffs)
-    numeric = len(residual) > 1
-    if numeric:
-        extra = np.roots(residual[::-1])
-        eigs = sorted(
-            [float(r) for r in roots] + [float(np.real(r)) for r in extra],
-            reverse=True,
-        )
-        eigs = tuple(eigs)
-    else:
-        eigs = tuple(sorted(roots, reverse=True))
-    if len(eigs) != D + 1:
-        raise ExactnessError(f"{len(eigs)} eigenvalues for diameter {D}")
+    roots, residual = exactla.int_poly_rational_roots(charpoly_tridiagonal(ia))
+    eigs = tuple(sorted(roots, reverse=True))
+    count = len(eigs) + len(residual) - 1  # the residual's roots are eigenvalues too
+    if count != D + 1:
+        raise ExactnessError(f"{count} eigenvalues for diameter {D}")
     n = ia.n
     mults = []
     for th in eigs:
         vals = _distance_polynomial_values(ia, th)
-        denom = sum(v * v / k for v, k in zip(vals, ia.layer_sizes()))
-        m = n / denom
-        if not numeric:
-            if m.denominator != 1:
-                raise InvalidParams(f"the array gives the non-integral multiplicity {m}")
-            m = int(m)
-        else:
-            m = float(m)
-        mults.append(m)
-    if not numeric:
-        if sum(mults) != n:
-            raise ExactnessError(f"multiplicities sum to {sum(mults)}, not {n}")
+        m = n / sum(v * v / k for v, k in zip(vals, ia.layer_sizes()))
+        if m.denominator != 1:
+            raise InvalidParams(f"the array gives the non-integral multiplicity {m}")
+        mults.append(int(m))
+    if len(residual) == 1 and sum(mults) != n:
+        raise ExactnessError(f"multiplicities sum to {sum(mults)}, not {n}")
     return SpectralData(
-        ia=ia, eigenvalues=eigs, multiplicities=tuple(mults), numeric=numeric
+        ia=ia, eigenvalues=eigs, multiplicities=tuple(mults), residual=tuple(residual)
     )
 
 
@@ -613,18 +606,18 @@ def p_numbers(ia):
 
 @dataclass(frozen=True)
 class KreinTensor:
-    """q[h][i][j], exact Fractions (or floats on the numeric path)."""
+    """q[h][i][j], exact Fractions."""
 
     q: tuple
-    numeric: bool
 
     @property
     def D(self):
         return len(self.q) - 1
 
 
-def krein_parameters(spec, tol=Fraction(1, 10**9)):
-    """Krein parameters from the eigenmatrix.
+def krein_parameters(spec):
+    """Krein parameters from the eigenmatrix, so only of a rational
+    spectrum.
 
     q^l_{ij} = n^{-1} sum_h Q[h][i] Q[h][j] P[l][h] with Q the dual
     eigenmatrix.  Entries are checked nonnegative; a negative value can
@@ -644,29 +637,18 @@ def krein_parameters(spec, tol=Fraction(1, 10**9)):
             row = []
             for j in range(D + 1):
                 val = sum(Q[h][i] * Q[h][j] * P[l][h] for h in range(D + 1)) / n
-                if spec.numeric:
-                    if val < -float(tol):
-                        raise NegativeKrein(f"q^{l}_{{{i}{j}}} = {val}")
-                    row.append(float(val))
-                else:
-                    if val < 0:
-                        raise NegativeKrein(f"q^{l}_{{{i}{j}}} = {val}")
-                    row.append(val)
+                if val < 0:
+                    raise NegativeKrein(f"q^{l}_{{{i}{j}}} = {val}")
+                row.append(val)
             ql.append(tuple(row))
         q.append(tuple(ql))
-    return KreinTensor(q=tuple(q), numeric=spec.numeric)
+    return KreinTensor(q=tuple(q))
 
 
-def q_polynomial_orderings(kt, tol=Fraction(1, 10**9)):
+def q_polynomial_orderings(kt):
     """All reorderings of the nontrivial idempotents (index 0 fixed) under
     which the Krein tensor has the polynomial triangle pattern."""
     D = kt.D
-
-    def is_zero(v):
-        if kt.numeric:
-            return abs(v) <= float(tol)
-        return v == 0
-
     orderings = []
     for perm in permutations(range(1, D + 1)):
         sigma = (0,) + perm
@@ -676,11 +658,11 @@ def q_polynomial_orderings(kt, tol=Fraction(1, 10**9)):
                 for j in range(D + 1):
                     val = kt.q[sigma[h]][sigma[i]][sigma[j]]
                     if h > i + j or i > h + j or j > h + i:
-                        if not is_zero(val):
+                        if val != 0:
                             ok = False
                             break
                     if h == i + j or i == h + j or j == h + i:
-                        if is_zero(val):
+                        if val == 0:
                             ok = False
                             break
                 if not ok:

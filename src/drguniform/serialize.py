@@ -8,12 +8,6 @@ def frac_str(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def eigenvalue_str(x, numeric):
-    if numeric:
-        return repr(float(x))
-    return frac_str(x)
-
-
 def certificate_dict(cert, config):
     out = {
         "verdict": cert.verdict,
@@ -41,8 +35,11 @@ def certificate_dict(cert, config):
     return out
 
 
-def analysis_dict(g, ia, cps, spec, kt, orderings, near_poly, config):
-    return {
+def analysis_dict(g, ia, cps, spec, orderings, near_poly, config):
+    """The ``analyze`` document.  ``orderings`` is None when the spectrum is
+    irrational: then there are no Krein data, and the factor with no
+    rational root is given as ``irrational_factor``."""
+    out = {
         "n": g.n,
         "diameter": ia.D,
         "intersection_array": {
@@ -59,14 +56,16 @@ def analysis_dict(g, ia, cps, spec, kt, orderings, near_poly, config):
             }
             for cp in cps
         ],
-        "eigenvalues": [eigenvalue_str(t, spec.numeric) for t in spec.eigenvalues],
-        "multiplicities": [
-            float(m) if spec.numeric else int(m) for m in spec.multiplicities
-        ],
+        "eigenvalues": [frac_str(t) for t in spec.eigenvalues],
+        "multiplicities": list(spec.multiplicities),
         "spectrum_numeric": spec.numeric,
-        "krein_nonnegative": kt is not None,
-        "q_polynomial_orderings": [list(p) for p in orderings],
+        # krein_parameters raises NegativeKrein on a negative entry
+        "krein_nonnegative": None if orderings is None else True,
+        "q_polynomial_orderings": None if orderings is None else [list(p) for p in orderings],
         "near_polygon": near_poly,
         "bipartite": ia.is_bipartite(),
         "config": config.as_dict(),
     }
+    if spec.numeric:
+        out["irrational_factor"] = list(spec.residual)
+    return out

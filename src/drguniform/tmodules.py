@@ -33,7 +33,7 @@ from operator import mul
 import numpy as np
 
 from .config import DEFAULT
-from .errors import ExactnessError, NotALadder, NotThin
+from .errors import ExactnessError, IrrationalSpectrum, NotALadder, NotThin
 from .exactla import (
     IntRowBasis,
     clear_denominators,
@@ -785,8 +785,11 @@ def endpoint1_census(modules, spec):
     diameter / dual-endpoint predictions for each class.
 
     Returns a dict with the eigenvalue data, one entry per class carrying
-    (eta, diameter, dual_endpoint, count, prediction_ok).
+    (eta, diameter, dual_endpoint, count, prediction_ok).  theta_1 and
+    theta_D are read by position, so the spectrum must be rational.
     """
+    if spec.numeric:
+        raise IrrationalSpectrum("the endpoint-1 census needs a rational spectrum")
     ia = spec.ia
     b1 = ia.b[1]
     tt1 = theta_tilde(spec.eigenvalues[1], b1)

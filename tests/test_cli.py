@@ -55,6 +55,40 @@ def test_analyze_schema_and_content(h33_file, tmp_path):
     assert payload["near_polygon"] and not payload["bipartite"]
 
 
+@pytest.mark.parametrize(
+    "n, factor", [(5, [-1, 1, 1]), (7, [-1, -2, 1, 1])]
+)
+def test_analyze_irrational_spectrum(tmp_path, n, factor):
+    # an odd cycle's only rational eigenvalue is 2: the rest are the roots
+    # of the irrational factor, printed as integer coefficients, and there
+    # are no Krein data
+    graph, out = tmp_path / "cycle.edges", tmp_path / "analysis.json"
+    graph.write_text(write_edge_list(Graph(n, [(i, (i + 1) % n) for i in range(n)])))
+    assert main(["analyze", str(graph), "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, _schema("analysis.schema.json"))
+    assert payload["eigenvalues"] == ["2/1"] and payload["multiplicities"] == [1]
+    assert payload["irrational_factor"] == factor and payload["spectrum_numeric"]
+    assert payload["krein_nonnegative"] is None and payload["q_polynomial_orderings"] is None
+
+
+# SHA-256 of `analyze`'s JSON, recorded while irrational spectra were
+# still solved in floating point; a rational spectrum's bytes did not
+# change when that path was removed.
+GOLDEN_ANALYSES = {
+    "h33": "452707cb0ea5e1cb4b8f240bb84b54b18e950236d4b43b89844c7c3283dcc9f2",
+    "j63": "7442f12b9568ff989311cf3900ee71263b7d778c18b287c21cd1c60ea31c34f5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYSES))
+def test_golden_analyses(request, tmp_path, name):
+    graph, out = tmp_path / "graph.edges", tmp_path / "analysis.json"
+    graph.write_text(write_edge_list(request.getfixturevalue(name)))
+    assert main(["analyze", str(graph), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ANALYSES[name]
+
+
 def test_certify_schema_and_determinism(h33_file, tmp_path):
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
     assert main(["certify-uniform", str(h33_file), "--output", str(out1)]) == 0
@@ -238,6 +272,14 @@ def test_verify_theorem_takes_no_configuration(capsys, option):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_no_tolerance_option(capsys):
+    # every spectral quantity is exact, so there is no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "g.edges", "--tol", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_certify_all_bases_bytes_do_not_depend_on_the_process(tmp_path, j63):

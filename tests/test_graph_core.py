@@ -444,7 +444,7 @@ def test_spectrum_hamming(h33):
     spec = spectrum(intersection_array(h33))
     assert spec.eigenvalues == (6, 3, 0, -3)
     assert spec.multiplicities == (1, 6, 12, 8)
-    assert not spec.numeric
+    assert spec.residual == (1,) and not spec.numeric
 
 
 def test_spectrum_johnson(j63):
@@ -462,13 +462,26 @@ def test_spectrum_complete():
     assert spec.multiplicities == (1, 3)
 
 
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def test_spectrum_numeric_flag():
+    # an odd cycle's spectrum is rational only in 2 (and -1 when 3 | n);
+    # the rest are the roots of the residual factor
     spec = spectrum(intersection_array(C5))
     assert spec.numeric
-    oracle = numpy_spectrum(C5)
-    assert all(
-        abs(float(a) - b) < 1e-8 for a, b in zip(spec.eigenvalues, oracle)
-    )
+    assert spec.eigenvalues == (2,) and spec.multiplicities == (1,)
+    assert spec.residual == (-1, 1, 1)
+    assert spectrum(intersection_array(cycle(7))).residual == (-1, -2, 1, 1)
+    c9 = spectrum(intersection_array(cycle(9)))
+    assert c9.eigenvalues == (2, -1) and c9.multiplicities == (1, 2)
+    for g in (C5, cycle(7), cycle(9)):
+        spec = spectrum(intersection_array(g))
+        oracle = numpy_spectrum(g)
+        irrational = [x for x in oracle if min(abs(x - float(t)) for t in spec.eigenvalues) > 1e-8]
+        assert len(irrational) == len(spec.residual) - 1
+        assert all(abs(np.polyval(spec.residual[::-1], x)) < 1e-8 for x in irrational)
 
 
 def test_irrational_spectrum_blocks_idempotents():
@@ -477,6 +490,16 @@ def test_irrational_spectrum_blocks_idempotents():
     spec = spectrum(intersection_array(C5))
     with pytest.raises(IrrationalSpectrum):
         spec.idempotent_coefficients()
+
+
+def test_irrational_spectrum_has_no_eigenmatrix_or_krein_parameters():
+    from drguniform import IrrationalSpectrum
+
+    spec = spectrum(intersection_array(C5))
+    with pytest.raises(IrrationalSpectrum):
+        spec.eigenmatrix()
+    with pytest.raises(IrrationalSpectrum):
+        krein_parameters(spec)
 
 
 def test_integral_spectra_of_families(h33, h34, halved7, doob11, gosset_graph):
@@ -519,11 +542,6 @@ def test_q_polynomial_orderings(h33):
     kt = krein_parameters(spectrum(intersection_array(h33)))
     orderings = q_polynomial_orderings(kt)
     assert (0, 1, 2, 3) in orderings
-
-
-def test_q_polynomial_orderings_numeric():
-    kt = krein_parameters(spectrum(intersection_array(C5)))
-    assert len(q_polynomial_orderings(kt)) >= 1
 
 
 def test_near_polygon_bipartite_cycle():

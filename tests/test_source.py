@@ -3,7 +3,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from drguniform import suites
+from drguniform import Graph, cli, suites, write_edge_list
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "drguniform"
@@ -37,23 +37,31 @@ def test_no_runtime_error():
     assert not found, f"RuntimeError raised in the package: {found}"
 
 
-def test_np_roots_only_in_spectrum():
-    # rational roots are found exactly; only the residual factor of
-    # graph_core.spectrum, which has no rational root and is flagged
-    # numeric, may be solved in floating point
-    allowed, found = set(), []
-    for path, node in _nodes():
-        if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("graph_core.py", "spectrum"):
-            allowed.update((path.name, line) for line in range(node.lineno, node.end_lineno + 1))
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "roots"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("np", "numpy")
-        ):
-            found.append((path.name, node.lineno))
-    outside = [f"{name}:{line}" for name, line in found if (name, line) not in allowed]
-    assert allowed and not outside, f"np.roots outside graph_core.spectrum: {outside}"
+def test_no_np_roots():
+    # rational roots are found exactly, and graph_core.spectrum keeps the
+    # factor with no rational root as integer coefficients: no root of
+    # anything is solved in floating point
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr == "roots"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+    assert not found, f"np.roots in the package: {found}"
+
+
+def test_no_float_in_spectra_or_documents():
+    # every spectral quantity and every number a document prints is exact
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if path.name in ("graph_core.py", "serialize.py")
+        and isinstance(node, ast.Name)
+        and node.id == "float"
+    ]
+    assert not found, f"float in graph_core or serialize: {found}"
 
 
 def test_no_two_dimensional_unique():
@@ -89,13 +97,18 @@ def test_no_csgraph_import():
     assert not found, f"scipy.sparse.csgraph imported in the package: {found}"
 
 
+def _spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_traced_callable_exists():
     # bench/spans.py wraps package callables by name and reports a missing
     # one as absent instead of failing, so a renamed callable would only
     # drop its metric from a traced benchmark run
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     missing = []
     for entry in spans.SPANNED + spans.LEAVES:
         owner = importlib.import_module(f"drguniform.{entry[0]}")
@@ -105,3 +118,27 @@ def test_every_traced_callable_exists():
             missing.append(f"{entry[0]}.{entry[1]}")
     assert not missing, f"callables bench/spans.py traces but the package lacks: {missing}"
     assert set(spans.SUITE_NAMES) <= set(suites.SUITES)
+
+
+def test_traced_commands_run_every_hook(tmp_path, h33):
+    # the tracer's counter hooks read attributes of what the wrapped
+    # callables return (spec.numeric, cert.structure, ...); a hook that
+    # reads a removed attribute fails the traced run, which the name
+    # check above does not see
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    runs = [(h33, ("analyze", "certify-uniform", "decompose")), (c5, ("analyze", "decompose"))]
+    tracer = _spans().Tracer()
+    tracer.install()
+    numeric = []  # numeric spectra counted per command
+    try:
+        for g, commands in runs:
+            graph = tmp_path / "graph.edges"
+            graph.write_text(write_edge_list(g))
+            for command in commands:
+                before = tracer.counters["graph_core.numeric_spectra"]
+                assert cli.main([command, str(graph), "--output", str(tmp_path / "out.json")]) == 0
+                numeric.append(tracer.counters["graph_core.numeric_spectra"] - before)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent_metrics() == []
+    assert numeric == [0, 0, 0, 1, 1]  # H(3,3)'s spectrum is rational, C5's is not

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drguniform import (
+    IrrationalSpectrum,
     NotThin,
     decompose,
     doob_symbolic_check,
@@ -146,6 +147,15 @@ def test_census_hamming(h33):
     assert census["non_thin_endpoint1"] == 0
     etas = {c["eta"] for c in census["classes"]}
     assert etas == {Fraction(-1), Fraction(1)}  # local graph 3 K_3
+
+
+def test_census_needs_a_rational_spectrum():
+    # C5's spectrum holds only the rational eigenvalue 2, so the census
+    # cannot read theta_1 and theta_D by position
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    spec = spectrum(intersection_array(c5))
+    with pytest.raises(IrrationalSpectrum):
+        endpoint1_census(decompose(c5, 0, "T"), spec)
 
 
 def test_standard_basis_trivial_module(h33):
