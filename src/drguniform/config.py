@@ -7,7 +7,10 @@ from dataclasses import dataclass, asdict
 class Config:
     """The run configuration.  ``numeric_tolerance`` is validated and echoed
     in every document, but nothing reads it: every spectral quantity is
-    exact."""
+    exact.  ``doob_grid_bound`` and ``iso_vertex_bound`` are read only
+    from ``DEFAULT``, by ``doob_symbolic_check`` and ``graph_isomorphic``
+    in the ``doob`` suite of ``verify-theorem``, which takes no
+    ``--config``; a configured value is echoed and otherwise ignored."""
 
     vertex_budget: int = 100_000
     numeric_tolerance: float = 1e-9

@@ -9,9 +9,12 @@ the layer-r slice of the orthogonal complement of the modules with lower
 endpoints is split into the eigenspaces of F (for T) or of L R (for
 T_f), whose basis vectors seed the closures.  Once some closure of a
 layer has more than one endpoint vector, each further seed is taken
-orthogonal to every module found at that layer.  The sum is direct
-inside an eigenspace and orthogonal across eigenspaces and endpoints,
-and one rank check per layer certifies it direct.  The
+orthogonal to every module found at that layer.  A closure whose
+endpoint slice is one-dimensional is irreducible as it stands and forms
+no commutant; a wider one is split by commutant elements, each piece
+projected off the pieces before it and checked invariant once.  The sum
+is direct inside an eigenspace and orthogonal across eigenspaces and
+endpoints, and one rank check per layer certifies it direct.  The
 decomposition is deterministic: eigenspaces come in ascending order of
 eigenvalue, their bases from reduced echelon forms, and the splitting
 elements are drawn from the commutant with a fixed seed.
@@ -91,10 +94,12 @@ class ModuleDescriptor:
     closure or its invariance check formed them; the local eigenvalue and
     ``module_class_key`` read their scalars from it.  ``exact`` is True
     when every piece split from the module's closure has a
-    one-dimensional commutant, which certifies the module irreducible
-    over the rationals.  A T_f module's ``local_eigenvalue`` is not a
-    class invariant: it depends on which copy of its isotypic component
-    the decomposition picks (see ``_local_eigenvalue``).
+    one-dimensional endpoint slice or a one-dimensional commutant; either
+    certifies the piece irreducible, over the complex numbers as well as
+    the rationals (see ``_split_irreducible``).  A T_f module's
+    ``local_eigenvalue`` is not a class invariant: it depends on which
+    copy of its isotypic component the decomposition picks (see
+    ``_local_eigenvalue``).
     """
 
     algebra: str  # "T" or "Tf"
@@ -143,26 +148,34 @@ def _apply(split, gen, layer, vec):
     return layer, split.apply_F(layer, vec)
 
 
-def _closure(split, algebra, r, seed):
-    """The module generated by a layer-r vector: (slices, actions).
+def _closure(split, algebra, rows):
+    """The module generated by graded rows ``{layer: [vectors]}``, the
+    rows' own span first: (slices, actions).  A seed's closure is
+    ``{r: [seed]}``'s.
 
     Each generator image of each basis vector is formed once and written
     in the basis as it is formed (``IntRowBasis.extend``): an image in the
     span gets its coordinates, and any other becomes a new row, with its
     coordinates.  Rows never change once inserted, so those coordinates
     hold in the final pivot-sorted slices, where they are the action
-    matrices in ``_action_matrices``' format.  Every image of every basis
-    vector is then written exactly in the final basis, which is the check
-    ``_action_matrices`` makes, so the closure is invariant as built.
+    matrices in ``_action_matrices``' format: every image of every basis
+    vector is written exactly in the final basis, so the closure is
+    invariant as built.  An image below the rows' lowest layer r raises:
+    the closure of a vector orthogonal to the modules below r stays at
+    layers r and up.
     """
     gens = _generators(algebra)
     sizes = split.layer_sizes()
-    slices = {r: IntRowBasis(len(seed))}
-    first = slices[r].add(seed)
-    if first is None:
-        raise ExactnessError("closure seeded with the zero vector")
+    r = min(rows)
+    slices, work = {}, []
+    for layer, vecs in sorted(rows.items()):
+        slices[layer] = IntRowBasis(sizes[layer])
+        for vec in vecs:
+            row = slices[layer].add(vec)
+            if row is None:
+                raise ExactnessError("closure seeded with dependent vectors")
+            work.append((layer, row))
     images = {}  # (gen, layer) -> (image layer, {source pivot: image coordinates})
-    work = [(r, first)]
     while work:
         layer, vec = work.pop()
         src = next(i for i, x in enumerate(vec) if x)
@@ -182,20 +195,11 @@ def _closure(split, algebra, r, seed):
             if added is not None:
                 work.append((new_layer, added))
     pivots = {i: sorted(basis.rows) for i, basis in slices.items()}
-    actions = {}
-    for gen in gens:
-        blocks = {}
-        for layer in sorted(slices):
-            if (gen, layer) not in images:
-                continue
-            dst, cols = images[gen, layer]
-            row_of = {q: a for a, q in enumerate(pivots[dst])}
-            mat = [[Fraction(0)] * len(pivots[layer]) for _ in pivots[dst]]
-            for b, p in enumerate(pivots[layer]):
-                for q, c in cols.get(p, {}).items():
-                    mat[row_of[q]][b] = c
-            blocks[layer] = (dst, mat)
-        actions[gen] = blocks
+    actions = {gen: {} for gen in gens}
+    for (gen, layer), (dst, cols) in sorted(images.items()):
+        actions[gen][layer] = dst, [
+            [cols.get(p, {}).get(q, Fraction(0)) for p in pivots[layer]] for q in pivots[dst]
+        ]
     return {i: basis.basis() for i, basis in slices.items()}, actions
 
 
@@ -204,46 +208,18 @@ def _action_matrices(split, algebra, slices):
 
     ``actions[gen][src] = (dst, mat)``, where column b of mat holds the
     coordinates, in layer dst's slice, of gen applied to row b of layer
-    src's slice; a layer whose images all vanish has no block.  Raises
-    when a slice basis is not exactly invariant, which certifies
-    invariance of every piece it is formed for: the pieces split from a
-    closure and the pieces projected off their siblings.
+    src's slice; a layer whose images all vanish has no block.  The
+    slices are echelon rows as ``IntRowBasis.basis`` returns them, and
+    the actions are those of their ``_closure``, which must be the slices
+    themselves: this is the one invariance check of a piece split from a
+    closure, and it raises when the closure grows.
     """
-    actions = {}
-    layers = sorted(slices)
-    for gen in _generators(algebra):
-        blocks = {}
-        for layer in layers:
-            rows = slices[layer]
-            res_layer = None
-            cols = []
-            for vec in rows:
-                res = _apply(split, gen, layer, vec)
-                if res is None:
-                    cols.append(None)
-                    continue
-                new_layer, img = res
-                if all(x == 0 for x in img):
-                    cols.append([])
-                    continue
-                target_rows = slices.get(new_layer)
-                if target_rows is None:
-                    raise ExactnessError("module basis is not invariant")
-                coeffs = _express(target_rows, img)
-                if coeffs is None:
-                    raise ExactnessError("module basis is not invariant")
-                res_layer = new_layer
-                cols.append(coeffs)
-            if res_layer is None:
-                continue
-            d_to = len(slices[res_layer])
-            mat = [[Fraction(0)] * len(rows) for _ in range(d_to)]
-            for b, col in enumerate(cols):
-                if col:
-                    for a, c in enumerate(col):
-                        mat[a][b] = c
-            blocks[layer] = (res_layer, mat)
-        actions[gen] = blocks
+    try:
+        closed, actions = _closure(split, algebra, slices)
+    except ExactnessError as exc:
+        raise ExactnessError(f"module basis is not invariant: {exc}") from None
+    if closed != slices:
+        raise ExactnessError("module basis is not invariant")
     return actions
 
 
@@ -318,25 +294,18 @@ def _poly_eval_matrix(coeffs, mat):
 
 
 def _split_candidates(comm_basis, rng, rounds):
-    """Deterministic stream of candidate splitting elements."""
-    for mat in comm_basis:
-        yield mat
-    layers = sorted(comm_basis[0])
+    """Deterministic stream of candidate splitting elements: the commutant
+    basis, then ``rounds`` combinations of it with random coefficients."""
+    yield from comm_basis
     for _ in range(rounds):
-        combo = {}
-        for layer in layers:
-            d = len(comm_basis[0][layer])
-            combo[layer] = [[Fraction(0)] * d for _ in range(d)]
-        for mat in comm_basis:
-            c = rng.randint(-5, 5)
-            if c == 0:
-                continue
-            for layer in layers:
-                d = len(mat[layer])
-                for a in range(d):
-                    for b in range(d):
-                        combo[layer][a][b] += c * mat[layer][a][b]
-        yield combo
+        coeffs = [rng.randint(-5, 5) for _ in comm_basis]
+        yield {
+            layer: [
+                [sum(c * mat[layer][a][b] for c, mat in zip(coeffs, comm_basis)) for b in range(len(block))]
+                for a in range(len(block))
+            ]
+            for layer, block in comm_basis[0].items()
+        }
 
 
 def _split_by(slices, cand):
@@ -377,18 +346,28 @@ def _split_by(slices, cand):
     return pieces
 
 
-def _split_irreducible(split, algebra, slices, rng, actions=None):
-    """Recursively split an invariant graded subspace into irreducibles,
+def _split_irreducible(split, algebra, slices, actions, rng):
+    """Recursively split an invariant graded subspace W into irreducibles,
     through ``_split_by`` on the first commutant element that splits it.
 
-    ``actions`` are the subspace's action matrices: a closure brings its
-    own, and every piece split off here has them formed by
-    ``_action_matrices``, which checks its invariance.  Returns
+    W is generated by its lowest slice W_r (see ``_split_by``).  When W_r
+    is one-dimensional, W is irreducible and no commutant is formed.  The
+    algebra is closed under transposition, so W is an orthogonal direct
+    sum of irreducible modules U_i, and the orthogonal projection P_i onto
+    U_i commutes with E*_r.  The E*_r U_i are orthogonal subspaces of W_r,
+    so all but one are zero, and P_i v lies in E*_r U_i for v spanning
+    W_r: v lies in one U_i, and v generates W, so W is that U_i.  The
+    argument holds over the complex numbers as well.
+
+    ``actions`` are W's action matrices.  Each piece split off is
+    projected off the pieces before it (``_orthogonalize``), and its
+    ``_action_matrices`` are then its one invariance check.  Returns
     (pieces, certified): one (slices, actions) pair per piece, and
-    whether every piece has a one-dimensional commutant.
+    whether every piece has a one-dimensional endpoint slice or
+    commutant.
     """
-    if actions is None:
-        actions = _action_matrices(split, algebra, slices)
+    if len(slices[min(slices)]) == 1:
+        return [(slices, actions)], True
     comm = _commutant(slices, actions)
     if len(comm) == 1:
         return [(slices, actions)], True
@@ -396,10 +375,12 @@ def _split_irreducible(split, algebra, slices, rng, actions=None):
         pieces = _split_by(slices, cand)
         if pieces is None:
             continue
-        out = []
-        certified = True
+        out, done, certified = [], [], True
         for piece in pieces:
-            subs, ok = _split_irreducible(split, algebra, piece, rng)
+            if done:
+                piece = _orthogonalize(piece, done)
+            done.append(piece)
+            subs, ok = _split_irreducible(split, algebra, piece, _action_matrices(split, algebra, piece), rng)
             out.extend(subs)
             certified = certified and ok
         return out, certified
@@ -409,8 +390,8 @@ def _split_irreducible(split, algebra, slices, rng, actions=None):
 def _orthogonalize(slices, siblings):
     """Project a graded subspace off its sibling modules, layer by layer.
 
-    Pieces split from one closure can fail to be pairwise orthogonal, so
-    each is projected off the pieces of the same closure before it.  The
+    The pieces of one split can fail to be pairwise orthogonal, so each
+    is projected off the pieces of the same split before it.  The
     projector onto a module commutes with the algebra, so the image is
     again a module of equal dimension.
     """
@@ -541,33 +522,15 @@ def _local_eigenvalue(split, slices, endpoint, actions):
     return coeffs[0]
 
 
-def _closure_modules(split, algebra, r, seed, rng):
-    """The irreducible modules of a seed's closure: (pieces, certified).
-
-    The closure is split by ``_split_irreducible``, and each piece after
-    the first is projected off the pieces before it and checked invariant
-    again by ``_action_matrices``; pieces are (slices, actions) pairs.
-    """
-    closure, actions = _closure(split, algebra, r, seed)
-    pieces, certified = _split_irreducible(split, algebra, closure, rng, actions)
-    out = []
-    for piece, actions in pieces:
-        if out:
-            # the projection is all that can change a checked piece
-            piece = _orthogonalize(piece, [sib for sib, _ in out])
-            actions = _action_matrices(split, algebra, piece)
-        out.append((piece, actions))
-    return out, certified
-
-
 def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     """Decomposition into irreducible modules, as a direct sum.
 
     Layers are processed by increasing endpoint r.  K_r, the layer-r
     slice of the orthogonal complement of the modules with endpoint below
     r, is split into the eigenspaces of F_r (for T) or L_{r+1} R_r (for
-    T_f), and each eigenspace seeds closures, which ``_closure_modules``
-    splits into irreducibles.  While every closure of the layer has a
+    T_f), and each eigenspace seeds closures, which ``_split_irreducible``
+    splits into irreducibles; a closure with a one-dimensional endpoint
+    slice is irreducible already.  While every closure of the layer has a
     one-dimensional endpoint slice, the seeds are the eigenspace basis
     vectors: each closure is then irreducible and spanned at r by its
     seed, so inside an eigenspace the sum is direct, though not
@@ -602,7 +565,8 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                 if not pending:
                     break
                 seed = pending.pop(0)
-                pieces, certified = _closure_modules(split, algebra, r, seed, rng)
+                closure, actions = _closure(split, algebra, {r: [seed]})
+                pieces, certified = _split_irreducible(split, algebra, closure, actions, rng)
                 ends = [v for piece, _ in pieces for v in piece[r]]
                 if len(ends) > 1 and not wide:
                     # such a closure can contain modules found already,

@@ -124,9 +124,16 @@ def test_traced_commands_run_every_hook(tmp_path, h33):
     # the tracer's counter hooks read attributes of what the wrapped
     # callables return (spec.numeric, cert.structure, ...); a hook that
     # reads a removed attribute fails the traced run, which the name
-    # check above does not see
+    # check above does not see.  The bipartite graph's first layer-1
+    # closure splits, so its decompose runs the traced chain
+    # _split_irreducible -> _action_matrices -> _closure
     c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    runs = [(h33, ("analyze", "certify-uniform", "decompose")), (c5, ("analyze", "decompose"))]
+    bipartite = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (4, 5), (2, 6), (3, 6)])
+    runs = [
+        (h33, ("analyze", "certify-uniform", "decompose")),
+        (c5, ("analyze", "decompose")),
+        (bipartite, ("decompose",)),
+    ]
     tracer = _spans().Tracer()
     tracer.install()
     numeric = []  # numeric spectra counted per command
@@ -141,4 +148,9 @@ def test_traced_commands_run_every_hook(tmp_path, h33):
     finally:
         tracer.uninstall()
     assert tracer.absent_metrics() == []
-    assert numeric == [0, 0, 0, 1, 1]  # H(3,3)'s spectrum is rational, C5's is not
+    # H(3,3)'s spectrum is rational, C5's is not, the bipartite graph has none
+    assert numeric == [0, 0, 0, 1, 1, 0]
+    spans = tracer.spans
+    parents = {(span[1], spans[span[4]][1]) for span in spans if span[4] is not None}
+    assert ("tmodules._action_matrices", "tmodules._split_irreducible") in parents
+    assert ("tmodules._closure", "tmodules._action_matrices") in parents

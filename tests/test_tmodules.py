@@ -396,12 +396,24 @@ def test_a_sum_that_is_not_direct_is_refused(h33, monkeypatch):
         decompose(h33, 0, "T")
 
 
+def _counted_commutants(monkeypatch):
+    """A list that grows by one entry per ``_commutant`` call."""
+    calls, commutant = [], tmodules._commutant
+
+    def counted(*args):
+        calls.append(None)
+        return commutant(*args)
+
+    monkeypatch.setattr(tmodules, "_commutant", counted)
+    return calls
+
+
 def test_irrational_eigenspaces_are_seeded_as_one_group(monkeypatch):
     # the wheel W5: layer 1 is a 5-cycle, whose sum-zero vectors have the
     # eigenvalues (-1 +- sqrt 5)/2, so K_1 has no rational eigenspace and
     # is seeded whole.  Each closure is 2-dimensional, irreducible over Q
-    # but with a 2-dimensional commutant, and the second is seeded from
-    # the part of K_1 orthogonal to the first
+    # but with a 2-dimensional endpoint slice and commutant, and the
+    # second is seeded from the part of K_1 orthogonal to the first
     g = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
     groups, closures = [], []
     refine, closure = tmodules._refine_seed, tmodules._closure
@@ -412,16 +424,35 @@ def test_irrational_eigenspaces_are_seeded_as_one_group(monkeypatch):
         return out
 
     def counted(*args):
-        closures.append(args[3])
+        closures.append(args[2])
         return closure(*args)
 
     monkeypatch.setattr(tmodules, "_refine_seed", recorded)
     monkeypatch.setattr(tmodules, "_closure", counted)
+    commutants = _counted_commutants(monkeypatch)
     mods = decompose(g, 0, "T")
-    assert groups == [[1], [4]] and len(closures) == 3
+    assert groups == [[1], [4]] and len(closures) == 3 and len(commutants) == 2
     assert [(m.endpoint, m.dim, m.thin, m.exact) for m in mods] == [
         (0, 2, True, True), (1, 2, False, False), (1, 2, False, False),
     ]
+
+
+@pytest.mark.parametrize("algebra", ["T", "Tf"])
+@pytest.mark.parametrize("name", ["h33", "j63", "her22", "doob11", "halved8"])
+def test_one_dimensional_endpoint_slices_form_no_commutant(request, monkeypatch, name, algebra):
+    # every closure of these graphs has a one-dimensional endpoint slice,
+    # which certifies it irreducible without a commutant
+    commutants = _counted_commutants(monkeypatch)
+    mods = decompose(request.getfixturevalue(name), 0, algebra)
+    assert commutants == [] and all(m.exact for m in mods)
+
+
+def test_a_wide_closure_forms_a_commutant(monkeypatch):
+    # the bipartite graph's first layer-1 closure has two endpoint vectors
+    # and splits
+    commutants = _counted_commutants(monkeypatch)
+    mods = decompose(_SHARED_EIGENSPACES[0], 0, "T")
+    assert commutants and all(m.exact for m in mods)
 
 
 def _relabelled(g, seed):
@@ -522,13 +553,15 @@ def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
     closures = []
     closure = tmodules._closure
 
-    def recorded(split, algebra, r, seed):
-        out = closure(split, algebra, r, seed)
+    def recorded(split, algebra, rows):
+        out = closure(split, algebra, rows)
         closures.append((split, out))
         return out
 
     monkeypatch.setattr(tmodules, "_closure", recorded)
     mods = decompose(g, 0, algebra)
+    # _action_matrices closes the slices it is given: stop recording first
+    monkeypatch.undo()
     assert len(closures) <= len(mods)
     for split, (slices, actions) in closures:
         assert actions == tmodules._action_matrices(split, algebra, slices)
@@ -582,6 +615,12 @@ def _difference_seeds(g):
     return split, [[1] + [-int(i == j) for i in range(1, size)] for j in range(1, size)]
 
 
+def _seed_pieces(split, seed):
+    """The irreducible pieces of a layer-1 seed's closure under T."""
+    closure, actions = tmodules._closure(split, "T", {1: [seed]})
+    return tmodules._split_irreducible(split, "T", closure, actions, random.Random(0))
+
+
 @pytest.mark.parametrize(
     "name, labelling, splits", [("j94", 0, 19), ("j94", 2305, 20), ("halved8", 0, 27)]
 )
@@ -603,7 +642,7 @@ def test_endpoint_block_split_matches_the_full_matrix(request, monkeypatch, name
     monkeypatch.setattr(tmodules, "_split_by", recorded)
     split, seeds = _difference_seeds(g)
     for seed in seeds:
-        tmodules._closure_modules(split, "T", 1, seed, random.Random(0))
+        _seed_pieces(split, seed)
     assert sum(pieces is not None for _, _, pieces in calls) == splits
     for slices, cand, pieces in calls:
         minpoly, full_pieces = full_matrix_split(slices, cand)
@@ -618,18 +657,19 @@ def test_split_pieces_must_fill_the_subspace(j94, monkeypatch):
     monkeypatch.setattr(tmodules, "minimal_polynomial", lambda m: [big * (big + 1), -(2 * big + 1), 1])
     split, seeds = _difference_seeds(j94)
     with pytest.raises(ExactnessError, match="does not split the module"):
-        tmodules._closure_modules(split, "T", 1, seeds[0], random.Random(0))
+        _seed_pieces(split, seeds[0])
 
 
 def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
     # a closure is invariant as built and brings its own action matrices;
-    # each piece split from one is checked where its commutant is formed,
-    # and a piece projected off its earlier siblings once more.  On the
-    # halved 8-cube each of the 27 layer-1 difference seeds splits in two:
-    # 81 splitting calls, so 54 split pieces and 27 projected ones are
-    # checked
+    # a piece split from one is projected off the pieces before it, and
+    # _action_matrices, closing the piece's slices, is its one invariance
+    # check.  On the halved 8-cube each of the 27 layer-1 difference seeds
+    # splits in two pieces with one-dimensional endpoint slices: 27 seed
+    # closures and commutants, 54 checked pieces, 27 of them projected
     counts = Counter()
-    for name in ("_closure", "_action_matrices", "_split_irreducible", "_orthogonalize"):
+    names = ("_closure", "_action_matrices", "_split_irreducible", "_orthogonalize", "_commutant")
+    for name in names:
 
         def counted(*args, _name=name, _original=getattr(tmodules, name)):
             counts[_name] += 1
@@ -638,10 +678,11 @@ def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
         monkeypatch.setattr(tmodules, name, counted)
     split, seeds = _difference_seeds(halved8)
     for seed in seeds:
-        tmodules._closure_modules(split, "T", 1, seed, random.Random(0))
-    assert (counts["_closure"], counts["_split_irreducible"], counts["_orthogonalize"]) == (27, 81, 27)
-    assert counts["_action_matrices"] == counts["_split_irreducible"] - counts["_closure"] + counts["_orthogonalize"]
-    assert counts["_action_matrices"] == 81
+        _seed_pieces(split, seed)
+    assert (counts["_split_irreducible"], counts["_commutant"], counts["_orthogonalize"]) == (81, 27, 27)
+    assert counts["_action_matrices"] == 54
+    # every closure but the seeds' is a piece's invariance check
+    assert counts["_closure"] == 27 + counts["_action_matrices"]
     # seeded from eigenspaces, decompose's 70 closures are its 70 modules
     counts.clear()
     assert len(decompose(halved8, 0, "T")) == 70
@@ -662,5 +703,16 @@ def test_projected_pieces_are_checked_again(halved8, monkeypatch):
 
     monkeypatch.setattr(tmodules, "_orthogonalize", broken)
     split, seeds = _difference_seeds(halved8)
-    with pytest.raises(ExactnessError, match="not invariant"):
-        tmodules._closure_modules(split, "T", 1, seeds[0], random.Random(0))
+    with pytest.raises(ExactnessError, match="module basis is not invariant"):
+        _seed_pieces(split, seeds[0])
+
+
+def test_a_piece_whose_closure_grows_is_refused(h33):
+    # the trivial module without its top slice closes back to the trivial
+    # module, so its rows are not invariant
+    split = lfr_split(h33, bfs_layers(h33, 0))
+    trivial, _ = tmodules._closure(split, "T", {0: [[1]]})
+    top = max(trivial)
+    assert tmodules._action_matrices(split, "T", trivial)
+    with pytest.raises(ExactnessError, match="module basis is not invariant"):
+        tmodules._action_matrices(split, "T", {i: rows for i, rows in trivial.items() if i != top})
