@@ -160,16 +160,12 @@ def _closure(split, algebra, rows):
     hold in the final pivot-sorted slices, where they are the action
     matrices in ``_action_matrices``' format: every image of every basis
     vector is written exactly in the final basis, so the closure is
-    invariant as built.  An image below the rows' lowest layer r raises:
-    the closure of a vector orthogonal to the modules below r stays at
-    layers r and up.
+    invariant as built.
     """
     gens = _generators(algebra)
-    sizes = split.layer_sizes()
-    r = min(rows)
-    slices, work = {}, []
+    slices = {i: IntRowBasis(size) for i, size in enumerate(split.layer_sizes())}
+    work = []
     for layer, vecs in sorted(rows.items()):
-        slices[layer] = IntRowBasis(sizes[layer])
         for vec in vecs:
             row = slices[layer].add(vec)
             if row is None:
@@ -186,14 +182,11 @@ def _closure(split, algebra, rows):
             new_layer, img = res
             if all(x == 0 for x in img):
                 continue
-            if new_layer < r:
-                raise ExactnessError("closure escaped below its endpoint")
-            if new_layer not in slices:
-                slices[new_layer] = IntRowBasis(sizes[new_layer])
             coords, added = slices[new_layer].extend(img)
             images.setdefault((gen, layer), (new_layer, {}))[1][src] = coords
             if added is not None:
                 work.append((new_layer, added))
+    slices = {i: basis for i, basis in slices.items() if len(basis)}
     pivots = {i: sorted(basis.rows) for i, basis in slices.items()}
     actions = {gen: {} for gen in gens}
     for (gen, layer), (dst, cols) in sorted(images.items()):
@@ -212,12 +205,10 @@ def _action_matrices(split, algebra, slices):
     slices are echelon rows as ``IntRowBasis.basis`` returns them, and
     the actions are those of their ``_closure``, which must be the slices
     themselves: this is the one invariance check of a piece split from a
-    closure, and it raises when the closure grows.
+    closure, and it raises when the closure grows, within the piece's
+    layers or below them.
     """
-    try:
-        closed, actions = _closure(split, algebra, slices)
-    except ExactnessError as exc:
-        raise ExactnessError(f"module basis is not invariant: {exc}") from None
+    closed, actions = _closure(split, algebra, slices)
     if closed != slices:
         raise ExactnessError("module basis is not invariant")
     return actions
@@ -294,18 +285,25 @@ def _poly_eval_matrix(coeffs, mat):
 
 
 def _split_candidates(comm_basis, rng, rounds):
-    """Deterministic stream of candidate splitting elements: the commutant
-    basis, then ``rounds`` combinations of it with random coefficients."""
-    yield from comm_basis
+    """Deterministic stream of candidate splitting elements."""
+    for mat in comm_basis:
+        yield mat
+    layers = sorted(comm_basis[0])
     for _ in range(rounds):
-        coeffs = [rng.randint(-5, 5) for _ in comm_basis]
-        yield {
-            layer: [
-                [sum(c * mat[layer][a][b] for c, mat in zip(coeffs, comm_basis)) for b in range(len(block))]
-                for a in range(len(block))
-            ]
-            for layer, block in comm_basis[0].items()
-        }
+        combo = {}
+        for layer in layers:
+            d = len(comm_basis[0][layer])
+            combo[layer] = [[Fraction(0)] * d for _ in range(d)]
+        for mat in comm_basis:
+            c = rng.randint(-5, 5)
+            if c == 0:
+                continue
+            for layer in layers:
+                d = len(mat[layer])
+                for a in range(d):
+                    for b in range(d):
+                        combo[layer][a][b] += c * mat[layer][a][b]
+        yield combo
 
 
 def _split_by(slices, cand):
@@ -566,6 +564,8 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                     break
                 seed = pending.pop(0)
                 closure, actions = _closure(split, algebra, {r: [seed]})
+                if min(closure) < r:  # the complement of the modules below r is invariant
+                    raise ExactnessError("closure escaped below its endpoint")
                 pieces, certified = _split_irreducible(split, algebra, closure, actions, rng)
                 ends = [v for piece, _ in pieces for v in piece[r]]
                 if len(ends) > 1 and not wide:

@@ -747,6 +747,32 @@ def split_dense(split):
     return L, F, R
 
 
+
+def express_action_matrices(split, algebra, slices):
+    """Generator actions on an invariant graded subspace from the dense
+    L, F, R of ``split_dense``: each image of each slice row is written in
+    its target slice by ``fraction_express``.  ``{gen: {src: (dst, mat)}}``,
+    column b of mat holding the image of row b; a layer whose images all
+    vanish has no block, and an image outside the subspace fails."""
+    layers = [list(layer) for layer in split.dp.layers]
+    moves = dict(zip("LFR", zip(split_dense(split), (-1, 0, 1))))
+    actions = {}
+    for gen in ("L", "F", "R") if algebra == "T" else ("L", "R"):
+        full, step = moves[gen]
+        actions[gen] = {}
+        for src, rows in sorted(slices.items()):
+            dst = src + step
+            if not 0 <= dst < len(layers):
+                continue
+            block = full[np.ix_(layers[dst], layers[src])].astype(object)
+            images = [(block @ np.array(row, dtype=object)).tolist() for row in rows]
+            if not any(map(any, images)):
+                continue
+            cols = [fraction_express(slices.get(dst, []), img) for img in images]
+            assert None not in cols, f"{gen} maps layer {src} out of the subspace"
+            actions[gen][src] = dst, [list(col) for col in zip(*cols)]
+    return actions
+
 def l_nonzeros(split):
     """Entries of L in an ``LFRSplit``'s blocks."""
     return sum(split._block("L", i)[0].nnz for i in range(1, split.eccentricity + 1))

@@ -31,7 +31,7 @@ from drguniform.graph_core import Graph
 from drguniform.terwilliger import LFRSplit, lfr_split
 from drguniform.tmodules import INFINITY, group_modules
 
-from oracles import full_matrix_split
+from oracles import express_action_matrices, full_matrix_split
 from strategies import connected_graphs
 
 
@@ -445,14 +445,20 @@ def test_one_dimensional_endpoint_slices_form_no_commutant(request, monkeypatch,
     commutants = _counted_commutants(monkeypatch)
     mods = decompose(request.getfixturevalue(name), 0, algebra)
     assert commutants == [] and all(m.exact for m in mods)
+    # the certificate's conclusion: each module's commutant is the scalars
+    monkeypatch.undo()
+    assert all(len(tmodules._commutant(m.slices, m.actions)) == 1 for m in mods)
 
 
 def test_a_wide_closure_forms_a_commutant(monkeypatch):
     # the bipartite graph's first layer-1 closure has two endpoint vectors
-    # and splits
+    # and splits; the split pieces' actions are those of the dense operators
+    g = _SHARED_EIGENSPACES[0]
     commutants = _counted_commutants(monkeypatch)
-    mods = decompose(_SHARED_EIGENSPACES[0], 0, "T")
+    mods = decompose(g, 0, "T")
     assert commutants and all(m.exact for m in mods)
+    split = lfr_split(g, bfs_layers(g, 0))
+    assert all(m.actions == express_action_matrices(split, "T", m.slices) for m in mods)
 
 
 def _relabelled(g, seed):
@@ -544,8 +550,9 @@ def test_golden_module_slices(request, key):
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_SLICES))
 def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
-    # the coordinates a closure records as it forms each generator image
-    # are the action matrices _action_matrices forms from its slices
+    # the coordinates a closure records as it forms each generator image,
+    # and the action matrices _action_matrices forms from its slices, are
+    # the images of the dense operators written in the slices
     name, algebra, labelling = key
     g = request.getfixturevalue(name)
     if labelling:
@@ -564,7 +571,9 @@ def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
     monkeypatch.undo()
     assert len(closures) <= len(mods)
     for split, (slices, actions) in closures:
-        assert actions == tmodules._action_matrices(split, algebra, slices)
+        expected = express_action_matrices(split, algebra, slices)
+        assert actions == expected
+        assert tmodules._action_matrices(split, algebra, slices) == expected
 
 
 def test_each_generator_image_is_formed_once(monkeypatch):
@@ -703,16 +712,32 @@ def test_projected_pieces_are_checked_again(halved8, monkeypatch):
 
     monkeypatch.setattr(tmodules, "_orthogonalize", broken)
     split, seeds = _difference_seeds(halved8)
-    with pytest.raises(ExactnessError, match="module basis is not invariant"):
+    with pytest.raises(ExactnessError, match="not invariant"):
         _seed_pieces(split, seeds[0])
 
 
-def test_a_piece_whose_closure_grows_is_refused(h33):
-    # the trivial module without its top slice closes back to the trivial
-    # module, so its rows are not invariant
+@pytest.mark.parametrize("drop", [min, max])
+def test_a_piece_whose_closure_grows_is_refused(h33, drop):
+    # the trivial module without its bottom or top slice closes back to the
+    # trivial module, below its lowest layer or within its layers, so its
+    # rows are not invariant
     split = lfr_split(h33, bfs_layers(h33, 0))
     trivial, _ = tmodules._closure(split, "T", {0: [[1]]})
-    top = max(trivial)
     assert tmodules._action_matrices(split, "T", trivial)
     with pytest.raises(ExactnessError, match="module basis is not invariant"):
-        tmodules._action_matrices(split, "T", {i: rows for i, rows in trivial.items() if i != top})
+        tmodules._action_matrices(split, "T", {i: rows for i, rows in trivial.items() if i != drop(trivial)})
+
+
+def test_a_seed_whose_closure_escapes_is_refused(h33, monkeypatch):
+    # the all-ones vector of layer 1 lies in the trivial module, found at
+    # endpoint 0, and its closure reaches layer 0
+    refine = tmodules._refine_seed
+
+    def ones(split, algebra, r, free, basis):
+        if r == 1:
+            yield [[1] * split.layer_sizes()[1]]
+        yield from refine(split, algebra, r, free, basis)
+
+    monkeypatch.setattr(tmodules, "_refine_seed", ones)
+    with pytest.raises(ExactnessError, match="escaped below its endpoint"):
+        decompose(h33, 0, "T")
