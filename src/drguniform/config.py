@@ -1,6 +1,6 @@
 """Run configuration shared by the CLI and the heavier operations."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -20,10 +20,18 @@ class Config:
     iso_vertex_bound: int = 2000
 
     def validate(self):
-        if self.vertex_budget <= 0 or self.numeric_tolerance <= 0:
-            raise ValueError("budget and tolerance must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a float field takes an int too; a bool is neither
+            if isinstance(value, bool) or not isinstance(value, (int, f.type)):
+                raise ValueError(f"{f.name} must be of type {f.type.__name__}, not {value!r}")
+        # NaN and infinity would be echoed as bare NaN or Infinity, not JSON
+        if self.vertex_budget <= 0 or not 0 < self.numeric_tolerance < float("inf"):
+            raise ValueError("budget and tolerance must be positive, the tolerance finite")
         if self.retry_count <= 0 or self.iso_vertex_bound <= 0:
             raise ValueError("retry count and isomorphism bound must be positive")
+        if self.doob_grid_bound < 0:
+            raise ValueError("the Doob grid bound must not be negative")
         return self
 
     def as_dict(self):

@@ -1,29 +1,33 @@
 """Small exact linear-algebra toolkit over the rationals.
 
 Every result is exact; matrices are lists of lists and vectors are
-lists.  All rational elimination goes through one integer echelon
-kernel, ``IntRowBasis``, which keeps gcd-normalized integer rows and
-eliminates fraction-free, rescaling rows instead of dividing them.  On
-top of it:
+lists.  There are two eliminations, one for each size of system.
 
+``_substitute`` is the one fraction-free elimination, for the small
+systems: it subtracts gcd-scaled multiples of echelon rows from an
+integer vector, rescaling instead of dividing.  Everything else that
+eliminates in Python ints goes through it:
+
+- ``IntRowBasis`` keeps gcd-normalized integer rows in echelon form;
+  ``add`` inserts a vector's residual and ``extend`` also returns the
+  vector's coordinates in the basis;
 - ``nullspace`` and ``solve_affine`` take rows of ints or Fractions,
   clear their denominators, back-eliminate the basis to the unique
   reduced echelon form and read the answer off as Fractions;
-- ``express`` writes a vector in an echelon basis by forward
-  substitution, and ``IntRowBasis.extend`` does the same while inserting
-  the vector's residual when it lies outside the span;
+- ``express`` writes a vector in an echelon basis;
 - ``krylov_relation`` finds the first linear relation of a Krylov
   sequence of integer vectors, and ``minimal_polynomial`` applies it to
-  the flattened powers of a matrix;
-- ``int_poly_rational_roots`` finds every rational root of an integer
-  polynomial by p-adic lifting, and ``deflate`` divides one out.
+  the flattened powers of a matrix.
 
-``modular_kernel`` is the one kernel computed modulo primes: a reduced
-echelon form modulo each of a few primes below 2^26 in numpy int64,
-combined by Chinese remaindering and rational reconstruction, and
+``modular_kernel`` is the one modular elimination, for the wide kernels:
+a reduced echelon form modulo each of a few primes below 2^26 in numpy
+int64, combined by Chinese remaindering and rational reconstruction, and
 certified exactly by M w = 0.  ``tmodules.decompose`` takes from it the
 orthogonal complement of the modules found so far, the eigenspaces it
-seeds from, and the rank check that certifies its sum direct.  The
+seeds from, and the rank check that certifies its sum direct.
+
+``int_poly_rational_roots`` finds every rational root of an integer
+polynomial by p-adic lifting, and ``deflate`` divides one out.  The
 routines are meant for the small dense systems that show up when layer
 blocks and module actions are vectorized, not for large-scale numerics.
 """
@@ -64,12 +68,9 @@ def clear_denominators(v):
 
 
 class IntRowBasis:
-    """Echelon basis of integer row vectors supporting exact reduction.
-
-    Rows are gcd-normalized and kept in forward-eliminated form keyed by
-    pivot position.  ``reduce`` returns the residual of a vector against
-    the span (None when the vector is dependent); ``add`` inserts the
-    residual as a new basis row, and ``extend`` does so while also
+    """Echelon basis of integer row vectors, kept gcd-normalized and keyed
+    by pivot position.  ``add`` inserts the residual of a vector against
+    the span (``_substitute``), and ``extend`` does so while also
     returning the vector's coordinates in the basis.
     """
 
@@ -80,34 +81,26 @@ class IntRowBasis:
     def __len__(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        v = list(vec)
-        steps = 0
-        for p in sorted(self.rows):
-            if v[p]:
-                row = self.rows[p]
-                a, b = v[p], row[p]
-                g = gcd(a, b)
-                ma, mb = b // g, a // g
-                v = [ma * x - mb * y for x, y in zip(v, row)]
-                steps += 1
-                if steps % 16 == 0:
-                    # keep intermediate entries small on long chains
-                    nv = ivec_normalize(v)
-                    if nv is None:
-                        return None
-                    v = nv
-        return ivec_normalize(v)
+    def _insert(self, vec):
+        """Substitute ``vec`` into the basis and insert its gcd-normalized
+        residual, if any.  Returns (pivoted, coeffs, row): vec = sum
+        coeffs[k] pivoted[k][1] over the (pivot, row) pairs of the basis,
+        each coefficient an integer (numerator, denominator) pair, and row
+        is the inserted row or None."""
+        pivoted = sorted(self.rows.items())
+        coeffs, v, den = _substitute(pivoted, vec)
+        row = ivec_normalize(v)
+        if row is not None:
+            pivot = next(i for i, x in enumerate(row) if x)
+            self.rows[pivot] = row
+            pivoted.append((pivot, row))
+            coeffs.append((v[pivot] // row[pivot], den))  # v = (v[pivot] / row[pivot]) row
+        return pivoted, coeffs, row
 
     def add(self, vec):
-        """Reduce ``vec`` and insert the residual.  Returns the inserted
-        row or None when ``vec`` was already in the span."""
-        v = self.reduce(vec)
-        if v is None:
-            return None
-        pivot = next(i for i, x in enumerate(v) if x)
-        self.rows[pivot] = v
-        return v
+        """Insert the residual of ``vec`` against the span.  Returns the
+        inserted row or None when ``vec`` was already in the span."""
+        return self._insert(vec)[2]
 
     def extend(self, vec):
         """Write ``vec`` in the basis, first inserting its residual when it
@@ -116,44 +109,27 @@ class IntRowBasis:
         with vec = sum coords[p] rows[p], and row is the inserted row, as
         ``add`` would insert it, or None when vec was already in the span.
         """
-        pivots = sorted(self.rows)
-        coeffs, v, den = _substitute(((p, self.rows[p]) for p in pivots), vec)
-        coords = dict(zip(pivots, coeffs))
-        row = ivec_normalize(v)
-        if row is not None:
-            pivot = next(i for i, x in enumerate(row) if x)
-            # v = (v[pivot] / row[pivot]) row, exactly
-            coords[pivot] = Fraction(v[pivot] // row[pivot], den)
-            self.rows[pivot] = row
-        return coords, row
+        pivoted, coeffs, row = self._insert(vec)
+        return {p: Fraction(*c) for (p, _), c in zip(pivoted, coeffs)}, row
 
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows)]
 
-    def reduced(self):
-        """The rows in reduced echelon form, kept fraction-free: pivot ->
-        row, each row zero in every other row's pivot column and
-        gcd-normalized with a positive pivot entry.  Divided by their pivot
-        entries, they are the unique reduced row echelon form of the span.
-        """
-        out = {}
-        for p in sorted(self.rows, reverse=True):
-            v = self.rows[p]
-            for q, row in out.items():
-                if v[q]:
-                    g = gcd(v[q], row[q])
-                    ma, mb = row[q] // g, v[q] // g
-                    v = [ma * x - mb * y for x, y in zip(v, row)]
-            out[p] = ivec_normalize(v)
-        return dict(sorted(out.items()))
-
 
 def _reduced_echelon(rows, width):
-    """``IntRowBasis.reduced`` of rows of ints or Fractions."""
+    """The reduced echelon form of rows of ints or Fractions, kept
+    fraction-free: pivot -> row, each row zero in every other row's pivot
+    column and gcd-normalized with a positive pivot entry.  Divided by
+    their pivot entries, they are the unique reduced row echelon form of
+    the span.  Each echelon row is back-eliminated, from the last pivot
+    up, against the rows already reduced (``_substitute``)."""
     basis = IntRowBasis(width)
     for row in rows:
         basis.add(clear_denominators(row)[0])
-    return basis.reduced()
+    out = []  # (pivot, reduced row), descending
+    for p, row in sorted(basis.rows.items(), reverse=True):
+        out.append((p, ivec_normalize(_substitute(reversed(out), row)[1])))
+    return dict(out[::-1])
 
 
 def _kernel(reduced, ncols):
@@ -447,9 +423,10 @@ def _substitute(pivoted, target):
 
     Returns (coeffs, v, den) with target = sum coeffs[k] rows[k] + v / den
     and v zero at every pivot: the residual is an integer vector over a
-    common denominator, both are rescaled instead of divided, and a
-    Fraction is built only for each coefficient.  Every 16 rows the
-    factor v and den share is divided out, which keeps long chains small.
+    common denominator, both are rescaled instead of divided, and each
+    coefficient is an integer (numerator, denominator) pair, so no
+    Fraction is built.  Every 16 rows the factor v and den share is
+    divided out, which keeps long chains small.
     """
     v = list(target)
     den = 1
@@ -457,7 +434,7 @@ def _substitute(pivoted, target):
     for p, row in pivoted:
         a = v[p]
         if not a:
-            coeffs.append(Fraction(0))
+            coeffs.append((0, 1))
             continue
         b = row[p]
         g = gcd(a, b)
@@ -468,7 +445,7 @@ def _substitute(pivoted, target):
         else:
             v = [b * x - a * y for x, y in zip(v, row)]
             den *= b
-        coeffs.append(Fraction(a, den))
+        coeffs.append((a, den))
         if len(coeffs) % 16 == 0 and den > 1:
             h = gcd(den, *v)
             if h > 1:
@@ -489,7 +466,7 @@ def express(rows, target):
     coeffs, v, _ = _substitute(pivoted, target)
     if any(v):
         return None
-    return coeffs
+    return [Fraction(*c) for c in coeffs]
 
 
 def _poly_eval(coeffs, r):

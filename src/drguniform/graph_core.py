@@ -558,52 +558,6 @@ def spectrum(ia):
     )
 
 
-def p_numbers(ia):
-    """Intersection numbers p^l_{gh} computed from the array alone.
-
-    The products A_g A_h are expanded in the distance-matrix basis using
-    the multiply-by-A recurrence, so everything stays integral.
-    """
-    D = ia.D
-
-    def mul_by_x(w):
-        out = [Fraction(0)] * (D + 1)
-        for l in range(D + 1):
-            if w[l] == 0:
-                continue
-            # x*v_l = b_{l-1} v_{l-1} + a_l v_l + c_{l+1} v_{l+1}
-            if l > 0:
-                out[l - 1] += ia.b_at(l - 1) * w[l]
-            out[l] += ia.a_at(l) * w[l]
-            if l < D:
-                out[l + 1] += ia.c_at(l + 1) * w[l]
-        return out
-
-    p = [[[0] * (D + 1) for _ in range(D + 1)] for _ in range(D + 1)]
-    for h in range(D + 1):
-        w_prev = None
-        w = [Fraction(0)] * (D + 1)
-        w[h] = Fraction(1)  # v_0 * v_h
-        for gidx in range(D + 1):
-            for l in range(D + 1):
-                val = w[l]
-                if val.denominator != 1:
-                    raise InvalidParams(f"the array gives the intersection number {val}")
-                p[l][gidx][h] = int(val)
-            if gidx == D:
-                break
-            xw = mul_by_x(w)
-            if gidx == 0:
-                nxt = xw
-            else:
-                nxt = [
-                    (xv - ia.a_at(gidx) * wv - ia.b_at(gidx - 1) * pv) / ia.c_at(gidx + 1)
-                    for xv, wv, pv in zip(xw, w, w_prev)
-                ]
-            w_prev, w = w, nxt
-    return p
-
-
 @dataclass(frozen=True)
 class KreinTensor:
     """q[h][i][j], exact Fractions."""

@@ -213,14 +213,15 @@ def _joint_refine(g, h):
         cg, ch = ng, nh
 
 
-def graph_isomorphic(g, h, vertex_bound=None):
-    """A certified isomorphism map between ``g`` and ``h``, or None.
+def graph_isomorphic(g, h):
+    """A certified isomorphism map between ``g`` and ``h``, or None.  The
+    search is limited to ``DEFAULT.iso_vertex_bound`` vertices.
 
     Joint color refinement prunes the search; the backtracking keeps full
     adjacency consistency with everything already mapped.  The returned
     mapping is re-verified edge for edge before being reported.
     """
-    bound = DEFAULT.iso_vertex_bound if vertex_bound is None else vertex_bound
+    bound = DEFAULT.iso_vertex_bound
     if g.n > bound or h.n > bound:
         raise BudgetExceeded(f"isomorphism search limited to {bound} vertices")
     if g.n != h.n or g.m != h.m:

@@ -260,12 +260,8 @@ def _kernel_slice(rows, mat):
     """The part of a layer slice that the kernel of ``mat`` picks out: each
     kernel vector, cleared of denominators, combines the slice's rows."""
     basis = IntRowBasis(len(rows[0]))
-    for vec in nullspace(mat, len(rows)):
-        combo = [0] * len(rows[0])
-        for c, row in zip(clear_denominators(vec)[0], rows):
-            if c:
-                combo = [a + c * b for a, b in zip(combo, row)]
-        basis.add(combo)
+    for vec in _combine([clear_denominators(v)[0] for v in nullspace(mat, len(rows))], rows):
+        basis.add(vec)
     return basis.basis()
 
 
@@ -821,7 +817,7 @@ def _grid_apply_R(state, delta, p):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def doob_symbolic_check(delta, p, grid_bound=None):
+def doob_symbolic_check(delta, p):
     """Verify -1/2 RL^2 + LRL - 1/2 L^2R = 3L on the abstract ladder grid,
     in integers, as -RL^2 + 2LRL - L^2R - 6L = 0.
 
@@ -830,9 +826,10 @@ def doob_symbolic_check(delta, p, grid_bound=None):
     R w = 3(j+1) w_{l,j+1} + (l+1) w_{l+1,j}, with out-of-grid terms zero.
     Returns (ok, report); the report collects, per operator word, the
     coefficient of each reachable target offset together with the closed
-    forms it was checked against.
+    forms it was checked against.  Both grid sizes are limited to
+    ``DEFAULT.doob_grid_bound``.
     """
-    bound = DEFAULT.doob_grid_bound if grid_bound is None else grid_bound
+    bound = DEFAULT.doob_grid_bound
     if not (0 <= delta <= bound and 0 <= p <= bound):
         raise ValueError(f"grid sizes must be within 0..{bound}")
 

@@ -38,7 +38,6 @@ from drguniform import (
     tightness,
 )
 from drguniform.families import doob, hamming, johnson
-from drguniform.graph_core import p_numbers
 from drguniform.suites import (
     certificate_matches,
     dual_polar_det,
@@ -49,7 +48,14 @@ from drguniform.suites import (
 )
 from drguniform.uniform import ParameterMatrix
 
-from oracles import brute_intersection_numbers, dense_det, f_nonzeros, is_bipartite, l_nonzeros
+from oracles import (
+    brute_intersection_numbers,
+    dense_det,
+    f_nonzeros,
+    is_bipartite,
+    l_nonzeros,
+    p_numbers,
+)
 
 
 @contextmanager

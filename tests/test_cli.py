@@ -252,6 +252,14 @@ CONFIGURED = ["analyze", "g.edges", "--config", "c.json"]
         (["analyze", "g.edges", "--budget", "0"], {"g.edges": C5}),
         (["family", "hamming"], {}),
         (["family", "gosset", "3"], {}),
+        # one bad value per configuration field
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"vertex_budget": 1.5}'}),
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"numeric_tolerance": true}'}),
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"numeric_tolerance": NaN}'}),
+        (["decompose", "g.edges", "--config", "c.json"], {"g.edges": C5, "c.json": '{"decomposition_seed": [1]}'}),
+        (["certify-uniform", "g.edges", "--config", "c.json"], {"g.edges": C5, "c.json": '{"retry_count": 2.5}'}),
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"doob_grid_bound": -1}'}),
+        (CONFIGURED, {"g.edges": C5, "c.json": '{"iso_vertex_bound": true}'}),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, files):

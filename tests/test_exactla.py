@@ -284,7 +284,7 @@ def test_int_row_basis():
     assert basis.add([2, 4, 6]) == [1, 2, 3]
     assert basis.add([1, 2, 3]) is None
     assert basis.add([0, 0, 5]) == [0, 0, 1]
-    assert basis.reduce([3, 6, 14]) is None  # 3*(1,2,3) + 5*(0,0,1)
+    assert express(basis.basis(), [3, 6, 14]) is not None  # 3*(1,2,3) + 5*(0,0,1)
     assert len(basis) == 2
 
 
@@ -311,10 +311,26 @@ def test_express_matches_fraction_oracle(case):
     assert coeffs is not None
     assert coeffs == fraction_express(rows, inside)
     assert [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)] == inside
-    if basis.reduce(extra) is not None:
+    if express(rows, extra) is None:
         outside = [a + b for a, b in zip(inside, extra)]
         assert express(rows, outside) is None
         assert fraction_express(rows, outside) is None
+
+
+@given(spans())
+@settings(max_examples=150)
+def test_add_and_extend_insert_the_same_rows(case):
+    # add and extend share one substitution: on twin bases they insert the
+    # same rows, and extend's coordinates rebuild each vector exactly
+    width, vectors, combo, extra = case
+    added, extended = IntRowBasis(width), IntRowBasis(width)
+    inside = [sum(c * v[j] for c, v in zip(combo, vectors)) for j in range(width)]
+    for vec in vectors + [inside, extra]:
+        row = added.add(vec)
+        coords, ext_row = extended.extend(vec)
+        assert ext_row == row and extended.rows == added.rows
+        assert [sum(c * extended.rows[p][j] for p, c in coords.items()) for j in range(width)] == vec
+        assert [coords[p] for p in sorted(extended.rows)] == fraction_express(extended.basis(), vec)
 
 
 def test_deflate_rejects_a_non_root():

@@ -32,7 +32,7 @@ from drguniform import (
 from drguniform import graph_core
 from drguniform.families import FamilySpec, build_family, shrikhande
 from drguniform.errors import GraphError
-from drguniform.graph_core import IntersectionArray, p_numbers
+from drguniform.graph_core import IntersectionArray
 from drguniform.terwilliger import cartesian_product, flatten
 
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     loop_adjacency,
     loop_intersection_array,
     numpy_spectrum,
+    p_numbers,
     product_intersection_array,
     scan_k112,
 )

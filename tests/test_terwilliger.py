@@ -15,6 +15,8 @@ from drguniform import (
     intersection_array,
     lfr_split,
 )
+from drguniform import terwilliger
+from drguniform.config import Config
 from drguniform.families import hamming
 
 from oracles import (
@@ -215,9 +217,10 @@ def test_shrikhande_not_hamming(shrik):
     assert graph_isomorphic(shrik, hamming(2, 4)) is None
 
 
-def test_isomorphism_budget():
+def test_isomorphism_budget(monkeypatch):
+    monkeypatch.setattr(terwilliger, "DEFAULT", Config(iso_vertex_bound=4))
     with pytest.raises(BudgetExceeded):
-        graph_isomorphic(hamming(2, 3), hamming(2, 3), vertex_bound=4)
+        graph_isomorphic(hamming(2, 3), hamming(2, 3))
 
 
 @given(connected_graphs())
