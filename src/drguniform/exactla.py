@@ -23,8 +23,17 @@ eliminates in Python ints goes through it:
 a reduced echelon form modulo each of a few primes below 2^26 in numpy
 int64, combined by Chinese remaindering and rational reconstruction, and
 certified exactly by M w = 0.  ``tmodules.decompose`` takes from it the
-orthogonal complement of the modules found so far, the eigenspaces it
-seeds from, and the rank check that certifies its sum direct.
+orthogonal complement K_r of the modules found so far, the eigenspaces
+it seeds from, and each layer's direct-sum check, which is a k x k
+system in K_r's coordinates, k = dim K_r.
+
+``int_product`` is the one exact integer matrix product.  It runs in
+float64 BLAS while every partial sum is an integer below 2^53, which
+float64 holds exactly, in int64 below 2^63, and over Python ints beyond.
+It forms the certificate M w = 0 below 2^63, where ``_annihilates``
+does not work modulo primes, the layer checks' Gram matrices,
+``decompose``'s combinations of kernel vectors and the idempotent images
+behind ``tmodules.dual_endpoint``.
 
 ``int_poly_rational_roots`` finds every rational root of an integer
 polynomial by p-adic lifting, and ``deflate`` divides one out.  The
@@ -74,33 +83,33 @@ class IntRowBasis:
     returning the vector's coordinates in the basis.
     """
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self.rows = {}  # pivot -> integer row
 
     def __len__(self):
         return len(self.rows)
 
-    def _insert(self, vec):
+    def _insert(self, vec, coeffs=None):
         """Substitute ``vec`` into the basis and insert its gcd-normalized
-        residual, if any.  Returns (pivoted, coeffs, row): vec = sum
-        coeffs[k] pivoted[k][1] over the (pivot, row) pairs of the basis,
-        each coefficient an integer (numerator, denominator) pair, and row
-        is the inserted row or None."""
+        residual, if any.  Returns (pivoted, row): the basis's (pivot, row)
+        pairs, the inserted one last, and the inserted row or None.  When
+        a list ``coeffs`` is given, it receives vec's coordinates on
+        pivoted, as integer (numerator, denominator) pairs."""
         pivoted = sorted(self.rows.items())
-        coeffs, v, den = _substitute(pivoted, vec)
+        v, den = _substitute(pivoted, vec, coeffs)
         row = ivec_normalize(v)
         if row is not None:
             pivot = next(i for i, x in enumerate(row) if x)
             self.rows[pivot] = row
             pivoted.append((pivot, row))
-            coeffs.append((v[pivot] // row[pivot], den))  # v = (v[pivot] / row[pivot]) row
-        return pivoted, coeffs, row
+            if coeffs is not None:
+                coeffs.append((v[pivot] // row[pivot], den))  # v = (v[pivot] / row[pivot]) row
+        return pivoted, row
 
     def add(self, vec):
         """Insert the residual of ``vec`` against the span.  Returns the
         inserted row or None when ``vec`` was already in the span."""
-        return self._insert(vec)[2]
+        return self._insert(vec)[1]
 
     def extend(self, vec):
         """Write ``vec`` in the basis, first inserting its residual when it
@@ -109,26 +118,27 @@ class IntRowBasis:
         with vec = sum coords[p] rows[p], and row is the inserted row, as
         ``add`` would insert it, or None when vec was already in the span.
         """
-        pivoted, coeffs, row = self._insert(vec)
+        coeffs = []
+        pivoted, row = self._insert(vec, coeffs)
         return {p: Fraction(*c) for (p, _), c in zip(pivoted, coeffs)}, row
 
     def basis(self):
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def _reduced_echelon(rows, width):
+def _reduced_echelon(rows):
     """The reduced echelon form of rows of ints or Fractions, kept
     fraction-free: pivot -> row, each row zero in every other row's pivot
     column and gcd-normalized with a positive pivot entry.  Divided by
     their pivot entries, they are the unique reduced row echelon form of
     the span.  Each echelon row is back-eliminated, from the last pivot
     up, against the rows already reduced (``_substitute``)."""
-    basis = IntRowBasis(width)
+    basis = IntRowBasis()
     for row in rows:
         basis.add(clear_denominators(row)[0])
     out = []  # (pivot, reduced row), descending
     for p, row in sorted(basis.rows.items(), reverse=True):
-        out.append((p, ivec_normalize(_substitute(reversed(out), row)[1])))
+        out.append((p, ivec_normalize(_substitute(reversed(out), row)[0])))
     return dict(out[::-1])
 
 
@@ -150,7 +160,7 @@ def _kernel(reduced, ncols):
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the matrix ``rows`` (ints or
     Fractions, ``ncols`` columns), read off its reduced echelon form."""
-    return _kernel(_reduced_echelon(rows, ncols), ncols)
+    return _kernel(_reduced_echelon(rows), ncols)
 
 
 def solve_affine(rows, rhs):
@@ -163,7 +173,7 @@ def solve_affine(rows, rhs):
     if not rows:
         raise ValueError("empty system needs an explicit column count")
     ncols = len(rows[0])
-    reduced = _reduced_echelon([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    reduced = _reduced_echelon([list(row) + [b] for row, b in zip(rows, rhs)])
     if ncols in reduced:
         return None
     particular = [Fraction(0)] * ncols
@@ -275,12 +285,13 @@ def _rational_vector(values, modulus):
 
 
 def _int_array(rows, ncols):
-    """An integer matrix as an int64 array, or as an object array of
-    Python ints when some entry does not fit int64."""
+    """An integer matrix, given as rows or as such an array, as an int64
+    array, or as an object array of Python ints when some entry does not
+    fit int64."""
     try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), ncols)
+        return np.asarray(rows, dtype=object).reshape(len(rows), ncols)
 
 
 def _residues(mat, p):
@@ -333,15 +344,41 @@ def _max_abs(a):
     return max(int(a.max()), -int(a.min()))
 
 
+def int_product(a, b):
+    """The exact product a b of two nonempty integer matrices, given as
+    rows or as ``_int_array`` arrays: an int64 array, or an object array
+    of Python ints when some entry may not fit int64.
+
+    No entry of a b, nor any partial sum of one, exceeds
+    B = ncols max|a| max|b| in size, and B picks the arithmetic.  Below
+    2^53 the product runs in float64 BLAS: every entry, product and
+    partial sum is an integer below 2^53, which float64 holds exactly, so
+    the result is exact in whatever order the BLAS adds.  Below 2^63 it
+    runs in int64, and otherwise, or when an entry does not fit int64,
+    over Python ints.
+    """
+    a, b = _int_array(a, len(a[0])), _int_array(b, len(b[0]))
+    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
+    if bound >= 2**63 or object in (a.dtype, b.dtype):
+        return a.astype(object) @ b.astype(object)
+    if bound < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b
+
+
 def _annihilates(mat, vectors):
     """Whether M w = 0 for every integer vector w, exactly, for M as
     ``_int_array`` holds it.  Each entry of M w is at most
-    B = ncols max|M| max|w| in size, so it is zero when it is zero modulo
-    primes whose product passes 2B."""
+    B = ncols max|M| max|w| in size.  Below 2^63 M w is formed exactly
+    (``int_product``); otherwise an entry is zero when it is zero modulo
+    primes whose product passes 2B, so huge vectors are never multiplied
+    over Python ints."""
     if not mat.size or not vectors:
         return True
     w = _int_array(vectors, mat.shape[1]).T
     bound = mat.shape[1] * _max_abs(mat) * _max_abs(w)
+    if bound < 2**63:
+        return not int_product(mat, w).any()
     return not any(
         _dot_mod(_residues(mat, p), _residues(w, p), p).any()
         for p in _large_primes(_primes_for(bound.bit_length() + 2))
@@ -416,25 +453,26 @@ def modular_kernel(rows, ncols):
         nprimes = min(2 * nprimes, cap)
 
 
-def _substitute(pivoted, target):
+def _substitute(pivoted, target, coeffs=None):
     """Fraction-free forward substitution of ``target`` against rows given
     as (pivot, row) pairs in increasing pivot order, each row zero before
     its pivot.
 
-    Returns (coeffs, v, den) with target = sum coeffs[k] rows[k] + v / den
-    and v zero at every pivot: the residual is an integer vector over a
-    common denominator, both are rescaled instead of divided, and each
-    coefficient is an integer (numerator, denominator) pair, so no
-    Fraction is built.  Every 16 rows the factor v and den share is
-    divided out, which keeps long chains small.
+    Returns (v, den), the residual over a common denominator: an integer
+    vector zero at every pivot with target = sum c_k rows[k] + v / den.
+    Both are rescaled instead of divided, and every 16 rows the factor
+    they share is divided out, which keeps long chains small.  When a
+    list ``coeffs`` is given, it receives each coefficient c_k as an
+    integer (numerator, denominator) pair, so no Fraction is built;
+    callers that keep only the residual pass none and build no pairs.
     """
     v = list(target)
     den = 1
-    coeffs = []
-    for p, row in pivoted:
+    for k, (p, row) in enumerate(pivoted, 1):
         a = v[p]
         if not a:
-            coeffs.append((0, 1))
+            if coeffs is not None:
+                coeffs.append((0, 1))
             continue
         b = row[p]
         g = gcd(a, b)
@@ -445,13 +483,14 @@ def _substitute(pivoted, target):
         else:
             v = [b * x - a * y for x, y in zip(v, row)]
             den *= b
-        coeffs.append((a, den))
-        if len(coeffs) % 16 == 0 and den > 1:
+        if coeffs is not None:
+            coeffs.append((a, den))
+        if k % 16 == 0 and den > 1:
             h = gcd(den, *v)
             if h > 1:
                 v = [x // h for x in v]
                 den //= h
-    return coeffs, v, den
+    return v, den
 
 
 def express(rows, target):
@@ -463,8 +502,8 @@ def express(rows, target):
     coefficients come out by forward substitution (``_substitute``).
     """
     pivoted = ((next(i for i, x in enumerate(row) if x), row) for row in rows)
-    coeffs, v, _ = _substitute(pivoted, target)
-    if any(v):
+    coeffs = []
+    if any(_substitute(pivoted, target, coeffs)[0]):
         return None
     return [Fraction(*c) for c in coeffs]
 
@@ -588,7 +627,7 @@ def krylov_relation(start, step):
     pivot columns of their echelon, so a d x d system there fixes the
     c_i; the relation is then checked on every coordinate.
     """
-    basis = IntRowBasis(len(start))
+    basis = IntRowBasis()
     basis.add(start)
     krylov = [start]
     while True:

@@ -14,7 +14,8 @@ endpoint slice is one-dimensional is irreducible as it stands and forms
 no commutant; a wider one is split by commutant elements, each piece
 projected off the pieces before it and checked invariant once.  The sum
 is direct inside an eigenspace and orthogonal across eigenspaces and
-endpoints, and one rank check per layer certifies it direct.  The
+endpoints, and one check per layer in K_r's coordinates certifies it
+direct (``_certify_layer``).  The
 decomposition is deterministic: eigenspaces come in ascending order of
 eigenvalue, their bases from reduced echelon forms, and the splitting
 elements are drawn from the commutant with a fixed seed.
@@ -41,6 +42,7 @@ from .exactla import (
     IntRowBasis,
     clear_denominators,
     int_poly_rational_roots,
+    int_product,
     ivec_normalize,
     krylov_relation,
     minimal_polynomial,
@@ -163,7 +165,7 @@ def _closure(split, algebra, rows):
     invariant as built.
     """
     gens = _generators(algebra)
-    slices = {i: IntRowBasis(size) for i, size in enumerate(split.layer_sizes())}
+    slices = {i: IntRowBasis() for i in range(split.eccentricity + 1)}
     work = []
     for layer, vecs in sorted(rows.items()):
         for vec in vecs:
@@ -259,7 +261,7 @@ def _commutant(slices, actions):
 def _kernel_slice(rows, mat):
     """The part of a layer slice that the kernel of ``mat`` picks out: each
     kernel vector, cleared of denominators, combines the slice's rows."""
-    basis = IntRowBasis(len(rows[0]))
+    basis = IntRowBasis()
     for vec in _combine([clear_denominators(v)[0] for v in nullspace(mat, len(rows))], rows):
         basis.add(vec)
     return basis.basis()
@@ -272,12 +274,14 @@ def _poly_eval_matrix(coeffs, mat):
     den^d p(N / den) = sum c_k den^(d-k) N^k."""
     n = len(mat)
     flat, den = clear_denominators([x for row in mat for x in row])
-    scaled, eye = np.array(flat, dtype=object).reshape(n, n), np.eye(n, dtype=object)
-    out = np.zeros((n, n), dtype=object)
+    scaled = [flat[i : i + n] for i in range(0, n * n, n)]
+    out = [[0] * n for _ in range(n)]
     d = len(coeffs) - 1
     for k in range(d, -1, -1):
-        out = out @ scaled + coeffs[k] * den ** (d - k) * eye
-    return out.tolist()
+        out = int_product(out, scaled).tolist()
+        for i in range(n):
+            out[i][i] += coeffs[k] * den ** (d - k)
+    return out
 
 
 def _split_candidates(comm_basis, rng, rounds):
@@ -395,7 +399,7 @@ def _orthogonalize(slices, siblings):
         if not sib_slices:
             out[layer] = [list(r) for r in rows]
             continue
-        basis = IntRowBasis(len(rows[0]))
+        basis = IntRowBasis()
         for vec in rows:
             for sib in sib_slices:
                 vec = _project_off(vec, sib)
@@ -438,19 +442,29 @@ def _seed_operator(split, algebra, r):
     return lambda vec: split.apply_L(r + 1, split.apply_R(r, vec))
 
 
-def _product(a, b):
-    """The integer matrix product a b of two nonempty integer matrices,
-    in int64 when no sum can leave that range."""
-    a, b = np.array(a, dtype=object), np.array(b, dtype=object)
-    if a.shape[1] * max(a.max(), -a.min()) * max(b.max(), -b.min()) < 2**63:
-        a, b = a.astype(np.int64), b.astype(np.int64)
-    return (a @ b).tolist()
-
-
 def _combine(coords, basis):
     """The gcd-normalized integer vectors sum_j c_j basis[j], one per
     coordinate vector c."""
-    return [ivec_normalize(v) for v in _product(coords, basis)] if coords else []
+    return [ivec_normalize(v) for v in int_product(coords, basis).tolist()] if coords else []
+
+
+def _certify_layer(r, width, lower, new, kernel):
+    """Raise unless the layer-r slices ``lower`` of the modules with lower
+    endpoints and ``new`` of those with endpoint r form a basis of it.
+
+    ``kernel`` is ``modular_kernel(lower, width)``, K_r's (free, basis B).
+    Modulo a prime a rank can only drop, and B is certified independent,
+    so |free| = width - rank(lower): len(lower) + |free| = width makes
+    the lower slices independent.  The map v -> B v has kernel
+    rowspace(lower), so with len(new) = |free| = k, the new slices
+    complete the lower ones to a basis exactly when the k x k matrix
+    new B^T is nonsingular, whether or not they lie in K_r.
+    """
+    free, basis = kernel
+    if len(lower) + len(free) != width or len(new) != len(free) or (
+        new and modular_kernel(int_product(new, list(zip(*basis))).tolist(), len(new))[1]
+    ):
+        raise ExactnessError(f"the module slices of layer {r} are not a basis of it")
 
 
 def _refine_seed(split, algebra, r, free, basis):
@@ -534,9 +548,11 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     part is empty, and the first one is kept only if its seed was
     orthogonal to them; the orthogonal complement of a module is a
     module.  Modules from different eigenspaces or endpoints are
-    orthogonal.  After each layer, one rank check certifies the sum
-    direct: the layer's module slices number as many as its vertices and
-    have full rank.  With ``max_endpoint`` set, only modules with endpoint
+    orthogonal.  After each layer, ``_certify_layer`` certifies the sum
+    direct in K_r's coordinates, at the cost of a k x k system for
+    k = dim K_r: K_r's kernel already shows the lower slices independent,
+    and the Gram matrix of the new endpoint slices against K_r's basis is
+    nonsingular.  With ``max_endpoint`` set, only modules with endpoint
     up to that bound are extracted (the remainder is ignored), which is
     enough for endpoint-one diagnostics.
     """
@@ -547,14 +563,15 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     descriptors = []
     last = dp.eccentricity if max_endpoint is None else min(max_endpoint, dp.eccentricity)
     for r in range(last + 1):
-        free, basis = _orthogonal_seed(sizes[r], [v for d in descriptors for v in d.slices.get(r, [])])
+        lower, start = [v for d in descriptors for v in d.slices.get(r, [])], len(descriptors)
+        free, basis = _orthogonal_seed(sizes[r], lower)
         found, wide = [], False  # the layer's endpoint slices; whether a closure had several
         for group in _refine_seed(split, algebra, r, free, basis):
             pending = list(group)
             while True:
                 if wide:
                     # the part of the group orthogonal to every module found
-                    orth = modular_kernel(_product(found, list(zip(*group))), len(group))[1]
+                    orth = modular_kernel(int_product(found, list(zip(*group))).tolist(), len(group))[1]
                     pending = _combine(orth[:1], group)
                 if not pending:
                     break
@@ -589,9 +606,8 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                         )
                     )
                 found.extend(ends)
-        rows = [v for d in descriptors for v in d.slices.get(r, [])]
-        if len(rows) != sizes[r] or modular_kernel(rows, sizes[r])[1]:
-            raise ExactnessError(f"the module slices of layer {r} are not a basis of it")
+        new = [v for d in descriptors[start:] for v in d.slices[r]]
+        _certify_layer(r, sizes[r], lower, new, (free, basis))
     return descriptors
 
 
@@ -601,20 +617,12 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
 
 def _idempotent_images(mod, row, layer):
     """Columns M w for the layer-``layer`` slice basis w of ``mod``, where
-    M = sum_h row[h] A_h for an integer coefficient row.
-
-    Exact: the product runs in int64 when no sum can leave that range,
-    and over Python ints otherwise."""
+    M = sum_h row[h] A_h for an integer coefficient row, formed exactly
+    (``int_product``)."""
     split = mod.split
-    vectors = mod.slices[layer]
     cols = split.g.distance_matrix()[:, split.dp.layers[layer]]
-    bound = (
-        max(abs(c) for c in row)
-        * cols.shape[1]
-        * max(abs(x) for vec in vectors for x in vec)
-    )
-    dtype = np.int64 if bound < 2**63 else object
-    return np.array(row, dtype=dtype)[cols] @ np.array(vectors, dtype=dtype).T
+    coeffs = np.array(row, dtype=np.int64 if max(map(abs, row)) < 2**63 else object)
+    return int_product(coeffs[cols], list(zip(*mod.slices[layer])))
 
 
 def dual_endpoint(mod, spec):

@@ -472,7 +472,7 @@ def non_thin_diagnostic(modules):
             lr2w = split.apply_L(3, split.apply_R(2, rw))
         else:
             lr2w = [0] * len(rw)
-        basis = IntRowBasis(len(rw))
+        basis = IntRowBasis()
         independent = basis.add(rw) is not None and basis.add(lr2w) is not None
         report = {
             "module_dim": mod.dim,

@@ -858,7 +858,7 @@ def module_coords_to_slices(slices, vectors):
             if any(part):
                 ambient = [sum(c * row[k] for c, row in zip(part, rows)) for k in range(len(rows[0]))]
                 den = lcm(*(x.denominator for x in ambient))
-                out.setdefault(layer, IntRowBasis(len(ambient))).add([int(x * den) for x in ambient])
+                out.setdefault(layer, IntRowBasis()).add([int(x * den) for x in ambient])
     return {i: b.basis() for i, b in sorted(out.items())}
 
 

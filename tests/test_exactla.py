@@ -22,6 +22,7 @@ from drguniform.exactla import (
     deflate,
     express,
     int_poly_rational_roots,
+    int_product,
     minimal_polynomial,
     modular_kernel,
     nullspace,
@@ -45,8 +46,8 @@ fracs = st.fractions(
 
 @given(st.lists(st.lists(fracs, min_size=3, max_size=3), min_size=1, max_size=5))
 def test_rref_idempotent(rows):
-    reduced = _reduced_echelon(rows, 3)
-    assert _reduced_echelon(list(reduced.values()), 3) == reduced
+    reduced = _reduced_echelon(rows)
+    assert _reduced_echelon(list(reduced.values())) == reduced
     red, pivots = rref(rows)
     assert list(reduced) == pivots
     assert [[Fraction(x, row[p]) for x in row] for p, row in reduced.items()] == red
@@ -280,7 +281,7 @@ def test_minimal_polynomial_matches_fraction_oracle(m):
 
 
 def test_int_row_basis():
-    basis = IntRowBasis(3)
+    basis = IntRowBasis()
     assert basis.add([2, 4, 6]) == [1, 2, 3]
     assert basis.add([1, 2, 3]) is None
     assert basis.add([0, 0, 5]) == [0, 0, 1]
@@ -302,7 +303,7 @@ def spans(draw):
 @settings(max_examples=150)
 def test_express_matches_fraction_oracle(case):
     width, vectors, combo, extra = case
-    basis = IntRowBasis(width)
+    basis = IntRowBasis()
     for v in vectors:
         basis.add(v)
     rows = basis.basis()
@@ -323,7 +324,7 @@ def test_add_and_extend_insert_the_same_rows(case):
     # add and extend share one substitution: on twin bases they insert the
     # same rows, and extend's coordinates rebuild each vector exactly
     width, vectors, combo, extra = case
-    added, extended = IntRowBasis(width), IntRowBasis(width)
+    added, extended = IntRowBasis(), IntRowBasis()
     inside = [sum(c * v[j] for c, v in zip(combo, vectors)) for j in range(width)]
     for vec in vectors + [inside, extra]:
         row = added.add(vec)
@@ -372,7 +373,7 @@ def _check_kernel(rows, width):
     # the complement of the rows, computed modulo primes, is the exact
     # nullspace, each vector over its least denominator
     free, basis = modular_kernel(rows, width)
-    assert free == sorted(set(range(width)) - set(_reduced_echelon(rows, width)))
+    assert free == sorted(set(range(width)) - set(_reduced_echelon(rows)))
     assert _as_fractions(free, basis) == nullspace(rows, width)
     for f, w in zip(free, basis):
         assert all(type(x) is int for x in w) and w[f] > 0 and gcd(*w) == 1
@@ -478,6 +479,55 @@ def test_modular_complement_certificate(monkeypatch):
     monkeypatch.setattr(exactla, "_lift", corrupted)
     with pytest.raises(ExactnessError, match="Hadamard cap"):
         modular_kernel([[3, 5, 7], [1, -2, 4]], 3)
+
+
+def _python_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def int_matrix_pairs(draw):
+    """Integer matrices a and b with a b defined, of up to about 40 bits
+    each, so the bound ncols max|a| max|b| falls on every side of 2^53
+    and 2^63."""
+    m, n, k = (draw(st.integers(1, 8)) for _ in range(3))
+
+    def matrix(rows, cols):
+        bits = draw(st.integers(0, 40))
+        entry = st.integers(-(2**bits), 2**bits)
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    return matrix(m, n), matrix(n, k)
+
+
+@given(int_matrix_pairs())
+@settings(max_examples=200, deadline=None)
+def test_int_product_matches_python_ints(case):
+    a, b = case
+    assert int_product(a, b).tolist() == _python_product(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, dtype",
+    [
+        # bound (2^26 + 1)^2 < 2^53: float64 BLAS, and the odd sum is exact
+        ([[2**26 + 1]], [[2**26 + 1]], np.int64),
+        ([[2**25 + 1, 2**25 + 1]], [[2**26 + 1], [2**26 + 1]], np.int64),
+        # past 2^53, where float64 would round the odd sum to even
+        ([[2**27 + 1]], [[2**26 + 1]], np.int64),
+        ([[2**26 + 1, 2**26 + 1]], [[2**26 + 1], [2**26 + 1]], np.int64),
+        # past 2^63: entries fit int64 but the sum does not
+        ([[2**62, 2**62]], [[1], [1]], object),
+        ([[2**32 + 1]], [[-(2**31) - 1]], object),
+        ([[2**70, -1]], [[1], [2**70]], object),
+        # an entry past float64's range, times zero
+        ([[2**1100]], [[0]], object),
+    ],
+)
+def test_int_product_on_both_sides_of_the_float_and_int64_bounds(a, b, dtype):
+    out = int_product(a, b)
+    assert out.dtype == dtype
+    assert out.tolist() == _python_product(a, b)
 
 
 @st.composite

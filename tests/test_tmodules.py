@@ -26,7 +26,7 @@ from drguniform import (
 )
 from drguniform import bfs_layers, families, tmodules
 from drguniform.errors import ExactnessError
-from drguniform.exactla import IntRowBasis, minimal_polynomial
+from drguniform.exactla import IntRowBasis, minimal_polynomial, modular_kernel
 from drguniform.graph_core import Graph
 from drguniform.terwilliger import LFRSplit, lfr_split
 from drguniform.tmodules import INFINITY, group_modules
@@ -99,7 +99,7 @@ def _endpoint_eigenvalue(mod):
 def _check_direct_sum(mods):
     # every layer's slices are a basis of it
     for layer, size in enumerate(mods[0].split.layer_sizes()):
-        basis = IntRowBasis(size)
+        basis = IntRowBasis()
         rows = [v for m in mods for v in m.slice_basis(layer)]
         assert len(rows) == size and all(basis.add(v) is not None for v in rows)
 
@@ -389,11 +389,37 @@ def test_any_graph_decomposes_as_a_direct_sum(case, algebra):
 
 def test_a_sum_that_is_not_direct_is_refused(h33, monkeypatch):
     # seeding every eigenspace twice finds each of its modules twice, and
-    # the rank check of the first such layer refuses the sum
+    # the layer check of the first such layer refuses the sum
     refine = tmodules._refine_seed
     monkeypatch.setattr(tmodules, "_refine_seed", lambda *args: [g for g in refine(*args) for _ in (0, 1)])
     with pytest.raises(ExactnessError, match="slices of layer 0 are not a basis"):
         decompose(h33, 0, "T")
+
+
+@pytest.mark.parametrize(
+    "width, lower, new, direct",
+    [
+        # K_r is spanned by (-1, 1), so new[:, free] = [[1]] is nonsingular,
+        # yet the new slice is the lower one: the Gram matrix is [[0]]
+        (2, [[1, 1]], [[1, 1]], False),
+        # a duplicated lower slice: rank 1, so |free| = 2 and 2 + 2 != 3
+        (3, [[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]], False),
+        (2, [[1, 1]], [], False),
+        (2, [[1, 1]], [[1, -1], [1, 0]], False),
+        (2, [[1, 1]], [[1, -1]], True),
+        # a new slice outside K_r that completes the lower ones
+        (2, [[1, 1]], [[1, 0]], True),
+        (2, [], [[1, 2], [3, 4]], True),
+        (2, [[1, 2], [3, 4]], [], True),
+    ],
+)
+def test_layer_check(width, lower, new, direct):
+    kernel = modular_kernel(lower, width)
+    if direct:
+        tmodules._certify_layer(1, width, lower, new, kernel)
+    else:
+        with pytest.raises(ExactnessError, match="slices of layer 1 are not a basis"):
+            tmodules._certify_layer(1, width, lower, new, kernel)
 
 
 def _counted_commutants(monkeypatch):

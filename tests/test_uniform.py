@@ -573,7 +573,7 @@ def test_non_thin_diagnostic_reads_the_modules_split(her23, monkeypatch):
     expected = []
     for mod in (m for m in mods if m.endpoint == 1):
         rw = split.apply_R(1, mod.slice_basis(1)[0])
-        basis = IntRowBasis(len(rw))
+        basis = IntRowBasis()
         independent = [basis.add(v) is not None for v in (rw, split.apply_L(3, split.apply_R(2, rw)))]
         expected.append(
             {"module_dim": mod.dim, "slice_dims": mod.slice_dims(), "rw_lr2w_independent": all(independent)}
