@@ -24,16 +24,15 @@ a reduced echelon form modulo each of a few primes below 2^26 in numpy
 int64, combined by Chinese remaindering and rational reconstruction, and
 certified exactly by M w = 0.  ``tmodules.decompose`` takes from it the
 orthogonal complement K_r of the modules found so far, the eigenspaces
-it seeds from, and each layer's direct-sum check, which is a k x k
-system in K_r's coordinates, k = dim K_r.
+it seeds from, and each layer's direct-sum check: a k x k system in K_r's
+coordinates, k = dim K_r, whose matrix ``kernel_gram`` forms from the
+kernel basis's pivot columns.
 
-``int_product`` is the one exact integer matrix product.  It runs in
-float64 BLAS while every partial sum is an integer below 2^53, which
-float64 holds exactly, in int64 below 2^63, and over Python ints beyond.
-It forms the certificate M w = 0 below 2^63, where ``_annihilates``
-does not work modulo primes, the layer checks' Gram matrices,
-``decompose``'s combinations of kernel vectors and the idempotent images
-behind ``tmodules.dual_endpoint``.
+``int_product`` is the one exact integer matrix product: in int64 while
+no partial sum can leave that range, over Python ints beyond.  It serves
+``kernel_gram``, ``decompose``'s combinations of kernel vectors, the
+idempotent images behind ``tmodules.dual_endpoint`` and the matrix
+polynomials that split modules.
 
 ``int_poly_rational_roots`` finds every rational root of an integer
 polynomial by p-adic lifting, and ``deflate`` divides one out.  The
@@ -346,39 +345,24 @@ def _max_abs(a):
 
 def int_product(a, b):
     """The exact product a b of two nonempty integer matrices, given as
-    rows or as ``_int_array`` arrays: an int64 array, or an object array
-    of Python ints when some entry may not fit int64.
-
-    No entry of a b, nor any partial sum of one, exceeds
-    B = ncols max|a| max|b| in size, and B picks the arithmetic.  Below
-    2^53 the product runs in float64 BLAS: every entry, product and
-    partial sum is an integer below 2^53, which float64 holds exactly, so
-    the result is exact in whatever order the BLAS adds.  Below 2^63 it
-    runs in int64, and otherwise, or when an entry does not fit int64,
-    over Python ints.
-    """
+    rows or as ``_int_array`` arrays: in int64 when no partial sum can
+    exceed int64, which ncols max|a| max|b| < 2^63 shows, and over Python
+    ints otherwise."""
     a, b = _int_array(a, len(a[0])), _int_array(b, len(b[0]))
-    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    if bound >= 2**63 or object in (a.dtype, b.dtype):
+    if object in (a.dtype, b.dtype) or a.shape[1] * _max_abs(a) * _max_abs(b) >= 2**63:
         return a.astype(object) @ b.astype(object)
-    if bound < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a @ b
 
 
 def _annihilates(mat, vectors):
     """Whether M w = 0 for every integer vector w, exactly, for M as
     ``_int_array`` holds it.  Each entry of M w is at most
-    B = ncols max|M| max|w| in size.  Below 2^63 M w is formed exactly
-    (``int_product``); otherwise an entry is zero when it is zero modulo
-    primes whose product passes 2B, so huge vectors are never multiplied
-    over Python ints."""
+    B = ncols max|M| max|w| in size, so it is zero when it is zero modulo
+    primes whose product passes 2B."""
     if not mat.size or not vectors:
         return True
     w = _int_array(vectors, mat.shape[1]).T
     bound = mat.shape[1] * _max_abs(mat) * _max_abs(w)
-    if bound < 2**63:
-        return not int_product(mat, w).any()
     return not any(
         _dot_mod(_residues(mat, p), _residues(w, p), p).any()
         for p in _large_primes(_primes_for(bound.bit_length() + 2))
@@ -451,6 +435,20 @@ def modular_kernel(rows, ncols):
         if nprimes >= cap:
             raise ExactnessError(f"no kernel certified under {nprimes} primes, the Hadamard cap")
         nprimes = min(2 * nprimes, cap)
+
+
+def kernel_gram(rows, kernel, ncols):
+    """The integer matrix rows B^T, exactly, for a ``modular_kernel``
+    result (free, B).  On the free columns, row j of B is d_j at f_j and
+    zero elsewhere, so rows B^T is rows' free columns, column j scaled by
+    d_j, plus a product over the pivot columns only."""
+    free, basis = kernel
+    a, b = np.array(rows, dtype=object), np.array(basis, dtype=object)
+    gram = a[:, free] * b[range(len(free)), free]
+    pivots = sorted(set(range(ncols)) - set(free))
+    if pivots:
+        gram += int_product(a[:, pivots], b[:, pivots].T)
+    return gram.tolist()
 
 
 def _substitute(pivoted, target, coeffs=None):

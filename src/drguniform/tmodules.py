@@ -14,11 +14,13 @@ endpoint slice is one-dimensional is irreducible as it stands and forms
 no commutant; a wider one is split by commutant elements, each piece
 projected off the pieces before it and checked invariant once.  The sum
 is direct inside an eigenspace and orthogonal across eigenspaces and
-endpoints, and one check per layer in K_r's coordinates certifies it
-direct (``_certify_layer``).  The
-decomposition is deterministic: eigenspaces come in ascending order of
-eigenvalue, their bases from reduced echelon forms, and the splitting
-elements are drawn from the commutant with a fixed seed.
+endpoints, and one check per layer certifies it direct: with K_r the
+complement at layer r, the slices of the modules with endpoint r must
+give a nonsingular k x k matrix in K_r's coordinates, k = dim K_r
+(``_certify_layer``).  The decomposition is deterministic: eigenspaces
+come in ascending order of eigenvalue, their bases from reduced echelon
+forms, and the splitting elements are drawn from the commutant with a
+fixed seed.
 
 Also here: the local-eigenvalue map, the tightness test, standard bases,
 ladder scalars with the isomorphism ratio criterion, an endpoint-one
@@ -44,6 +46,7 @@ from .exactla import (
     int_poly_rational_roots,
     int_product,
     ivec_normalize,
+    kernel_gram,
     krylov_relation,
     minimal_polynomial,
     modular_kernel,
@@ -274,14 +277,13 @@ def _poly_eval_matrix(coeffs, mat):
     den^d p(N / den) = sum c_k den^(d-k) N^k."""
     n = len(mat)
     flat, den = clear_denominators([x for row in mat for x in row])
-    scaled = [flat[i : i + n] for i in range(0, n * n, n)]
-    out = [[0] * n for _ in range(n)]
+    scaled = np.array(flat, dtype=object).reshape(n, n)
     d = len(coeffs) - 1
-    for k in range(d, -1, -1):
-        out = int_product(out, scaled).tolist()
-        for i in range(n):
-            out[i][i] += coeffs[k] * den ** (d - k)
-    return out
+    out = coeffs[d] * np.eye(n, dtype=object)
+    for k in range(d - 1, -1, -1):
+        out = int_product(out, scaled).astype(object)
+        out.flat[:: n + 1] += coeffs[k] * den ** (d - k)
+    return out.tolist()
 
 
 def _split_candidates(comm_basis, rng, rounds):
@@ -459,10 +461,12 @@ def _certify_layer(r, width, lower, new, kernel):
     rowspace(lower), so with len(new) = |free| = k, the new slices
     complete the lower ones to a basis exactly when the k x k matrix
     new B^T is nonsingular, whether or not they lie in K_r.
+    ``kernel_gram`` forms it with a product over the width - k pivot
+    columns only.
     """
-    free, basis = kernel
+    free, _ = kernel
     if len(lower) + len(free) != width or len(new) != len(free) or (
-        new and modular_kernel(int_product(new, list(zip(*basis))).tolist(), len(new))[1]
+        new and modular_kernel(kernel_gram(new, kernel, width), len(new))[1]
     ):
         raise ExactnessError(f"the module slices of layer {r} are not a basis of it")
 
@@ -551,10 +555,10 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     orthogonal.  After each layer, ``_certify_layer`` certifies the sum
     direct in K_r's coordinates, at the cost of a k x k system for
     k = dim K_r: K_r's kernel already shows the lower slices independent,
-    and the Gram matrix of the new endpoint slices against K_r's basis is
-    nonsingular.  With ``max_endpoint`` set, only modules with endpoint
-    up to that bound are extracted (the remainder is ignored), which is
-    enough for endpoint-one diagnostics.
+    and the Gram matrix of the new endpoint slices against K_r's basis
+    must be nonsingular.  With ``max_endpoint`` set, only modules with
+    endpoint up to that bound are extracted (the remainder is ignored),
+    which is enough for endpoint-one diagnostics.
     """
     dp = bfs_layers(g, x)
     split = lfr_split(g, dp)
@@ -616,13 +620,15 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
 
 
 def _idempotent_images(mod, row, layer):
-    """Columns M w for the layer-``layer`` slice basis w of ``mod``, where
-    M = sum_h row[h] A_h for an integer coefficient row, formed exactly
-    (``int_product``)."""
+    """The vectors M w, as rows, for the layer-``layer`` slice basis w of
+    ``mod``, where M = sum_h row[h] A_h for an integer coefficient row,
+    formed exactly (``int_product``).  M is symmetric, so its columns at
+    the layer's vertices are its rows there, read from whole rows of the
+    distance matrix."""
     split = mod.split
-    cols = split.g.distance_matrix()[:, split.dp.layers[layer]]
+    dist = split.g.distance_matrix()[list(split.dp.layers[layer])]
     coeffs = np.array(row, dtype=np.int64 if max(map(abs, row)) < 2**63 else object)
-    return int_product(coeffs[cols], list(zip(*mod.slices[layer])))
+    return int_product(mod.slices[layer], coeffs[dist])
 
 
 def dual_endpoint(mod, spec):
@@ -655,10 +661,10 @@ def standard_basis(mod, spec):
     # den E_t w for the first basis vector w, in layer order, it does not kill
     v = next(
         (
-            col.tolist()
+            image.tolist()
             for layer in mod.layers()
-            for col in _idempotent_images(mod, row, layer).T
-            if np.count_nonzero(col)
+            for image in _idempotent_images(mod, row, layer)
+            if np.count_nonzero(image)
         ),
         None,
     )

@@ -23,6 +23,7 @@ from drguniform.exactla import (
     express,
     int_poly_rational_roots,
     int_product,
+    kernel_gram,
     minimal_polynomial,
     modular_kernel,
     nullspace,
@@ -488,8 +489,7 @@ def _python_product(a, b):
 @st.composite
 def int_matrix_pairs(draw):
     """Integer matrices a and b with a b defined, of up to about 40 bits
-    each, so the bound ncols max|a| max|b| falls on every side of 2^53
-    and 2^63."""
+    each, so the bound ncols max|a| max|b| falls on both sides of 2^63."""
     m, n, k = (draw(st.integers(1, 8)) for _ in range(3))
 
     def matrix(rows, cols):
@@ -510,10 +510,9 @@ def test_int_product_matches_python_ints(case):
 @pytest.mark.parametrize(
     "a, b, dtype",
     [
-        # bound (2^26 + 1)^2 < 2^53: float64 BLAS, and the odd sum is exact
+        # odd sums on both sides of 2^53, which float64 would round to even
         ([[2**26 + 1]], [[2**26 + 1]], np.int64),
         ([[2**25 + 1, 2**25 + 1]], [[2**26 + 1], [2**26 + 1]], np.int64),
-        # past 2^53, where float64 would round the odd sum to even
         ([[2**27 + 1]], [[2**26 + 1]], np.int64),
         ([[2**26 + 1, 2**26 + 1]], [[2**26 + 1], [2**26 + 1]], np.int64),
         # past 2^63: entries fit int64 but the sum does not
@@ -524,10 +523,24 @@ def test_int_product_matches_python_ints(case):
         ([[2**1100]], [[0]], object),
     ],
 )
-def test_int_product_on_both_sides_of_the_float_and_int64_bounds(a, b, dtype):
+def test_int_product_on_both_sides_of_the_int64_bound(a, b, dtype):
     out = int_product(a, b)
     assert out.dtype == dtype
     assert out.tolist() == _python_product(a, b)
+
+
+@given(row_sets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_gram_is_the_product_with_the_kernel_basis(case, data):
+    # rows B^T from B's diagonal free block and its pivot columns is the
+    # whole product, for small rows and rows past int64
+    width, rows = case
+    free, basis = modular_kernel(rows, width)
+    bits = data.draw(st.sampled_from([3, 40, 70]))
+    entry = st.integers(-(2**bits), 2**bits)
+    probe = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=4))
+    if free:
+        assert kernel_gram(probe, (free, basis), width) == _python_product(probe, list(zip(*basis)))
 
 
 @st.composite
