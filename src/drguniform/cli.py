@@ -9,7 +9,7 @@ standard error:
   or parsed, a graph with no vertices, a base vertex outside the graph,
   a family tag given the wrong number of parameters, or a configuration
   file or value that is unreadable, not a JSON object, names an unknown
-  field or fails validation
+  field or fails validation, or an output path that cannot be written
 - 3 budget exceeded: a family build, or the vertex count in a graph
   file's header, above the vertex budget
 - 4 expectation mismatch in a reproduction suite
@@ -88,11 +88,18 @@ def _check_base(g, base):
         raise ParseError(f"base vertex {base} is not a vertex of the {g.n}-vertex graph")
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _emit(payload, output):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -103,8 +110,7 @@ def cmd_family(args):
     spec = FamilySpec(tag=args.tag, params=params)
     g = build_family(spec, budget=cfg.vertex_budget)
     out = args.out or f"{args.tag}.edges"
-    with open(out, "w") as fh:
-        fh.write(write_edge_list(g))
+    _write(out, write_edge_list(g))
     sidecar = {
         "spec": spec.as_dict(),
         "n": g.n,
@@ -137,8 +143,7 @@ def cmd_flatten(args):
     _check_base(g, args.base)
     fl = flatten(g, args.base)
     out = args.out or (args.graph + ".flat")
-    with open(out, "w") as fh:
-        fh.write(write_edge_list(fl.graph))
+    _write(out, write_edge_list(fl.graph))
     dp = bfs_layers(fl.graph, args.base)
     even = sum(len(l) for i, l in enumerate(dp.layers) if i % 2 == 0)
     payload = {

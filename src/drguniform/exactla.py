@@ -22,17 +22,20 @@ eliminates in Python ints goes through it:
 ``modular_kernel`` is the one modular elimination, for the wide kernels:
 a reduced echelon form modulo each of a few primes below 2^26 in numpy
 int64, combined by Chinese remaindering and rational reconstruction, and
-certified exactly by M w = 0.  ``tmodules.decompose`` takes from it the
-orthogonal complement K_r of the modules found so far, the eigenspaces
-it seeds from, and each layer's direct-sum check: a k x k system in K_r's
-coordinates, k = dim K_r, whose matrix ``kernel_gram`` forms from the
-kernel basis's pivot columns.
+certified exactly by M w = 0 (``_annihilates``).  ``tmodules.decompose``
+takes from it the orthogonal complement K_r of the modules found so far,
+the eigenspaces it seeds from, and each layer's direct-sum check: a
+k x k system in K_r's coordinates, k = dim K_r, whose matrix
+``kernel_gram`` forms from the kernel basis's pivot columns.
 
 ``int_product`` is the one exact integer matrix product: in int64 while
 no partial sum can leave that range, over Python ints beyond.  It serves
-``kernel_gram``, ``decompose``'s combinations of kernel vectors, the
-idempotent images behind ``tmodules.dual_endpoint`` and the matrix
-polynomials that split modules.
+``_annihilates``, ``kernel_gram``, ``krylov_relation``'s check of the
+relation and ``minimal_polynomial``'s matrix powers, and in ``tmodules``
+every dense integer product: ``decompose``'s combinations of kernel
+vectors and its orthogonality tests, the Gram matrices of ``_refine_seed``
+and ``_project_off``, the idempotent images behind ``dual_endpoint`` and
+the matrix polynomials that split modules.
 
 ``int_poly_rational_roots`` finds every rational root of an integer
 polynomial by p-adic lifting, and ``deflate`` divides one out.  The
@@ -43,7 +46,6 @@ blocks and module actions are vectorized, not for large-scale numerics.
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
-from operator import mul
 
 import numpy as np
 
@@ -182,8 +184,6 @@ def solve_affine(rows, rhs):
 
 
 _PRIME_BITS = 26  # the moduli are the largest primes below 2^26
-_CHUNK = 1024  # int64 partial sums of 1024 products below 2^52 stay below 2^62
-
 
 _PRIMES = []  # the largest primes below 2^26 found so far, descending
 
@@ -328,15 +328,6 @@ def _echelon_mod(mat, p):
     return pivots, a[: len(pivots)] % p
 
 
-def _dot_mod(a, b, p):
-    """a @ b modulo p for int64 matrices with entries in [0, p)."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], _CHUNK):
-        out += a[:, s : s + _CHUNK] @ b[s : s + _CHUNK]
-        out %= p
-    return out
-
-
 def _max_abs(a):
     """The largest absolute entry of a nonempty ``_int_array`` matrix, as
     a Python int."""
@@ -355,18 +346,11 @@ def int_product(a, b):
 
 
 def _annihilates(mat, vectors):
-    """Whether M w = 0 for every integer vector w, exactly, for M as
-    ``_int_array`` holds it.  Each entry of M w is at most
-    B = ncols max|M| max|w| in size, so it is zero when it is zero modulo
-    primes whose product passes 2B."""
+    """Whether M w = 0 for every integer vector w, exactly
+    (``int_product``), for M as ``_int_array`` holds it."""
     if not mat.size or not vectors:
         return True
-    w = _int_array(vectors, mat.shape[1]).T
-    bound = mat.shape[1] * _max_abs(mat) * _max_abs(w)
-    return not any(
-        _dot_mod(_residues(mat, p), _residues(w, p), p).any()
-        for p in _large_primes(_primes_for(bound.bit_length() + 2))
-    )
+    return not int_product(mat, _int_array(vectors, mat.shape[1]).T).any()
 
 
 def _lift(values, modulus, pivots, free, ncols):
@@ -638,11 +622,7 @@ def krylov_relation(start, step):
     if sol is None:
         raise ExactnessError("Krylov vectors are dependent on their pivot columns")
     coeffs, _ = clear_denominators([-x for x in sol[0]] + [1])
-    check = [0] * len(start)
-    for c, v in zip(coeffs, krylov + [nxt]):
-        if c:
-            check = [a + c * b for a, b in zip(check, v)]
-    if any(check):
+    if int_product([coeffs], krylov + [nxt]).any():
         raise ExactnessError("the Krylov relation fails off the pivot columns")
     return coeffs, krylov
 
@@ -654,10 +634,10 @@ def minimal_polynomial(mat):
     polynomial with positive leading coefficient."""
     n = len(mat)
     flat, den = clear_denominators([x for row in mat for x in row])
-    cols = [flat[j::n] for j in range(n)]
+    scaled = [flat[i : i + n] for i in range(0, n * n, n)]
 
     def times_n(v):  # the flattened product V N
-        return [sum(map(mul, v[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
+        return int_product([v[i : i + n] for i in range(0, n * n, n)], scaled).ravel().tolist()
 
     coeffs, _ = krylov_relation([int(i == j) for i in range(n) for j in range(n)], times_n)
     # p(N) = 0 for N = den M gives sum c_i den^i M^i = 0

@@ -12,6 +12,7 @@ everything derived from the eigenmatrix raises IrrationalSpectrum.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
 
@@ -518,6 +519,14 @@ class SpectralData:
             [Fraction(self.multiplicities[i], n) * P[i][h] / k[h] for h in range(self.D + 1)]
             for i in range(self.D + 1)
         ]
+
+    @cached_property
+    def idempotent_rows(self):
+        """Row i is den_i e[i], the idempotent coefficients cleared of their
+        denominators, so sum_h row[h] A_h = den_i E_i; one integer matrix
+        (int64 where it fits), computed once per spectrum."""
+        rows = [exactla.clear_denominators(e)[0] for e in self.idempotent_coefficients()]
+        return exactla._int_array(rows, self.D + 1)
 
 
 def _distance_polynomial_values(ia, theta):

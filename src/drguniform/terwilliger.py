@@ -34,10 +34,10 @@ class LFRSplit:
 
     ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector, a
     list of Python ints, and multiply it by a cached sparse int64 block,
-    split into limbs when its entries are too large for one int64
-    product.  Any other entry raises TypeError, so that nothing can be
-    truncated on its way into int64; a rational vector is scaled to
-    integers first.
+    in int64 while its entries are within the block's limit and in Python
+    ints otherwise.  Any other entry raises TypeError, so that nothing
+    can be truncated on its way into int64; a rational vector is scaled
+    to integers first.
     ``l_block`` and ``l_gram`` are the dense float64 blocks that
     ``uniform`` forms its layer systems from.
     """
@@ -126,26 +126,17 @@ class LFRSplit:
         return self._blocks[key]
 
     def _product(self, gen, i, vec):
-        """The block product on a vector of Python ints, in int64: entries
-        up to the block's limit go in as they are, larger ones are split
-        into limbs of at most ``limit`` in magnitude, one int64 product
-        per limb, recombined by shifts in Python ints."""
+        """The block product on a vector of Python ints: in int64 when
+        every entry is within the block's limit, and otherwise in one pass
+        over the block's entries in Python ints."""
         if set(map(type, vec)) - {int}:
             raise TypeError("LFRSplit products take a list of Python ints")
         blk, limit = self._block(gen, i)
-        hi, lo = max(vec), min(vec)
-        if hi <= limit and lo >= -limit:
+        if max(vec) <= limit and min(vec) >= -limit:
             return (blk @ np.array(vec, dtype=np.int64)).tolist()
-        bits = limit.bit_length() - 1  # 2^bits <= limit
-        mask = (1 << bits) - 1
-        obj = np.array(vec, dtype=object)
-        neg = obj < 0
-        mag = np.where(neg, -obj, obj)
-        sign = np.where(neg, -1, 1)
         out = np.zeros(blk.shape[0], dtype=object)
-        for shift in range(0, max(hi, -lo).bit_length(), bits):
-            limb = ((mag >> shift) & mask).astype(np.int64) * sign
-            out += (blk @ limb).astype(object) << shift
+        rows = np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))
+        np.add.at(out, rows, np.array(vec, dtype=object)[blk.indices] * blk.data)
         return out.tolist()
 
     def apply_L(self, i, vec):

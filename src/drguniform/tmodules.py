@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb
-from operator import mul
 
 import numpy as np
 
@@ -414,17 +413,12 @@ def _project_off(vec, rows):
     """A positive integer multiple of vec minus its orthogonal projection
     onto span(rows): den vec - sum_k (den c_k) rows_k, for the projection
     coefficients c_k over their common denominator den."""
-    gram = [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    rhs = [sum(a * b for a, b in zip(r, vec)) for r in rows]
-    sol = solve_affine(gram, rhs)
+    products = int_product(rows, list(zip(*rows, vec))).tolist()  # [rows rows^T | rows vec]
+    sol = solve_affine([p[:-1] for p in products], [p[-1] for p in products])
     if sol is None:
         raise ExactnessError("singular Gram matrix of a module slice")
     coeffs, den = clear_denominators(sol[0])
-    out = [den * x for x in vec]
-    for c, r in zip(coeffs, rows):
-        if c:
-            out = [a - c * b for a, b in zip(out, r)]
-    return out
+    return int_product([[den] + [-c for c in coeffs]], [vec] + rows)[0].tolist()
 
 
 def _orthogonal_seed(width, rows):
@@ -502,7 +496,8 @@ def _refine_seed(split, algebra, r, free, basis):
             spaces[lam] = _combine(modular_kernel(mat, len(basis))[1], basis)
     groups = [spaces[lam] for lam in sorted(spaces)]
     if sum(map(len, groups)) < len(basis):
-        gram = [[sum(map(mul, v, w)) for w in basis] for group in groups for v in group]
+        covered = [v for group in groups for v in group]
+        gram = int_product(covered, list(zip(*basis))).tolist() if covered else []
         groups.append(_combine(modular_kernel(gram, len(basis))[1], basis))
     return groups
 
@@ -589,7 +584,7 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                     # such a closure can contain modules found already,
                     # unless its seed is orthogonal to them
                     wide = True
-                    if any(sum(map(mul, seed, v)) for v in found):
+                    if found and int_product(found, [[x] for x in seed]).any():
                         continue
                 for piece, actions in pieces:
                     layers = sorted(piece)
@@ -619,30 +614,34 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
 # standard bases, ladder scalars, isomorphism classes
 
 
-def _idempotent_images(mod, row, layer):
-    """The vectors M w, as rows, for the layer-``layer`` slice basis w of
-    ``mod``, where M = sum_h row[h] A_h for an integer coefficient row,
-    formed exactly (``int_product``).  M is symmetric, so its columns at
-    the layer's vertices are its rows there, read from whole rows of the
-    distance matrix."""
+def _first_projection(mod, spec):
+    """den E_t w, for t the dual endpoint, the smallest with E_t W nonzero,
+    and w the first basis vector of W, in layer order, that E_t does not
+    kill; den clears E_t's coefficients (``SpectralData.idempotent_rows``).
+    Sets ``mod.dual_endpoint``, and starts the search there when it is set.
+
+    For a row of coefficients, M = sum_h row[h] A_h is symmetric, so its
+    columns at a layer's vertices are its rows there, read from whole
+    rows of the distance matrix, and the images M w of the layer's slice
+    basis are one exact product (``int_product``)."""
     split = mod.split
-    dist = split.g.distance_matrix()[list(split.dp.layers[layer])]
-    coeffs = np.array(row, dtype=np.int64 if max(map(abs, row)) < 2**63 else object)
-    return int_product(mod.slices[layer], coeffs[dist])
+    rows = spec.idempotent_rows
+    for t in range(mod.dual_endpoint or 0, len(rows)):
+        for layer in mod.layers():
+            dist = split.g.distance_matrix()[list(split.dp.layers[layer])]
+            images = int_product(mod.slices[layer], rows[t][dist])
+            hit = np.flatnonzero(images.any(axis=1))
+            if len(hit):
+                mod.dual_endpoint = t
+                return images[hit[0]].tolist()
+    raise ExactnessError("module vanished under every primitive idempotent")
 
 
 def dual_endpoint(mod, spec):
     """Smallest i with E_i W nonzero, computed exactly."""
-    if mod.dual_endpoint is not None:
-        return mod.dual_endpoint
-    for t, coeffs in enumerate(spec.idempotent_coefficients()):
-        # E_t scaled to integers: the nonzero test does not see the scale
-        row, _ = clear_denominators(coeffs)
-        for layer in mod.layers():
-            if np.count_nonzero(_idempotent_images(mod, row, layer)):
-                mod.dual_endpoint = t
-                return t
-    raise ExactnessError("module vanished under every primitive idempotent")
+    if mod.dual_endpoint is None:
+        _first_projection(mod, spec)
+    return mod.dual_endpoint
 
 
 def standard_basis(mod, spec):
@@ -656,20 +655,7 @@ def standard_basis(mod, spec):
     if not mod.thin:
         raise NotThin("standard bases are defined for thin modules")
     dp = mod.split.dp
-    t = dual_endpoint(mod, spec)
-    row, _ = clear_denominators(spec.idempotent_coefficients()[t])
-    # den E_t w for the first basis vector w, in layer order, it does not kill
-    v = next(
-        (
-            image.tolist()
-            for layer in mod.layers()
-            for image in _idempotent_images(mod, row, layer)
-            if np.count_nonzero(image)
-        ),
-        None,
-    )
-    if v is None:
-        raise ExactnessError("no nonzero projection onto E_t")
+    v = _first_projection(mod, spec)
     basis = []
     for layer in range(mod.endpoint, mod.endpoint + mod.diameter + 1):
         verts = dp.layers[layer]

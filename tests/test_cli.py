@@ -260,6 +260,12 @@ CONFIGURED = ["analyze", "g.edges", "--config", "c.json"]
         (["certify-uniform", "g.edges", "--config", "c.json"], {"g.edges": C5, "c.json": '{"retry_count": 2.5}'}),
         (CONFIGURED, {"g.edges": C5, "c.json": '{"doob_grid_bound": -1}'}),
         (CONFIGURED, {"g.edges": C5, "c.json": '{"iso_vertex_bound": true}'}),
+        # an output path that cannot be written
+        (["family", "hamming", "1", "4", "--out", "missing/x.edges"], {}),
+        (["flatten", "g.edges", "--out", "missing/x.flat"], {"g.edges": C5}),
+        (["analyze", "g.edges", "--output", "missing/a.json"], {"g.edges": C5}),
+        (["certify-uniform", "g.edges", "--output", "missing/c.json"], {"g.edges": C5}),
+        (["decompose", "g.edges", "--output", "missing/d.json"], {"g.edges": C5}),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, files):

@@ -463,10 +463,13 @@ def test_modular_complement_certificate(monkeypatch):
     mat = _int_array([[1, 2, 0]], 3)
     assert _annihilates(mat, [[2, -1, 0], [0, 0, 1]])
     assert not _annihilates(mat, [[2, -1, 0], [3, -1, 0]])  # one outside the kernel
-    # in the kernel modulo the largest primes, not over the integers
+    # off the kernel by a multiple of P, the product of the four largest
+    # primes below 2^26; the second matrix has an entry past int64
     P = prod(_large_primes(4))
     assert not _annihilates(mat, [[2 + P, -1, 0]])
     assert not _annihilates(_int_array([[2**70, 1]], 2), [[1, -(2**70) + P]])
+    # M w = 2^64, which int64 sums would wrap to 0
+    assert not _annihilates(_int_array([[2**32, 1]], 2), [[2**32, 0]])
     # a lifted vector corrupted by its modulus agrees with the kernel
     # modulo every prime it was lifted from: every candidate is rejected
     lift = exactla._lift
@@ -480,6 +483,22 @@ def test_modular_complement_certificate(monkeypatch):
     monkeypatch.setattr(exactla, "_lift", corrupted)
     with pytest.raises(ExactnessError, match="Hadamard cap"):
         modular_kernel([[3, 5, 7], [1, -2, 4]], 3)
+
+
+_EDGE = isqrt((2**63 - 1) // 3)  # 3 m^2 < 2^63 <= 3 (m + 1)^2 for m = _EDGE
+
+
+@pytest.mark.parametrize("m, dtype", [(_EDGE, np.int64), (_EDGE + 1, object)])
+def test_annihilates_on_both_sides_of_the_int64_bound(m, dtype):
+    # ncols max|M| max|w| = 3 m^2 is just below 2^63 for the first m, so
+    # the certificate's product runs in int64, and just above it for the
+    # second, over Python ints; the second vector misses the kernel by one
+    mat = _int_array([[m, -(m - 1), 1]], 3)
+    kernel, off = [m - 1, m, 0], [m - 1, m, 1]
+    assert int_product(mat, np.array([kernel, off]).T).dtype == dtype
+    assert _annihilates(mat, [kernel])
+    assert not _annihilates(mat, [off])
+    assert not _annihilates(mat, [kernel, off])
 
 
 def _python_product(a, b):

@@ -103,8 +103,8 @@ def _products(split, i, vec):
 
 def test_int64_fast_path_matches_loop(j63):
     # small ints; magnitudes at and around 2^62, 2^63 and (2^63 - 1) // k
-    # for every row count k the blocks have, and 2^100 and 2^300 (split
-    # into limbs), all one sign (the largest sums) or mixed with
+    # for every row count k the blocks have, and 2^100 and 2^300 (the
+    # Python-int pass), all one sign (the largest sums) or mixed with
     # negatives
     split = lfr_split(j63, x=0)
     ref = TupleSplit(j63, split.dp)
