@@ -11,7 +11,8 @@ standard error:
   file or value that is unreadable, not a JSON object, names an unknown
   field or fails validation, or an output path that cannot be written
 - 3 budget exceeded: a family build, or the vertex count in a graph
-  file's header, above the vertex budget
+  file's header, above the vertex budget, or a distance sweep too large
+  for memory (``Graph.distance_matrix``, refused before it allocates)
 - 4 expectation mismatch in a reproduction suite
 - 1 any other library error
 
@@ -186,6 +187,8 @@ def cmd_decompose(args):
         spec = spectrum(intersection_array(g))
         if spec.numeric:
             spec = None
+    except BudgetExceeded:
+        raise  # a refused distance sweep exits 3 rather than drop the dual endpoints
     except GraphError:
         spec = None
     groups = group_modules(mods)

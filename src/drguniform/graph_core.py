@@ -14,7 +14,8 @@ everything derived from the eigenmatrix raises IrrationalSpectrum.
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import lcm
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -127,7 +128,9 @@ class Graph:
         """All-pairs distances as an int16 array; raises on disconnection.
 
         The matrix comes from ``_sweep``, which also checks the counts the
-        intersection array needs; both are cached.
+        intersection array needs; both are cached.  A sweep whose n x n
+        arrays would pass _SWEEP_BYTES raises BudgetExceeded before any of
+        them is allocated.
         """
         if self._dist is None:
             self._dist, self._counts = _sweep(self._csr)
@@ -153,6 +156,7 @@ class Graph:
 
 
 _CHECK = 1 << 16  # entries of M_t compared at once, so the temporaries stay small
+_SWEEP_BYTES = 1 << 32  # the most the sweep's n x n arrays may take together
 
 
 def _sweep(S):
@@ -171,8 +175,18 @@ def _sweep(S):
     in row 0; that is checked in the CSR's unsigned type, a block of rows
     at a time.  The counts are returned as (the triples up to the first t
     where the check fails, that M_t or None).
+
+    The arrays held at once are the int16 distances, the bool ``unseen``,
+    the uint8 layers F_t and F_{t+1} and the product M_t; when together
+    they would pass _SWEEP_BYTES, BudgetExceeded is raised first.
     """
     n = S.shape[0]
+    need = n * n * (5 + np.result_type(S.dtype, np.uint8).itemsize)
+    if need > _SWEEP_BYTES:
+        raise BudgetExceeded(
+            f"the distance sweep of {n} vertices needs {need} bytes, "
+            f"over the limit of {_SWEEP_BYTES}"
+        )
     dist = np.zeros((n, n), dtype=np.int16)
     unseen = ~np.eye(n, dtype=bool)
     cur, nxt = np.eye(n, dtype=np.uint8), np.empty((n, n), dtype=np.uint8)
@@ -418,7 +432,7 @@ class ClassicalParameters:
         return self.q <= -2
 
 
-def classical_parameter_candidates(ia, q_bound=None):
+def classical_parameter_candidates(ia):
     """All (D, q, alpha, beta) with integer q reproducing ``ia`` exactly.
 
     The search solves alpha from c_2 and beta from b_0 for every integer
@@ -428,8 +442,7 @@ def classical_parameter_candidates(ia, q_bound=None):
     D = ia.D
     if D < 3:
         return []
-    if q_bound is None:
-        q_bound = ia.c[2] + 2
+    q_bound = ia.c[2] + 2
     found = []
     for q in range(-q_bound, q_bound + 1):
         if q in (0, -1):
@@ -582,66 +595,71 @@ def krein_parameters(spec):
     """Krein parameters from the eigenmatrix, so only of a rational
     spectrum.
 
-    q^l_{ij} = n^{-1} sum_h Q[h][i] Q[h][j] P[l][h] with Q the dual
-    eigenmatrix.  Entries are checked nonnegative; a negative value can
-    only come from an upstream bug, so it raises NegativeKrein.
+    q^l_{ij} = (m_i m_j / n) sum_h P[l][h] P[i][h] P[j][h] / k_h^2, with m
+    the multiplicities and k_h the layer sizes.  With d the least common
+    denominator of P's entries and K = lcm(k_h^2), the sum is S^l_{ij} /
+    (K d^3) for the integer S^l_{ij} = sum_h (d P[l][h]) (K / k_h^2)
+    (d P[i][h]) (d P[j][h]).  Every S is an entry of one exact product
+    (``exactla.int_product``): d P diag(K / k_h^2) times the matrix whose
+    column (i, j) holds the products (d P[i][h]) (d P[j][h]).  Each entry
+    is then one Fraction over n K d^3.  Entries are checked nonnegative; a
+    negative value can only come from an upstream bug, so it raises
+    NegativeKrein.
     """
-    ia = spec.ia
-    n = ia.n
-    D = spec.D
-    P = spec.eigenmatrix()
-    k = ia.layer_sizes()
-    m = spec.multiplicities
-    Q = [[m[i] * P[i][h] / k[h] for i in range(D + 1)] for h in range(D + 1)]
-    q = []
-    for l in range(D + 1):
-        ql = []
-        for i in range(D + 1):
-            row = []
-            for j in range(D + 1):
-                val = sum(Q[h][i] * Q[h][j] * P[l][h] for h in range(D + 1)) / n
-                if val < 0:
-                    raise NegativeKrein(f"q^{l}_{{{i}{j}}} = {val}")
-                row.append(val)
-            ql.append(tuple(row))
-        q.append(tuple(ql))
-    return KreinTensor(q=tuple(q))
+    n, D, m = spec.ia.n, spec.D, spec.multiplicities
+    k = spec.ia.layer_sizes()
+    flat, d = exactla.clear_denominators([x for row in spec.eigenmatrix() for x in row])
+    dP = [flat[r : r + D + 1] for r in range(0, len(flat), D + 1)]
+    K = lcm(*(kh * kh for kh in k))
+    scaled = [[x * (K // (kh * kh)) for x, kh in zip(row, k)] for row in dP]
+    pairs = [[x * y for x in col for y in col] for col in zip(*dP)]
+    S = exactla.int_product(scaled, pairs).reshape(D + 1, D + 1, D + 1).tolist()
+    den, r = n * K * d**3, range(D + 1)
+    q = tuple(
+        tuple(tuple(Fraction(m[i] * m[j] * S[l][i][j], den) for j in r) for i in r) for l in r
+    )
+    for l, i, j in product(r, r, r):
+        if S[l][i][j] < 0:
+            raise NegativeKrein(f"q^{l}_{{{i}{j}}} = {q[l][i][j]}")
+    return KreinTensor(q=q)
 
 
 def q_polynomial_orderings(kt):
-    """All reorderings of the nontrivial idempotents (index 0 fixed) under
-    which the Krein tensor has the polynomial triangle pattern."""
+    """All reorderings sigma of the nontrivial idempotents (index 0 fixed)
+    under which the Krein tensor has the polynomial triangle pattern:
+    q^{sigma h}_{sigma i, sigma j} is 0 where one of h, i, j exceeds the sum
+    of the other two and nonzero where it equals it.
+
+    The tensor's zero pattern is read once.  Each permutation is tested
+    against it entry by entry, the entries within the first positions
+    first, since those are where most permutations fail."""
     D = kt.D
-    orderings = []
-    for perm in permutations(range(1, D + 1)):
-        sigma = (0,) + perm
-        ok = True
-        for h in range(D + 1):
-            for i in range(D + 1):
-                for j in range(D + 1):
-                    val = kt.q[sigma[h]][sigma[i]][sigma[j]]
-                    if h > i + j or i > h + j or j > h + i:
-                        if val != 0:
-                            ok = False
-                            break
-                    if h == i + j or i == h + j or j == h + i:
-                        if val == 0:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            orderings.append(sigma)
-    return orderings
+    nonzero = [[[x != 0 for x in row] for row in ql] for ql in kt.q]
+    decided = sorted((t for t in product(range(D + 1), repeat=3) if 2 * max(t) >= sum(t)), key=max)
+    checks = [(h, i, j, 2 * max(h, i, j) == h + i + j) for h, i, j in decided]
+    sigmas = ((0,) + perm for perm in permutations(range(1, D + 1)))
+    return [s for s in sigmas if all(nonzero[s[h]][s[i]][s[j]] == w for h, i, j, w in checks)]
+
+
+def near_polygon_check(g, ia):
+    """True when a_i = a_1 c_i for i < D and no induced K_{1,1,2} exists;
+    ``ia`` must be ``g``'s own intersection array, as the a_i test assumes.
+
+    Every edge of a distance-regular graph has exactly a_1 common
+    neighbours, and a K_{1,1,2} needs an edge with two nonadjacent ones, so
+    when a_1 <= 1 there is none and ``k112_free`` is not run.
+    """
+    a1 = ia.a[1] if ia.D >= 1 else 0
+    if any(ia.a[i] != a1 * ia.c_at(i) for i in range(1, ia.D)):
+        return False
+    return a1 <= 1 or k112_free(g)
 
 
 _WEDGES = 1 << 16  # pairs of neighbours the K_{1,1,2} test examines at once
 
 
-def near_polygon_check(g, ia):
-    """True when a_i = a_1 c_i for i < D and no induced K_{1,1,2} exists.
+def k112_free(g):
+    """True when ``g`` has no induced K_{1,1,2}.
 
     A K_{1,1,2} is an edge uv with two nonadjacent common neighbours, so
     there is none exactly when every local graph (the graph on the
@@ -655,10 +673,6 @@ def near_polygon_check(g, ia):
     for a run of vertices u with at most _WEDGES pairs of neighbours (or
     for one vertex) at a time.
     """
-    a1 = ia.a[1] if ia.D >= 1 else 0
-    for i in range(1, ia.D):
-        if ia.a[i] != a1 * ia.c_at(i):
-            return False
     S, n = g.sparse(), g.n
     ptr, nbr = S.indptr.astype(np.int64), S.indices.astype(np.int64)
     deg = np.diff(ptr)

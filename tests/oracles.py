@@ -18,7 +18,9 @@ seen, the distance partition by a breadth-first search one vertex at a
 time, the L/F split as neighbour tuples built per vertex, each layer
 system as the distinct rows of its guarded float-BLAS blocks, the
 two-colouring of a graph, the near-polygon test's scan of every edge for
-an induced K_{1,1,2}, flattening and Cartesian products one edge at a
+an induced K_{1,1,2}, the Krein parameters as Fraction sums over the dual
+eigenmatrix, the Q-polynomial orderings by a loop over every entry of
+each permuted Krein tensor, flattening and Cartesian products one edge at a
 time, and the split of a module closure through the dim x dim matrix of
 a commutant element instead of its block on the endpoint slice, and
 Garner's prefixes of a CRT lift with every earlier radix reduced as a
@@ -28,7 +30,7 @@ count their entries are here too: only tests use them.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, lcm
 
 import numpy as np
@@ -616,8 +618,7 @@ def is_bipartite(g):
 
 def scan_k112(g):
     """True when no edge uv has two nonadjacent common neighbours, by a
-    scan of every edge: the reference for the clique test of
-    ``graph_core.near_polygon_check``."""
+    scan of every edge: the reference for ``graph_core.k112_free``."""
     sets = [set(nbrs) for nbrs in g.adj]
     for u, v in g.edges().tolist():
         common = sorted(sets[u] & sets[v])
@@ -626,6 +627,53 @@ def scan_k112(g):
                 if common[t] not in sets[common[s]]:
                     return False
     return True
+
+
+def fraction_krein_parameters(spec):
+    """q[l][i][j] = n^{-1} sum_h Q[h][i] Q[h][j] P[l][h], with Q the dual
+    eigenmatrix, one Fraction sum per entry: the reference for
+    ``graph_core.krein_parameters``."""
+    n, D, m = spec.ia.n, spec.D, spec.multiplicities
+    P = spec.eigenmatrix()
+    k = spec.ia.layer_sizes()
+    Q = [[m[i] * P[i][h] / k[h] for i in range(D + 1)] for h in range(D + 1)]
+    return tuple(
+        tuple(
+            tuple(sum(Q[h][i] * Q[h][j] * P[l][h] for h in range(D + 1)) / n for j in range(D + 1))
+            for i in range(D + 1)
+        )
+        for l in range(D + 1)
+    )
+
+
+def loop_q_polynomial_orderings(kt):
+    """The reorderings of the nontrivial idempotents with the polynomial
+    triangle pattern, each permuted entry tested in turn: the reference
+    for ``graph_core.q_polynomial_orderings``."""
+    D = kt.D
+    orderings = []
+    for perm in permutations(range(1, D + 1)):
+        sigma = (0,) + perm
+        ok = True
+        for h in range(D + 1):
+            for i in range(D + 1):
+                for j in range(D + 1):
+                    val = kt.q[sigma[h]][sigma[i]][sigma[j]]
+                    if h > i + j or i > h + j or j > h + i:
+                        if val != 0:
+                            ok = False
+                            break
+                    if h == i + j or i == h + j or j == h + i:
+                        if val == 0:
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            orderings.append(sigma)
+    return orderings
 
 
 def loop_flatten_edges(g, x):

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from drguniform import Graph, read_edge_list, write_edge_list
+from drguniform import Graph, graph_core, read_edge_list, write_edge_list
 from drguniform.cli import main
 
 from oracles import is_bipartite
@@ -220,6 +220,20 @@ def test_oversized_header_exits_3_with_one_line(tmp_path, capsys, header, comman
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_oversized_distance_sweep_exits_3_with_one_line(h33_file, monkeypatch, capsys, command):
+    # the sweep of the 27-vertex H(3,3) holds six 27 x 27 arrays of bytes
+    # at once: int16 distances, a bool mask, two uint8 layers and a uint8
+    # product; decompose needs it for the dual endpoints
+    monkeypatch.setattr(graph_core, "_SWEEP_BYTES", 6 * 27 * 27 - 1)
+    assert main([command, str(h33_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    monkeypatch.setattr(graph_core, "_SWEEP_BYTES", 6 * 27 * 27)
+    assert main([command, str(h33_file)]) == 0
 
 
 def test_all_bases(tmp_path):

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from unittest import mock
 
@@ -15,8 +17,10 @@ from drguniform import (
     DisconnectedGraph,
     Graph,
     InvalidParams,
+    NegativeKrein,
     NotDistanceRegular,
     ParseError,
+    SpectralData,
     bfs_layers,
     classical_parameter_candidates,
     classical_parameters,
@@ -32,14 +36,15 @@ from drguniform import (
 from drguniform import graph_core
 from drguniform.families import FamilySpec, build_family, shrikhande
 from drguniform.errors import GraphError
-from drguniform.graph_core import IntersectionArray
 from drguniform.terwilliger import cartesian_product, flatten
 
 from oracles import (
     brute_intersection_numbers,
     brute_layer_sizes,
+    fraction_krein_parameters,
     loop_adjacency,
     loop_intersection_array,
+    loop_q_polynomial_orderings,
     numpy_spectrum,
     p_numbers,
     product_intersection_array,
@@ -349,7 +354,12 @@ def test_complete_graph_with_a_uint16_csr():
     n = 300
     g = Graph(n, list(combinations(range(n), 2)))
     assert g.sparse().dtype == np.uint16
-    ia = intersection_array(g)
+    # the product M_t is uint16 too, so the sweep holds 7 n^2 bytes
+    with mock.patch.object(graph_core, "_SWEEP_BYTES", 7 * n * n - 1):
+        with pytest.raises(BudgetExceeded):
+            g.distance_matrix()
+    with mock.patch.object(graph_core, "_SWEEP_BYTES", 7 * n * n):
+        ia = intersection_array(g)
     assert (ia.c, ia.a, ia.b) == ((1,), (0, n - 2), (n - 1,))
 
 
@@ -561,9 +571,6 @@ def test_near_polygon_hamming(h33):
     assert near_polygon_check(h33, intersection_array(h33))
 
 
-# a diameter-1 array sets no condition on the a_i, so that only the
-# induced K_{1,1,2} test decides
-_DIAMETER_ONE = IntersectionArray(c=(1,), a=(0, 0), b=(1,))
 _WHEEL = Graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(i, 6) for i in range(6)])
 _DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 _TWO_TRIANGLES = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
@@ -584,31 +591,90 @@ _SHRIKHANDE = Graph(16, np.array(_SHRIKHANDE_LABELS)[shrikhande().edges()])
 @settings(max_examples=300, deadline=None)
 def test_near_polygon_clique_test_matches_the_scan(g, wedges):
     with mock.patch.object(graph_core, "_WEDGES", wedges):
-        assert near_polygon_check(g, _DIAMETER_ONE) == scan_k112(g)
+        assert graph_core.k112_free(g) == scan_k112(g)
 
 
+def _graphs(specs):
+    return {f"{tag}{params}": build_family(FamilySpec(tag, params)) for tag, params in specs}
+
+
+@cache
 def _suite_graphs():
-    specs = [
+    return _graphs([
         ("hamming", (3, 3)), ("hamming", (3, 4)), ("hamming", (4, 3)),
         ("halved_cube", (7,)), ("halved_cube", (8,)), ("doob", (1, 1)),
         ("dual_polar_2a", (2, 3)), ("johnson", (6, 3)), ("johnson", (9, 4)),
         ("gosset", ()), ("hermitian_forms", (2, 3)),
-    ]
-    return {f"{tag}{params}": build_family(FamilySpec(tag, params)) for tag, params in specs}
+    ])
+
+
+@cache
+def _ladder_graphs():
+    """The six graphs of the benchmark's certify_ladder, 256-1024 vertices."""
+    return _graphs([
+        ("hamming", (4, 4)), ("halved_cube", (9,)), ("hermitian_forms", (2, 3)),
+        ("johnson", (12, 5)), ("dual_polar_2a", (2, 3)), ("hamming", (5, 4)),
+    ])
 
 
 def test_near_polygon_check_matches_the_scan_on_suite_graphs():
     graphs = _suite_graphs()
     for name, g in graphs.items():
         scan = scan_k112(g)
-        assert near_polygon_check(g, _DIAMETER_ONE) == scan, name
+        assert graph_core.k112_free(g) == scan, name
         ia = intersection_array(g)
         layers = all(ia.a[i] == ia.a[1] * ia.c_at(i) for i in range(1, ia.D))
         assert near_polygon_check(g, ia) == (layers and scan), name
     # the flattened graphs of the doob suite are not distance-regular
     for name in ("doob(1, 1)", "hamming(3, 4)"):
         flat = flatten(graphs[name], 0).graph
-        assert near_polygon_check(flat, _DIAMETER_ONE) == scan_k112(flat), name
+        assert graph_core.k112_free(flat) == scan_k112(flat), name
+
+
+def test_near_polygon_check_runs_the_clique_test_only_when_a1_exceeds_1():
+    # an edge of a distance-regular graph has a_1 common neighbours, and a
+    # K_{1,1,2} needs two nonadjacent ones
+    graphs = _suite_graphs() | _ladder_graphs()
+    for name, runs in (("dual_polar_2a(2, 3)", False), ("hamming(3, 3)", False), ("hamming(4, 4)", True)):
+        g = graphs[name]
+        ia = intersection_array(g)
+        assert (ia.a[1] > 1) == runs, name
+        with mock.patch.object(graph_core, "k112_free", wraps=graph_core.k112_free) as clique:
+            assert near_polygon_check(g, ia), name
+        assert clique.call_count == runs, name
+
+
+def test_krein_parameters_match_the_fraction_sums():
+    graphs = _suite_graphs() | _ladder_graphs() | {"K4": K4}
+    for name, g in graphs.items():
+        spec = spectrum(intersection_array(g))
+        assert krein_parameters(spec).q == fraction_krein_parameters(spec), name
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=3, max_size=3))
+@example([Fraction(-3, 2), Fraction(-3, 2), Fraction(-4, 3)])  # P has denominators, every q >= 0
+@settings(max_examples=60, deadline=None)
+def test_krein_parameters_of_a_fractional_eigenmatrix(thetas):
+    # no graph has these eigenvalues: its eigenmatrix is integral, and here
+    # the entries of P are fractions and some q may be negative
+    spec = SpectralData(
+        ia=intersection_array(C6), eigenvalues=(Fraction(2), *thetas), multiplicities=(1, 2, 2, 1), residual=(1,)
+    )
+    oracle = fraction_krein_parameters(spec)
+    negative = [(l, i, j) for l in range(4) for i in range(4) for j in range(4) if oracle[l][i][j] < 0]
+    if negative:
+        l, i, j = negative[0]
+        with pytest.raises(NegativeKrein, match=re.escape(f"q^{l}_{{{i}{j}}} = {oracle[l][i][j]}")):
+            krein_parameters(spec)
+    else:
+        assert krein_parameters(spec).q == oracle
+
+
+def test_q_polynomial_orderings_match_the_loop():
+    graphs = _suite_graphs() | _ladder_graphs() | {"line graph of Petersen": _line_graph_of_petersen()}
+    for name, g in graphs.items():
+        kt = krein_parameters(spectrum(intersection_array(g)))
+        assert q_polynomial_orderings(kt) == loop_q_polynomial_orderings(kt), name
 
 
 def _line_graph_of_petersen():
