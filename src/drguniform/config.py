@@ -1,6 +1,6 @@
 """Run configuration shared by the CLI and the heavier operations."""
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Config:
         return self
 
     def as_dict(self):
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT = Config()

@@ -14,7 +14,7 @@ everything derived from the eigenmatrix raises IrrationalSpectrum.
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -67,7 +67,7 @@ class Graph:
     lazily.
     """
 
-    __slots__ = ("n", "m", "_csr", "_dist", "_counts", "_adj", "_adjsets")
+    __slots__ = ("n", "m", "_csr", "_dist", "_counts", "_adj", "_adjsets", "__weakref__")
 
     def __init__(self, n, edges):
         if not isinstance(edges, np.ndarray):
@@ -628,17 +628,37 @@ def q_polynomial_orderings(kt):
     """All reorderings sigma of the nontrivial idempotents (index 0 fixed)
     under which the Krein tensor has the polynomial triangle pattern:
     q^{sigma h}_{sigma i, sigma j} is 0 where one of h, i, j exceeds the sum
-    of the other two and nonzero where it equals it.
+    of the other two and nonzero where it equals it, in lexicographic order.
 
-    The tensor's zero pattern is read once.  Each permutation is tested
-    against it entry by entry, the entries within the first positions
-    first, since those are where most permutations fail."""
+    sigma(1) fixes the rest: sigma(h+1) must be the one index k not yet
+    placed with q^k_{sigma 1, sigma h} nonzero, since h + 1 = 1 + h asks
+    that entry to be nonzero and every index placed later, at a position
+    above h + 1, asks it to be zero.  So there are at most D candidates,
+    one per sigma(1), and each is tested against the whole pattern."""
     D = kt.D
     nonzero = [[[x != 0 for x in row] for row in ql] for ql in kt.q]
-    decided = sorted((t for t in product(range(D + 1), repeat=3) if 2 * max(t) >= sum(t)), key=max)
-    checks = [(h, i, j, 2 * max(h, i, j) == h + i + j) for h, i, j in decided]
-    sigmas = ((0,) + perm for perm in permutations(range(1, D + 1)))
-    return [s for s in sigmas if all(nonzero[s[h]][s[i]][s[j]] == w for h, i, j, w in checks)]
+    candidates = []
+    for first in range(1, D + 1):
+        sigma = [0, first]
+        while len(sigma) <= D:
+            nxt = [k for k in range(1, D + 1) if k not in sigma and nonzero[k][first][sigma[-1]]]
+            if len(nxt) != 1:
+                break
+            sigma.append(nxt[0])
+        else:
+            candidates.append(tuple(sigma))
+    return [s for s in candidates if _triangle_pattern(nonzero, s)]
+
+
+def _triangle_pattern(nonzero, sigma):
+    """True when the zero pattern ``nonzero`` of a Krein tensor, reordered
+    by sigma, is the polynomial triangle pattern."""
+    r = range(len(sigma))
+    return all(
+        nonzero[sigma[h]][sigma[i]][sigma[j]] == (2 * max(h, i, j) == h + i + j)
+        for h, i, j in product(r, r, r)
+        if 2 * max(h, i, j) >= h + i + j
+    )
 
 
 def near_polygon_check(g, ia):

@@ -17,7 +17,7 @@ def certificate_dict(cert, config):
         "e_plus": None,
         "f": None,
         "failure": None,
-        "checks": cert.checks,
+        "checks": None if cert.checks is None else dict(cert.checks),
         "config": config.as_dict(),
     }
     if cert.structure is not None:

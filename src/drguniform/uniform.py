@@ -20,10 +20,18 @@ passing point of an integer grid bounded by the number of conditions is
 taken; a unique solution is its own only corner and grid point.  A
 structure is checked against the Gram rows each layer's solution set
 holds, without forming them again.
+
+A base enters all of this only through its layers' Gram rows, and the
+bases of one graph mostly share them.  So each graph keeps a memo for as
+long as it lives: every distinct layer system is solved once, and every
+distinct set of layer solutions, under one configuration, is searched and
+checked once.  Each base still forms its own rows; nothing is shared
+between graphs, even equal ones.
 """
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -37,6 +45,21 @@ from .graph_core import bfs_layers
 from .terwilliger import lfr_split
 
 _INT64_MAX = 2**63 - 1
+
+# Graph -> {(build, *args): build(*args)}.  No result refers to its graph,
+# so the entries go when the graph does.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _once_per_graph(g, build, *args):
+    """``build(*args)``, computed once for ``g`` and kept in its memo: the
+    key is every argument, so no input of ``build`` can be left out."""
+    memo = _MEMO.setdefault(g, {})
+    key = (build, *args)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = build(*args)
+    return result
 
 
 def layer_gram(split, i):
@@ -111,11 +134,23 @@ class LayerSolution:
 
 
 def solve_layer(split, i):
-    """Exact affine solution set of the layer equation on E*_i V."""
+    """Exact affine solution set of the layer equation on E*_i V.
+
+    The solution is a function of the eccentricity, i and the layer's Gram
+    rows alone, so ``layer_gram`` is formed at every call and the system
+    it gives is solved once per graph: a later base of ``split.g`` with the
+    same (eps, i, rows) gets the same ``LayerSolution`` back, for as long
+    as the graph lives.
+    """
     eps = split.eccentricity
     if not 1 <= i <= eps:
         raise ValueError(f"layer {i} out of range 1..{eps}")
-    rows = layer_gram(split, i)
+    return _once_per_graph(split.g, _solve_rows, eps, i, tuple(layer_gram(split, i)))
+
+
+def _solve_rows(eps, i, rows):
+    """The ``LayerSolution`` of layer i's Gram rows, eps being the
+    eccentricity."""
     active = []
     if i >= 2:
         active.append(0)  # e_minus
@@ -125,11 +160,8 @@ def solve_layer(split, i):
     system = [[(x, z, -w)[a] for a in active] for x, z, w, _ in rows]
     rhs = [-y for *_, y in rows]
     sol = solve_affine(system, rhs)
-    witness = tuple(rows)
     if sol is None:
-        return LayerSolution(
-            layer=i, empty=True, particular=(), basis=(), system=witness
-        )
+        return LayerSolution(layer=i, empty=True, particular=(), basis=(), system=rows)
     part, hom = sol
 
     def embed(vec):
@@ -143,7 +175,7 @@ def solve_layer(split, i):
         empty=False,
         particular=embed(part),
         basis=tuple(embed(h) for h in hom),
-        system=witness,
+        system=rows,
     )
 
 
@@ -397,6 +429,14 @@ def certify_uniform(g, x=0, config=DEFAULT):
     Same-layer edges never enter the blocks, so the split of the original
     graph already carries the lowering/raising pair of the flattened
     graph; bipartite inputs are certified directly.
+
+    Every layer is solved by ``solve_layer``, which reuses the solutions
+    of ``g``'s other bases.  Past the first empty layer nothing is solved.
+    With every layer solved, the certificate depends only on the solutions
+    and ``config``, and it is built once per (eps, layers, config) for as
+    long as ``g`` lives: later bases with the same key get the same
+    ``UniformCertificate`` back, with no structure search or check run
+    again.
     """
     dp = bfs_layers(g, x)
     split = lfr_split(g, dp)
@@ -418,8 +458,11 @@ def certify_uniform(g, x=0, config=DEFAULT):
                 checks=None,
             )
         layers.append(sol)
-    layers = tuple(layers)
+    return _once_per_graph(g, _certify_layers, eps, tuple(layers), config)
 
+
+def _certify_layers(eps, layers, config):
+    """The certificate for the solution sets of all eps layers."""
     us, report, failure = select_structure(layers, config)
     if us is None:
         return UniformCertificate(

@@ -20,7 +20,8 @@ system as the distinct rows of its guarded float-BLAS blocks, the
 two-colouring of a graph, the near-polygon test's scan of every edge for
 an induced K_{1,1,2}, the Krein parameters as Fraction sums over the dual
 eigenmatrix, the Q-polynomial orderings by a loop over every entry of
-each permuted Krein tensor, flattening and Cartesian products one edge at a
+each permuted Krein tensor and by the former filter of every permutation
+against the tensor's zero pattern, flattening and Cartesian products one edge at a
 time, and the split of a module closure through the dim x dim matrix of
 a commutant element instead of its block on the endpoint slice, and
 Garner's prefixes of a CRT lift with every earlier radix reduced as a
@@ -674,6 +675,19 @@ def loop_q_polynomial_orderings(kt):
         if ok:
             orderings.append(sigma)
     return orderings
+
+
+def permutation_q_polynomial_orderings(kt):
+    """The reorderings with the polynomial triangle pattern, every one of
+    the D! permutations tested against the tensor's zero pattern read
+    once, the entries within the first positions first: the former
+    ``graph_core.q_polynomial_orderings``."""
+    D = kt.D
+    nonzero = [[[x != 0 for x in row] for row in ql] for ql in kt.q]
+    decided = sorted((t for t in product(range(D + 1), repeat=3) if 2 * max(t) >= sum(t)), key=max)
+    checks = [(h, i, j, 2 * max(h, i, j) == h + i + j) for h, i, j in decided]
+    sigmas = ((0,) + perm for perm in permutations(range(1, D + 1)))
+    return [s for s in sigmas if all(nonzero[s[h]][s[i]][s[j]] == w for h, i, j, w in checks)]
 
 
 def loop_flatten_edges(g, x):

@@ -46,6 +46,7 @@ from oracles import (
     loop_intersection_array,
     loop_q_polynomial_orderings,
     numpy_spectrum,
+    permutation_q_polynomial_orderings,
     p_numbers,
     product_intersection_array,
     scan_k112,
@@ -675,6 +676,29 @@ def test_q_polynomial_orderings_match_the_loop():
     for name, g in graphs.items():
         kt = krein_parameters(spectrum(intersection_array(g)))
         assert q_polynomial_orderings(kt) == loop_q_polynomial_orderings(kt), name
+
+
+def test_q_polynomial_orderings_match_the_permutation_filter():
+    graphs = _suite_graphs() | _ladder_graphs() | _graphs([("hamming", (8, 2))])
+    graphs["line graph of Petersen"] = _line_graph_of_petersen()
+    for name, g in graphs.items():
+        kt = krein_parameters(spectrum(intersection_array(g)))
+        assert q_polynomial_orderings(kt) == permutation_q_polynomial_orderings(kt), name
+
+
+def test_q_polynomial_orderings_test_at_most_d_candidates(monkeypatch):
+    # the 10-cube has 10! reorderings; one candidate per sigma(1) is tested
+    kt = krein_parameters(spectrum(intersection_array(build_family(FamilySpec("hamming", (10, 2))))))
+    pattern, tested = graph_core._triangle_pattern, []
+
+    def counted(nonzero, sigma):
+        tested.append(sigma)
+        return pattern(nonzero, sigma)
+
+    monkeypatch.setattr(graph_core, "_triangle_pattern", counted)
+    orderings = q_polynomial_orderings(kt)
+    assert tuple(range(11)) in orderings
+    assert len(tested) <= kt.D == 10
 
 
 def _line_graph_of_petersen():

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import itertools
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drguniform import (
+    DEFAULT,
+    Config,
     DecompositionUnavailable,
     ExactnessError,
     Graph,
@@ -27,6 +32,8 @@ from drguniform import (
 from drguniform import graph_core, terwilliger, tmodules, uniform
 from drguniform.cli import main
 from drguniform.exactla import IntRowBasis, solve_affine
+from drguniform.families import hamming
+from drguniform.serialize import certificate_dict
 from drguniform.suites import (
     certificate_matches,
     dual_polar_structure,
@@ -584,3 +591,87 @@ def test_non_thin_diagnostic_reads_the_modules_split(her23, monkeypatch):
     assert witness["all_endpoint1_reports"] == expected
     assert witness["report"] == next(r for r in expected if r["slice_dims"].get(2, 0) >= 2)
     assert witness["report"]["slice_dims"][2] >= 2 and witness["report"]["rw_lr2w_independent"]
+
+
+def _document(g, x, config=DEFAULT):
+    return json.dumps(certificate_dict(certify_uniform(g, x, config=config), config))
+
+
+@given(connected_graphs(max_n=10))
+@settings(max_examples=60, deadline=None)
+def test_bases_sharing_a_graph_match_a_fresh_graph_each(case):
+    # the memo is warm for every base after the first, in either order
+    g, _, _ = case
+    cold = {x: _document(Graph(g.n, g.edges()), x) for x in range(g.n)}
+    shared = Graph(g.n, g.edges())
+    for order in (range(g.n), reversed(range(g.n))):
+        assert {x: _document(shared, x) for x in order} == cold
+
+
+def test_configs_keep_their_own_certificates():
+    # P4 has a free parameter, so the seed picks the structure
+    configs = [Config(), Config(decomposition_seed=1)]
+    cold = [_document(Graph(4, P4.edges()), 0, config) for config in configs]
+    assert json.loads(cold[0])["e_minus"] != json.loads(cold[1])["e_minus"]
+    shared = Graph(4, P4.edges())
+    for config, expected in zip(configs * 2, cold * 2):
+        assert _document(shared, 0, config) == expected
+
+
+# bases 0 and 3 each see one neighbour of degree 3, with equal layer-1
+# rows, but their eccentricities are 4 and 3
+SPIDER = [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (5, 6)]
+
+
+def test_bases_with_equal_rows_keep_their_own_epsilon():
+    g = Graph(7, SPIDER)
+    assert layer_gram(lfr_split(g, x=0), 1) == layer_gram(lfr_split(g, x=3), 1)
+    for x, eps in ((0, 4), (3, 3), (0, 4)):
+        assert certify_uniform(g, x).epsilon == eps
+        assert _document(g, x) == _document(Graph(7, SPIDER), x)
+
+
+@pytest.mark.parametrize("name", ["h33", "halved8"])
+def test_editing_a_document_leaves_later_bases_alone(request, name):
+    # H(3,3) passes its checks and the halved 8-cube fails at the corner
+    # test; every base of either shares one certificate
+    g = request.getfixturevalue(name)
+    expected = _document(Graph(g.n, g.edges()), 1)
+    doc = certificate_dict(certify_uniform(g, 0), DEFAULT)
+    for part in (doc["checks"], doc["failure"]):
+        if part is not None:
+            part.clear()
+            part["edited"] = True
+    assert _document(g, 1) == expected
+
+
+def test_each_distinct_system_is_solved_once(monkeypatch):
+    g = hamming(3, 3)
+    systems = [
+        tuple((split.eccentricity, i, tuple(layer_gram(split, i))) for i in range(1, split.eccentricity + 1))
+        for split in (lfr_split(g, x=x) for x in range(g.n))
+    ]
+    assert len(set(systems)) == 1
+    calls = {"solve_layer": 0, "solve_affine": 0, "select_structure": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(uniform, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(uniform, name, counted)
+    for x in range(g.n):
+        assert certify_uniform(g, x).verdict == "StronglyUniform"
+    assert calls == {
+        "solve_layer": sum(map(len, systems)),
+        "solve_affine": len(set(itertools.chain(*systems))),
+        "select_structure": 1,
+    }
+
+
+def test_the_memo_goes_with_its_graph():
+    g = Graph(4, P4.edges())
+    certify_uniform(g, 0)
+    assert g in uniform._MEMO
+    held, ref = len(uniform._MEMO), weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None and len(uniform._MEMO) == held - 1
