@@ -55,11 +55,7 @@ from .errors import ExactnessError
 def ivec_normalize(v):
     """Divide an integer vector by the gcd of its entries; flip sign so the
     first nonzero entry is positive.  Returns None for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            break
+    g = gcd(*v)
     if g == 0:
         return None
     lead = next(x for x in v if x != 0)

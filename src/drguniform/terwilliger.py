@@ -2,9 +2,10 @@
 matrix, layer-local blocks, graph flattening and Cartesian products as
 edge-array operations, and a small-graph isomorphism search.
 
-The split is stored layer-locally: the block of L from layer i to layer
-i-1 is all that any downstream computation needs, and on the larger
-graphs those blocks are small even when n is not.
+The split is stored layer-locally: the columns of A at one layer, whose
+rows lie in that layer and the two beside it, are all that any
+downstream computation needs, and on the larger graphs those blocks are
+small even when n is not.
 """
 
 from collections import Counter
@@ -23,23 +24,25 @@ _INT64_MAX = 2**63 - 1
 
 
 class LFRSplit:
-    """A = L + F + R at a base vertex, held as per-layer blocks.
+    """A = L + F + R at a base vertex, held as one sparse block per layer.
 
-    The directed edges of the graph's CSR adjacency are classified once by
-    the layers of their ends: an edge from layer i-1 to layer i is an entry
-    of the block of L mapping layer i to layer i-1, an edge inside layer i
-    one of the block of F on layer i.  Blocks are indexed by the vertices'
-    positions inside their layers.  R is the transpose of L by definition
-    and is never stored.
+    The block of layer i holds the columns of A at layer i, with the rows
+    of layers i-1, i and i+1 stacked: its L, F and R parts, so that one
+    product gives L v, F v and R v for a vector v on layer i, each read
+    off its own rows.  L v is empty at layer 0, as R v is at the last
+    layer.  The directed edges (u, v) of the graph's CSR adjacency are
+    classified once, by the layer of v and then of u, so that each block
+    is one run of them, and each part is indexed by the vertices'
+    positions inside their layers.
 
     ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector, a
-    list of Python ints, and multiply it by a cached sparse int64 block,
-    in int64 while its entries are within the block's limit and in Python
-    ints otherwise.  Any other entry raises TypeError, so that nothing
-    can be truncated on its way into int64; a rational vector is scaled
-    to integers first.
-    ``l_block`` and ``l_gram`` are the dense float64 blocks that
-    ``uniform`` forms its layer systems from.
+    list of Python ints, and ``images`` gives any of its three images at
+    once.  The product is in int64 while the vector's entries are within
+    the block's one limit, and in Python ints otherwise.  Any other entry
+    raises TypeError, so that nothing can be truncated on its way into
+    int64; a rational vector is scaled to integers first.  ``l_block``
+    and ``l_gram`` are the dense float64 blocks that ``uniform`` forms
+    its layer systems from.
     """
 
     def __init__(self, g, dp):
@@ -47,23 +50,21 @@ class LFRSplit:
         self.dp = dp
         sizes = self.layer_sizes()
         layer_of = np.array(dp.layer_of, dtype=np.int64)
-        local = np.empty(g.n, dtype=np.int64)
-        local[np.fromiter(chain.from_iterable(dp.layers), dtype=np.int64, count=g.n)] = (
-            np.arange(g.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        )
+        starts = np.cumsum(sizes) - sizes
+        pos = np.empty(g.n, dtype=np.int64)  # the vertices' positions in layer order
+        pos[np.fromiter(chain.from_iterable(dp.layers), dtype=np.int64, count=g.n)] = np.arange(g.n)
         S = g.sparse()
-        deg = np.diff(S.indptr)
-        # the layers of both ends of every directed edge (u, v) of the CSR
-        du, dv = np.repeat(layer_of, deg), layer_of[S.indices]
-        keep = dv >= du
-        # class 2i - 1: an edge of L from layer i; class 2i: one of F on layer i.
-        # The classes are grouped by a stable argsort of the keys in their
-        # smallest type, which numpy does by radix sort up to 16 bits.
-        key = (du + dv)[keep]
-        order = np.argsort(key.astype(np.min_scalar_type(2 * len(sizes))), kind="stable")
-        self._rows = np.repeat(local, deg)[keep][order]
-        self._cols = local[S.indices[keep][order]]
-        self._ends = np.searchsorted(key[order], np.arange(2 * len(sizes))).tolist()
+        deg, u = np.diff(S.indptr), S.indices.astype(np.intp)
+        # the CSR entry in row v and column u is the entry (u, v) of the L,
+        # F or R part of the block of v's layer j: class 3j, 3j + 1 or
+        # 3j + 2.  The classes are grouped by a stable argsort of the
+        # keys in their smallest type, which numpy does by radix sort up to
+        # 16 bits, and a block's rows start at layer j - 1 (at 0 for j = 0).
+        key = np.repeat(2 * layer_of + 1, deg) + layer_of[u]
+        order = np.argsort(key.astype(np.min_scalar_type(3 * len(sizes))), kind="stable")
+        self._rows = (pos[u] - np.repeat(starts[np.maximum(layer_of - 1, 0)], deg))[order]
+        self._cols = np.repeat(pos - starts[layer_of], deg)[order]
+        self._ends = np.searchsorted(key[order], np.arange(3 * len(sizes) + 1)).tolist()
         self.degree = int(deg.max(initial=0))
         self._dense = {}
         self._grams = {}
@@ -93,7 +94,7 @@ class LFRSplit:
         if i not in self._dense:
             sizes = self.layer_sizes()
             blk = np.zeros((sizes[i - 1], sizes[i]))
-            blk[self._entries(2 * i - 1)] = 1.0
+            blk[self._entries(3 * i)] = 1.0
             self._dense[i] = blk
         return self._dense[i]
 
@@ -105,53 +106,54 @@ class LFRSplit:
             self._grams[i] = blk @ blk.T
         return self._grams[i]
 
-    def _block(self, gen, i):
-        """Sparse int64 block of ``gen`` acting on layer i, and the largest
-        |entry| an input may have for the int64 product to stay exact."""
-        key = (gen, i)
-        if key not in self._blocks:
+    def _block(self, i):
+        """The sparse int64 block of layer i, the largest |entry| an input
+        may have for its int64 product to stay exact, and the rows of its
+        L, F and R parts, as slices."""
+        if i not in self._blocks:
             sizes = self.layer_sizes()
-            if gen == "F":
-                rows, cols = self._entries(2 * i)
-                shape = (sizes[i], sizes[i])
-            elif gen == "L":
-                rows, cols = self._entries(2 * i - 1)
-                shape = (sizes[i - 1], sizes[i])
-            else:  # R: the transpose of L from layer i+1
-                cols, rows = self._entries(2 * i + 1)
-                shape = (sizes[i + 1], sizes[i])
-            blk = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=shape)
+            n_l = sizes[i - 1] if i else 0
+            n_lf = n_l + sizes[i]
+            shape = (n_lf + (sizes[i + 1] if i < self.eccentricity else 0), sizes[i])
+            a, b = self._ends[3 * i], self._ends[3 * i + 3]
+            blk = csr_matrix((np.ones(b - a, dtype=np.int64), (self._rows[a:b], self._cols[a:b])), shape=shape)
             count = max(int(np.diff(blk.indptr).max(initial=0)), 1)
-            self._blocks[key] = (blk, _INT64_MAX // count)
-        return self._blocks[key]
+            parts = {"L": slice(0, n_l), "F": slice(n_l, n_lf), "R": slice(n_lf, None)}
+            self._blocks[i] = (blk, _INT64_MAX // count, parts)
+        return self._blocks[i]
 
-    def _product(self, gen, i, vec):
-        """The block product on a vector of Python ints: in int64 when
-        every entry is within the block's limit, and otherwise in one pass
-        over the block's entries in Python ints."""
+    def _product(self, i, vec):
+        """The block product on a vector of Python ints, as an array: in
+        int64 when every entry is within the block's limit, and otherwise
+        in one pass over the block's entries in Python ints."""
         if set(map(type, vec)) - {int}:
             raise TypeError("LFRSplit products take a list of Python ints")
-        blk, limit = self._block(gen, i)
+        blk, limit, _ = self._block(i)
         if max(vec) <= limit and min(vec) >= -limit:
-            return (blk @ np.array(vec, dtype=np.int64)).tolist()
+            return blk @ np.array(vec, dtype=np.int64)
         out = np.zeros(blk.shape[0], dtype=object)
         rows = np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))
         np.add.at(out, rows, np.array(vec, dtype=object)[blk.indices] * blk.data)
-        return out.tolist()
+        return out
+
+    def images(self, i, vec, gens="LFR"):
+        """The images of an exact vector supported on layer i under the
+        generators named in ``gens``, from one product, as lists of Python
+        ints."""
+        out = self._product(i, vec)
+        parts = self._block(i)[2]
+        return [out[parts[gen]].tolist() for gen in gens]
 
     def apply_L(self, i, vec):
         """Apply L to an exact vector supported on layer i."""
-        return self._product("L", i, vec)
+        return self.images(i, vec, "L")[0]
 
     def apply_R(self, i, vec):
-        """Apply R to an exact vector supported on layer i; R = L transposed,
-        so this goes through the L block one layer up."""
-        if i + 1 > self.eccentricity:
-            return []
-        return self._product("R", i, vec)
+        """Apply R to an exact vector supported on layer i."""
+        return self.images(i, vec, "R")[0]
 
     def apply_F(self, i, vec):
-        return self._product("F", i, vec)
+        return self.images(i, vec, "F")[0]
 
 
 def lfr_split(g, dp=None, x=0):

@@ -133,23 +133,13 @@ class ModuleDescriptor:
 
 def _generators(algebra):
     if algebra == "T":
-        return ("L", "F", "R")
+        return "LFR"
     if algebra == "Tf":
-        return ("L", "R")
+        return "LR"
     raise ValueError("algebra must be 'T' or 'Tf'")
 
 
-def _apply(split, gen, layer, vec):
-    """Apply a generator to a layer-local vector; returns (new_layer, vec)."""
-    if gen == "L":
-        if layer == 0:
-            return None
-        return layer - 1, split.apply_L(layer, vec)
-    if gen == "R":
-        if layer == split.eccentricity:
-            return None
-        return layer + 1, split.apply_R(layer, vec)
-    return layer, split.apply_F(layer, vec)
+_STEP = {"L": -1, "F": 0, "R": 1}  # the layer a generator moves a vector by
 
 
 def _closure(split, algebra, rows):
@@ -157,13 +147,14 @@ def _closure(split, algebra, rows):
     rows' own span first: (slices, actions).  A seed's closure is
     ``{r: [seed]}``'s.
 
-    Each generator image of each basis vector is formed once and written
-    in the basis as it is formed (``IntRowBasis.extend``): an image in the
-    span gets its coordinates, and any other becomes a new row, with its
-    coordinates.  Rows never change once inserted, so those coordinates
-    hold in the final pivot-sorted slices, where they are the action
-    matrices in ``_action_matrices``' format: every image of every basis
-    vector is written exactly in the final basis, so the closure is
+    Each basis vector is multiplied once, by the adjacency block of its
+    layer (``LFRSplit.images``), and each of its generator images is
+    written in the basis as it is formed (``IntRowBasis.extend``): an
+    image in the span gets its coordinates, and any other becomes a new
+    row, with its coordinates.  Rows never change once inserted, so those
+    coordinates hold in the final pivot-sorted slices, where they are the
+    action matrices in ``_action_matrices``' format: every image of every
+    basis vector is written exactly in the final basis, so the closure is
     invariant as built.
     """
     gens = _generators(algebra)
@@ -179,13 +170,10 @@ def _closure(split, algebra, rows):
     while work:
         layer, vec = work.pop()
         src = next(i for i, x in enumerate(vec) if x)
-        for gen in gens:
-            res = _apply(split, gen, layer, vec)
-            if res is None:
+        for gen, img in zip(gens, split.images(layer, vec, gens)):
+            if not any(img):
                 continue
-            new_layer, img = res
-            if all(x == 0 for x in img):
-                continue
+            new_layer = layer + _STEP[gen]
             coords, added = slices[new_layer].extend(img)
             images.setdefault((gen, layer), (new_layer, {}))[1][src] = coords
             if added is not None:
@@ -477,23 +465,24 @@ def _refine_seed(split, algebra, r, free, basis):
     Each eigenspace is computed in K_r's coordinates: basis vector w_j is
     d_j at its free column f_j and 0 at the others, so an image A w_j,
     which lies in K_r, has coordinate A w_j[f_i] / d_i on w_i, and the
-    eigenspace of a/b is the kernel of the integer matrix
-    b A w_j[f_i] - a d_i [i = j].  The map is symmetric, so the
-    eigenspaces and the uncovered part are pairwise orthogonal.
+    eigenspace of a/b is the kernel of the integer matrix b N - a D, for
+    N[i, j] = A w_j[f_i], taken once per layer, and D = diag(d_i).  The
+    map is symmetric, so the eigenspaces and the uncovered part are
+    pairwise orthogonal.
     """
+    if not basis:
+        return []
     op = _seed_operator(split, algebra, r)
-    images = [op(w) for w in basis]
+    images = np.array([op(w) for w in basis], dtype=object)[:, free].T
+    diag = np.array([w[f] for f, w in zip(free, basis)], dtype=object)
     spaces = {}
     for w in basis:
         if sum(map(len, spaces.values())) == len(basis):
             break
         for lam in set(int_poly_rational_roots(krylov_relation(w, op)[0])[0]) - set(spaces):
-            a, b = lam.numerator, lam.denominator
-            mat = [
-                [b * img[f] - (a * v[f] if i == j else 0) for j, img in enumerate(images)]
-                for i, (f, v) in enumerate(zip(free, basis))
-            ]
-            spaces[lam] = _combine(modular_kernel(mat, len(basis))[1], basis)
+            mat = lam.denominator * images
+            mat.flat[:: len(basis) + 1] -= lam.numerator * diag
+            spaces[lam] = _combine(modular_kernel(mat.tolist(), len(basis))[1], basis)
     groups = [spaces[lam] for lam in sorted(spaces)]
     if sum(map(len, groups)) < len(basis):
         covered = [v for group in groups for v in group]

@@ -840,20 +840,26 @@ def layer_rows(split, i):
     return distinct_rows([X.ravel(), Z.ravel(), W.ravel(), Y.ravel()]).tolist()
 
 
+def block_part(split, gen, i):
+    """The rows of ``LFRSplit``'s sparse block at layer i that form ``gen``
+    acting on layer i, as a sparse int64 matrix."""
+    blk, _, parts = split._block(i)
+    return blk[parts[gen]]
+
+
 def split_dense(split):
     """Full (L, F, R) of an ``LFRSplit`` as dense int64 n x n matrices,
-    assembled from its per-layer sparse blocks."""
+    assembled from the parts of its per-layer sparse blocks."""
     n = split.g.n
     layers = [list(layer) for layer in split.dp.layers]
     L, F, R = (np.zeros((n, n), dtype=np.int64) for _ in range(3))
     for i, layer in enumerate(layers):
-        F[np.ix_(layer, layer)] = split._block("F", i)[0].toarray()
+        F[np.ix_(layer, layer)] = block_part(split, "F", i).toarray()
         if i >= 1:
-            L[np.ix_(layers[i - 1], layer)] = split._block("L", i)[0].toarray()
+            L[np.ix_(layers[i - 1], layer)] = block_part(split, "L", i).toarray()
         if i + 1 < len(layers):
-            R[np.ix_(layers[i + 1], layer)] = split._block("R", i)[0].toarray()
+            R[np.ix_(layers[i + 1], layer)] = block_part(split, "R", i).toarray()
     return L, F, R
-
 
 
 def express_action_matrices(split, algebra, slices):
@@ -883,12 +889,12 @@ def express_action_matrices(split, algebra, slices):
 
 def l_nonzeros(split):
     """Entries of L in an ``LFRSplit``'s blocks."""
-    return sum(split._block("L", i)[0].nnz for i in range(1, split.eccentricity + 1))
+    return sum(block_part(split, "L", i).nnz for i in range(1, split.eccentricity + 1))
 
 
 def f_nonzeros(split):
     """Entries of F in an ``LFRSplit``'s blocks."""
-    return sum(split._block("F", i)[0].nnz for i in range(split.eccentricity + 1))
+    return sum(block_part(split, "F", i).nnz for i in range(split.eccentricity + 1))
 
 
 def full_matrix(slices, block_mat):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drguniform import (
     BudgetExceeded,
@@ -21,6 +22,7 @@ from drguniform.families import hamming
 
 from oracles import (
     TupleSplit,
+    block_part,
     f_nonzeros,
     is_bipartite,
     loop_bfs_layers,
@@ -81,11 +83,14 @@ def test_apply_matches_blocks(h33):
 
 
 def _loop_apply(ref, gen, i, vec):
-    """The exact pure-Python L/F/R products over a ``TupleSplit``."""
+    """The exact pure-Python L/F/R products over a ``TupleSplit``; L of
+    layer 0 and R of the last layer are empty."""
     if gen == "L":
-        return [sum(vec[y] for y in nbrs) for nbrs in ref.lrows[i]]
+        return [sum(vec[y] for y in nbrs) for nbrs in ref.lrows[i]] if i else []
     if gen == "F":
         return [sum(vec[y] for y in nbrs) for nbrs in ref.frows[i]]
+    if i == ref.eccentricity:
+        return []
     out = [0] * len(ref.dp.layers[i + 1])
     for z, nbrs in enumerate(ref.lrows[i + 1]):
         for y in nbrs:
@@ -123,6 +128,38 @@ def test_int64_fast_path_matches_loop(j63):
             for gen, out in _products(split, i, vec):
                 assert out == _loop_apply(ref, gen, i, vec), (gen, i, vec[:3])
                 assert all(type(x) is int for x in out)
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_one_product_gives_the_three_images(case, rng):
+    # at every layer, the ends included, the L, F and R parts of the one
+    # block product are the loop products, in the int64 pass and, with one
+    # entry past the block's limit, in the Python-int pass
+    g, perm, x = case
+    h, y = relabel(g, perm), perm[x]
+    split = lfr_split(h, x=y)
+    ref = TupleSplit(h, split.dp)
+    for i, layer in enumerate(split.dp.layers):
+        limit = split._block(i)[1]
+        small = [rng.randint(-5, 5) for _ in layer]
+        past = [rng.choice((limit + 1, -limit - 1))] + [rng.choice((limit, -limit, 3)) for _ in layer[1:]]
+        for vec, dtype in ((small, np.int64), (past, object)):
+            assert split._product(i, vec).dtype == dtype
+            images = split.images(i, vec)
+            assert images == [_loop_apply(ref, gen, i, vec) for gen in "LFR"]
+            assert images == [split.apply_L(i, vec), split.apply_F(i, vec), split.apply_R(i, vec)]
+            assert all(type(v) is int for img in images for v in img)
+
+
+@pytest.mark.parametrize("name", ["h33", "j63", "shrik", "halved7", "dp22"])
+def test_no_lowering_from_the_base_or_raising_from_the_top(request, name):
+    # L of layer 0 and R of the last layer are empty, not the images of
+    # the layers at the other end
+    split = lfr_split(request.getfixturevalue(name), x=0)
+    top = split.eccentricity
+    assert split.apply_L(0, [1]) == []
+    assert split.apply_R(top, [1] * split.layer_sizes()[top]) == []
 
 
 def test_products_reject_entries_that_are_not_ints(j63):
@@ -235,9 +272,9 @@ def test_partition_and_blocks_match_loop_oracles(case):
         sizes = [len(layer) for layer in dp.layers]
         split, ref = lfr_split(h, dp), TupleSplit(h, dp)
         for i in range(dp.eccentricity + 1):
-            assert np.array_equal(split._block("F", i)[0].toarray(), ref.f_block(i))
+            assert np.array_equal(block_part(split, "F", i).toarray(), ref.f_block(i))
             if i >= 1:
                 blk = ref.l_block(i)
                 assert np.array_equal(split.l_block(i), blk)
-                assert np.array_equal(split._block("L", i)[0].toarray(), blk)
-                assert np.array_equal(split._block("R", i - 1)[0].toarray(), blk.T)
+                assert np.array_equal(block_part(split, "L", i).toarray(), blk)
+                assert np.array_equal(block_part(split, "R", i - 1).toarray(), blk.T)

@@ -603,16 +603,17 @@ def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
 
 
 def test_each_generator_image_is_formed_once(monkeypatch):
-    # H(4,4), T: a closure forms at most one product per generator and
-    # basis vector, and grouping the modules forms none
+    # H(4,4), T: a closure forms at most one product per basis vector,
+    # which gives its L, F and R images at once, and grouping the modules
+    # forms none
     g = families.hamming(4, 4)
     products = Counter()
     where = ["decompose"]
     product = LFRSplit._product
 
-    def counted(self, gen, i, vec):
+    def counted(self, i, vec):
         products[where[-1]] += 1
-        return product(self, gen, i, vec)
+        return product(self, i, vec)
 
     def inside(name, fn):
         def run(*args):
@@ -637,7 +638,7 @@ def test_each_generator_image_is_formed_once(monkeypatch):
     monkeypatch.setattr(tmodules, "module_class_key", inside("key", tmodules.module_class_key))
     group_modules(decompose(g, 0, "T"))
     assert products["key"] == 0
-    assert 0 < products["closure"] <= 3 * sum(dims)
+    assert 0 < products["closure"] <= sum(dims)
 
 
 def _difference_seeds(g):
