@@ -352,17 +352,33 @@ def _annihilates(mat, vectors):
 def _lift(values, modulus, pivots, free, ncols):
     """Integer kernel vectors from the CRT values of the negated reduced
     echelon entries, row-major over (pivot row, free column); None when
-    some vector does not reconstruct."""
-    basis = []
+    some vector does not reconstruct.
+
+    A column whose centred values are all within the reconstruction
+    bound is integral, and ``_rational_vector`` would return those
+    values unchanged.  Below 2^62 such columns are read off one int64
+    array of the centred values; only the others are reconstructed."""
+    k = len(free)
+    if modulus < 2**62:
+        centred = np.array(values, dtype=np.int64).reshape(-1, k) % modulus
+        centred[centred > modulus // 2] -= modulus
+        integral = (np.abs(centred) <= isqrt(modulus // 2)).all(axis=0).tolist()
+        out = np.zeros((k, ncols), dtype=np.int64)
+        out[:, pivots] = centred.T
+        out[range(k), free] = 1
+        basis = out.tolist()
+    else:
+        integral, basis = [False] * k, [None] * k
     for j, f in enumerate(free):
-        lifted = _rational_vector(values[j :: len(free)] + [1], modulus)
+        if integral[j]:
+            continue
+        lifted = _rational_vector(values[j::k] + [1], modulus)
         if lifted is None:
             return None
-        w = [0] * ncols
+        w = basis[j] = [0] * ncols
         for c, x in zip(pivots, lifted):
             w[c] = x
         w[f] = lifted[-1]
-        basis.append(w)
     return basis
 
 

@@ -144,16 +144,6 @@ class Graph:
         self.distance_matrix()
         return self._counts
 
-    def is_connected(self):
-        try:
-            self.distance_matrix()
-        except DisconnectedGraph:
-            return False
-        return True
-
-    def diameter(self):
-        return int(self.distance_matrix().max())
-
 
 _CHECK = 1 << 16  # entries of M_t compared at once, so the temporaries stay small
 _SWEEP_BYTES = 1 << 32  # the most the sweep's n x n arrays may take together

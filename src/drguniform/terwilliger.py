@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 
 from .config import DEFAULT
 from .errors import BudgetExceeded, ExactnessError
+from .exactla import _int_array, _max_abs
 from .graph_core import Graph, bfs_layers, check_budget
 
 
@@ -36,13 +37,13 @@ class LFRSplit:
     positions inside their layers.
 
     ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector, a
-    list of Python ints, and ``images`` gives any of its three images at
-    once.  The product is in int64 while the vector's entries are within
-    the block's one limit, and in Python ints otherwise.  Any other entry
-    raises TypeError, so that nothing can be truncated on its way into
-    int64; a rational vector is scaled to integers first.  ``l_block``
-    and ``l_gram`` are the dense float64 blocks that ``uniform`` forms
-    its layer systems from.
+    list of Python ints, and ``images`` gives any of the three images of
+    a block of such vectors at once.  The product is in int64 while the
+    block's entries are within the layer block's one limit, and in Python
+    ints otherwise.  Any other entry raises TypeError, so that nothing
+    can be truncated on its way into int64; a rational vector is scaled
+    to integers first.  ``l_block`` and ``l_gram`` are the dense float64
+    blocks that ``uniform`` forms its layer systems from.
     """
 
     def __init__(self, g, dp):
@@ -122,38 +123,40 @@ class LFRSplit:
             self._blocks[i] = (blk, _INT64_MAX // count, parts)
         return self._blocks[i]
 
-    def _product(self, i, vec):
-        """The block product on a vector of Python ints, as an array: in
-        int64 when every entry is within the block's limit, and otherwise
-        in one pass over the block's entries in Python ints."""
-        if set(map(type, vec)) - {int}:
-            raise TypeError("LFRSplit products take a list of Python ints")
+    def _product(self, i, vecs):
+        """The block product on a nonempty list of vectors of Python ints,
+        as an array with one column per vector: in int64 when every entry
+        is within the block's limit, and otherwise in one pass over the
+        block's entries in Python ints."""
+        if set(map(type, chain.from_iterable(vecs))) - {int}:
+            raise TypeError("LFRSplit products take lists of Python ints")
         blk, limit, _ = self._block(i)
-        if max(vec) <= limit and min(vec) >= -limit:
-            return blk @ np.array(vec, dtype=np.int64)
-        out = np.zeros(blk.shape[0], dtype=object)
+        block = _int_array(vecs, len(vecs[0]))
+        if block.dtype != object and _max_abs(block) <= limit:
+            return blk @ block.T
+        out = np.zeros((blk.shape[0], len(vecs)), dtype=object)
         rows = np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr))
-        np.add.at(out, rows, np.array(vec, dtype=object)[blk.indices] * blk.data)
+        np.add.at(out, rows, block.astype(object).T[blk.indices] * blk.data[:, None])
         return out
 
-    def images(self, i, vec, gens="LFR"):
-        """The images of an exact vector supported on layer i under the
-        generators named in ``gens``, from one product, as lists of Python
-        ints."""
-        out = self._product(i, vec)
+    def images(self, i, vecs, gens="LFR"):
+        """The images of a block of exact vectors supported on layer i
+        under the generators named in ``gens``, from one sparse product:
+        for each generator, one list of Python ints per vector."""
+        out = self._product(i, vecs)
         parts = self._block(i)[2]
-        return [out[parts[gen]].tolist() for gen in gens]
+        return [out[parts[gen]].T.tolist() for gen in gens]
 
     def apply_L(self, i, vec):
         """Apply L to an exact vector supported on layer i."""
-        return self.images(i, vec, "L")[0]
+        return self.images(i, [vec], "L")[0][0]
 
     def apply_R(self, i, vec):
         """Apply R to an exact vector supported on layer i."""
-        return self.images(i, vec, "R")[0]
+        return self.images(i, [vec], "R")[0][0]
 
     def apply_F(self, i, vec):
-        return self.images(i, vec, "F")[0]
+        return self.images(i, [vec], "F")[0][0]
 
 
 def lfr_split(g, dp=None, x=0):

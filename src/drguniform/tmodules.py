@@ -32,7 +32,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -142,50 +141,63 @@ def _generators(algebra):
 _STEP = {"L": -1, "F": 0, "R": 1}  # the layer a generator moves a vector by
 
 
-def _closure(split, algebra, rows):
-    """The module generated by graded rows ``{layer: [vectors]}``, the
-    rows' own span first: (slices, actions).  A seed's closure is
-    ``{r: [seed]}``'s.
+def _closure(split, algebra, seeds):
+    """The modules generated by graded seeds ``{layer: [vectors]}``, each
+    seed's own span first: one (slices, actions) pair per seed.  A seed
+    vector's closure is ``{r: [seed]}``'s.
 
-    Each basis vector is multiplied once, by the adjacency block of its
-    layer (``LFRSplit.images``), and each of its generator images is
-    written in the basis as it is formed (``IntRowBasis.extend``): an
-    image in the span gets its coordinates, and any other becomes a new
-    row, with its coordinates.  Rows never change once inserted, so those
-    coordinates hold in the final pivot-sorted slices, where they are the
-    action matrices in ``_action_matrices``' format: every image of every
-    basis vector is written exactly in the final basis, so the closure is
-    invariant as built.
+    The closures are formed in lockstep: each round pops one basis vector
+    from every unfinished closure, and the vectors of each layer are
+    multiplied together, by one block product (``LFRSplit.images``), so
+    each basis vector is multiplied once.  Each of its generator images
+    is written in its closure's basis as it is formed
+    (``IntRowBasis.extend``): an image in the span gets its coordinates,
+    and any other becomes a new row, with its coordinates.  A closure
+    inserts its rows in the order it would alone, and rows never change
+    once inserted, so those coordinates hold in the final pivot-sorted
+    slices, where they are the action matrices in ``_action_matrices``'
+    format: every image of every basis vector is written exactly in the
+    final basis, so each closure is invariant as built.
     """
     gens = _generators(algebra)
-    slices = {i: IntRowBasis() for i in range(split.eccentricity + 1)}
-    work = []
-    for layer, vecs in sorted(rows.items()):
-        for vec in vecs:
-            row = slices[layer].add(vec)
-            if row is None:
-                raise ExactnessError("closure seeded with dependent vectors")
-            work.append((layer, row))
-    images = {}  # (gen, layer) -> (image layer, {source pivot: image coordinates})
-    while work:
-        layer, vec = work.pop()
-        src = next(i for i, x in enumerate(vec) if x)
-        for gen, img in zip(gens, split.images(layer, vec, gens)):
-            if not any(img):
-                continue
-            new_layer = layer + _STEP[gen]
-            coords, added = slices[new_layer].extend(img)
-            images.setdefault((gen, layer), (new_layer, {}))[1][src] = coords
-            if added is not None:
-                work.append((new_layer, added))
-    slices = {i: basis for i, basis in slices.items() if len(basis)}
-    pivots = {i: sorted(basis.rows) for i, basis in slices.items()}
-    actions = {gen: {} for gen in gens}
-    for (gen, layer), (dst, cols) in sorted(images.items()):
-        actions[gen][layer] = dst, [
-            [cols.get(p, {}).get(q, Fraction(0)) for p in pivots[layer]] for q in pivots[dst]
-        ]
-    return {i: basis.basis() for i, basis in slices.items()}, actions
+    states = []  # per seed: its slices, work list and images, which map
+    # (gen, layer) to (image layer, {source pivot: image coordinates})
+    for rows in seeds:
+        slices = {i: IntRowBasis() for i in range(split.eccentricity + 1)}
+        work = []
+        for layer, vecs in sorted(rows.items()):
+            for vec in vecs:
+                row = slices[layer].add(vec)
+                if row is None:
+                    raise ExactnessError("closure seeded with dependent vectors")
+                work.append((layer, row))
+        states.append((slices, work, {}))
+    while popped := [(state, *state[1].pop()) for state in states if state[1]]:
+        formed = {}  # position in popped -> the vector's image under each generator
+        for layer in {layer for _, layer, _ in popped}:
+            at = [k for k, (_, i, _) in enumerate(popped) if i == layer]
+            formed.update(zip(at, zip(*split.images(layer, [popped[k][2] for k in at], gens))))
+        for k, ((slices, work, images), layer, vec) in enumerate(popped):
+            src = next(i for i, x in enumerate(vec) if x)
+            for gen, img in zip(gens, formed[k]):
+                if not any(img):
+                    continue
+                new_layer = layer + _STEP[gen]
+                coords, added = slices[new_layer].extend(img)
+                images.setdefault((gen, layer), (new_layer, {}))[1][src] = coords
+                if added is not None:
+                    work.append((new_layer, added))
+    out = []
+    for slices, _, images in states:
+        slices = {i: basis for i, basis in slices.items() if len(basis)}
+        pivots = {i: sorted(basis.rows) for i, basis in slices.items()}
+        actions = {gen: {} for gen in gens}
+        for (gen, layer), (dst, cols) in sorted(images.items()):
+            actions[gen][layer] = dst, [
+                [cols.get(p, {}).get(q, Fraction(0)) for p in pivots[layer]] for q in pivots[dst]
+            ]
+        out.append(({i: basis.basis() for i, basis in slices.items()}, actions))
+    return out
 
 
 def _action_matrices(split, algebra, slices):
@@ -200,7 +212,7 @@ def _action_matrices(split, algebra, slices):
     closure, and it raises when the closure grows, within the piece's
     layers or below them.
     """
-    closed, actions = _closure(split, algebra, slices)
+    [(closed, actions)] = _closure(split, algebra, [slices])
     if closed != slices:
         raise ExactnessError("module basis is not invariant")
     return actions
@@ -416,14 +428,16 @@ def _orthogonal_seed(width, rows):
     return modular_kernel(rows, width)
 
 
-def _seed_operator(split, algebra, r):
-    """F_r for T, L_{r+1} R_r for T_f: a symmetric map of layer r that
-    the algebra contains and that maps K_r into itself."""
+def _seed_images(split, algebra, r, vecs):
+    """The images of a block of vectors of layer r under F_r for T, or
+    L_{r+1} R_r for T_f: a symmetric map of layer r that the algebra
+    contains and that maps K_r into itself.  One block product, or two
+    for T_f."""
     if algebra == "T":
-        return partial(split.apply_F, r)
+        return split.images(r, vecs, "F")[0]
     if r == split.eccentricity:
-        return lambda vec: [0] * len(vec)
-    return lambda vec: split.apply_L(r + 1, split.apply_R(r, vec))
+        return [[0] * len(vec) for vec in vecs]
+    return split.images(r + 1, split.images(r, vecs, "R")[0], "L")[0]
 
 
 def _combine(coords, basis):
@@ -455,10 +469,10 @@ def _certify_layer(r, width, lower, new, kernel):
 
 def _refine_seed(split, algebra, r, free, basis):
     """Split K_r, given as ``modular_kernel``'s (free, basis), into the
-    exact eigenspaces of ``_seed_operator``: one list of seeds per
-    rational eigenvalue, ascending, and, when those do not fill K_r, one
-    last list spanning the part of K_r that they leave, the irrational
-    remainder.
+    exact eigenspaces of the map of ``_seed_images``: one pair
+    (eigenvalue, seeds) per rational eigenvalue, ascending, and, when
+    those do not fill K_r, a last pair (None, seeds) spanning the part of
+    K_r that they leave, the irrational remainder.
 
     The eigenvalues are the rational roots of the Krylov relations of
     K_r's basis vectors, taken in order until their eigenspaces fill K_r.
@@ -466,28 +480,31 @@ def _refine_seed(split, algebra, r, free, basis):
     d_j at its free column f_j and 0 at the others, so an image A w_j,
     which lies in K_r, has coordinate A w_j[f_i] / d_i on w_i, and the
     eigenspace of a/b is the kernel of the integer matrix b N - a D, for
-    N[i, j] = A w_j[f_i], taken once per layer, and D = diag(d_i).  The
-    map is symmetric, so the eigenspaces and the uncovered part are
-    pairwise orthogonal.
+    N[i, j] = A w_j[f_i] and D = diag(d_i).  N is read off the images of
+    the whole basis, formed together.  The map is symmetric, so the
+    eigenspaces and the uncovered part are pairwise orthogonal.
     """
     if not basis:
         return []
-    op = _seed_operator(split, algebra, r)
-    images = np.array([op(w) for w in basis], dtype=object)[:, free].T
+    images = np.array(_seed_images(split, algebra, r, basis), dtype=object)[:, free].T
     diag = np.array([w[f] for f, w in zip(free, basis)], dtype=object)
+
+    def step(vec):
+        return _seed_images(split, algebra, r, [vec])[0]
+
     spaces = {}
     for w in basis:
         if sum(map(len, spaces.values())) == len(basis):
             break
-        for lam in set(int_poly_rational_roots(krylov_relation(w, op)[0])[0]) - set(spaces):
+        for lam in set(int_poly_rational_roots(krylov_relation(w, step)[0])[0]) - set(spaces):
             mat = lam.denominator * images
             mat.flat[:: len(basis) + 1] -= lam.numerator * diag
             spaces[lam] = _combine(modular_kernel(mat.tolist(), len(basis))[1], basis)
-    groups = [spaces[lam] for lam in sorted(spaces)]
-    if sum(map(len, groups)) < len(basis):
-        covered = [v for group in groups for v in group]
+    groups = [(lam, spaces[lam]) for lam in sorted(spaces)]
+    if sum(map(len, spaces.values())) < len(basis):
+        covered = [v for _, group in groups for v in group]
         gram = int_product(covered, list(zip(*basis))).tolist() if covered else []
-        groups.append(_combine(modular_kernel(gram, len(basis))[1], basis))
+        groups.append((None, _combine(modular_kernel(gram, len(basis))[1], basis)))
     return groups
 
 
@@ -536,13 +553,17 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     part is empty, and the first one is kept only if its seed was
     orthogonal to them; the orthogonal complement of a module is a
     module.  Modules from different eigenspaces or endpoints are
-    orthogonal.  After each layer, ``_certify_layer`` certifies the sum
-    direct in K_r's coordinates, at the cost of a k x k system for
-    k = dim K_r: K_r's kernel already shows the lower slices independent,
-    and the Gram matrix of the new endpoint slices against K_r's basis
-    must be nonsingular.  With ``max_endpoint`` set, only modules with
-    endpoint up to that bound are extracted (the remainder is ignored),
-    which is enough for endpoint-one diagnostics.
+    orthogonal.  An eigenspace's seeds are closed together
+    (``_closure``), and the first wide closure drops the rest of the
+    batch; the closures of the irrational remainder's seeds, which are no
+    eigenvectors, are all wide, so they are closed one at a time.  After
+    each layer, ``_certify_layer`` certifies the sum direct in K_r's
+    coordinates, at the cost of a k x k system for k = dim K_r: K_r's
+    kernel already shows the lower slices independent, and the Gram
+    matrix of the new endpoint slices against K_r's basis must be
+    nonsingular.  With ``max_endpoint`` set, only modules with endpoint
+    up to that bound are extracted (the remainder is ignored), which is
+    enough for endpoint-one diagnostics.
     """
     dp = bfs_layers(g, x)
     split = lfr_split(g, dp)
@@ -554,8 +575,8 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
         lower, start = [v for d in descriptors for v in d.slices.get(r, [])], len(descriptors)
         free, basis = _orthogonal_seed(sizes[r], lower)
         found, wide = [], False  # the layer's endpoint slices; whether a closure had several
-        for group in _refine_seed(split, algebra, r, free, basis):
-            pending = list(group)
+        for lam, group in _refine_seed(split, algebra, r, free, basis):
+            pending = group
             while True:
                 if wide:
                     # the part of the group orthogonal to every module found
@@ -563,37 +584,44 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                     pending = _combine(orth[:1], group)
                 if not pending:
                     break
-                seed = pending.pop(0)
-                closure, actions = _closure(split, algebra, {r: [seed]})
-                if min(closure) < r:  # the complement of the modules below r is invariant
-                    raise ExactnessError("closure escaped below its endpoint")
-                pieces, certified = _split_irreducible(split, algebra, closure, actions, rng)
-                ends = [v for piece, _ in pieces for v in piece[r]]
-                if len(ends) > 1 and not wide:
-                    # such a closure can contain modules found already,
-                    # unless its seed is orthogonal to them
-                    wide = True
-                    if found and int_product(found, [[x] for x in seed]).any():
-                        continue
-                for piece, actions in pieces:
-                    layers = sorted(piece)
-                    if layers[0] != r or layers != list(range(r, layers[-1] + 1)):
-                        raise ExactnessError(f"module at endpoint {r} occupies layers {layers}")
-                    thin = all(len(v) <= 1 for v in piece.values())
-                    descriptors.append(
-                        ModuleDescriptor(
-                            algebra=algebra,
-                            endpoint=r,
-                            diameter=layers[-1] - r,
-                            thin=thin,
-                            slices=piece,
-                            split=split,
-                            actions=actions,
-                            local_eigenvalue=_local_eigenvalue(split, piece, r, actions) if thin else None,
-                            exact=certified,
+                # a seed of the irrational remainder is no eigenvector, so
+                # its closure has several endpoint vectors: close one
+                n = len(pending) if lam is not None else 1
+                batch, pending = pending[:n], pending[n:]
+                closed = _closure(split, algebra, [{r: [seed]} for seed in batch])
+                for seed, (closure, actions) in zip(batch, closed):
+                    if min(closure) < r:  # the complement of the modules below r is invariant
+                        raise ExactnessError("closure escaped below its endpoint")
+                    pieces, certified = _split_irreducible(split, algebra, closure, actions, rng)
+                    ends = [v for piece, _ in pieces for v in piece[r]]
+                    if len(ends) > 1 and not wide:
+                        # such a closure can contain modules found already,
+                        # unless its seed is orthogonal to them; the rest of
+                        # its batch is seeded again, orthogonally
+                        wide = True
+                        if found and int_product(found, [[x] for x in seed]).any():
+                            break
+                    for piece, actions in pieces:
+                        layers = sorted(piece)
+                        if layers[0] != r or layers != list(range(r, layers[-1] + 1)):
+                            raise ExactnessError(f"module at endpoint {r} occupies layers {layers}")
+                        thin = all(len(v) <= 1 for v in piece.values())
+                        descriptors.append(
+                            ModuleDescriptor(
+                                algebra=algebra,
+                                endpoint=r,
+                                diameter=layers[-1] - r,
+                                thin=thin,
+                                slices=piece,
+                                split=split,
+                                actions=actions,
+                                local_eigenvalue=_local_eigenvalue(split, piece, r, actions) if thin else None,
+                                exact=certified,
+                            )
                         )
-                    )
-                found.extend(ends)
+                    found.extend(ends)
+                    if wide:
+                        break
         new = [v for d in descriptors[start:] for v in d.slices[r]]
         _certify_layer(r, sizes[r], lower, new, (free, basis))
     return descriptors

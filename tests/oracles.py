@@ -736,6 +736,22 @@ def loop_bfs_layers(g, x):
     )
 
 
+def _distances(g):
+    """All-pairs distances by scipy's unweighted shortest paths, inf
+    between components."""
+    return shortest_path(g.sparse(), method="D", unweighted=True)
+
+
+def is_connected(g):
+    """Whether every vertex is reachable from every other."""
+    return bool(np.isfinite(_distances(g)).all())
+
+
+def diameter(g):
+    """The largest distance of a connected graph."""
+    return int(_distances(g).max())
+
+
 class TupleSplit:
     """The split of the adjacency matrix at a base vertex as neighbour
     tuples, built one vertex at a time: the reference for ``LFRSplit``.

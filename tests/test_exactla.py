@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -457,6 +458,61 @@ def test_modular_complement_seed_stops_at_the_hadamard_cap(monkeypatch, bits):
     assert len(set(used)) == _primes_for(2 * h_bits + 2)
     monkeypatch.undo()
     _check_kernel(rows, 12)
+
+
+@st.composite
+def _lift_columns(draw):
+    """(values, modulus, pivots, free, ncols) as ``modular_kernel`` hands
+    them to ``_lift``: a modulus of one prime, below 2^62, or of three,
+    past it, and columns whose values stand for integers within the
+    reconstruction bound or at it, for fractions, or for nothing in
+    particular."""
+    modulus = prod(_large_primes(draw(st.sampled_from([1, 3]))))
+    bound = isqrt(modulus // 2)
+    ncols = draw(st.integers(1, 6))
+    free = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+    pivots = [c for c in range(ncols) if c not in free]
+    columns = []
+    for _ in free:
+        kind = draw(st.sampled_from(["integer", "edge", "fraction", "any"]))
+        column = []
+        for _ in pivots:
+            if kind == "integer":
+                column.append(draw(st.integers(-bound, bound)) % modulus)
+            elif kind == "edge":  # integers at the reconstruction bound
+                column.append((draw(st.sampled_from([-bound, bound])) + draw(st.integers(-2, 2))) % modulus)
+            elif kind == "fraction":
+                num, den = draw(st.integers(-50, 50)), draw(st.integers(2, 50))
+                column.append(num * pow(den, -1, modulus) % modulus)
+            else:
+                column.append(draw(st.integers(0, modulus - 1)))
+        columns.append(column)
+    values = [columns[j][i] for i in range(len(pivots)) for j in range(len(free))]
+    return values, modulus, pivots, free, ncols
+
+
+@given(_lift_columns())
+@settings(max_examples=300)
+def test_lift_reads_integral_columns_off_directly(case):
+    # below 2^62 the columns whose centred values are integers are read
+    # off an int64 array, the others reconstructed; either way, each
+    # vector is _rational_vector's on its column, placed at the pivot
+    # columns and its free column, and _rational_vector sees only the
+    # columns that are not integral
+    values, modulus, pivots, free, ncols = case
+    k = len(free)
+    expected = [exactla._rational_vector(values[j::k] + [1], modulus) for j in range(k)]
+    with mock.patch.object(exactla, "_rational_vector", wraps=exactla._rational_vector) as spy:
+        basis = exactla._lift(values, modulus, pivots, free, ncols)
+    if None in expected:
+        assert basis is None
+        return
+    centred = [[min(v, modulus - v) for v in values[j::k]] for j in range(k)]
+    integral = [max(column, default=0) <= isqrt(modulus // 2) for column in centred]
+    assert spy.call_count == (integral.count(False) if modulus < 2**62 else k)
+    for w, lifted, f in zip(basis, expected, free):
+        assert [w[c] for c in pivots] == lifted[:-1] and w[f] == lifted[-1]
+        assert all(type(x) is int for x in w) and not any(w[c] for c in range(ncols) if c not in pivots + [f])
 
 
 def test_modular_complement_certificate(monkeypatch):

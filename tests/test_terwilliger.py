@@ -135,21 +135,27 @@ def test_int64_fast_path_matches_loop(j63):
 def test_one_product_gives_the_three_images(case, rng):
     # at every layer, the ends included, the L, F and R parts of the one
     # block product are the loop products, in the int64 pass and, with one
-    # entry past the block's limit, in the Python-int pass
+    # entry past the block's limit, in the Python-int pass; a block of
+    # vectors gives each vector's images, in the pass its largest entry
+    # picks
     g, perm, x = case
     h, y = relabel(g, perm), perm[x]
     split = lfr_split(h, x=y)
     ref = TupleSplit(h, split.dp)
     for i, layer in enumerate(split.dp.layers):
         limit = split._block(i)[1]
-        small = [rng.randint(-5, 5) for _ in layer]
+        small = [[rng.randint(-5, 5) for _ in layer] for _ in range(rng.randint(1, 3))]
         past = [rng.choice((limit + 1, -limit - 1))] + [rng.choice((limit, -limit, 3)) for _ in layer[1:]]
-        for vec, dtype in ((small, np.int64), (past, object)):
-            assert split._product(i, vec).dtype == dtype
-            images = split.images(i, vec)
-            assert images == [_loop_apply(ref, gen, i, vec) for gen in "LFR"]
-            assert images == [split.apply_L(i, vec), split.apply_F(i, vec), split.apply_R(i, vec)]
-            assert all(type(v) is int for img in images for v in img)
+        for block, dtype in ((small, np.int64), (small + [past], object)):
+            assert split._product(i, block).dtype == dtype
+            images = split.images(i, block)
+            assert images == [[_loop_apply(ref, gen, i, vec) for vec in block] for gen in "LFR"]
+            assert images == [[split.images(i, [vec], gen)[0][0] for vec in block] for gen in "LFR"]
+            assert all(type(v) is int for img in images for vec in img for v in vec)
+            vec = block[-1]
+            assert [split.apply_L(i, vec), split.apply_F(i, vec), split.apply_R(i, vec)] == [
+                img[-1] for img in images
+            ]
 
 
 @pytest.mark.parametrize("name", ["h33", "j63", "shrik", "halved7", "dp22"])

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,8 +32,8 @@ from drguniform.graph_core import Graph
 from drguniform.terwilliger import LFRSplit, lfr_split
 from drguniform.tmodules import INFINITY, group_modules
 
-from oracles import express_action_matrices, full_matrix_split
-from strategies import connected_graphs
+from oracles import diameter, express_action_matrices, full_matrix_split
+from strategies import connected_graphs, relabel
 
 
 def test_theta_tilde_basics():
@@ -84,10 +85,8 @@ def _endpoint_eigenvalue(mod):
     """The eigenvalue of F (for T) or L R (for T_f) shared by every vector
     of the module's endpoint slice."""
     r = mod.endpoint
-    op = tmodules._seed_operator(mod.split, mod.algebra, r)
     values = set()
-    for w in mod.slices[r]:
-        img = op(w)
+    for w, img in zip(mod.slices[r], tmodules._seed_images(mod.split, mod.algebra, r, mod.slices[r])):
         p = next(i for i, x in enumerate(w) if x)
         lam = Fraction(img[p], w[p])
         assert img == [lam * x for x in w]
@@ -121,7 +120,7 @@ def _check_decomposition(g, algebra):
                         assert _dot(u, v) == 0
     # the trivial module is the layer-indicator module
     trivial = next(m for m in mods if m.endpoint == 0)
-    assert trivial.thin and trivial.diameter == g.diameter()
+    assert trivial.thin and trivial.diameter == diameter(g)
     for layer in trivial.layers():
         vec = trivial.slice_basis(layer)[0]
         assert len(set(vec)) == 1 and vec[0] != 0
@@ -446,11 +445,11 @@ def test_irrational_eigenspaces_are_seeded_as_one_group(monkeypatch):
 
     def recorded(*args):
         out = refine(*args)
-        groups.append([len(group) for group in out])
+        groups.append([len(group) for _, group in out])
         return out
 
     def counted(*args):
-        closures.append(args[2])
+        closures.extend(args[2])  # the closed seeds
         return closure(*args)
 
     monkeypatch.setattr(tmodules, "_refine_seed", recorded)
@@ -586,9 +585,9 @@ def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
     closures = []
     closure = tmodules._closure
 
-    def recorded(split, algebra, rows):
-        out = closure(split, algebra, rows)
-        closures.append((split, out))
+    def recorded(split, algebra, seeds):
+        out = closure(split, algebra, seeds)
+        closures.extend((split, closed) for closed in out)
         return out
 
     monkeypatch.setattr(tmodules, "_closure", recorded)
@@ -603,17 +602,17 @@ def test_closure_actions_match_the_invariance_check(request, monkeypatch, key):
 
 
 def test_each_generator_image_is_formed_once(monkeypatch):
-    # H(4,4), T: a closure forms at most one product per basis vector,
-    # which gives its L, F and R images at once, and grouping the modules
-    # forms none
+    # H(4,4), T: a closure multiplies each basis vector at most once, in
+    # a block product that gives its L, F and R images at once, and
+    # grouping the modules multiplies none
     g = families.hamming(4, 4)
-    products = Counter()
+    products = Counter()  # vectors multiplied
     where = ["decompose"]
     product = LFRSplit._product
 
-    def counted(self, i, vec):
-        products[where[-1]] += 1
-        return product(self, i, vec)
+    def counted(self, i, vecs):
+        products[where[-1]] += len(vecs)
+        return product(self, i, vecs)
 
     def inside(name, fn):
         def run(*args):
@@ -629,9 +628,9 @@ def test_each_generator_image_is_formed_once(monkeypatch):
     closure = tmodules._closure
 
     def recorded(*args):
-        slices, actions = closure(*args)
-        dims.append(sum(map(len, slices.values())))
-        return slices, actions
+        out = closure(*args)
+        dims.extend(sum(map(len, slices.values())) for slices, _ in out)
+        return out
 
     monkeypatch.setattr(LFRSplit, "_product", counted)
     monkeypatch.setattr(tmodules, "_closure", inside("closure", recorded))
@@ -653,7 +652,7 @@ def _difference_seeds(g):
 
 def _seed_pieces(split, seed):
     """The irreducible pieces of a layer-1 seed's closure under T."""
-    closure, actions = tmodules._closure(split, "T", {1: [seed]})
+    [(closure, actions)] = tmodules._closure(split, "T", [{1: [seed]}])
     return tmodules._split_irreducible(split, "T", closure, actions, random.Random(0))
 
 
@@ -702,13 +701,14 @@ def test_invariance_is_checked_once_per_piece(halved8, monkeypatch):
     # _action_matrices, closing the piece's slices, is its one invariance
     # check.  On the halved 8-cube each of the 27 layer-1 difference seeds
     # splits in two pieces with one-dimensional endpoint slices: 27 seed
-    # closures and commutants, 54 checked pieces, 27 of them projected
+    # closures and commutants, 54 checked pieces, 27 of them projected.
+    # _closure counts the seeds it closes
     counts = Counter()
     names = ("_closure", "_action_matrices", "_split_irreducible", "_orthogonalize", "_commutant")
     for name in names:
 
         def counted(*args, _name=name, _original=getattr(tmodules, name)):
-            counts[_name] += 1
+            counts[_name] += len(args[2]) if _name == "_closure" else 1
             return _original(*args)
 
         monkeypatch.setattr(tmodules, name, counted)
@@ -743,13 +743,69 @@ def test_projected_pieces_are_checked_again(halved8, monkeypatch):
         _seed_pieces(split, seeds[0])
 
 
+def _closed_alone_and_together(split, algebra, seeds):
+    """Check that closing ``seeds`` in lockstep gives what closing each
+    alone gives; return the dtypes of the lockstep's block products."""
+    dtypes, product = [], split._product
+
+    def recorded(i, vecs):
+        out = product(i, vecs)
+        dtypes.append(out.dtype)
+        return out
+
+    alone = [tmodules._closure(split, algebra, [seed])[0] for seed in seeds]
+    split._product = recorded
+    try:
+        assert tmodules._closure(split, algebra, seeds) == alone
+    finally:
+        del split._product
+    return dtypes
+
+
+@given(connected_graphs(), st.sampled_from(["T", "Tf"]), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_lockstep_closures_match_closing_each_seed_alone(case, algebra, rng):
+    # closures formed together, one block product per layer per round,
+    # insert their rows in the order each would alone, so they have the
+    # same slices and actions.  When some layer has two vertices, a last
+    # seed there has an entry past its block's int64 limit (and a 1, so
+    # that it is its own echelon row), and the rounds that multiply it
+    # run in Python ints, for every vector of its layer
+    g, perm, x = case
+    split = lfr_split(relabel(g, perm), x=perm[x])
+    sizes = split.layer_sizes()
+    seeds = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.randrange(len(sizes))
+        seeds.append({r: [[1] + [rng.randint(-3, 3) for _ in range(sizes[r] - 1)]]})
+    wide = [r for r, size in enumerate(sizes) if size > 1]
+    if wide:
+        r = rng.choice(wide)
+        seeds.append({r: [[split._block(r)[1] + 1, 1] + [rng.randint(-3, 3) for _ in range(sizes[r] - 2)]]})
+    assert (np.dtype(object) in _closed_alone_and_together(split, algebra, seeds)) == bool(wide)
+
+
+def test_a_batch_with_wide_closures_closes_as_each_alone():
+    # the wheel W5 under T: each closure of a layer-1 remainder seed has
+    # two endpoint vectors; the trivial module's seed joins the batch
+    g = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    split = lfr_split(g, bfs_layers(g, 0))
+    free, basis = tmodules._orthogonal_seed(5, [[1] * 5])
+    [(lam, group)] = tmodules._refine_seed(split, "T", 1, free, basis)
+    assert lam is None and len(group) == 4
+    seeds = [{1: [seed]} for seed in group] + [{0: [[1]]}]
+    _closed_alone_and_together(split, "T", seeds)
+    closed = tmodules._closure(split, "T", seeds)
+    assert [len(slices[1]) for slices, _ in closed] == [2, 2, 2, 2, 1]
+
+
 @pytest.mark.parametrize("drop", [min, max])
 def test_a_piece_whose_closure_grows_is_refused(h33, drop):
     # the trivial module without its bottom or top slice closes back to the
     # trivial module, below its lowest layer or within its layers, so its
     # rows are not invariant
     split = lfr_split(h33, bfs_layers(h33, 0))
-    trivial, _ = tmodules._closure(split, "T", {0: [[1]]})
+    [(trivial, _)] = tmodules._closure(split, "T", [{0: [[1]]}])
     assert tmodules._action_matrices(split, "T", trivial)
     with pytest.raises(ExactnessError, match="module basis is not invariant"):
         tmodules._action_matrices(split, "T", {i: rows for i, rows in trivial.items() if i != drop(trivial)})
@@ -762,7 +818,7 @@ def test_a_seed_whose_closure_escapes_is_refused(h33, monkeypatch):
 
     def ones(split, algebra, r, free, basis):
         if r == 1:
-            yield [[1] * split.layer_sizes()[1]]
+            yield 1, [[1] * split.layer_sizes()[1]]
         yield from refine(split, algebra, r, free, basis)
 
     monkeypatch.setattr(tmodules, "_refine_seed", ones)
