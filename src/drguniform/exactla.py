@@ -393,20 +393,21 @@ def modular_kernel(rows, ncols):
     M is reduced modulo primes below 2^26, one int64 elimination each.
     Modulo a prime a pivot can only move to a later column, so among
     primes whose pivot columns differ, those that do not find the
-    earliest are unlucky and are replaced.  The negated echelon entries are combined by
-    Chinese remaindering, from the first t primes for t = 1, 2, 4, ... in
-    turn, and rational reconstruction; the first vectors that reconstruct
-    and satisfy M w = 0 exactly (``_annihilates``) are the answer.  They
-    are independent, being 1 on distinct free columns, and there are as
-    many as the non-pivot columns modulo a prime, which is at least the
+    earliest are unlucky and are replaced.  The negated echelon entries
+    are combined by Chinese remaindering, from the first t primes for
+    t = 1, 2, 4, ... in turn, each set of primes once, and rational
+    reconstruction; the first vectors that reconstruct and satisfy
+    M w = 0 exactly (``_annihilates``) are the answer.  They are
+    independent, being 1 on distinct free columns, and there are as many
+    as the non-pivot columns modulo a prime, which is at least the
     kernel's dimension.  Otherwise the number of primes doubles, up to
     the Hadamard cap: a modulus past 2 H^2, for H the product of the
-    rows' Euclidean norms, bounds every minor of M and so every
-    numerator and denominator to reconstruct.  Past the cap it raises
-    ExactnessError.
+    rows' Euclidean norms (squared in int64 while no sum can leave it),
+    bounds every minor of M and so every numerator and denominator to
+    reconstruct.  Past the cap it raises ExactnessError.
     """
     mat = _int_array(rows, ncols)
-    forms, bad, nprimes = {}, set(), 1
+    forms, bad, nprimes, failed = {}, set(), 1, set()
     while True:
         primes = [p for p in _large_primes(nprimes + len(bad)) if p not in bad][:nprimes]
         for p in primes:
@@ -423,11 +424,15 @@ def modular_kernel(rows, ncols):
             return [], []
         residues = np.stack([-forms[p][1][:, free] % p for p in primes]).reshape(nprimes, -1)
         for values, modulus in _crt_prefixes(residues, primes):
+            if modulus in failed:  # the same primes as a prefix already lifted
+                continue
             basis = _lift(values, modulus, pivots, free, ncols)
             if basis is not None and _annihilates(mat, basis):
                 return free, basis
-        h_bits = sum(-(-sum(x * x for x in row).bit_length() // 2) for row in rows)
-        cap = _primes_for(2 * h_bits + 2)
+            failed.add(modulus)
+        wide = mat.dtype == object or ncols * _max_abs(mat) ** 2 >= 2**63
+        norms = ((mat.astype(object) if wide else mat) ** 2).sum(axis=1).tolist()
+        cap = _primes_for(2 * sum(-(-x.bit_length() // 2) for x in norms) + 2)
         if nprimes >= cap:
             raise ExactnessError(f"no kernel certified under {nprimes} primes, the Hadamard cap")
         nprimes = min(2 * nprimes, cap)

@@ -11,7 +11,7 @@ rational eigenvalues and the integer factor with no rational root, and
 everything derived from the eigenmatrix raises IrrationalSpectrum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -250,11 +250,12 @@ def write_edge_list(g):
 
 @dataclass(frozen=True)
 class DistancePartition:
-    """Layers around a base vertex: layer_of[v] is the distance from base."""
+    """Layers around a base vertex: layer_of[v], and dist[v] as an int64 array, is v's distance."""
 
     base: int
     layer_of: tuple
     layers: tuple  # tuple of tuples of vertices, index = distance
+    dist: np.ndarray = field(compare=False, repr=False)
 
     @property
     def eccentricity(self):
@@ -264,7 +265,8 @@ class DistancePartition:
 def bfs_layers(g, x):
     """Distance partition of ``g`` around vertex ``x``: a breadth-first
     search in which one product of the adjacency matrix with the
-    frontier's indicator finds the next layer."""
+    frontier's indicator finds the next layer.  Its distance array is
+    handed over, read-only, as ``dist``."""
     if not 0 <= x < g.n:
         raise ValueError(f"base vertex {x} out of range")
     S = g.sparse()
@@ -281,7 +283,8 @@ def bfs_layers(g, x):
         layers.append(tuple(found.tolist()))
     if (dist < 0).any():
         raise DisconnectedGraph(f"vertex unreachable from {x}")
-    return DistancePartition(base=x, layer_of=tuple(dist.tolist()), layers=tuple(layers))
+    dist.flags.writeable = False
+    return DistancePartition(base=x, layer_of=tuple(dist.tolist()), layers=tuple(layers), dist=dist)
 
 
 @dataclass(frozen=True)

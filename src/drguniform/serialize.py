@@ -1,11 +1,9 @@
 """JSON-friendly serialization helpers: exact fractions as "p/q" strings."""
 
-from fractions import Fraction
-
 
 def frac_str(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """A ``Fraction`` or an ``int`` as "p/q" in lowest terms."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def certificate_dict(cert, config):

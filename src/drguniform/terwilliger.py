@@ -25,16 +25,22 @@ _INT64_MAX = 2**63 - 1
 
 
 class LFRSplit:
-    """A = L + F + R at a base vertex, held as one sparse block per layer.
+    """A = L + F + R at a base vertex, held layer by layer.
 
-    The block of layer i holds the columns of A at layer i, with the rows
-    of layers i-1, i and i+1 stacked: its L, F and R parts, so that one
-    product gives L v, F v and R v for a vector v on layer i, each read
-    off its own rows.  L v is empty at layer 0, as R v is at the last
-    layer.  The directed edges (u, v) of the graph's CSR adjacency are
-    classified once, by the layer of v and then of u, so that each block
-    is one run of them, and each part is indexed by the vertices'
-    positions inside their layers.
+    Each block's edges are selected, with no sort, from the directed edges
+    (u, v) of the graph's CSR adjacency by a mask on the base's distance
+    array ``dp.dist``, and each block is built on its first use:
+
+    - ``l_block(i)``, the dense float64 block of L from layer i to layer
+      i-1.  The first call fills every layer's block, the edges with
+      dist[u] = dist[v] - 1, in one assignment to one flat buffer, of
+      which the blocks are views.  ``uniform`` forms its layer systems
+      from these and from ``l_gram(i)``, L L^T.
+    - ``_block(i)``, for ``decompose``, the sparse int64 block of the
+      edges with dist[v] = i: the columns of A at layer i, with the rows
+      of layers i-1, i and i+1 stacked, its L, F and R parts, so that one
+      product gives L v, F v and R v for a vector v on layer i.  L v is
+      empty at layer 0, as R v is at the last layer.
 
     ``apply_L``, ``apply_F`` and ``apply_R`` take a layer-local vector, a
     list of Python ints, and ``images`` gives any of the three images of
@@ -42,34 +48,18 @@ class LFRSplit:
     block's entries are within the layer block's one limit, and in Python
     ints otherwise.  Any other entry raises TypeError, so that nothing
     can be truncated on its way into int64; a rational vector is scaled
-    to integers first.  ``l_block`` and ``l_gram`` are the dense float64
-    blocks that ``uniform`` forms its layer systems from.
+    to integers first.
     """
 
     def __init__(self, g, dp):
         self.g = g
         self.dp = dp
         sizes = self.layer_sizes()
-        layer_of = np.array(dp.layer_of, dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes
-        pos = np.empty(g.n, dtype=np.int64)  # the vertices' positions in layer order
-        pos[np.fromiter(chain.from_iterable(dp.layers), dtype=np.int64, count=g.n)] = np.arange(g.n)
-        S = g.sparse()
-        deg, u = np.diff(S.indptr), S.indices.astype(np.intp)
-        # the CSR entry in row v and column u is the entry (u, v) of the L,
-        # F or R part of the block of v's layer j: class 3j, 3j + 1 or
-        # 3j + 2.  The classes are grouped by a stable argsort of the
-        # keys in their smallest type, which numpy does by radix sort up to
-        # 16 bits, and a block's rows start at layer j - 1 (at 0 for j = 0).
-        key = np.repeat(2 * layer_of + 1, deg) + layer_of[u]
-        order = np.argsort(key.astype(np.min_scalar_type(3 * len(sizes))), kind="stable")
-        self._rows = (pos[u] - np.repeat(starts[np.maximum(layer_of - 1, 0)], deg))[order]
-        self._cols = np.repeat(pos - starts[layer_of], deg)[order]
-        self._ends = np.searchsorted(key[order], np.arange(3 * len(sizes) + 1)).tolist()
-        self.degree = int(deg.max(initial=0))
-        self._dense = {}
-        self._grams = {}
-        self._blocks = {}
+        self._starts = np.cumsum(sizes) - sizes
+        order = np.fromiter(chain.from_iterable(dp.layers), dtype=np.int64, count=g.n)
+        self._pos = np.empty(g.n, dtype=np.int64)  # each vertex's position inside its layer
+        self._pos[order] = np.arange(g.n) - np.repeat(self._starts, sizes)
+        self._dense, self._grams, self._blocks = None, {}, {}
 
     @property
     def eccentricity(self):
@@ -78,25 +68,35 @@ class LFRSplit:
     def layer_sizes(self):
         return tuple(len(layer) for layer in self.dp.layers)
 
-    def _entries(self, c):
-        """(row, column) positions of the entries of edge class ``c``."""
-        a, b = self._ends[c], self._ends[c + 1]
-        return self._rows[a:b], self._cols[a:b]
+    def _edges(self, select, u_val, v_val):
+        """(u_val[u], v_val[v]) for the directed edges (u, v), u a column and
+        v a row of the CSR adjacency, that ``select(layer of u, layer of v)`` keeps."""
+        S, dist = self.g.sparse(), self.dp.dist
+        deg = np.diff(S.indptr)
+        keep = np.flatnonzero(select(dist.take(S.indices), np.repeat(dist, deg)))
+        return u_val.take(S.indices.take(keep)), np.repeat(v_val, deg).take(keep)
 
     def l_block(self, i):
-        """Dense float64 block of L from layer i to layer i-1.
+        """Dense float64 block of L from layer i to layer i-1, a view into
+        the one buffer that holds every layer's block.
 
         Its entries are 0 or 1, and an entry of a product of at most three
         blocks of L and R counts walks of length at most 3 between two
         vertices: at most k^2 for the largest degree k.  Every partial sum
-        is nonnegative and at most that, so float64 products of these
-        blocks are exact while k^2 < 2^53.
+        is nonnegative and at most that entry, so float64 products of
+        these blocks are exact while the entries stay below 2^53, which
+        ``layer_gram`` checks.
         """
-        if i not in self._dense:
+        if self._dense is None:
             sizes = self.layer_sizes()
-            blk = np.zeros((sizes[i - 1], sizes[i]))
-            blk[self._entries(3 * i)] = 1.0
-            self._dense[i] = blk
+            start = np.cumsum([0] + [a * b for a, b in zip(sizes, sizes[1:])])
+            # u at position p of layer j and v at position q of layer j + 1
+            # make entry (p, q) of the block of layer j + 1: start[j] + p n_{j+1} + q
+            dist, width = self.dp.dist, np.array(sizes[1:] + (0,))
+            u, v = self._edges(lambda du, dv: du == dv - 1, start[dist] + self._pos * width[dist], self._pos)
+            buf = np.zeros(start[-1])
+            buf[u + v] = 1.0
+            self._dense = [None] + [buf[a:b].reshape(m, n) for a, b, m, n in zip(start, start[1:], sizes, sizes[1:])]
         return self._dense[i]
 
     def l_gram(self, i):
@@ -116,8 +116,10 @@ class LFRSplit:
             n_l = sizes[i - 1] if i else 0
             n_lf = n_l + sizes[i]
             shape = (n_lf + (sizes[i + 1] if i < self.eccentricity else 0), sizes[i])
-            a, b = self._ends[3 * i], self._ends[3 * i + 3]
-            blk = csr_matrix((np.ones(b - a, dtype=np.int64), (self._rows[a:b], self._cols[a:b])), shape=shape)
+            # a row's position in layer order, less that of the block's first row
+            row = self._pos + self._starts[self.dp.dist] - (self._starts[i] - n_l)
+            u, v = self._edges(lambda du, dv: dv == i, row, self._pos)
+            blk = csr_matrix((np.ones(len(u), dtype=np.int64), (u, v)), shape=shape)
             count = max(int(np.diff(blk.indptr).max(initial=0)), 1)
             parts = {"L": slice(0, n_l), "F": slice(n_l, n_lf), "R": slice(n_lf, None)}
             self._blocks[i] = (blk, _INT64_MAX // count, parts)
@@ -176,7 +178,7 @@ class FlattenedGraph:
 def flatten(g, x):
     """Remove all same-layer edges around ``x``; the result is bipartite,
     connected, and has the same distance partition at ``x``."""
-    layer_of = np.array(bfs_layers(g, x).layer_of)
+    layer_of = bfs_layers(g, x).dist
     edges = g.edges()
     kept = edges[layer_of[edges[:, 0]] != layer_of[edges[:, 1]]]
     return FlattenedGraph(graph=Graph(g.n, kept), base=x, removed_edges=g.m - len(kept))

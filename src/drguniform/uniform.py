@@ -44,7 +44,7 @@ from .exactla import IntRowBasis, solve_affine
 from .graph_core import bfs_layers
 from .terwilliger import lfr_split
 
-_INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53  # float64 holds every integer up to it
 
 # Graph -> {(build, *args): build(*args)}.  No result refers to its graph,
 # so the entries go when the graph does.
@@ -74,31 +74,33 @@ def layer_gram(split, i):
     nonzero rows (at most four) are an equivalent system of the same form.
 
     Every entry of the blocks counts walks of length at most 3 between two
-    vertices, so it is at most k^2 for the largest degree k, and a product
-    of two entries at most k^4.  G is summed in int64 over chunks of at
-    most 2^63 / k^4 rows of M, and the chunk sums are added as Python
-    ints.  Raises ExactnessError when k^4 passes 2^63; below that k^2 is
-    below 2^53, so the float64 block products are exact too.
+    vertices, so it is a nonnegative integer of at most k^2 for the largest
+    degree k, as is every partial sum of the float64 block products.  G is
+    summed in float64 over chunks of at most 2^53 / m^2 rows of M, m being
+    M's largest entry, so every partial sum is exact, and the chunk sums
+    are added as Python ints.  Raises ExactnessError when m^2 passes 2^53,
+    which can first happen at degree k = 9,742.
     """
-    chunk = _INT64_MAX // split.degree**4
-    if not chunk:
-        raise ExactnessError(f"degree {split.degree} is too large for exact layer systems")
     eps = split.eccentricity
     L = split.l_block(i)
-    # M held transposed: row a is column a of M, each exact float product cast as it lands
-    M = np.zeros((4, L.size), dtype=np.int64)
+    # M held transposed: row a is column a of M, each product written into
+    # it; rows X and Z stay zero where layer i has no RL^2 or L^2R block
+    M = (np.empty if 2 <= i <= eps - 1 else np.zeros)((4, L.size))
+    X, Z, W, Y = M.reshape(4, *L.shape)
     if i >= 2:
         P = split.l_block(i - 1)
-        M[0] = (P.T @ (P @ L)).ravel()
+        np.matmul(P.T, P @ L, out=X)
     if i <= eps - 1:
-        M[1] = (L @ split.l_gram(i + 1)).ravel()
-    M[2] = L.ravel()
-    M[3] = (split.l_gram(i) @ L).ravel()
-    G = [[0] * 4 for _ in range(4)]
-    for s in range(0, M.shape[1], chunk):
-        part = M[:, s : s + chunk]
-        G = [[a + b for a, b in zip(row, new)] for row, new in zip(G, (part @ part.T).tolist())]
-    return [tuple(row) for row in G if any(row)]
+        np.matmul(L, split.l_gram(i + 1), out=Z)
+    W[...] = L
+    np.matmul(split.l_gram(i), L, out=Y)
+    chunk = _FLOAT_EXACT // int(M.max()) ** 2
+    if not chunk:
+        raise ExactnessError(f"entries up to {int(M.max())} are too large for exact layer systems")
+    # each chunk's G by four matrix-vector products, faster in BLAS than part @ part.T
+    parts = (M[:, s : s + chunk] for s in range(0, M.shape[1], chunk))
+    G = sum((part @ part[..., None]).reshape(4, 4).astype(np.int64).astype(object) for part in parts)
+    return [tuple(row) for row in G.tolist() if any(row)]
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,10 @@ class LayerSolution:
     particular: tuple
     basis: tuple
     system: tuple
+
+    def __hash__(self):
+        # with eps, which the certificate memo's key holds, the rows determine the rest
+        return hash((self.layer, self.system))
 
     @property
     def dim(self):

@@ -732,7 +732,7 @@ def loop_bfs_layers(g, x):
     if any(d == -1 for d in dist):
         raise DisconnectedGraph(f"vertex unreachable from {x}")
     return DistancePartition(
-        base=x, layer_of=tuple(dist), layers=tuple(tuple(layer) for layer in layers)
+        base=x, layer_of=tuple(dist), layers=tuple(tuple(layer) for layer in layers), dist=np.array(dist)
     )
 
 
@@ -830,6 +830,15 @@ def layer_operator_blocks(split, i):
     else:
         Z = np.zeros_like(L_i)
     return X, Y, Z, L_i
+
+
+def layer_gram_rows(split, i):
+    """The nonzero rows of the Gram matrix of the rows (X, Z, W, Y) of the
+    layer-i blocks of a ``TupleSplit``, summed in Python ints: the
+    reference for ``uniform.layer_gram``."""
+    X, Y, Z, W = layer_operator_blocks(split, i)
+    M = np.stack([X.ravel(), Z.ravel(), W.ravel(), Y.ravel()]).astype(object)
+    return [tuple(row) for row in (M @ M.T).tolist() if any(row)]
 
 
 def distinct_rows(columns):

@@ -557,6 +557,28 @@ def test_annihilates_on_both_sides_of_the_int64_bound(m, dtype):
     assert not _annihilates(mat, [kernel, off])
 
 
+@pytest.mark.parametrize("m", [_EDGE, _EDGE + 1])
+def test_hadamard_cap_on_both_sides_of_the_int64_bound(monkeypatch, m):
+    # 3 m^2 is just below 2^63 for the first m, so the rows' squared norms
+    # are summed in int64, and just above it for the second, over Python
+    # ints: either way the cap is the one Python sums give, and no set of
+    # primes is lifted twice on the way to it
+    rows = [[m, -m, m], [1, m, 0]]
+    h_bits = sum(-(-sum(x * x for x in row).bit_length() // 2) for row in rows)
+    used, moduli, lift = _record_primes(monkeypatch), [], exactla._lift
+
+    def recorded(values, modulus, *args):
+        moduli.append(modulus)
+        return lift(values, modulus, *args)
+
+    monkeypatch.setattr(exactla, "_lift", recorded)
+    monkeypatch.setattr(exactla, "_annihilates", lambda mat, vectors: False)
+    with pytest.raises(ExactnessError, match="Hadamard cap"):
+        modular_kernel(rows, 3)
+    assert len(set(used)) == _primes_for(2 * h_bits + 2)
+    assert len(moduli) == len(set(moduli)) > 1
+
+
 def _python_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drguniform import (
@@ -19,12 +19,14 @@ from drguniform import (
 from drguniform import terwilliger
 from drguniform.config import Config
 from drguniform.families import hamming
+from drguniform.uniform import layer_gram
 
 from oracles import (
     TupleSplit,
     block_part,
     f_nonzeros,
     is_bipartite,
+    layer_gram_rows,
     loop_bfs_layers,
     loop_flatten_edges,
     loop_product_edges,
@@ -267,6 +269,10 @@ def test_isomorphism_budget(monkeypatch):
 
 
 @given(connected_graphs())
+# a vertex of layer i - 1 with no neighbour in layer i: first in its
+# layer in a path at base 1, last in a spider at base 0
+@example((Graph(4, [(0, 1), (1, 2), (2, 3)]), [0, 1, 2, 3], 1))
+@example((Graph(7, [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (5, 6)]), [6, 5, 4, 3, 2, 1, 0], 0))
 @settings(max_examples=200, deadline=None)
 def test_partition_and_blocks_match_loop_oracles(case):
     g, perm, x = case
@@ -282,5 +288,6 @@ def test_partition_and_blocks_match_loop_oracles(case):
             if i >= 1:
                 blk = ref.l_block(i)
                 assert np.array_equal(split.l_block(i), blk)
+                assert layer_gram(split, i) == layer_gram_rows(ref, i)
                 assert np.array_equal(block_part(split, "L", i).toarray(), blk)
                 assert np.array_equal(block_part(split, "R", i - 1).toarray(), blk.T)

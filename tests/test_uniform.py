@@ -53,6 +53,7 @@ from oracles import (
     TupleSplit,
     dense_det,
     distinct_rows,
+    layer_operator_blocks,
     layer_rows,
     polynomial_vanishing_conditions,
     unique_nonzero_rows,
@@ -454,18 +455,42 @@ def test_layer_systems_match_distinct_rows_oracle(case):
 
 
 @pytest.mark.parametrize("name", ["h33", "her22"])
-def test_layer_gram_in_int64_chunks(request, monkeypatch, name):
-    # a chunk of at most 5 rows of M: many int64 partial Gram matrices
-    # added as Python ints give the one-chunk answer
-    split = lfr_split(request.getfixturevalue(name), x=0)
-    layers = range(1, split.eccentricity + 1)
-    whole = [layer_gram(split, i) for i in layers]
-    monkeypatch.setattr(uniform, "_INT64_MAX", 5 * split.degree**4 + 4)
-    assert [layer_gram(split, i) for i in layers] == whole
-    # not one product of two entries bounded by k^2 fits: no exact sum
-    monkeypatch.setattr(uniform, "_INT64_MAX", split.degree**4 - 1)
-    with pytest.raises(ExactnessError):
-        layer_gram(split, 1)
+def test_layer_gram_in_float64_chunks(request, monkeypatch, name):
+    # chunks of at most 3 rows of M, m being M's largest entry: many
+    # float64 partial Gram matrices added as Python ints give the
+    # one-chunk answer
+    g = request.getfixturevalue(name)
+    split = lfr_split(g, x=0)
+    ref = TupleSplit(g, split.dp)
+    for i in range(1, split.eccentricity + 1):
+        whole = layer_gram(split, i)
+        m = max(int(block.max()) for block in layer_operator_blocks(ref, i))
+        monkeypatch.setattr(uniform, "_FLOAT_EXACT", 3 * m**2 + 2)
+        assert layer_gram(split, i) == whole
+        # not one product of two entries of m fits: no exact sum
+        monkeypatch.setattr(uniform, "_FLOAT_EXACT", m**2 - 1)
+        with pytest.raises(ExactnessError):
+            layer_gram(split, i)
+        monkeypatch.undo()
+
+
+def test_certify_builds_no_sparse_blocks(monkeypatch, j94, halved7, doob11, gosset_graph, shrik, h33):
+    # the layer systems read the dense L blocks alone; the stacked sparse
+    # L/F/R blocks are decompose's
+    built = []
+    block = terwilliger.LFRSplit._block
+
+    def counted(self, i):
+        built.append(i)
+        return block(self, i)
+
+    monkeypatch.setattr(terwilliger.LFRSplit, "_block", counted)
+    for g in (hamming(3, 6), j94, halved7, doob11, gosset_graph, shrik):
+        for x in (0, g.n - 1):
+            certify_uniform(g, x)
+    assert not built
+    decompose(h33, 0, "T")
+    assert built
 
 
 def test_non_thin_diagnostic_negative(h33):
