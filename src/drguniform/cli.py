@@ -5,27 +5,26 @@ verify-theorem.  Exit codes, each failure with a one-line message on
 standard error:
 
 - 0 success
-- 2 malformed input or configuration: a graph file that cannot be read
-  or parsed, a graph with no vertices, a base vertex outside the graph,
-  a family tag given the wrong number of parameters, or a configuration
-  file or value that is unreadable, not a JSON object, names an unknown
-  field or fails validation, or an output path that cannot be written
+- 2 malformed input: a graph file that cannot be read or parsed, a
+  graph with no vertices, a base vertex outside the graph, a family tag
+  given the wrong number of parameters, a nonpositive ``--budget``, or
+  an output path that cannot be written; argparse also exits 2, after
+  its usage line, on an option a subcommand does not take
 - 3 budget exceeded: a family build, or the vertex count in a graph
   file's header, above the vertex budget, or a distance sweep too large
   for memory (``Graph.distance_matrix``, refused before it allocates)
 - 4 expectation mismatch in a reproduction suite
 - 1 any other library error
 
-All outputs are deterministic given the configuration, which is embedded
-in every JSON document, and every number in them is exact.  On a graph
-whose spectrum is not rational, ``analyze`` prints the rational
-eigenvalues, the integer factor with no rational root
-(``irrational_factor``) and null Krein data, and ``decompose`` leaves out
-dual endpoints.
+Every output is a function of the graph, the base, the algebra and
+``--budget``.  The configuration is embedded in every JSON document, and
+every number in them is exact.  On a graph whose spectrum is not
+rational, ``analyze`` prints the rational eigenvalues, the integer
+factor with no rational root (``irrational_factor``) and null Krein
+data, and ``decompose`` leaves out dual endpoints.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -56,23 +55,10 @@ EXIT_MISMATCH = 4
 
 
 def _load_config(args):
-    base = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                base = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"configuration file: {exc}") from exc
-        if not isinstance(base, dict):
-            raise ParseError("configuration file: expected a JSON object")
-        unknown = sorted(set(base) - {f.name for f in dataclasses.fields(Config)})
-        if unknown:
-            raise ParseError(f"configuration file: unknown fields {unknown}")
-    if getattr(args, "budget", None) is not None:
-        base["vertex_budget"] = args.budget
+    cfg = Config() if args.budget is None else Config(vertex_budget=args.budget)
     try:
-        return Config(**base).validate()
-    except (TypeError, ValueError) as exc:
+        return cfg.validate()
+    except ValueError as exc:
         raise ParseError(f"invalid configuration: {exc}") from exc
 
 
@@ -181,7 +167,7 @@ def cmd_decompose(args):
     cfg = _load_config(args)
     g = _read_graph(args.graph, cfg.vertex_budget)
     _check_base(g, args.base)
-    mods = decompose(g, args.base, args.algebra, config=cfg)
+    mods = decompose(g, args.base, args.algebra)
     spec = None
     try:
         spec = spectrum(intersection_array(g))
@@ -231,7 +217,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, output=True):
-        p.add_argument("--config", help="JSON file with configuration overrides")
         p.add_argument("--budget", type=int, help="vertex budget")
         if output:
             p.add_argument("--output", help="write JSON here instead of stdout")

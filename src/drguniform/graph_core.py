@@ -250,10 +250,9 @@ def write_edge_list(g):
 
 @dataclass(frozen=True)
 class DistancePartition:
-    """Layers around a base vertex: layer_of[v], and dist[v] as an int64 array, is v's distance."""
+    """Layers around a base vertex: dist[v], an int64 array, is v's distance."""
 
     base: int
-    layer_of: tuple
     layers: tuple  # tuple of tuples of vertices, index = distance
     dist: np.ndarray = field(compare=False, repr=False)
 
@@ -284,7 +283,7 @@ def bfs_layers(g, x):
     if (dist < 0).any():
         raise DisconnectedGraph(f"vertex unreachable from {x}")
     dist.flags.writeable = False
-    return DistancePartition(base=x, layer_of=tuple(dist.tolist()), layers=tuple(layers), dist=dist)
+    return DistancePartition(base=x, layers=tuple(layers), dist=dist)
 
 
 @dataclass(frozen=True)

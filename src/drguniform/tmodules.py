@@ -17,10 +17,10 @@ is direct inside an eigenspace and orthogonal across eigenspaces and
 endpoints, and one check per layer certifies it direct: with K_r the
 complement at layer r, the slices of the modules with endpoint r must
 give a nonsingular k x k matrix in K_r's coordinates, k = dim K_r
-(``_certify_layer``).  The decomposition is deterministic: eigenspaces
-come in ascending order of eigenvalue, their bases from reduced echelon
-forms, and the splitting elements are drawn from the commutant with a
-fixed seed.
+(``_certify_layer``).  The decomposition is a function of the graph,
+the base and the algebra: eigenspaces come in ascending order of
+eigenvalue, their bases from reduced echelon forms, and the splitting
+elements are the commutant's basis elements, in order.
 
 Also here: the local-eigenvalue map, the tightness test, standard bases,
 ladder scalars with the isomorphism ratio criterion, an endpoint-one
@@ -28,7 +28,6 @@ census, and the symbolic two-parameter ladder-grid verifier used for the
 Doob family.
 """
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -285,28 +284,6 @@ def _poly_eval_matrix(coeffs, mat):
     return out.tolist()
 
 
-def _split_candidates(comm_basis, rng, rounds):
-    """Deterministic stream of candidate splitting elements."""
-    for mat in comm_basis:
-        yield mat
-    layers = sorted(comm_basis[0])
-    for _ in range(rounds):
-        combo = {}
-        for layer in layers:
-            d = len(comm_basis[0][layer])
-            combo[layer] = [[Fraction(0)] * d for _ in range(d)]
-        for mat in comm_basis:
-            c = rng.randint(-5, 5)
-            if c == 0:
-                continue
-            for layer in layers:
-                d = len(mat[layer])
-                for a in range(d):
-                    for b in range(d):
-                        combo[layer][a][b] += c * mat[layer][a][b]
-        yield combo
-
-
 def _split_by(slices, cand):
     """The pieces of an invariant graded subspace W cut out by the factors
     of a commutant element X's minimal polynomial, one per rational root
@@ -345,9 +322,12 @@ def _split_by(slices, cand):
     return pieces
 
 
-def _split_irreducible(split, algebra, slices, actions, rng):
+def _split_irreducible(split, algebra, slices, actions):
     """Recursively split an invariant graded subspace W into irreducibles,
-    through ``_split_by`` on the first commutant element that splits it.
+    through ``_split_by`` on the first element of ``_commutant``'s basis
+    that splits it, trying the basis in order.  When no basis element
+    splits W, W is returned whole and uncertified; the module it becomes
+    has ``exact=False``.
 
     W is generated by its lowest slice W_r (see ``_split_by``).  When W_r
     is one-dimensional, W is irreducible and no commutant is formed.  The
@@ -370,7 +350,7 @@ def _split_irreducible(split, algebra, slices, actions, rng):
     comm = _commutant(slices, actions)
     if len(comm) == 1:
         return [(slices, actions)], True
-    for cand in _split_candidates(comm, rng, rounds=40):
+    for cand in comm:
         pieces = _split_by(slices, cand)
         if pieces is None:
             continue
@@ -379,7 +359,7 @@ def _split_irreducible(split, algebra, slices, actions, rng):
             if done:
                 piece = _orthogonalize(piece, done)
             done.append(piece)
-            subs, ok = _split_irreducible(split, algebra, piece, _action_matrices(split, algebra, piece), rng)
+            subs, ok = _split_irreducible(split, algebra, piece, _action_matrices(split, algebra, piece))
             out.extend(subs)
             certified = certified and ok
         return out, certified
@@ -535,7 +515,7 @@ def _local_eigenvalue(split, slices, endpoint, actions):
     return coeffs[0]
 
 
-def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
+def decompose(g, x, algebra, max_endpoint=None):
     """Decomposition into irreducible modules, as a direct sum.
 
     Layers are processed by increasing endpoint r.  K_r, the layer-r
@@ -568,7 +548,6 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
     dp = bfs_layers(g, x)
     split = lfr_split(g, dp)
     sizes = split.layer_sizes()
-    rng = random.Random(config.decomposition_seed)
     descriptors = []
     last = dp.eccentricity if max_endpoint is None else min(max_endpoint, dp.eccentricity)
     for r in range(last + 1):
@@ -592,7 +571,7 @@ def decompose(g, x, algebra, max_endpoint=None, config=DEFAULT):
                 for seed, (closure, actions) in zip(batch, closed):
                     if min(closure) < r:  # the complement of the modules below r is invariant
                         raise ExactnessError("closure escaped below its endpoint")
-                    pieces, certified = _split_irreducible(split, algebra, closure, actions, rng)
+                    pieces, certified = _split_irreducible(split, algebra, closure, actions)
                     ends = [v for piece, _ in pieces for v in piece[r]]
                     if len(ends) > 1 and not wide:
                         # such a closure can contain modules found already,

@@ -693,8 +693,8 @@ def permutation_q_polynomial_orderings(kt):
 def loop_flatten_edges(g, x):
     """The edges of ``g`` between two layers around ``x``, one pair at a
     time: the reference for ``terwilliger.flatten``."""
-    layer_of = loop_bfs_layers(g, x).layer_of
-    return [[u, v] for u in range(g.n) for v in g.adj[u] if u < v and layer_of[u] != layer_of[v]]
+    dist = loop_bfs_layers(g, x).dist.tolist()
+    return [[u, v] for u in range(g.n) for v in g.adj[u] if u < v and dist[u] != dist[v]]
 
 
 def loop_product_edges(g, h):
@@ -731,9 +731,7 @@ def loop_bfs_layers(g, x):
         frontier = nxt
     if any(d == -1 for d in dist):
         raise DisconnectedGraph(f"vertex unreachable from {x}")
-    return DistancePartition(
-        base=x, layer_of=tuple(dist), layers=tuple(tuple(layer) for layer in layers), dist=np.array(dist)
-    )
+    return DistancePartition(base=x, layers=tuple(tuple(layer) for layer in layers), dist=np.array(dist))
 
 
 def _distances(g):
@@ -772,14 +770,14 @@ class TupleSplit:
         eps = dp.eccentricity
         self.lrows = [None] * (eps + 1)
         self.frows = [None] * (eps + 1)
-        layer_of = dp.layer_of
+        dist = dp.dist.tolist()
         for i in range(eps + 1):
             self.frows[i] = tuple(
-                tuple(local[u] for u in g.adj[v] if layer_of[u] == i) for v in layers[i]
+                tuple(local[u] for u in g.adj[v] if dist[u] == i) for v in layers[i]
             )
             if i >= 1:
                 self.lrows[i] = tuple(
-                    tuple(local[u] for u in g.adj[z] if layer_of[u] == i) for z in layers[i - 1]
+                    tuple(local[u] for u in g.adj[z] if dist[u] == i) for z in layers[i - 1]
                 )
 
     @property

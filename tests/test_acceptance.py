@@ -223,10 +223,10 @@ def test_criterion_8_property_suites(
             for x in bases:
                 split = lfr_split(g, x=x)
                 # A = L + F + R with R the transpose of L, checked edgewise
-                layer_of = split.dp.layer_of
+                dist = split.dp.dist
                 l_count = f_count = 0
                 for u, v in g.edges():
-                    if layer_of[u] == layer_of[v]:
+                    if dist[u] == dist[v]:
                         f_count += 2
                     else:
                         l_count += 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from drguniform import Graph, graph_core, read_edge_list, write_edge_list
+from drguniform import Config, Graph, graph_core, read_edge_list, write_edge_list
 from drguniform.cli import main
 
 from oracles import is_bipartite
@@ -190,22 +190,42 @@ def test_exit_code_budget(tmp_path):
 
 
 def test_config_file_override(h33_file, tmp_path):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"vertex_budget": 27, "retry_count": 4}))
-    # the 27-vertex file fits the budget, and the config is echoed
+    # --budget is the one configuration value a run takes, and it is echoed
     out = tmp_path / "a.json"
-    assert main(["analyze", str(h33_file), "--config", str(cfg), "--output", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["config"]["vertex_budget"] == 27
-    assert payload["config"]["retry_count"] == 4
-    # a family build under the same config hits the budget
-    assert main(
-        ["family", "hamming", "3", "4", "--out", str(tmp_path / "x.edges"), "--config", str(cfg)]
-    ) == 3
-    # so does a graph file, and --budget overrides the file's budget
-    cfg.write_text(json.dumps({"vertex_budget": 20}))
-    assert main(["analyze", str(h33_file), "--config", str(cfg)]) == 3
-    assert main(["analyze", str(h33_file), "--config", str(cfg), "--budget", "27", "--output", str(out)]) == 0
+    assert main(["analyze", str(h33_file), "--budget", "27", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["vertex_budget"] == 27
+    # a family build under the same budget hits it, and so does a graph file
+    assert main(["family", "hamming", "3", "4", "--out", str(tmp_path / "x.edges"), "--budget", "27"]) == 3
+    assert main(["analyze", str(h33_file), "--budget", "20"]) == 3
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify-uniform", "decompose"])
+def test_config_option_is_gone(h33_file, capsys, command):
+    # no run reads a configuration file
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(h33_file), "--config", "c.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("vertex_budget", 1.5),
+        ("vertex_budget", 0),
+        ("numeric_tolerance", True),
+        ("numeric_tolerance", float("nan")),
+        ("decomposition_seed", [1]),
+        ("retry_count", 2.5),
+        ("retry_count", "x"),
+        ("doob_grid_bound", -1),
+        ("iso_vertex_bound", True),
+    ],
+)
+def test_config_rejects_one_bad_value_per_field(field, value):
+    # each message names its field
+    with pytest.raises(ValueError, match=field):
+        Config(**{field: value}).validate()
 
 
 @pytest.mark.parametrize("header", ["99999999999999999999 0", "3000000000 0", "100001 0"])
@@ -247,7 +267,6 @@ def test_all_bases(tmp_path):
 
 
 C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
-CONFIGURED = ["analyze", "g.edges", "--config", "c.json"]
 
 
 @pytest.mark.parametrize(
@@ -258,28 +277,29 @@ CONFIGURED = ["analyze", "g.edges", "--config", "c.json"]
         (["certify-uniform", "g.edges", "--base", "9"], {"g.edges": C5}),
         (["decompose", "g.edges", "--base", "9"], {"g.edges": C5}),
         (["flatten", "g.edges", "--base", "-1"], {"g.edges": C5}),
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"bogus": 1}'}),
-        (CONFIGURED, {"g.edges": C5, "c.json": "[1]"}),
-        (CONFIGURED, {"g.edges": C5, "c.json": "{"}),
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"retry_count": "x"}'}),
-        (["analyze", "g.edges", "--config", "missing.json"], {"g.edges": C5}),
         (["analyze", "g.edges", "--budget", "0"], {"g.edges": C5}),
         (["family", "hamming"], {}),
         (["family", "gosset", "3"], {}),
-        # one bad value per configuration field
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"vertex_budget": 1.5}'}),
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"numeric_tolerance": true}'}),
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"numeric_tolerance": NaN}'}),
-        (["decompose", "g.edges", "--config", "c.json"], {"g.edges": C5, "c.json": '{"decomposition_seed": [1]}'}),
-        (["certify-uniform", "g.edges", "--config", "c.json"], {"g.edges": C5, "c.json": '{"retry_count": 2.5}'}),
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"doob_grid_bound": -1}'}),
-        (CONFIGURED, {"g.edges": C5, "c.json": '{"iso_vertex_bound": true}'}),
         # an output path that cannot be written
         (["family", "hamming", "1", "4", "--out", "missing/x.edges"], {}),
         (["flatten", "g.edges", "--out", "missing/x.flat"], {"g.edges": C5}),
         (["analyze", "g.edges", "--output", "missing/a.json"], {"g.edges": C5}),
         (["certify-uniform", "g.edges", "--output", "missing/c.json"], {"g.edges": C5}),
         (["decompose", "g.edges", "--output", "missing/d.json"], {"g.edges": C5}),
+        # a nonpositive budget, in every subcommand that takes one
+        (["family", "hamming", "1", "4", "--budget", "0"], {}),
+        (["flatten", "g.edges", "--budget", "0"], {"g.edges": C5}),
+        (["certify-uniform", "g.edges", "--budget", "-1"], {"g.edges": C5}),
+        (["decompose", "g.edges", "--budget", "0"], {"g.edges": C5}),
+        # a graph file that cannot be read or parsed
+        (["certify-uniform", "missing.edges"], {}),
+        (["decompose", "missing.edges"], {}),
+        (["flatten", "missing.edges"], {}),
+        (["certify-uniform", "g.edges"], {"g.edges": "not a graph\n"}),
+        (["decompose", "g.edges"], {"g.edges": "3 2\n0 1\n"}),
+        (["flatten", "g.edges"], {"g.edges": "3 1\n1 0\n"}),
+        (["analyze", "g.edges"], {"g.edges": "3 1\n0 5\n"}),
+        (["analyze", "g.edges"], {"g.edges": "3 -1\n"}),
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, files):

@@ -77,7 +77,7 @@ def test_bfs_layers_hamming(h33):
     # layers partition the vertex set and respect adjacency
     assert sorted(v for layer in dp.layers for v in layer) == list(range(27))
     for u, v in h33.edges():
-        assert abs(dp.layer_of[u] - dp.layer_of[v]) <= 1
+        assert abs(dp.dist[u] - dp.dist[v]) <= 1
 
 
 def test_disconnected_rejected():

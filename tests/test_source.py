@@ -37,6 +37,22 @@ def test_no_runtime_error():
     assert not found, f"RuntimeError raised in the package: {found}"
 
 
+def test_no_random_imports():
+    # a run is a function of its inputs; uniform.select_structure still
+    # samples seeded points first, until the digests that pin its
+    # structures are re-recorded
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if path.name != "uniform.py"
+        and (
+            isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+        )
+    ]
+    assert not found, f"random imported in the package: {found}"
+
+
 def test_no_np_roots():
     # rational roots are found exactly, and graph_core.spectrum keeps the
     # factor with no rational root as integer coefficients: no root of

@@ -209,7 +209,7 @@ def test_flatten_preserves_partition(h33, shrik, gosset_graph):
         dp_f = bfs_layers(fl.graph, 0)  # also proves connectivity
         assert dp_f.layers == dp.layers
         inside = sum(
-            1 for u, v in g.edges() if dp.layer_of[u] == dp.layer_of[v]
+            1 for u, v in g.edges() if dp.dist[u] == dp.dist[v]
         )
         assert fl.graph.m == g.m - inside
         assert fl.removed_edges == inside
@@ -278,8 +278,9 @@ def test_partition_and_blocks_match_loop_oracles(case):
     g, perm, x = case
     sizes = None
     for h, y in ((g, x), (relabel(g, perm), perm[x])):
-        dp = bfs_layers(h, y)
-        assert dp == loop_bfs_layers(h, y)
+        dp, ref_dp = bfs_layers(h, y), loop_bfs_layers(h, y)
+        assert dp == ref_dp
+        assert np.array_equal(dp.dist, ref_dp.dist)  # equality leaves dist out
         assert sizes in (None, [len(layer) for layer in dp.layers])
         sizes = [len(layer) for layer in dp.layers]
         split, ref = lfr_split(h, dp), TupleSplit(h, dp)

@@ -653,7 +653,7 @@ def _difference_seeds(g):
 def _seed_pieces(split, seed):
     """The irreducible pieces of a layer-1 seed's closure under T."""
     [(closure, actions)] = tmodules._closure(split, "T", [{1: [seed]}])
-    return tmodules._split_irreducible(split, "T", closure, actions, random.Random(0))
+    return tmodules._split_irreducible(split, "T", closure, actions)
 
 
 @pytest.mark.parametrize(
