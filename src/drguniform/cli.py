@@ -150,15 +150,12 @@ def cmd_certify(args):
     g = _read_graph(args.graph, cfg.vertex_budget)
     if args.all_bases:
         payload = {
-            "per_base": [
-                certificate_dict(certify_uniform(g, x, config=cfg), cfg)
-                for x in range(g.n)
-            ],
+            "per_base": [certificate_dict(certify_uniform(g, x), cfg) for x in range(g.n)],
             "config": cfg.as_dict(),
         }
     else:
         _check_base(g, args.base)
-        payload = certificate_dict(certify_uniform(g, args.base, config=cfg), cfg)
+        payload = certificate_dict(certify_uniform(g, args.base), cfg)
     _emit(payload, args.output)
     return EXIT_OK
 

@@ -1,46 +1,46 @@
-"""Run configuration shared by the CLI and the heavier operations."""
+"""Run configuration shared by the CLI and the heavier operations, and the
+constants every document echoes next to it."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+# uniform.select_structure: the seed and the number of rounds of its
+# rational samples, tried while some layer has a free parameter
+SAMPLING_SEED = 1729
+SAMPLING_ROUNDS = 8
+DOOB_GRID_BOUND = 12  # tmodules.doob_symbolic_check: the largest grid size
+ISO_VERTEX_BOUND = 2000  # terwilliger.graph_isomorphic: the largest graph searched
 
 
 @dataclass(frozen=True)
 class Config:
-    """The run configuration.  The CLI sets ``vertex_budget`` alone,
-    through ``--budget``; the other fields keep their defaults there and
-    differ only for Python callers of ``certify_uniform``, whose
-    ``select_structure`` reads ``decomposition_seed`` and
-    ``retry_count``.  ``numeric_tolerance`` is validated and echoed in
-    every document, but nothing reads it: every spectral quantity is
-    exact.  ``doob_grid_bound`` and ``iso_vertex_bound`` are read only
-    from ``DEFAULT``, by ``doob_symbolic_check`` and ``graph_isomorphic``
-    in the ``doob`` suite of ``verify-theorem``.  Every field is echoed
-    in every document."""
+    """The run configuration: the vertex budget, which the CLI sets
+    through ``--budget``.  Every document echoes it together with the
+    constants above, under the keys the benchmark's reference digests
+    pin."""
 
     vertex_budget: int = 100_000
-    numeric_tolerance: float = 1e-9
-    decomposition_seed: int = 1729
-    retry_count: int = 8
-    doob_grid_bound: int = 12
-    iso_vertex_bound: int = 2000
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a float field takes an int too; a bool is neither
-            if isinstance(value, bool) or not isinstance(value, (int, f.type)):
-                raise ValueError(f"{f.name} must be of type {f.type.__name__}, not {value!r}")
-        for name in ("vertex_budget", "retry_count", "iso_vertex_bound"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)!r}")
-        # NaN and infinity would be echoed as bare NaN or Infinity, not JSON
-        if not 0 < self.numeric_tolerance < float("inf"):
-            raise ValueError(f"numeric_tolerance must be positive and finite, not {self.numeric_tolerance!r}")
-        if self.doob_grid_bound < 0:
-            raise ValueError(f"doob_grid_bound must not be negative, not {self.doob_grid_bound!r}")
+        value = self.vertex_budget
+        # a bool is not an int here
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"vertex_budget must be of type int, not {value!r}")
+        if value <= 0:
+            raise ValueError(f"vertex_budget must be positive, not {value!r}")
         return self
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            "vertex_budget": self.vertex_budget,
+            # nothing reads it: every spectral quantity is exact.  It goes
+            # with the other four echo keys when the benchmark's reference
+            # digests, which pin the echo, are re-recorded
+            "numeric_tolerance": 1e-9,
+            "decomposition_seed": SAMPLING_SEED,
+            "retry_count": SAMPLING_ROUNDS,
+            "doob_grid_bound": DOOB_GRID_BOUND,
+            "iso_vertex_bound": ISO_VERTEX_BOUND,
+        }
 
 
 DEFAULT = Config()

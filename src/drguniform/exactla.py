@@ -356,19 +356,17 @@ def _lift(values, modulus, pivots, free, ncols):
 
     A column whose centred values are all within the reconstruction
     bound is integral, and ``_rational_vector`` would return those
-    values unchanged.  Below 2^62 such columns are read off one int64
-    array of the centred values; only the others are reconstructed."""
+    values unchanged.  Such columns are read off one array of the centred
+    values (int64 below 2^62); only the others are reconstructed."""
     k = len(free)
-    if modulus < 2**62:
-        centred = np.array(values, dtype=np.int64).reshape(-1, k) % modulus
-        centred[centred > modulus // 2] -= modulus
-        integral = (np.abs(centred) <= isqrt(modulus // 2)).all(axis=0).tolist()
-        out = np.zeros((k, ncols), dtype=np.int64)
-        out[:, pivots] = centred.T
-        out[range(k), free] = 1
-        basis = out.tolist()
-    else:
-        integral, basis = [False] * k, [None] * k
+    dtype = np.int64 if modulus < 2**62 else object
+    centred = np.array(values, dtype=dtype).reshape(-1, k) % modulus
+    centred[centred > modulus // 2] -= modulus
+    integral = (np.abs(centred) <= isqrt(modulus // 2)).all(axis=0).tolist()
+    out = np.zeros((k, ncols), dtype=dtype)
+    out[:, pivots] = centred.T
+    out[range(k), free] = 1
+    basis = out.tolist()
     for j, f in enumerate(free):
         if integral[j]:
             continue

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .config import DEFAULT
+from .config import ISO_VERTEX_BOUND
 from .errors import BudgetExceeded, ExactnessError
 from .exactla import _int_array, _max_abs
 from .graph_core import Graph, bfs_layers, check_budget
@@ -213,13 +213,13 @@ def _joint_refine(g, h):
 
 def graph_isomorphic(g, h):
     """A certified isomorphism map between ``g`` and ``h``, or None.  The
-    search is limited to ``DEFAULT.iso_vertex_bound`` vertices.
+    search is limited to ``ISO_VERTEX_BOUND`` vertices.
 
     Joint color refinement prunes the search; the backtracking keeps full
     adjacency consistency with everything already mapped.  The returned
     mapping is re-verified edge for edge before being reported.
     """
-    bound = DEFAULT.iso_vertex_bound
+    bound = ISO_VERTEX_BOUND
     if g.n > bound or h.n > bound:
         raise BudgetExceeded(f"isomorphism search limited to {bound} vertices")
     if g.n != h.n or g.m != h.m:

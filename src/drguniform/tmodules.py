@@ -35,7 +35,7 @@ from math import comb
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DOOB_GRID_BOUND
 from .errors import ExactnessError, IrrationalSpectrum, NotALadder, NotThin
 from .exactla import (
     IntRowBasis,
@@ -741,9 +741,12 @@ def endpoint1_census(modules, spec):
     diameter / dual-endpoint predictions for each class.
 
     Returns a dict with the eigenvalue data, one entry per class carrying
-    (eta, diameter, dual_endpoint, count, prediction_ok).  theta_1 and
+    (eta, diameter, dual_endpoint, count, prediction_ok).  Only for T is
+    eta a class invariant, so the modules must be T-modules.  theta_1 and
     theta_D are read by position, so the spectrum must be rational.
     """
+    if any(mod.algebra != "T" for mod in modules):
+        raise ValueError("the endpoint-1 census groups T-modules only")
     if spec.numeric:
         raise IrrationalSpectrum("the endpoint-1 census needs a rational spectrum")
     ia = spec.ia
@@ -823,9 +826,9 @@ def doob_symbolic_check(delta, p):
     Returns (ok, report); the report collects, per operator word, the
     coefficient of each reachable target offset together with the closed
     forms it was checked against.  Both grid sizes are limited to
-    ``DEFAULT.doob_grid_bound``.
+    ``DOOB_GRID_BOUND``.
     """
-    bound = DEFAULT.doob_grid_bound
+    bound = DOOB_GRID_BOUND
     if not (0 <= delta <= bound and 0 <= p <= bound):
         raise ValueError(f"grid sizes must be within 0..{bound}")
 

@@ -24,9 +24,9 @@ holds, without forming them again.
 A base enters all of this only through its layers' Gram rows, and the
 bases of one graph mostly share them.  So each graph keeps a memo for as
 long as it lives: every distinct layer system is solved once, and every
-distinct set of layer solutions, under one configuration, is searched and
-checked once.  Each base still forms its own rows; nothing is shared
-between graphs, even equal ones.
+distinct set of layer solutions is searched and checked once.  So a
+certificate is a function of the graph and the base.  Each base still
+forms its own rows; nothing is shared between graphs, even equal ones.
 """
 
 import itertools
@@ -38,7 +38,7 @@ from math import lcm
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import SAMPLING_ROUNDS, SAMPLING_SEED
 from .errors import DecompositionUnavailable, ExactnessError
 from .exactla import IntRowBasis, solve_affine
 from .graph_core import bfs_layers
@@ -349,20 +349,20 @@ def vanishing_conditions(layers):
     return singular, zero_minus, zero_plus
 
 
-def select_structure(layers, config=DEFAULT):
+def select_structure(layers):
     """Choose a point of the product of the layer solution sets that passes
     the parameter conditions, strongly uniform whenever one is.
 
-    Seeded samples are tried only while some layer has a free parameter;
-    the corner test and the grid decide every other case, a unique
-    solution included.  Returns (structure, report, None), the report
-    being the structure's check_parameter_conditions, or
+    ``SAMPLING_ROUNDS`` seeded samples are tried only while some layer has
+    a free parameter; the corner test and the grid decide every other case,
+    a unique solution included.  Returns (structure, report, None), the
+    report being the structure's check_parameter_conditions, or
     (None, None, failure) when no point passes.
     """
     # seeded sampling with exact verification, while a parameter is free
     nvars = sum(sol.dim for sol in layers)
-    rng = random.Random(config.decomposition_seed)
-    for round_no in range(config.retry_count if nvars else 0):
+    rng = random.Random(SAMPLING_SEED)
+    for round_no in range(SAMPLING_ROUNDS if nvars else 0):
         span = 3 + 2 * round_no
         values = [
             Fraction(rng.randint(-span, span), rng.randint(1, span))
@@ -429,7 +429,7 @@ def grid_point(layers, zero_minus, zero_plus):
     return structure_at(layers, [])
 
 
-def certify_uniform(g, x=0, config=DEFAULT):
+def certify_uniform(g, x=0, config=None):
     """Decide whether ``g`` supports a uniform structure with respect to x.
 
     Same-layer edges never enter the blocks, so the split of the original
@@ -438,11 +438,11 @@ def certify_uniform(g, x=0, config=DEFAULT):
 
     Every layer is solved by ``solve_layer``, which reuses the solutions
     of ``g``'s other bases.  Past the first empty layer nothing is solved.
-    With every layer solved, the certificate depends only on the solutions
-    and ``config``, and it is built once per (eps, layers, config) for as
-    long as ``g`` lives: later bases with the same key get the same
-    ``UniformCertificate`` back, with no structure search or check run
-    again.
+    With every layer solved, the certificate depends only on the solutions,
+    and it is built once per (eps, layers) for as long as ``g`` lives:
+    later bases with the same key get the same ``UniformCertificate``
+    back, with no structure search or check run again.  ``config`` is
+    never read; it stays while ``bench/workloads.py`` passes one.
     """
     dp = bfs_layers(g, x)
     split = lfr_split(g, dp)
@@ -464,12 +464,12 @@ def certify_uniform(g, x=0, config=DEFAULT):
                 checks=None,
             )
         layers.append(sol)
-    return _once_per_graph(g, _certify_layers, eps, tuple(layers), config)
+    return _once_per_graph(g, _certify_layers, eps, tuple(layers))
 
 
-def _certify_layers(eps, layers, config):
+def _certify_layers(eps, layers):
     """The certificate for the solution sets of all eps layers."""
-    us, report, failure = select_structure(layers, config)
+    us, report, failure = select_structure(layers)
     if us is None:
         return UniformCertificate(
             verdict="NoUniform",

@@ -494,11 +494,11 @@ def _lift_columns(draw):
 @given(_lift_columns())
 @settings(max_examples=300)
 def test_lift_reads_integral_columns_off_directly(case):
-    # below 2^62 the columns whose centred values are integers are read
-    # off an int64 array, the others reconstructed; either way, each
-    # vector is _rational_vector's on its column, placed at the pivot
-    # columns and its free column, and _rational_vector sees only the
-    # columns that are not integral
+    # the columns whose centred values are integers are read off an
+    # array, int64 below 2^62 and Python ints beyond, the others
+    # reconstructed; either way, each vector is _rational_vector's on its
+    # column, placed at the pivot columns and its free column, and
+    # _rational_vector sees only the columns that are not integral
     values, modulus, pivots, free, ncols = case
     k = len(free)
     expected = [exactla._rational_vector(values[j::k] + [1], modulus) for j in range(k)]
@@ -509,7 +509,7 @@ def test_lift_reads_integral_columns_off_directly(case):
         return
     centred = [[min(v, modulus - v) for v in values[j::k]] for j in range(k)]
     integral = [max(column, default=0) <= isqrt(modulus // 2) for column in centred]
-    assert spy.call_count == (integral.count(False) if modulus < 2**62 else k)
+    assert spy.call_count == integral.count(False)
     for w, lifted, f in zip(basis, expected, free):
         assert [w[c] for c in pivots] == lifted[:-1] and w[f] == lifted[-1]
         assert all(type(x) is int for x in w) and not any(w[c] for c in range(ncols) if c not in pivots + [f])

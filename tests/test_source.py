@@ -53,6 +53,21 @@ def test_no_random_imports():
     assert not found, f"random imported in the package: {found}"
 
 
+def test_the_configuration_is_the_vertex_budget():
+    # Config holds the vertex budget alone: every other value a run
+    # depends on is a constant in config.py, so no module reads a second
+    # setting from the shared default or a configuration it is passed
+    found = [
+        f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("DEFAULT", "config", "cfg")
+        and node.attr not in ("vertex_budget", "as_dict", "validate")
+    ]
+    assert not found, f"configuration fields read in the package: {found}"
+
+
 def test_no_np_roots():
     # rational roots are found exactly, and graph_core.spectrum keeps the
     # factor with no rational root as integer coefficients: no root of

@@ -17,7 +17,6 @@ from drguniform import (
     lfr_split,
 )
 from drguniform import terwilliger
-from drguniform.config import Config
 from drguniform.families import hamming
 from drguniform.uniform import layer_gram
 
@@ -263,7 +262,7 @@ def test_shrikhande_not_hamming(shrik):
 
 
 def test_isomorphism_budget(monkeypatch):
-    monkeypatch.setattr(terwilliger, "DEFAULT", Config(iso_vertex_bound=4))
+    monkeypatch.setattr(terwilliger, "ISO_VERTEX_BOUND", 4)
     with pytest.raises(BudgetExceeded):
         graph_isomorphic(hamming(2, 3), hamming(2, 3))
 

@@ -157,6 +157,15 @@ def test_census_needs_a_rational_spectrum():
         endpoint1_census(decompose(c5, 0, "T"), spec)
 
 
+def test_census_refuses_tf_modules(shrik):
+    # a thin endpoint-1 T_f module of the Shrikhande graph has no local
+    # eigenvalue, and for T_f none would name its class
+    mods = decompose(shrik, 0, "Tf", max_endpoint=1)
+    assert any(m.endpoint == 1 and m.thin and m.local_eigenvalue is None for m in mods)
+    with pytest.raises(ValueError, match="T-modules"):
+        endpoint1_census(mods, spectrum(intersection_array(shrik)))
+
+
 def test_standard_basis_trivial_module(h33):
     spec = spectrum(intersection_array(h33))
     mods = decompose(h33, 0, "T")
