@@ -165,7 +165,6 @@ def cmd_decompose(args):
     g = _read_graph(args.graph, cfg.vertex_budget)
     _check_base(g, args.base)
     mods = decompose(g, args.base, args.algebra)
-    spec = None
     try:
         spec = spectrum(intersection_array(g))
         if spec.numeric:

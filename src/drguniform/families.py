@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ExactnessError, InvalidParams, ParseError
 from .fields import FiniteField, hermitian_inner
 from .graph_core import Graph, check_budget
+from .terwilliger import cartesian_product
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,6 @@ def doob(n, m, budget=None):
     if n < 1 or m < 0:
         raise InvalidParams("doob needs n >= 1 and m >= 0")
     check_budget(16**n * 4**m, budget)
-    from .terwilliger import cartesian_product
-
     g = shrikhande()
     for _ in range(n - 1):
         g = cartesian_product(g, shrikhande(), budget=budget)

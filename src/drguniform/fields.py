@@ -86,9 +86,6 @@ class FiniteField:
             acc = self.mul[acc][x]
         return acc
 
-    def elements(self):
-        return range(self.order)
-
     def prime_subfield(self):
         """Elements fixed by conjugation (= GF(p) inside GF(p^2))."""
         return [x for x in range(self.order) if self.conj[x] == x]

@@ -62,12 +62,11 @@ class Graph:
     its adjacency matrix in CSR form.
 
     ``edges`` is an (m, 2) integer array or an iterable of pairs.
-    Instances are treated as immutable after construction; derived data
-    (distance matrix and layer counts, neighbour tuples and sets) is cached
-    lazily.
+    Instances are treated as immutable after construction; the distance
+    matrix and layer counts are cached lazily, and nothing else is kept.
     """
 
-    __slots__ = ("n", "m", "_csr", "_dist", "_counts", "_adj", "_adjsets", "__weakref__")
+    __slots__ = ("n", "m", "_csr", "_dist", "_counts", "__weakref__")
 
     def __init__(self, n, edges):
         if not isinstance(edges, np.ndarray):
@@ -93,24 +92,6 @@ class Graph:
         self.m = len(uv)
         self._dist = None
         self._counts = None
-        self._adj = None
-        self._adjsets = None
-
-    @property
-    def adj(self):
-        """The sorted neighbours of every vertex, as tuples of ints."""
-        if self._adj is None:
-            nbrs, ends = self._csr.indices.tolist(), self._csr.indptr.tolist()
-            self._adj = tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
-        return self._adj
-
-    def degree(self, v):
-        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
-
-    def adjacent(self, u, v):
-        if self._adjsets is None:
-            self._adjsets = tuple(frozenset(nbrs) for nbrs in self.adj)
-        return v in self._adjsets[u]
 
     def edges(self):
         """The (m, 2) int64 array of edges (u, v), u < v, in lexicographic
@@ -418,10 +399,6 @@ class ClassicalParameters:
             a=tuple(int(x) for x in a),
             b=tuple(int(x) for x in b),
         )
-
-    @property
-    def negative_type(self):
-        return self.q <= -2
 
 
 def classical_parameter_candidates(ia):

@@ -8,12 +8,11 @@ downstream computation needs, and on the larger graphs those blocks are
 small even when n is not.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix
 
 from .config import ISO_VERTEX_BOUND
 from .errors import BudgetExceeded, ExactnessError
@@ -193,31 +192,41 @@ def cartesian_product(g, h, budget=None):
 
 
 def _joint_refine(g, h):
-    """Color-refine both graphs with a shared signature dictionary."""
-    cg = [g.degree(v) for v in range(g.n)]
-    ch = [h.degree(v) for v in range(h.n)]
+    """Colour refinement of the disjoint union of ``g`` and ``h``: the
+    colours of the vertices of each, with one numbering for both.
+
+    Every vertex starts with one colour, so the first round splits by
+    degree.  A round gives each vertex a new colour for its signature, its
+    colour and its neighbours' colours sorted, read off the CSR rows; the
+    rounds stop when the number of colours stops growing.
+    """
+    S = block_diag((g.sparse(), h.sparse()), format="csr")
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    ends = S.indptr.tolist()
+    colour, count = np.zeros(S.shape[0], dtype=np.int64), 1
     while True:
-        sg = [
-            (cg[v], tuple(sorted(cg[u] for u in g.adj[v]))) for v in range(g.n)
-        ]
-        sh = [
-            (ch[v], tuple(sorted(ch[u] for u in h.adj[v]))) for v in range(h.n)
-        ]
-        table = {s: i for i, s in enumerate(sorted(set(sg) | set(sh)))}
-        ng = [table[s] for s in sg]
-        nh = [table[s] for s in sh]
-        if ng == cg and nh == ch:
-            return cg, ch
-        cg, ch = ng, nh
+        nbr = colour[S.indices]
+        nbr = nbr[np.lexsort((nbr, rows))].tolist()
+        sig = [(c, tuple(nbr[a:b])) for c, a, b in zip(colour.tolist(), ends, ends[1:])]
+        table = {s: i for i, s in enumerate(dict.fromkeys(sig))}
+        if len(table) == count:
+            return colour[: g.n], colour[g.n :]
+        colour, count = np.array([table[s] for s in sig], dtype=np.int64), len(table)
 
 
 def graph_isomorphic(g, h):
     """A certified isomorphism map between ``g`` and ``h``, or None.  The
-    search is limited to ``ISO_VERTEX_BOUND`` vertices.
+    search is limited to ``ISO_VERTEX_BOUND`` vertices, which bounds the
+    dense boolean adjacency matrices it holds.
 
-    Joint color refinement prunes the search; the backtracking keeps full
-    adjacency consistency with everything already mapped.  The returned
-    mapping is re-verified edge for edge before being reported.
+    Joint colour refinement prunes the search.  The vertices of ``g`` are
+    taken most-anchored first (the most neighbours already taken), ties
+    going to the rarer colour and then the lower vertex, and the
+    backtracking runs on an explicit stack: at each depth the candidates
+    are the unused vertices of ``h`` of the same colour, in ascending
+    order, whose adjacency to the images so far is that of the vertex to
+    the vertices before it.  The map found is checked against both
+    adjacency matrices before it is returned.
     """
     bound = ISO_VERTEX_BOUND
     if g.n > bound or h.n > bound:
@@ -225,61 +234,42 @@ def graph_isomorphic(g, h):
     if g.n != h.n or g.m != h.m:
         return None
     cg, ch = _joint_refine(g, h)
-    if Counter(cg) != Counter(ch):
+    if not np.array_equal(np.sort(cg), np.sort(ch)):
         return None
-    by_color = {}
-    for w, c in enumerate(ch):
-        by_color.setdefault(c, []).append(w)
+    n = g.n
+    ag, ah = g.sparse().toarray() > 0, h.sparse().toarray() > 0
 
-    # connected expansion order, most-constrained vertex first
+    # a key below n(n+1) per vertex, less n(n+1) per neighbour taken;
+    # float64 holds these integers exactly, and inf marks a vertex taken
+    key = (np.bincount(cg)[cg] * n + np.arange(n)).astype(np.float64)
     order = []
-    placed = [False] * g.n
-    color_rarity = Counter(cg)
-    for _ in range(g.n):
-        best = None
-        for v in range(g.n):
-            if placed[v]:
-                continue
-            anchored = sum(placed[u] for u in g.adj[v])
-            key = (-anchored, color_rarity[cg[v]], v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed[best[1]] = True
+    for _ in range(n):
+        v = int(key.argmin())
+        order.append(v)
+        key[ag[v]] -= n * (n + 1)
+        key[v] = np.inf
+    within = ag[np.ix_(order, order)]  # g's adjacency in search order
 
-    mapping = {}
-    used = set()
+    image, used = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    stack, k = [], 0  # stack[k]: the untried candidates for order[k], last first
+    while k < n:
+        if len(stack) == k:
+            w = np.flatnonzero((ch == cg[order[k]]) & ~used)
+            fits = (ah[np.ix_(w, image[:k])] == within[k, :k]).all(axis=1)
+            stack.append(w[fits].tolist()[::-1])
+        if stack[k]:
+            image[k] = stack[k].pop()
+            used[image[k]] = True
+            k += 1
+        else:
+            stack.pop()
+            k -= 1
+            if k < 0:
+                return None
+            used[image[k]] = False
 
-    def extend(k):
-        if k == g.n:
-            return True
-        v = order[k]
-        mapped_nbrs = [(u, mapping[u]) for u in g.adj[v] if u in mapping]
-        for w in by_color[cg[v]]:
-            if w in used or ch[w] != cg[v]:
-                continue
-            if len(h.adj[w]) != len(g.adj[v]):
-                continue
-            ok = all(h.adjacent(mu, w) for _, mu in mapped_nbrs)
-            if ok:
-                for u, mu in mapping.items():
-                    if g.adjacent(u, v) != h.adjacent(mu, w):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(k + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if not extend(0):
-        return None
-    if len(set(mapping.values())) != g.n or not all(
-        h.adjacent(mapping[u], mapping[v]) for u, v in g.edges().tolist()
-    ):
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = image
+    if not np.array_equal(np.sort(perm), np.arange(n)) or not np.array_equal(ah[np.ix_(perm, perm)], ag):
         raise ExactnessError("the isomorphism search returned a map that is not one")
-    return dict(mapping)
+    return dict(zip(order, image.tolist()))

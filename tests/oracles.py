@@ -25,7 +25,9 @@ against the tensor's zero pattern, flattening and Cartesian products one edge at
 time, and the split of a module closure through the dim x dim matrix of
 a commutant element instead of its block on the endpoint slice, and
 Garner's prefixes of a CRT lift with every earlier radix reduced as a
-Python int for each new prime.  The
+Python int for each new prime, and graph isomorphism by trying every
+permutation.  The neighbour tuples the loop references walk are read
+off a graph's CSR rows by ``neighbours``.  The
 helpers that assemble an ``LFRSplit``'s blocks into full matrices or
 count their entries are here too: only tests use them.
 """
@@ -49,6 +51,27 @@ from drguniform.exactla import IntRowBasis, int_poly_rational_roots
 from drguniform.fields import FiniteField
 from drguniform.graph_core import DistancePartition, IntersectionArray
 from drguniform.uniform import ParameterMatrix, UniformStructure
+
+
+def neighbours(g):
+    """The sorted neighbours of every vertex of ``g``, as tuples of ints,
+    read off the rows of its CSR adjacency."""
+    S = g.sparse()
+    nbrs, ends = S.indices.tolist(), S.indptr.tolist()
+    return tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+def permutation_isomorphic(g, h):
+    """Whether some permutation of the vertices carries the edges of ``g``
+    onto those of ``h``, by trying every one: the reference for
+    ``terwilliger.graph_isomorphic`` on small graphs."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    edges, target = g.edges().tolist(), set(map(tuple, h.edges().tolist()))
+    return any(
+        all((min(p[u], p[v]), max(p[u], p[v])) in target for u, v in edges)
+        for p in permutations(range(g.n))
+    )
 
 
 def dense_det(matrix):
@@ -156,13 +179,14 @@ def fraction_minimal_polynomial(mat):
 
 def brute_layer_sizes(g, x):
     """Layer sizes by plain breadth-first search on adjacency lists."""
+    adj = neighbours(g)
     seen = {x}
     frontier = [x]
     sizes = [1]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -431,7 +455,7 @@ def rank_gf(field, rows):
 def normalized_isotropic_points(field, dim):
     """All projective points (first nonzero coordinate 1) with zero norm."""
     points = []
-    for vec in product(field.elements(), repeat=dim):
+    for vec in product(range(field.order), repeat=dim):
         lead = next((x for x in vec if x), None)
         if lead == 1 and scalar_hermitian_inner(field, vec, vec) == 0:
             points.append(vec)
@@ -484,7 +508,7 @@ def span_points(field, rows):
     enumerating every linear combination."""
     dim = len(rows[0])
     points = set()
-    for coeffs in product(field.elements(), repeat=len(rows)):
+    for coeffs in product(range(field.order), repeat=len(rows)):
         vec = (0,) * dim
         for c, row in zip(coeffs, rows):
             if c:
@@ -499,9 +523,9 @@ def loop_intersection_array(g):
     """(c, a, b) of ``g`` by one pass per vertex x: a dense one-hot matrix
     of the distances from x, one product with the adjacency matrix, and
     the counts compared across every y.  Raises NotDistanceRegular."""
-    n = g.n
-    rows = [u for u in range(n) for _ in g.adj[u]]
-    cols = [v for u in range(n) for v in g.adj[u]]
+    n, adj = g.n, neighbours(g)
+    rows = [u for u in range(n) for _ in adj[u]]
+    cols = [v for u in range(n) for v in adj[u]]
     S = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     dist = shortest_path(S, method="D", unweighted=True).astype(np.int16)
     D = int(dist.max())
@@ -603,12 +627,13 @@ def loop_adjacency(n, edges):
 
 def is_bipartite(g):
     """Two-colour a connected graph by a depth-first search from vertex 0."""
+    adj = neighbours(g)
     color = [-1] * g.n
     color[0] = 0
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in g.adj[u]:
+        for v in adj[u]:
             if color[v] == -1:
                 color[v] = color[u] ^ 1
                 stack.append(v)
@@ -620,7 +645,7 @@ def is_bipartite(g):
 def scan_k112(g):
     """True when no edge uv has two nonadjacent common neighbours, by a
     scan of every edge: the reference for ``graph_core.k112_free``."""
-    sets = [set(nbrs) for nbrs in g.adj]
+    sets = [set(nbrs) for nbrs in neighbours(g)]
     for u, v in g.edges().tolist():
         common = sorted(sets[u] & sets[v])
         for s in range(len(common)):
@@ -694,18 +719,19 @@ def loop_flatten_edges(g, x):
     """The edges of ``g`` between two layers around ``x``, one pair at a
     time: the reference for ``terwilliger.flatten``."""
     dist = loop_bfs_layers(g, x).dist.tolist()
-    return [[u, v] for u in range(g.n) for v in g.adj[u] if u < v and dist[u] != dist[v]]
+    adj = neighbours(g)
+    return [[u, v] for u in range(g.n) for v in adj[u] if u < v and dist[u] != dist[v]]
 
 
 def loop_product_edges(g, h):
     """The edges of the Cartesian product of ``g`` and ``h``, vertex (u, v)
     numbered u*|h| + v, one pair at a time: the reference for
     ``terwilliger.cartesian_product``."""
-    edges = []
+    edges, g_adj, h_adj = [], neighbours(g), neighbours(h)
     for u in range(g.n):
         for a in range(h.n):
-            edges.extend([u * h.n + a, u * h.n + b] for b in h.adj[a] if a < b)
-        for w in g.adj[u]:
+            edges.extend([u * h.n + a, u * h.n + b] for b in h_adj[a] if a < b)
+        for w in g_adj[u]:
             if u < w:
                 edges.extend([u * h.n + v, w * h.n + v] for v in range(h.n))
     return sorted(edges)
@@ -715,6 +741,7 @@ def loop_bfs_layers(g, x):
     """The distance partition of ``g`` around ``x`` by a breadth-first
     search over the adjacency lists, one vertex at a time: the reference
     for ``graph_core.bfs_layers``."""
+    adj = neighbours(g)
     dist = [-1] * g.n
     dist[x] = 0
     frontier = [x]
@@ -722,7 +749,7 @@ def loop_bfs_layers(g, x):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if dist[v] == -1:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -770,14 +797,14 @@ class TupleSplit:
         eps = dp.eccentricity
         self.lrows = [None] * (eps + 1)
         self.frows = [None] * (eps + 1)
-        dist = dp.dist.tolist()
+        dist, adj = dp.dist.tolist(), neighbours(g)
         for i in range(eps + 1):
             self.frows[i] = tuple(
-                tuple(local[u] for u in g.adj[v] if dist[u] == i) for v in layers[i]
+                tuple(local[u] for u in adj[v] if dist[u] == i) for v in layers[i]
             )
             if i >= 1:
                 self.lrows[i] = tuple(
-                    tuple(local[u] for u in g.adj[z] if dist[u] == i) for z in layers[i - 1]
+                    tuple(local[u] for u in adj[z] if dist[u] == i) for z in layers[i - 1]
                 )
 
     @property

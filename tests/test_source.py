@@ -68,6 +68,18 @@ def test_the_configuration_is_the_vertex_budget():
     assert not found, f"configuration fields read in the package: {found}"
 
 
+def test_graph_is_its_csr():
+    # the isomorphism search reads the CSR and dense arrays made from it,
+    # so Graph keeps no second adjacency: no neighbour tuples or sets
+    assert Graph.__slots__ == ("n", "m", "_csr", "_dist", "_counts", "__weakref__")
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Attribute) and node.attr in ("adj", "adjacent")
+    ]
+    assert not found, f"adjacency attributes read in the package: {found}"
+
+
 def test_no_np_roots():
     # rational roots are found exactly, and graph_core.spectrum keeps the
     # factor with no rational root as integer coefficients: no root of

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from oracles import (
     loop_bfs_layers,
     loop_flatten_edges,
     loop_product_edges,
+    neighbours,
+    permutation_isomorphic,
     split_dense,
 )
 from strategies import connected_graphs, relabel
@@ -248,8 +252,9 @@ def test_isomorphic_to_relabeled_self(h33):
     )
     mapping = graph_isomorphic(h33, relabeled)
     assert mapping is not None
+    adj = neighbours(relabeled)
     for u, v in h33.edges():
-        assert relabeled.adjacent(mapping[u], mapping[v])
+        assert mapping[v] in adj[mapping[u]]
 
 
 def test_flattened_shrikhande_vs_product(shrik):
@@ -265,6 +270,58 @@ def test_isomorphism_budget(monkeypatch):
     monkeypatch.setattr(terwilliger, "ISO_VERTEX_BOUND", 4)
     with pytest.raises(BudgetExceeded):
         graph_isomorphic(hamming(2, 3), hamming(2, 3))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_isomorphism_search_does_not_recurse(doob11, h34):
+    # a search that recursed once per vertex would go 64 frames deep on
+    # this pair, and one per vertex of a graph near ISO_VERTEX_BOUND
+    flat_doob, flat_hamming = flatten(doob11, 0).graph, flatten(h34, 0).graph
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        mapping = graph_isomorphic(flat_doob, flat_hamming)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mapping is not None
+
+
+@st.composite
+def small_graph_pairs(draw):
+    """Two graphs on one vertex set of at most 7: the second a relabelling
+    of the first, or drawn apart from it."""
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    edge_sets = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    g = Graph(n, [e for e, k in zip(pairs, draw(edge_sets)) if k])
+    if draw(st.booleans()):
+        return g, relabel(g, draw(st.permutations(range(n))))
+    return g, Graph(n, [e for e, k in zip(pairs, draw(edge_sets)) if k])
+
+
+@given(small_graph_pairs())
+@example((Graph(0, []), Graph(0, [])))
+@settings(max_examples=150, deadline=None)
+def test_isomorphism_matches_every_permutation(case):
+    g, h = case
+    assert (graph_isomorphic(g, h) is not None) == permutation_isomorphic(g, h)
+
+
+@given(connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_isomorphism_maps_every_edge_of_a_relabelling(case):
+    g, perm, _ = case
+    h = relabel(g, perm)
+    mapping = graph_isomorphic(g, h)
+    assert mapping is not None and sorted(mapping) == sorted(mapping.values()) == list(range(g.n))
+    adj = neighbours(h)
+    assert all(mapping[v] in adj[mapping[u]] for u, v in g.edges().tolist())
 
 
 @given(connected_graphs())
