@@ -11,8 +11,10 @@ standard error:
   an output path that cannot be written; argparse also exits 2, after
   its usage line, on an option a subcommand does not take
 - 3 budget exceeded: a family build, or the vertex count in a graph
-  file's header, above the vertex budget, or a distance sweep too large
-  for memory (``Graph.distance_matrix``, refused before it allocates)
+  file's header, above the vertex budget, or arrays too large for memory,
+  refused before they are allocated: a distance sweep
+  (``Graph.distance_matrix``, which ``decompose`` runs before its
+  modules) or certify-uniform's dense L blocks (``LFRSplit.l_block``)
 - 4 expectation mismatch in a reproduction suite
 - 1 any other library error
 
@@ -164,15 +166,16 @@ def cmd_decompose(args):
     cfg = _load_config(args)
     g = _read_graph(args.graph, cfg.vertex_budget)
     _check_base(g, args.base)
-    mods = decompose(g, args.base, args.algebra)
+    # the spectrum first: a refused distance sweep exits 3 before decompose starts
     try:
         spec = spectrum(intersection_array(g))
         if spec.numeric:
             spec = None
     except BudgetExceeded:
-        raise  # a refused distance sweep exits 3 rather than drop the dual endpoints
+        raise
     except GraphError:
         spec = None
+    mods = decompose(g, args.base, args.algebra)
     groups = group_modules(mods)
     payload = []
     for key in sorted(groups, key=repr):

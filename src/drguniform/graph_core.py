@@ -109,30 +109,39 @@ class Graph:
         """All-pairs distances as an int16 array; raises on disconnection.
 
         The matrix comes from ``_sweep``, which also checks the counts the
-        intersection array needs; both are cached.  A sweep whose n x n
-        arrays would pass _SWEEP_BYTES raises BudgetExceeded before any of
-        them is allocated.
+        intersection array needs from D-1 products; both are cached.  A
+        sweep whose n x n arrays would pass _MEMORY_BYTES raises
+        BudgetExceeded before any of them is allocated.
         """
         if self._dist is None:
             self._dist, self._counts = _sweep(self._csr)
         return self._dist
 
     def layer_counts(self):
-        """What the sweep behind ``distance_matrix`` read off its products:
-        the counts (b_{t-1}, a_t, c_{t+1}) in row 0 of M_t for each t up to
-        the first at which M_t differs from what they predict, and that
-        M_t, or None when no t does."""
+        """What the sweep behind ``distance_matrix`` found: the counts
+        (b_{t-1}, a_t, c_{t+1}) in row 0 of M_t for each t up to the first
+        at which M_t differs from what they predict, and that M_t, or None
+        when no t does.  Only M_1 .. M_{D-1} are formed: the triple at t = 0
+        is (0, 0, 1), and the one at t = D follows from the degree and the
+        triples below it."""
         self.distance_matrix()
         return self._counts
 
 
 _CHECK = 1 << 16  # entries of M_t compared at once, so the temporaries stay small
-_SWEEP_BYTES = 1 << 32  # the most the sweep's n x n arrays may take together
+_MEMORY_BYTES = 1 << 32  # the most the sweep's, or the dense L blocks', arrays may take together
+
+
+def check_memory(need, what):
+    """Raise BudgetExceeded when ``what`` needs more than _MEMORY_BYTES
+    bytes; called before any of them is allocated."""
+    if need > _MEMORY_BYTES:
+        raise BudgetExceeded(f"{what} needs {need} bytes, over the limit of {_MEMORY_BYTES}")
 
 
 def _sweep(S):
     """All-pairs int16 distances of the graph with CSR ``S``, and the
-    counts of its intersection array, from D+1 products.
+    counts of its intersection array, from D-1 products.
 
     A breadth-first search from every vertex at once: column x of the 0/1
     layer F_t marks the vertices at distance t from x, and M_t = S F_t
@@ -147,23 +156,26 @@ def _sweep(S):
     at a time.  The counts are returned as (the triples up to the first t
     where the check fails, that M_t or None).
 
+    Only M_1 .. M_{D-1} are formed.  M_0 = S is F_1 itself, with the
+    triple (0, 0, 1).  Once every pair is reached, M_D holds nothing new:
+    M_1's diagonal made every degree k, so with the counts checked below D,
+    b_{D-1} = k - a_{D-1} - c_{D-1} and a_D = k - c_D on every pair, and
+    that triple is appended when no product failed.
+
     The arrays held at once are the int16 distances, the bool ``unseen``,
     the uint8 layers F_t and F_{t+1} and the product M_t; when together
-    they would pass _SWEEP_BYTES, BudgetExceeded is raised first.
+    they would pass _MEMORY_BYTES, BudgetExceeded is raised first.
     """
     n = S.shape[0]
     need = n * n * (5 + np.result_type(S.dtype, np.uint8).itemsize)
-    if need > _SWEEP_BYTES:
-        raise BudgetExceeded(
-            f"the distance sweep of {n} vertices needs {need} bytes, "
-            f"over the limit of {_SWEEP_BYTES}"
-        )
-    dist = np.zeros((n, n), dtype=np.int16)
-    unseen = ~np.eye(n, dtype=bool)
-    cur, nxt = np.eye(n, dtype=np.uint8), np.empty((n, n), dtype=np.uint8)
+    check_memory(need, f"the distance sweep of {n} vertices")
+    cur, nxt = S.astype(np.uint8).toarray(), np.empty((n, n), dtype=np.uint8)
+    unseen = cur == 0
+    np.fill_diagonal(unseen, False)
+    dist = np.add(unseen, cur, dtype=np.int16)  # min(d, 1)
     step = max(1, _CHECK // n)
-    counts, bad, t = [], None, 0
-    while cur.any():
+    counts, bad, t = [(0, 0, 1)] if n > 1 else [], None, 1
+    while unseen.any() and cur.any():
         dist += unseen
         M = S @ cur
         np.logical_and(M, unseen, out=nxt.view(bool))
@@ -184,6 +196,9 @@ def _sweep(S):
         del M  # before the next product is formed
     if unseen.any():
         raise DisconnectedGraph("graph is not connected")
+    if bad is None:  # M_D's triple, from k, c_{D-1} at t = D-2 and a_{D-1}, c_D at t = D-1
+        k, low = int(S.indptr[1]), [(0, 0, 0)] * 2 + counts
+        counts.append((k - low[-2][2] - low[-1][1], k - low[-1][2], 0))
     return dist, (tuple(counts), bad)
 
 
@@ -336,10 +351,10 @@ def intersection_array(g):
     A graph is distance-regular exactly when, for every pair (x, y) at
     distance i, the number of neighbours of y at distances i-1, i, i+1 from
     x depends only on i.  The sweep behind ``g.distance_matrix()`` checked
-    that on each of its products and kept the counts, so none is formed
-    here.  The witness (x, y) of a failure is at distance i and has the
-    count ``got``; ``expected`` is the count of the first pair at that
-    distance.  Eccentricities are compared first.  Past that, row 0 meets
+    that on each of its products M_1 .. M_{D-1} (M_0 and M_D cannot fail
+    where those pass) and kept the counts, so none is formed here.  The
+    witness (x, y) of a failure is at distance i and has the count
+    ``got``; ``expected`` is the count of the first pair at that distance.  Eccentricities are compared first.  Past that, row 0 meets
     every distance, and the witness is read off the first failing product
     M_t: the first pair, in row-major order, whose count b_{t-1}, a_t or
     c_{t+1} (in that order) differs from row 0's.

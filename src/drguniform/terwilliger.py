@@ -17,7 +17,7 @@ from scipy.sparse import block_diag, csr_matrix
 from .config import ISO_VERTEX_BOUND
 from .errors import BudgetExceeded, ExactnessError
 from .exactla import _int_array, _max_abs
-from .graph_core import Graph, bfs_layers, check_budget
+from .graph_core import Graph, bfs_layers, check_budget, check_memory
 
 
 _INT64_MAX = 2**63 - 1
@@ -85,10 +85,19 @@ class LFRSplit:
         is nonnegative and at most that entry, so float64 products of
         these blocks are exact while the entries stay below 2^53, which
         ``layer_gram`` checks.
+
+        Before the buffer is allocated, its float64 entries are added to
+        those of every L L^T and of the largest layer's M and P L in
+        ``layer_gram``; when they would pass the memory bound of
+        ``check_memory``, BudgetExceeded is raised.
         """
         if self._dense is None:
             sizes = self.layer_sizes()
-            start = np.cumsum([0] + [a * b for a, b in zip(sizes, sizes[1:])])
+            cells = [a * b for a, b in zip(sizes, sizes[1:])]
+            most = max((4 * c + (j and sizes[j - 1] * sizes[j + 1]) for j, c in enumerate(cells)), default=0)  # M, P L
+            need = 8 * (sum(cells) + sum(a * a for a in sizes[:-1]) + most)
+            check_memory(need, f"the dense L-block storage at base {self.dp.base} of {self.g.n} vertices")
+            start = np.cumsum([0] + cells)
             # u at position p of layer j and v at position q of layer j + 1
             # make entry (p, q) of the block of layer j + 1: start[j] + p n_{j+1} + q
             dist, width = self.dp.dist, np.array(sizes[1:] + (0,))

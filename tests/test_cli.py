@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from drguniform import Config, Graph, graph_core, read_edge_list, write_edge_list
+from drguniform import Config, Graph, cli, graph_core, read_edge_list, write_edge_list
 from drguniform.cli import main
 
 from oracles import is_bipartite
@@ -269,13 +269,36 @@ def test_oversized_distance_sweep_exits_3_with_one_line(h33_file, monkeypatch, c
     # the sweep of the 27-vertex H(3,3) holds six 27 x 27 arrays of bytes
     # at once: int16 distances, a bool mask, two uint8 layers and a uint8
     # product; decompose needs it for the dual endpoints
-    monkeypatch.setattr(graph_core, "_SWEEP_BYTES", 6 * 27 * 27 - 1)
+    monkeypatch.setattr(graph_core, "_MEMORY_BYTES", 6 * 27 * 27 - 1)
     assert main([command, str(h33_file)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
-    monkeypatch.setattr(graph_core, "_SWEEP_BYTES", 6 * 27 * 27)
+    monkeypatch.setattr(graph_core, "_MEMORY_BYTES", 6 * 27 * 27)
     assert main([command, str(h33_file)]) == 0
+
+
+def test_decompose_refuses_the_sweep_before_it_decomposes(h33_file, monkeypatch, capsys):
+    # the spectrum comes first, so a refused sweep starts no decomposition
+    called = []
+    monkeypatch.setattr(cli, "decompose", lambda *args: called.append(args))
+    monkeypatch.setattr(graph_core, "_MEMORY_BYTES", 6 * 27 * 27 - 1)
+    assert main(["decompose", str(h33_file)]) == 3 and called == []
+
+
+def test_oversized_dense_blocks_exit_3_with_one_line(h33_file, monkeypatch, capsys):
+    # certify-uniform at base 0 of H(3,3), whose layers have 1, 6, 12 and
+    # 8 vertices, holds at most 787 float64s in dense blocks: the L blocks
+    # (6 + 72 + 96), their L L^T (1 + 36 + 144), and layer 3's M and P L
+    # (4 * 96 + 6 * 8); it forms no distance sweep
+    capsys.readouterr()
+    monkeypatch.setattr(graph_core, "_MEMORY_BYTES", 8 * 787 - 1)
+    assert main(["certify-uniform", str(h33_file)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("budget exceeded: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    monkeypatch.setattr(graph_core, "_MEMORY_BYTES", 8 * 787)
+    assert main(["certify-uniform", str(h33_file)]) == 0
 
 
 def test_all_bases(tmp_path):

@@ -329,13 +329,24 @@ def _generalized_petersen(n, k):
     return Graph(2 * n, [(min(e), max(e)) for e in outer + spokes + inner])
 
 
+def _circulant(n, steps):
+    return Graph(n, sorted({(min(i, (i + d) % n), max(i, (i + d) % n)) for i in range(n) for d in steps}))
+
+
 @pytest.mark.parametrize(
     "g",
     # distance-regular (the dodecahedron and the Desargues graph), then
-    # regular graphs whose counts first differ at t = 1, 2 or 3
+    # regular graphs whose counts first differ at t = 1, 2 or 3; then
+    # regular graphs of diameter 2, whose sweep forms the one product M_1:
+    # C_5 and K_{3,3} are distance-regular, the triangular prism is not;
+    # last, regular graphs whose counts first differ at t = D - 1, the
+    # last product formed: the Wagner graph (D = 2), GP(7, 2) (D = 3) and
+    # GP(13, 5) above (D = 4)
     [_generalized_petersen(10, 2), _generalized_petersen(10, 3),
      cartesian_product(K4, C5), cartesian_product(C5, C6), _generalized_petersen(12, 2),
-     _generalized_petersen(8, 3), _generalized_petersen(13, 5), _generalized_petersen(24, 5)],
+     _generalized_petersen(8, 3), _generalized_petersen(13, 5), _generalized_petersen(24, 5),
+     C5, _circulant(6, (1, 3)), cartesian_product(Graph(3, [(0, 1), (0, 2), (1, 2)]), Graph(2, [(0, 1)])),
+     _circulant(8, (1, 4)), _generalized_petersen(7, 2)],
 )
 @pytest.mark.parametrize("check", [graph_core._CHECK, 50])
 def test_sweep_matches_the_product_oracle_past_the_first_layer(g, check):
@@ -359,11 +370,12 @@ def test_complete_graph_with_a_uint16_csr():
     n = 300
     g = Graph(n, list(combinations(range(n), 2)))
     assert g.sparse().dtype == np.uint16
-    # the product M_t is uint16 too, so the sweep holds 7 n^2 bytes
-    with mock.patch.object(graph_core, "_SWEEP_BYTES", 7 * n * n - 1):
+    # a product M_t would be uint16 too, so the sweep's bound is 7 n^2
+    # bytes, though K_n's sweep forms no product
+    with mock.patch.object(graph_core, "_MEMORY_BYTES", 7 * n * n - 1):
         with pytest.raises(BudgetExceeded):
             g.distance_matrix()
-    with mock.patch.object(graph_core, "_SWEEP_BYTES", 7 * n * n):
+    with mock.patch.object(graph_core, "_MEMORY_BYTES", 7 * n * n):
         ia = intersection_array(g)
     assert (ia.c, ia.a, ia.b) == ((1,), (0, n - 2), (n - 1,))
 
@@ -382,14 +394,17 @@ def _count_products(g, call):
     return sum(counted)
 
 
-def test_one_sweep_forms_d_plus_one_products(h33, j94):
-    for g in (h33, j94):
+def test_one_sweep_forms_d_minus_one_products(h33, j94):
+    # M_0 is the adjacency matrix itself and M_D follows from the degree,
+    # so H(3,3) forms 2 products, J(9,4) 3, Petersen 1 and K_5 none
+    petersen, k5 = _generalized_petersen(5, 2), Graph(5, list(combinations(range(5), 2)))
+    for g, D in ((h33, 3), (j94, 4), (petersen, 2), (k5, 1)):
         fresh = Graph(g.n, g.edges())
-        D = intersection_array(g).D
-        assert _count_products(fresh, fresh.distance_matrix) == D + 1
+        assert _count_products(fresh, fresh.distance_matrix) == D - 1
         assert _count_products(fresh, lambda: intersection_array(fresh)) == 0
+        assert intersection_array(fresh).D == D
         again = Graph(g.n, g.edges())
-        assert _count_products(again, lambda: intersection_array(again)) == D + 1
+        assert _count_products(again, lambda: intersection_array(again)) == D - 1
 
 
 @pytest.mark.parametrize(

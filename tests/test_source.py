@@ -80,6 +80,21 @@ def test_graph_is_its_csr():
     assert not found, f"adjacency attributes read in the package: {found}"
 
 
+def test_one_memory_bound():
+    # the distance sweep and certify_uniform's dense blocks are refused
+    # against one bound, graph_core._MEMORY_BYTES, read by check_memory
+    found = [
+        f"{path.name}: {name.id}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id.endswith("_BYTES")
+    ]
+    assert found == ["graph_core.py: _MEMORY_BYTES"], f"module-level memory bounds: {found}"
+
+
 def test_no_np_roots():
     # rational roots are found exactly, and graph_core.spectrum keeps the
     # factor with no rational root as integer coefficients: no root of
