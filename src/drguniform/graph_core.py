@@ -354,8 +354,9 @@ def intersection_array(g):
     that on each of its products M_1 .. M_{D-1} (M_0 and M_D cannot fail
     where those pass) and kept the counts, so none is formed here.  The
     witness (x, y) of a failure is at distance i and has the count
-    ``got``; ``expected`` is the count of the first pair at that distance.  Eccentricities are compared first.  Past that, row 0 meets
-    every distance, and the witness is read off the first failing product
+    ``got``; ``expected`` is the count of the first pair at that distance.
+    Eccentricities are compared first.  Past that, row 0 meets every
+    distance, and the witness is read off the first failing product
     M_t: the first pair, in row-major order, whose count b_{t-1}, a_t or
     c_{t+1} (in that order) differs from row 0's.
     """

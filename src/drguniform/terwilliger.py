@@ -94,7 +94,9 @@ class LFRSplit:
         if self._dense is None:
             sizes = self.layer_sizes()
             cells = [a * b for a, b in zip(sizes, sizes[1:])]
-            most = max((4 * c + (j and sizes[j - 1] * sizes[j + 1]) for j, c in enumerate(cells)), default=0)  # M, P L
+            # layer_gram at layer j + 1 holds M, 4 cells[j] entries, and P L, n_{j-1} n_{j+1}
+            pl = [0] + [a * b for a, b in zip(sizes, sizes[2:])]
+            most = max((4 * c + p for c, p in zip(cells, pl)), default=0)
             need = 8 * (sum(cells) + sum(a * a for a in sizes[:-1]) + most)
             check_memory(need, f"the dense L-block storage at base {self.dp.base} of {self.g.n} vertices")
             start = np.cumsum([0] + cells)
