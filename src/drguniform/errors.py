@@ -29,16 +29,21 @@ class NotDistanceRegular(GraphError):
     """Raised with a witness pair showing a non-constant intersection count.
 
     Attributes: x, y (vertex pair), i (distance), kind ('c'|'a'|'b'),
-    expected and got (the two conflicting counts).
+    expected and got (the two conflicting counts).  For kind
+    'eccentricity', got is x's eccentricity i and expected the diameter.
     """
 
     def __init__(self, x, y, i, kind, expected, got):
         self.x, self.y, self.i = x, y, i
         self.kind, self.expected, self.got = kind, expected, got
-        super().__init__(
-            f"not distance-regular: {kind}_{i} is {expected} elsewhere but "
-            f"{got} for the pair ({x}, {y})"
-        )
+        if kind == "eccentricity":
+            what = (
+                f"vertex {x} has eccentricity {got}, not the diameter "
+                f"{expected} (pair ({x}, {y}))"
+            )
+        else:
+            what = f"{kind}_{i} is {expected} elsewhere but {got} for the pair ({x}, {y})"
+        super().__init__(f"not distance-regular: {what}")
 
 
 class IrrationalSpectrum(GraphError):

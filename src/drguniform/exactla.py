@@ -45,7 +45,7 @@ blocks and module actions are vectorized, not for large-scale numerics.
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -201,43 +201,28 @@ def _primes_for(bits):
     return max(1, -(-bits // (_PRIME_BITS - 1)))
 
 
-def _crt_prefixes(residues, primes):
-    """For t = 1, 2, 4, ... and finally t = K: the integers in [0, P_t)
-    with the residues residues[k] modulo primes[k] for every k < t, and
-    P_t, the product of those primes.  Garner's mixed-radix digits are
-    found once each, in int64: digit k is residues[k] less the value of
-    the digits before it, over their radix P_k, modulo primes[k].  While a
-    prefix's new primes are added, every radix P_j modulo them and the
-    value of the digits before j are kept in int64, one vector update per
-    digit, so no radix is reduced as a Python int.  Each prefix extends
-    the values of the one before by Horner over its new digits, in Python
-    ints."""
+def _crt(residues, primes):
+    """The integers in [0, P) with the residues residues[k] modulo
+    primes[k] for every k, and P, the product of the primes.  Garner's
+    mixed-radix digits are found in int64: digit k is residues[k] less the
+    value of the digits before it, over their radix P_k = primes[0] ...
+    primes[k - 1], modulo primes[k].  Every radix P_j modulo the later
+    primes and the value of the digits before j are kept in int64, one
+    vector update per digit, so no radix is reduced as a Python int.  The
+    values are formed by one Horner pass over the digits, in Python ints."""
+    q = np.array(primes, dtype=np.int64)[:, None]
+    radix = np.ones_like(q)  # P_j modulo each prime
+    acc = np.zeros_like(residues)  # the value of the digits before j, modulo each prime
     digits = np.empty_like(residues)
-    radices = [1]  # radices[k] = primes[0] ... primes[k - 1]
-    values, t = [0] * residues.shape[1], 1
-    while True:
-        start = len(radices) - 1
-        q = np.array(primes[start:t], dtype=np.int64)[:, None]
-        radix = np.ones_like(q)  # P_j modulo each new prime
-        acc = np.zeros((t - start, residues.shape[1]), dtype=np.int64)
-        for j in range(t):
-            if j >= start:
-                p, k = primes[j], j - start
-                digits[j] = (residues[j] - acc[k]) % p * pow(int(radix[k, 0]), -1, p) % p
-                radices.append(radices[j] * p)
-            if j + 1 < t:  # every entry is below 2^26, each product below 2^52
-                acc += radix * digits[j]
-                acc %= q
-                radix *= primes[j]
-                radix %= q
-        tail = digits[t - 1].tolist()
-        for i in range(t - 2, start - 1, -1):
-            tail = [v * primes[i] + d for v, d in zip(tail, digits[i].tolist())]
-        values = [v + radices[start] * x for v, x in zip(values, tail)]
-        yield values, radices[t]
-        if t == len(primes):
-            return
-        t = min(2 * t, len(primes))
+    for j, p in enumerate(primes):
+        digits[j] = (residues[j] - acc[j]) % p * pow(int(radix[j, 0]), -1, p) % p
+        later = slice(j + 1, None)  # every entry is below 2^26, each product below 2^52
+        acc[later] = (acc[later] + radix[later] * digits[j]) % q[later]
+        radix[later] = radix[later] * p % q[later]
+    values = digits[-1].tolist()
+    for i in range(len(primes) - 2, -1, -1):
+        values = [v * primes[i] + d for v, d in zip(values, digits[i].tolist())]
+    return values, prod(primes)
 
 
 def _denominator(a, modulus, bound):
@@ -392,20 +377,19 @@ def modular_kernel(rows, ncols):
     Modulo a prime a pivot can only move to a later column, so among
     primes whose pivot columns differ, those that do not find the
     earliest are unlucky and are replaced.  The negated echelon entries
-    are combined by Chinese remaindering, from the first t primes for
-    t = 1, 2, 4, ... in turn, each set of primes once, and rational
-    reconstruction; the first vectors that reconstruct and satisfy
-    M w = 0 exactly (``_annihilates``) are the answer.  They are
-    independent, being 1 on distinct free columns, and there are as many
-    as the non-pivot columns modulo a prime, which is at least the
-    kernel's dimension.  Otherwise the number of primes doubles, up to
-    the Hadamard cap: a modulus past 2 H^2, for H the product of the
-    rows' Euclidean norms (squared in int64 while no sum can leave it),
-    bounds every minor of M and so every numerator and denominator to
-    reconstruct.  Past the cap it raises ExactnessError.
+    are combined by Chinese remaindering over all the primes in use
+    (``_crt``) and by rational reconstruction; vectors that reconstruct
+    and satisfy M w = 0 exactly (``_annihilates``) are the answer.  They
+    are independent, being 1 on distinct free columns, and there are as
+    many as the non-pivot columns modulo a prime, which is at least the
+    kernel's dimension.  Otherwise the number of primes doubles, 1, 2,
+    4, ..., up to the Hadamard cap: a modulus past 2 H^2, for H the
+    product of the rows' Euclidean norms (squared in int64 while no sum
+    can leave it), bounds every minor of M and so every numerator and
+    denominator to reconstruct.  Past the cap it raises ExactnessError.
     """
     mat = _int_array(rows, ncols)
-    forms, bad, nprimes, failed = {}, set(), 1, set()
+    forms, bad, nprimes = {}, set(), 1
     while True:
         primes = [p for p in _large_primes(nprimes + len(bad)) if p not in bad][:nprimes]
         for p in primes:
@@ -421,13 +405,9 @@ def modular_kernel(rows, ncols):
         if not free:
             return [], []
         residues = np.stack([-forms[p][1][:, free] % p for p in primes]).reshape(nprimes, -1)
-        for values, modulus in _crt_prefixes(residues, primes):
-            if modulus in failed:  # the same primes as a prefix already lifted
-                continue
-            basis = _lift(values, modulus, pivots, free, ncols)
-            if basis is not None and _annihilates(mat, basis):
-                return free, basis
-            failed.add(modulus)
+        basis = _lift(*_crt(residues, primes), pivots, free, ncols)
+        if basis is not None and _annihilates(mat, basis):
+            return free, basis
         wide = mat.dtype == object or ncols * _max_abs(mat) ** 2 >= 2**63
         norms = ((mat.astype(object) if wide else mat) ** 2).sum(axis=1).tolist()
         cap = _primes_for(2 * sum(-(-x.bit_length() // 2) for x in norms) + 2)

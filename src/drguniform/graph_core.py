@@ -120,8 +120,9 @@ class Graph:
     def layer_counts(self):
         """What the sweep behind ``distance_matrix`` found: the counts
         (b_{t-1}, a_t, c_{t+1}) in row 0 of M_t for each t up to the first
-        at which M_t differs from what they predict, and that M_t, or None
-        when no t does.  Only M_1 .. M_{D-1} are formed: the triple at t = 0
+        at which M_t differs from what they predict, and the witness of
+        that difference as NotDistanceRegular's arguments, or None when no
+        t has one.  Only M_1 .. M_{D-1} are formed: the triple at t = 0
         is (0, 0, 1), and the one at t = D follows from the degree and the
         triples below it."""
         self.distance_matrix()
@@ -152,9 +153,9 @@ def _sweep(S):
     t - 1.  M_t is zero at every distance but t-1, t and t+1, so b_{t-1},
     a_t and c_{t+1} are the same for every pair exactly when
     M_t = b_{t-1} F_{t-1} + a_t F_t + c_{t+1} F_{t+1}, with the counts read
-    in row 0; that is checked in the CSR's unsigned type, a block of rows
-    at a time.  The counts are returned as (the triples up to the first t
-    where the check fails, that M_t or None).
+    in row 0; ``_witness`` checks that one count at a time.  The counts
+    are returned as (the triples up to the first t where the check fails,
+    the witness it found in that M_t or None).
 
     Only M_1 .. M_{D-1} are formed.  M_0 = S is F_1 itself, with the
     triple (0, 0, 1).  Once every pair is reached, M_D holds nothing new:
@@ -163,43 +164,59 @@ def _sweep(S):
     that triple is appended when no product failed.
 
     The arrays held at once are the int16 distances, the bool ``unseen``,
-    the uint8 layers F_t and F_{t+1} and the product M_t; when together
-    they would pass _MEMORY_BYTES, BudgetExceeded is raised first.
+    the uint8 layers F_t and F_{t+1}, the product M_t and, when M_t's
+    type is wider than uint8, the copy of F_t in that type that the
+    product reads; when together they would pass _MEMORY_BYTES,
+    BudgetExceeded is raised first.
     """
     n = S.shape[0]
-    need = n * n * (5 + np.result_type(S.dtype, np.uint8).itemsize)
+    item = np.result_type(S.dtype, np.uint8).itemsize
+    need = n * n * (5 + item + (item if item > 1 else 0))
     check_memory(need, f"the distance sweep of {n} vertices")
     cur, nxt = S.astype(np.uint8).toarray(), np.empty((n, n), dtype=np.uint8)
     unseen = cur == 0
     np.fill_diagonal(unseen, False)
     dist = np.add(unseen, cur, dtype=np.int16)  # min(d, 1)
-    step = max(1, _CHECK // n)
-    counts, bad, t = [(0, 0, 1)] if n > 1 else [], None, 1
+    counts, witness, t = [(0, 0, 1)] if n > 1 else [], None, 1
     while unseen.any() and cur.any():
         dist += unseen
         M = S @ cur
         np.logical_and(M, unseen, out=nxt.view(bool))
         unseen ^= nxt.view(bool)
-        if bad is None:
+        if witness is None:
             # M_t in row 0 at the first vertex of each layer, or 0 when row 0
             # has none (then the eccentricities differ, which is reported first)
             bac = [M[0, f.argmax()] * f.max() for f in (dist[0] == t - 1, cur[0], nxt[0])]
             counts.append(tuple(map(int, bac)))
-            for r in range(0, n, step):
-                rows = slice(r, r + step)
-                want = (dist[rows] == t - 1) * bac[0] + cur[rows] * bac[1] + nxt[rows] * bac[2]
-                if not np.array_equal(M[rows], want):
-                    bad = M
-                    break
+            witness = _witness(M, dist, cur, nxt, t, bac)
         cur, nxt = nxt, cur
         t += 1
         del M  # before the next product is formed
     if unseen.any():
         raise DisconnectedGraph("graph is not connected")
-    if bad is None:  # M_D's triple, from k, c_{D-1} at t = D-2 and a_{D-1}, c_D at t = D-1
+    if witness is None:  # M_D's triple, from k, c_{D-1} at t = D-2 and a_{D-1}, c_D at t = D-1
         k, low = int(S.indptr[1]), [(0, 0, 0)] * 2 + counts
         counts.append((k - low[-2][2] - low[-1][1], k - low[-1][2], 0))
-    return dist, (tuple(counts), bad)
+    return dist, (tuple(counts), witness)
+
+
+def _witness(M, dist, cur, nxt, t, bac):
+    """The first pair (x, y) at distance i = t-1, t or t+1, in that order
+    and row-major within each, whose count in M_t differs from row 0's
+    ``bac``, as NotDistanceRegular's arguments (x, y, i, kind, expected,
+    got), or None.  The pairs at distance t-1 are where dist = min(d, t+1)
+    is t-1, those at t and t+1 are F_t and F_{t+1}.  A block of rows is
+    compared at a time, in M_t's unsigned type."""
+    n = len(M)
+    step = max(1, _CHECK // n)
+    for kind, i, expected, layer, mark in zip("bac", (t - 1, t, t + 1), bac, (dist, cur, nxt), (t - 1, 1, 1)):
+        for r in range(0, n, step):
+            rows = slice(r, r + step)
+            off = (layer[rows] == mark) & (M[rows] != expected)
+            if off.any():
+                y, x = divmod(r * n + int(off.argmax()), n)
+                return x, y, i, kind, int(expected), int(M[y, x])
+    return None
 
 
 def read_edge_list(text, budget=None):
@@ -352,13 +369,14 @@ def intersection_array(g):
     distance i, the number of neighbours of y at distances i-1, i, i+1 from
     x depends only on i.  The sweep behind ``g.distance_matrix()`` checked
     that on each of its products M_1 .. M_{D-1} (M_0 and M_D cannot fail
-    where those pass) and kept the counts, so none is formed here.  The
-    witness (x, y) of a failure is at distance i and has the count
-    ``got``; ``expected`` is the count of the first pair at that distance.
-    Eccentricities are compared first.  Past that, row 0 meets every
-    distance, and the witness is read off the first failing product
-    M_t: the first pair, in row-major order, whose count b_{t-1}, a_t or
-    c_{t+1} (in that order) differs from row 0's.
+    where those pass) and kept the counts and the witness of the first
+    failing product, so none is formed here.  The witness (x, y) of a
+    failure is at distance i and has the count ``got``; ``expected`` is
+    the count of the first pair at that distance.  Eccentricities are
+    compared first.  Past that, row 0 meets every distance, and the
+    witness is the first pair of the first failing product M_t, in
+    row-major order, whose count b_{t-1}, a_t or c_{t+1} (in that order)
+    differs from row 0's.
     """
     dist = g.distance_matrix()
     D = int(dist.max())
@@ -369,14 +387,9 @@ def intersection_array(g):
         x = int(np.argmin(ecc))
         y = int(np.argmax(dist[x]))
         raise NotDistanceRegular(x, y, int(ecc[x]), "eccentricity", D, int(ecc[x]))
-    counts, M = g.layer_counts()
-    if M is not None:
-        t = len(counts) - 1
-        for kind, i, expected in zip("bac", (t - 1, t, t + 1), counts[t]):
-            off = (dist == i) & (M != expected)
-            if off.any():
-                y, x = divmod(int(np.argmax(off)), g.n)
-                raise NotDistanceRegular(x, y, i, kind, expected, int(M[y, x]))
+    counts, witness = g.layer_counts()
+    if witness is not None:
+        raise NotDistanceRegular(*witness)
     b, a, c = zip(*counts)
     return IntersectionArray(c=c[:D], a=a, b=b[1:]).validate()
 

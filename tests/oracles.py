@@ -24,12 +24,13 @@ each permuted Krein tensor and by the former filter of every permutation
 against the tensor's zero pattern, flattening and Cartesian products one edge at a
 time, and the split of a module closure through the dim x dim matrix of
 a commutant element instead of its block on the endpoint slice, and
-Garner's prefixes of a CRT lift with every earlier radix reduced as a
-Python int for each new prime, and graph isomorphism by trying every
-permutation.  The neighbour tuples the loop references walk are read
-off a graph's CSR rows by ``neighbours``.  The
-helpers that assemble an ``LFRSplit``'s blocks into full matrices or
-count their entries are here too: only tests use them.
+graph isomorphism by trying every permutation.  The reference for
+``exactla._crt`` is the last of Garner's prefixes of a CRT lift, with
+every earlier radix reduced as a Python int for each new prime.  The
+neighbour tuples the loop references walk are read off a graph's CSR
+rows by ``neighbours``.  The helpers that assemble an ``LFRSplit``'s
+blocks into full matrices or count their entries are here too: only
+tests use them.
 """
 
 from fractions import Fraction
@@ -1020,10 +1021,10 @@ def bigint_crt_prefixes(residues, primes):
     with the residues residues[k] modulo primes[k] for every k < t, and
     P_t, the product of those primes.  Garner's mixed-radix digits are
     found once each, in int64, digit k from one product of the digits
-    before it with their radices modulo primes[k]; each prefix extends the
-    values of the one before by Horner over its new digits, in Python
-    ints.  The former ``exactla._crt_prefixes``: every earlier radix is
-    reduced as a Python int for each new prime."""
+    before it with their radices, each radix reduced modulo primes[k] as
+    a Python int; each prefix extends the values of the one before by
+    Horner over its new digits, in Python ints.  The last prefix, over all
+    K primes, is the reference for ``exactla._crt``."""
     digits = np.empty_like(residues)
     radices = [1]  # radices[k] = primes[0] ... primes[k - 1]
     values, t = [0] * residues.shape[1], 1

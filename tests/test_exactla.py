@@ -14,7 +14,7 @@ from drguniform.errors import ExactnessError
 from drguniform.exactla import (
     IntRowBasis,
     _annihilates,
-    _crt_prefixes,
+    _crt,
     _int_array,
     _large_primes,
     _primes_for,
@@ -407,15 +407,30 @@ def _record_primes(monkeypatch):
     return used
 
 
+def _record_moduli(monkeypatch):
+    """The moduli ``modular_kernel`` lifts under, in the order it does."""
+    moduli, lift = [], exactla._lift
+
+    def recorded(values, modulus, *args):
+        moduli.append(modulus)
+        return lift(values, modulus, *args)
+
+    monkeypatch.setattr(exactla, "_lift", recorded)
+    return moduli
+
+
 def test_modular_complement_replaces_a_prime_that_loses_rank(monkeypatch):
     # modulo p0 the row is (0, 1, 0, 0): its pivot moves to column 1, the
     # vector lifted from p0 alone is not in the kernel, and the next prime
     # finds the pivot at column 0
-    used = _record_primes(monkeypatch)
+    used, moduli = _record_primes(monkeypatch), _record_moduli(monkeypatch)
     p0 = _large_primes(1)[0]
     rows = [[p0, 1, 0, 0]]
     assert _check_kernel(rows, 4) == ([1, 2, 3], [[-1, p0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert used[0] == p0 and p0 not in used[1:]
+    # each lift is over all the primes of its round, so each holds more
+    # primes than the one before: p0 alone, then two and three of the next
+    assert [sum(m % p == 0 for p in _large_primes(8)) for m in moduli] == [1, 2, 3]
 
 
 def test_modular_complement_grows_when_every_prime_is_unlucky(monkeypatch):
@@ -565,13 +580,7 @@ def test_hadamard_cap_on_both_sides_of_the_int64_bound(monkeypatch, m):
     # primes is lifted twice on the way to it
     rows = [[m, -m, m], [1, m, 0]]
     h_bits = sum(-(-sum(x * x for x in row).bit_length() // 2) for row in rows)
-    used, moduli, lift = _record_primes(monkeypatch), [], exactla._lift
-
-    def recorded(values, modulus, *args):
-        moduli.append(modulus)
-        return lift(values, modulus, *args)
-
-    monkeypatch.setattr(exactla, "_lift", recorded)
+    used, moduli = _record_primes(monkeypatch), _record_moduli(monkeypatch)
     monkeypatch.setattr(exactla, "_annihilates", lambda mat, vectors: False)
     with pytest.raises(ExactnessError, match="Hadamard cap"):
         modular_kernel(rows, 3)
@@ -698,15 +707,15 @@ def test_residues_of_big_vectors_match_the_remainder(seed):
 @example(300, 70, 0)
 @example(1, 1, 0)
 @settings(max_examples=40, deadline=None)
-def test_crt_prefixes_match_the_bigint_garner_oracle(k, width, seed):
-    # every prefix (t = 1, 2, 4, ..., K) gives the same values and modulus
-    # as reducing every earlier radix as a Python int, and each value has
-    # the given residues modulo the prefix's primes
+def test_crt_matches_the_bigint_garner_oracle(k, width, seed):
+    # the values and modulus over all K primes are the oracle's last
+    # prefix, which reduces every earlier radix as a Python int, and each
+    # value has the given residues modulo every prime
     primes = _large_primes(k)
     p = np.array(primes, dtype=np.int64)[:, None]
     residues = np.random.default_rng(seed).integers(0, 2**26, size=(k, width)) % p
-    got = list(_crt_prefixes(residues, primes))
-    assert got == list(bigint_crt_prefixes(residues, primes))
-    values, modulus = got[-1]
+    got = _crt(residues, primes)
+    assert got == list(bigint_crt_prefixes(residues, primes))[-1]
+    values, modulus = got
     assert modulus == prod(primes)
     assert [[v % q for v in values] for q in primes] == residues.tolist()

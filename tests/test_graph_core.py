@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -329,6 +330,10 @@ def _generalized_petersen(n, k):
     return Graph(2 * n, [(min(e), max(e)) for e in outer + spokes + inner])
 
 
+def _path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def _circulant(n, steps):
     return Graph(n, sorted({(min(i, (i + d) % n), max(i, (i + d) % n)) for i in range(n) for d in steps}))
 
@@ -357,27 +362,63 @@ def test_sweep_matches_the_product_oracle_past_the_first_layer(g, check):
 
 
 def test_eccentricity_is_reported_before_the_counts():
-    # vertex 0 is the centre: its degree differs from the leaves' at t = 1,
-    # but its eccentricity is 1 where theirs is 2
-    counts, product = _STAR.layer_counts()
-    assert product is not None and len(counts) == 2
-    with pytest.raises(NotDistanceRegular) as info:
-        intersection_array(_STAR)
-    assert info.value.kind == "eccentricity" and (info.value.x, info.value.i) == (0, 1)
+    # the star's centre 0 and the path's middle vertex 1: its degree
+    # differs from the leaves' at t = 1, but its eccentricity is 1 where
+    # theirs is 2, and the message says so
+    for g, x, message in (
+        (_STAR, 0, "vertex 0 has eccentricity 1, not the diameter 2 (pair (0, 1))"),
+        (_path(3), 1, "vertex 1 has eccentricity 1, not the diameter 2 (pair (1, 0))"),
+    ):
+        counts, witness = g.layer_counts()
+        assert witness is not None and len(counts) == 2
+        with pytest.raises(NotDistanceRegular) as info:
+            intersection_array(g)
+        assert info.value.kind == "eccentricity" and (info.value.x, info.value.i) == (x, 1)
+        assert str(info.value) == f"not distance-regular: {message}"
 
 
 def test_complete_graph_with_a_uint16_csr():
     n = 300
     g = Graph(n, list(combinations(range(n), 2)))
     assert g.sparse().dtype == np.uint16
-    # a product M_t would be uint16 too, so the sweep's bound is 7 n^2
-    # bytes, though K_n's sweep forms no product
-    with mock.patch.object(graph_core, "_MEMORY_BYTES", 7 * n * n - 1):
+    # a product M_t would be uint16 too, and so would the copy of F_t it
+    # reads, so the sweep's bound is 9 n^2 bytes, though K_n's sweep forms
+    # no product
+    with mock.patch.object(graph_core, "_MEMORY_BYTES", 9 * n * n - 1):
         with pytest.raises(BudgetExceeded):
             g.distance_matrix()
-    with mock.patch.object(graph_core, "_MEMORY_BYTES", 7 * n * n):
+    with mock.patch.object(graph_core, "_MEMORY_BYTES", 9 * n * n):
         ia = intersection_array(g)
     assert (ia.c, ia.a, ia.b) == ((1,), (0, n - 2), (n - 1,))
+
+
+@pytest.mark.parametrize(
+    "g",
+    # GP(13, 5) x P_20 has a uint8 CSR (n = 520), K_300 x P_3 a uint16 one
+    # (n = 900); neither is distance-regular, so each keeps a witness
+    [cartesian_product(_generalized_petersen(13, 5), _path(20)),
+     cartesian_product(Graph(300, list(combinations(range(300), 2))), _path(3))],
+)
+def test_sweep_holds_no_more_than_it_checks(g):
+    # the sweep's tracemalloc peak is within the bytes check_memory was
+    # given, plus a few row blocks of temporaries; small blocks keep
+    # those few far below one n x n array
+    check, needs, checked = 1 << 12, [], graph_core.check_memory
+
+    def recorded(need, what):
+        needs.append(need)
+        checked(need, what)
+
+    with mock.patch.object(graph_core, "_CHECK", check), mock.patch.object(graph_core, "check_memory", recorded):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            witness = graph_core._sweep(g.sparse())[1][1]
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert witness is not None and len(needs) == 1
+    assert peak <= needs[0] + 8 * check
 
 
 def _count_products(g, call):
